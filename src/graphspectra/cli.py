@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -160,10 +159,7 @@ def _cmd_criteria(args) -> int:
         cr.check_mtilde_divergence(g, reg),
     ]
     if not isinstance(g.model, em.Dirac):
-        ground = min([(math.pi / l) ** 2 for l in g.finite_lengths],
-                     default=math.inf)
-        if g.has_half_line:
-            ground = min(ground, 0.0)
+        ground = sp.decoupled_ground_state(g)
         cert_point = reg.lambda0 - 1.0 if reg.lambda0 < ground else ground - 1.0
         results.append(cr.check_semibounded(g, coupling, reg, cert_point))
     else:

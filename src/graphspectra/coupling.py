@@ -10,7 +10,8 @@ block alpha(v)/deg(v).
 
 Basis vectors are stored unnormalized: the weighted measures downstream
 depend on the raw vectors, so normalization happens only inside matrix
-assembly.
+assembly.  ``pairing`` is that assembly: the one place where the boundary
+form <(L - M) b_j, b_i> is evaluated.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "delta_coupling",
     "custom_coupling",
     "global_basis",
+    "pairing",
 ]
 
 
@@ -175,6 +177,50 @@ class GlobalBasis:
             if el.label == label:
                 return i
         raise KeyError(label)
+
+
+def _add_blocks(applied: np.ndarray, basis: np.ndarray, blocks) -> None:
+    """applied[idx] += block @ basis[idx] for (idx, block) pairs whose
+    coordinate lists are disjoint; one batched product per block size."""
+    by_size = {}
+    for idx, block in blocks:
+        by_size.setdefault(len(idx), []).append((idx, block))
+    for same in by_size.values():
+        pos = np.array([idx for idx, _ in same])
+        applied[pos] += np.array([block for _, block in same]) @ basis[pos]
+
+
+def pairing(gb: GlobalBasis, coupling: VertexCoupling, edge_blocks) -> np.ndarray:
+    """Boundary pairing P[i, j] = <(L - M) b_j, b_i> over the raw global basis.
+
+    L is the coupling operator (+)_v L_v and M the direct sum of the
+    per-edge blocks ``edge_blocks[edge id]``, each placed at its edge's
+    boundary coordinates (1x1 on a half-line).  The secular matrix, the
+    discrete weights and L_min are this matrix for M = M(lambda) or
+    M(lambda0), rescaled by basis or measure norms.  (L - M) B is applied
+    block by block and B^H as a sum over each element's own coordinates,
+    so no coordinate-by-coordinate matrix is formed and the work grows
+    like (number of coordinates) x (number of basis elements).
+    """
+    n = len(gb.elements)
+    counts = [len(el.positions) for el in gb.elements]
+    rows = np.concatenate([el.positions for el in gb.elements])
+    cols = np.repeat(np.arange(n), counts)
+    values = np.concatenate([el.values for el in gb.elements])
+    basis = np.zeros((gb.size, n), dtype=complex)
+    basis[rows, cols] = values
+    applied = np.zeros_like(basis)
+    owned = {el.vertex: el.positions for el in gb.elements}
+    _add_blocks(applied, basis,
+                [(idx, coupling.block(v).operator()) for v, idx in owned.items()])
+    by_edge = {}
+    for p, (eid, _) in enumerate(gb.coords):
+        by_edge.setdefault(eid, []).append(p)
+    _add_blocks(applied, basis,
+                [(idx, -edge_blocks[eid]) for eid, idx in by_edge.items()])
+    terms = applied[rows]
+    terms *= values.conj()[:, None]
+    return np.add.reduceat(terms, np.cumsum([0] + counts[:-1]), axis=0)
 
 
 def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:

@@ -27,7 +27,7 @@ from . import edges as em
 from .discrete import DiscreteLaplacian, weighted_degree
 from .graphs import MetricGraph, edge_model_for
 from .regularize import Regularization, regularized_weyl
-from .spectra import krein_matrix
+from .spectra import decoupled_ground_state, krein_matrix
 
 __all__ = [
     "CriterionResult",
@@ -83,6 +83,17 @@ def _is_geometric_chain(dl_or_graph) -> bool:
     return info is not None and info.kind == "geometric_chain"
 
 
+def _at_point(lam0: float, point: float) -> bool:
+    """lambda0 sits at a model's canonical point, up to rounding."""
+    return abs(lam0 - point) <= 1e-12 * max(1.0, abs(point))
+
+
+def _dirac_gap_center(dl: DiscreteLaplacian) -> bool:
+    """Delta-coupled Dirac data regularized at the gap center c^2/2."""
+    return dl.model_tag == "dirac" and dl.flavor == "delta" \
+        and dl.dirac_c is not None and _at_point(dl.lambda0, dl.dirac_c ** 2 / 2)
+
+
 def _geometric_tail(first: float, ratio: float, start_index: int) -> float:
     """sum_{n >= start_index} first * ratio**n; inf when ratio >= 1."""
     if ratio >= 1.0:
@@ -101,8 +112,7 @@ def check_self_adjointness(dl: DiscreteLaplacian) -> CriterionResult:
     deg = weighted_degree(dl)
     sup_deg = float(np.max(deg)) if dl.size else 0.0
     witness = {"inf_c_over_m": inf_cm, "sup_deg_truncated": sup_deg}
-    if dl.model_tag == "dirac" and dl.flavor == "delta" and dl.dirac_c is not None \
-            and dl.lambda0 == dl.dirac_c ** 2 / 2:
+    if _dirac_gap_center(dl):
         witness["bounded_degree"] = {
             "verdict": HOLDS if sup_deg <= dl.dirac_c ** 2 + 1e-12 else FAILS,
             "model_bound": dl.dirac_c ** 2,
@@ -122,15 +132,14 @@ def check_self_adjointness(dl: DiscreteLaplacian) -> CriterionResult:
     # (ii) with the model bound: for the delta-coupled Dirac family the
     # weighted degree is bounded by c^2 vertex by vertex, any lengths with
     # finite supremum.
-    if dl.model_tag == "dirac" and dl.flavor == "delta" and info.ratio <= 1.0 \
-            and dl.dirac_c is not None and dl.lambda0 == dl.dirac_c ** 2 / 2:
+    if _dirac_gap_center(dl) and info.ratio <= 1.0:
         witness["bound"] = dl.dirac_c ** 2
         witness["sup_length"] = info.first_length * max(1.0, info.ratio)
         return CriterionResult(crit, HOLDS, "sa.bounded-degree", witness, depth)
 
     # (i) for the canonical Laplacian chain at lambda0 = 0: the chain path
     # has m(v_n) = (l_{n-1} + l_n)/2, a geometric series.
-    if dl.model_tag == "laplacian" and dl.flavor == "delta" and dl.lambda0 == 0.0:
+    if dl.model_tag == "laplacian" and dl.flavor == "delta" and _at_point(dl.lambda0, 0.0):
         partial = float(np.sum(dl.m))
         # At lambda0 = 0 every edge contributes length/2 to each endpoint, so
         # the family total of the measure equals the total length.
@@ -247,7 +256,7 @@ def check_discreteness(dl: DiscreteLaplacian, g: MetricGraph,
     if dl.truncation is None:
         entry["verdict"] = HOLDS
     elif geometric and dl.model_tag == "laplacian" and dl.flavor == "delta" \
-            and dl.lambda0 == 0.0:
+            and _at_point(dl.lambda0, 0.0):
         m_tail = _geometric_tail(info.first_length, info.ratio, info.depth)
         inv_b_tail = _geometric_tail(info.first_length, info.ratio, info.depth)
         entry["m_tail_closed_form"] = m_tail
@@ -290,9 +299,7 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
         return CriterionResult(crit, INCONCLUSIVE, "sb.model",
                                {"reason": "Dirac edges are not semi-bounded; "
                                           "no soft-minimum decoupling available"})
-    ground = min([(math.pi / l) ** 2 for l in g.finite_lengths], default=math.inf)
-    if g.has_half_line:
-        ground = min(ground, 0.0)
+    ground = decoupled_ground_state(g)
     if not lam0_cert < ground:
         raise ValueError(
             f"lam0_cert={lam0_cert} is not below the decoupled ground state {ground}"

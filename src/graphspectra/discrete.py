@@ -17,10 +17,14 @@ which is unitarily equivalent to the discrete operator
 (D_L f)_v = ( sum_w b(v,w)(f_v - f_w) + c(v) f_v ) / m(v) via
 x |-> (||R b_v|| x_v).
 
-All pairings are computed support-locally: a basis vector touches only
-the coordinates of its own vertex, and M0 couples the two endpoints of
-each edge, so off-diagonal terms exist only between vertices joined by
-an edge.
+All of b, c and Lmin are read off one matrix, the boundary pairing
+P[v, w] = <(L - M0) b_w, b_v> from ``coupling.pairing`` (the same kernel
+that gives the secular matrix at M(lambda)): b(v, w) = -Re P[v, w] above
+the diagonal, c(v) = Re P[v, v] - sum_w b(v, w), and Lmin = R^-1 P R^-1
+with R = diag(||R b_v||).  The kernel works support-locally: a basis
+vector touches only the coordinates of its own vertex, and M0 couples
+the two endpoints of each edge, so off-diagonal terms exist only between
+vertices joined by an edge.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import numpy as np
 import scipy.sparse
 
 from . import edges as em
-from .coupling import GlobalBasis, VertexCoupling, global_basis
-from .graphs import MetricGraph, edge_model_for, boundary_coordinates
+from .coupling import VertexCoupling, global_basis, pairing
+from .graphs import MetricGraph
 from .regularize import Regularization
 
 __all__ = [
@@ -87,34 +91,16 @@ class DiscreteLaplacian:
         return sum(val for _, val in self.neighbors(i))
 
 
-def _edge_coordinate_positions(g: MetricGraph):
-    coords = boundary_coordinates(g)
-    pos = {coord: i for i, coord in enumerate(coords)}
-    by_edge = {}
-    for e in g.edges:
-        by_edge[e.id] = [pos[(e.id, t)] for t, _ in e.endpoints()]
-    return coords, pos, by_edge
-
-
-def _pair_vectors(g: MetricGraph, coupling: VertexCoupling, reg: Regularization,
-                  gb: GlobalBasis):
-    """For every basis element: the sparse vector (M0 - L) b and helper data."""
-    _, _, by_edge = _edge_coordinate_positions(g)
-    n = gb.size
-    vertex_ops = {v: coupling.block(v).operator() for v in g.vertices}
-    t_vectors = []
-    for el in gb.elements:
-        dense = el.embed(n)
-        out = np.zeros(n, dtype=complex)
-        for eid, positions in by_edge.items():
-            local = dense[positions]
-            if not np.any(local):
-                continue
-            out[positions] += reg.m_at_lambda0[eid] @ local
-        lv = vertex_ops[el.vertex] @ dense[list(el.positions)]
-        out[list(el.positions)] -= lv
-        t_vectors.append(out)
-    return t_vectors
+def _regularized_pairing(g: MetricGraph, coupling: VertexCoupling,
+                         reg: Regularization):
+    """Global basis, pairing P = <(L - M0) b_j, b_i> and measure m = ||R b||^2."""
+    gb = global_basis(g, coupling)
+    m = np.array([
+        sum(reg.norm_prime[gb.coords[p][0]] * abs(val) ** 2
+            for p, val in zip(el.positions, el.values))
+        for el in gb.elements
+    ])
+    return gb, pairing(gb, coupling, reg.m_at_lambda0), m
 
 
 def build_discrete(g: MetricGraph, coupling: VertexCoupling,
@@ -125,41 +111,21 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     still assembled but tagged ``criteria_applicable=False`` (real parts are
     stored; the summability/positivity criteria then refuse to run).
     """
-    gb = global_basis(g, coupling)
+    gb, pair, m = _regularized_pairing(g, coupling, reg)
     n = len(gb.elements)
-    t_vectors = _pair_vectors(g, coupling, reg, gb)
-    dense_b = [el.embed(gb.size) for el in gb.elements]
-    pair = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            pair[i, j] = np.vdot(dense_b[j], t_vectors[i])  # <t_i, b_j>
     herm_err = np.linalg.norm(pair - pair.conj().T)
     if herm_err > _HERM_TOL * max(1.0, np.linalg.norm(pair)):
         raise AssertionError(f"pairing matrix not Hermitian: error {herm_err:.2e}")
 
-    applicable = True
-    b = {}
     scale = max(1.0, float(np.max(np.abs(pair))) if pair.size else 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = pair[i, j]
-            if abs(val) < 1e-14 * scale:
-                continue
-            if abs(val.imag) > _REAL_TOL * max(1.0, abs(val)):
-                applicable = False
-            if val.real < 0:
-                applicable = False
-            b[(i, j)] = val.real
-    row_sums = np.zeros(n)
-    for (i, j), val in b.items():
-        row_sums[i] += val
-        row_sums[j] += val
-    c = np.array([-pair[i, i].real - row_sums[i] for i in range(n)])
-    m = np.zeros(n)
-    for i, el in enumerate(gb.elements):
-        coords = [gb.coords[p] for p in el.positions]
-        m[i] = sum(reg.norm_prime[eid] * abs(val) ** 2
-                   for (eid, _), val in zip(coords, el.values))
+    rows, cols = np.nonzero(np.triu(np.abs(pair) >= 1e-14 * scale, k=1))
+    vals = -pair[rows, cols]
+    applicable = not (np.any(np.abs(vals.imag) > _REAL_TOL * np.maximum(1.0, np.abs(vals)))
+                      or np.any(vals.real < 0))
+    b = dict(zip(zip(rows.tolist(), cols.tolist()), vals.real))
+    row_sums = (np.bincount(rows, vals.real, minlength=n)
+                + np.bincount(cols, vals.real, minlength=n))
+    c = pair.diagonal().real - row_sums
     model_tag = "dirac" if isinstance(g.model, em.Dirac) else "laplacian"
     return DiscreteLaplacian(
         labels=tuple(el.label for el in gb.elements),
@@ -192,32 +158,13 @@ def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization,
 
     Dense ndarray below 64 indices, sparse CSR beyond.
     """
-    gb = global_basis(g, coupling)
-    n = len(gb.elements)
-    idx = list(range(n)) if subset is None else list(subset)
-    t_vectors = _pair_vectors(g, coupling, reg, gb)
-    dense_b = [el.embed(gb.size) for el in gb.elements]
-    rnorm = np.zeros(n)
-    for i, el in enumerate(gb.elements):
-        coords = [gb.coords[p] for p in el.positions]
-        rnorm[i] = np.sqrt(sum(reg.norm_prime[eid] * abs(val) ** 2
-                               for (eid, _), val in zip(coords, el.values)))
-    k = len(idx)
-    rows, cols, vals = [], [], []
-    for a, i in enumerate(idx):
-        for bb, j in enumerate(idx):
-            num = -np.vdot(dense_b[j], t_vectors[i])  # <(L - M0) b_i, b_j>
-            if num != 0:
-                rows.append(bb)
-                cols.append(a)
-                vals.append(num / (rnorm[i] * rnorm[j]))
-    if k < _DENSE_LIMIT:
-        out = np.zeros((k, k), dtype=complex)
-        out[rows, cols] = vals
+    _, pair, m = _regularized_pairing(g, coupling, reg)
+    idx = list(range(len(m))) if subset is None else list(subset)
+    rnorm = np.sqrt(m[idx])
+    out = pair[idx][:, idx] / np.outer(rnorm, rnorm)
+    if len(idx) < _DENSE_LIMIT:
         return out
-    return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(k, k), dtype=complex
-    )
+    return scipy.sparse.csr_matrix(out)
 
 
 def apply_discrete(dl: DiscreteLaplacian, f: np.ndarray) -> np.ndarray:

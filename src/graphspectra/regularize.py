@@ -19,7 +19,7 @@ import numpy as np
 from . import edges as em
 from .graphs import MetricGraph, edge_model_for
 
-__all__ = ["Regularization", "build_regularization", "regularized_weyl", "default_lambda0"]
+__all__ = ["Regularization", "build_regularization", "regularized_weyl"]
 
 _POLE_TOL = 1e-9
 _CERT_TOL = 1e-6
@@ -38,14 +38,6 @@ class Regularization:
         return self.weights[edge_id]
 
 
-def default_lambda0(g: MetricGraph) -> Optional[float]:
-    """Model default: c^2/2 for Dirac, 0 for finite Laplacian graphs, None
-    (user must supply a negative value) when half-line edges are present."""
-    if g.has_half_line:
-        return None
-    return em.default_lambda0(g.model)
-
-
 def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regularization:
     """Weights and special values for every edge at the real point lambda0.
 
@@ -53,10 +45,12 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
     For graphs carrying geometric-chain truncation metadata the certified
     distance accounts for the whole infinite family via the closed-form
     pole locations (the Dirichlet ground states grow as lengths decay, so
-    the truncated part is binding).
+    the truncated part is binding).  lambda0 defaults to the model's
+    canonical point (c^2/2 for Dirac, 0 for finite Laplacian graphs);
+    graphs with half-line edges need an explicit negative value.
     """
     if lam0 is None:
-        lam0 = default_lambda0(g)
+        lam0 = None if g.has_half_line else em.default_lambda0(g.model)
         if lam0 is None:
             raise em.EdgeModelError(
                 "graphs with half-line edges need an explicit lambda0 < 0"

@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import GlobalBasis, VertexCoupling, global_basis
-from .graphs import MetricGraph, boundary_coordinates, edge_model_for, incidence_sets
+from .coupling import GlobalBasis, VertexCoupling, global_basis, pairing
+from .graphs import MetricGraph, edge_model_for, incidence_sets
 
 __all__ = [
     "Root",
@@ -94,43 +94,22 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam,
                  gb: Optional[GlobalBasis] = None) -> np.ndarray:
     """Secular matrix <(L - M(lambda)) bhat_j, bhat_i> over the global basis.
 
-    Hermitian for real lambda; raises PoleOfWeylError within 1e-8 of a
-    decoupled edge eigenvalue.
+    This is the shared boundary pairing ``coupling.pairing`` at
+    M = M(lambda), with the raw basis vectors b normalized to bhat =
+    b / ||b||.  Hermitian for real lambda; raises PoleOfWeylError within
+    1e-8 of a decoupled edge eigenvalue.
     """
     if gb is None:
         gb = global_basis(g, coupling)
-    coords = boundary_coordinates(g)
-    pos = {coord: i for i, coord in enumerate(coords)}
-    nvec = len(gb.elements)
-    size = len(coords)
-
+    blocks = {}
     for e in g.edges:
         model = edge_model_for(g.model, e)
         dist, pole = em.pole_distance(model, e.length, lam)
         if dist < _POLE_GUARD * max(1.0, abs(pole)):
             raise em.PoleOfWeylError(lam, pole)
-
-    mtot = np.zeros((size, size), dtype=complex)
-    for e in g.edges:
-        model = edge_model_for(g.model, e)
-        block = em.weyl(model, e.length, lam)
-        idx = [pos[(e.id, t)] for t, _ in e.endpoints()]
-        mtot[np.ix_(idx, idx)] = block
-
-    blocks = {el.vertex: coupling.block(el.vertex) for el in gb.elements}
-    lop = np.zeros((size, size), dtype=complex)
-    seen = set()
-    for el in gb.elements:
-        if el.vertex in seen:
-            continue
-        seen.add(el.vertex)
-        idx = list(el.positions)
-        lop[np.ix_(idx, idx)] = blocks[el.vertex].operator()
-
-    bhat = np.zeros((size, nvec), dtype=complex)
-    for j, el in enumerate(gb.elements):
-        bhat[:, j] = el.embed(size) / el.norm
-    return bhat.conj().T @ (lop - mtot) @ bhat
+        blocks[e.id] = em.weyl(model, e.length, lam)
+    norms = np.array([el.norm for el in gb.elements])
+    return pairing(gb, coupling, blocks) / np.outer(norms, norms)
 
 
 def _branch_eigenvalues(g, coupling, gb, lam):
@@ -365,11 +344,6 @@ def _oracle_sigma_ratio(g, rows_data, lam, mesh):
     return sv[-1] / max(sv[0], 1e-300), sv
 
 
-def _sigma_ratio_at(g, rows_data, lam, mesh):
-    ratio, _ = _oracle_sigma_ratio(g, rows_data, lam, mesh)
-    return ratio
-
-
 def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
                        mesh: int = 2000, tol: float = 1e-8,
                        samples: int = 600) -> SpectrumResult:
@@ -442,19 +416,19 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
         phi = (math.sqrt(5) - 1) / 2
         x1 = hi - phi * (hi - lo)
         x2 = lo + phi * (hi - lo)
-        f1 = _sigma_ratio_at(g, rows_data, x1, use_mesh)
-        f2 = _sigma_ratio_at(g, rows_data, x2, use_mesh)
+        f1 = _oracle_sigma_ratio(g, rows_data, x1, use_mesh)[0]
+        f2 = _oracle_sigma_ratio(g, rows_data, x2, use_mesh)[0]
         for _ in range(120):
             if hi - lo < max(tol * 1e-3, 4e-16 * max(1.0, abs(lo))):
                 break
             if f1 <= f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - phi * (hi - lo)
-                f1 = _sigma_ratio_at(g, rows_data, x1, use_mesh)
+                f1 = _oracle_sigma_ratio(g, rows_data, x1, use_mesh)[0]
             else:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + phi * (hi - lo)
-                f2 = _sigma_ratio_at(g, rows_data, x2, use_mesh)
+                f2 = _oracle_sigma_ratio(g, rows_data, x2, use_mesh)[0]
         return 0.5 * (lo + hi)
 
     roots = []
@@ -491,6 +465,13 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
                           "oracle", (a, b))
 
 
+def decoupled_ground_state(g: MetricGraph) -> float:
+    """Bottom of the decoupled (Dirichlet) Laplacian spectrum: min (pi/length)^2
+    over finite edges, capped at 0 when half-lines are present."""
+    ground = min([(math.pi / l) ** 2 for l in g.finite_lengths], default=math.inf)
+    return min(ground, 0.0) if g.has_half_line else ground
+
+
 def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling,
                             reg=None, grid=None) -> Optional[float]:
     """Largest grid point lambda0 below the decoupled ground state where
@@ -501,10 +482,7 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling,
     """
     if isinstance(g.model, em.Dirac):
         return None
-    finite = g.finite_lengths
-    ground = min([(math.pi / l) ** 2 for l in finite], default=math.inf)
-    if g.has_half_line:
-        ground = min(ground, 0.0)
+    ground = decoupled_ground_state(g)
     gb = global_basis(g, coupling)
     if grid is None:
         top = ground - max(1e-6, 1e-9 * abs(ground))

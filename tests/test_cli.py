@@ -138,6 +138,26 @@ def test_criteria_depth_flag_declares_family(tmp_path, capsys):
     assert by_name["discreteness"]["verdict"] == "HOLDS"
 
 
+def test_criteria_explicit_dirac_gap_center(tmp_path, capsys):
+    lengths = [0.5 * 0.5 ** n for n in range(6)]
+    data = {
+        "model": {"type": "dirac", "c": 1.1},
+        "vertices": [{"id": f"v{i:02d}", "alpha": 0.3} for i in range(7)],
+        "edges": [
+            {"id": f"e{i:02d}", "from": f"v{i:02d}", "to": f"v{i+1:02d}",
+             "length": lengths[i]}
+            for i in range(6)
+        ],
+        "lambda0": 0.605,
+    }
+    path = write(tmp_path, "dirac_chain.json", data)
+    assert main(["criteria", path, "--depth", "6"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    by_name = {entry["criterion"]: entry for entry in payload}
+    assert by_name["self-adjointness"]["verdict"] == "HOLDS"
+    assert by_name["self-adjointness"]["criterion_ref"] == "sa.bounded-degree"
+
+
 def test_weyl_command(tmp_path, capsys):
     path = write(tmp_path, "star.json", star3())
     assert main(["weyl", path, "--edge", "e00", "--lambda", "-1"]) == 0

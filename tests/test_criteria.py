@@ -38,6 +38,16 @@ def test_dirac_family_self_adjoint_via_degree_bound():
     assert res.truncation_depth == 12
 
 
+def test_dirac_gap_center_gate_tolerates_rounding():
+    # c^2/2 is 0.6050000000000001 in floating point; an explicit 0.605 is
+    # the same regularization point and must take the same branch.
+    g = gr.geometric_chain(0.5, 0.5, 6, model=Dirac(1.1))
+    for lam0 in (None, 0.605):
+        _, _, dl = build(g, alpha=0.3, lam0=lam0)
+        res = cr.check_self_adjointness(dl)
+        assert (res.verdict, res.ref) == (cr.HOLDS, "sa.bounded-degree")
+
+
 def test_finite_dirac_reports_degree_bound_in_witness():
     g = gr.star(3, lengths=1.0, model=Dirac(1.0))
     _, _, dl = build(g, alpha=0.5)
