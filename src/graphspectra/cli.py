@@ -24,7 +24,7 @@ from . import edges as em
 from . import spectra as sp
 from .discrete import build_discrete, discrete_to_json_dict
 from .fileio import GraphFormatError, load_problem
-from .graphs import TruncationInfo, edge_model_for, incidence_sets, validate_graph
+from .graphs import TruncationInfo, edge_model_for, validate_graph
 from .regularize import build_regularization
 from .spectra import OracleConvergenceError
 
@@ -128,17 +128,32 @@ def _cmd_discrete(args) -> int:
     return EXIT_OK
 
 
+def _walks_one_path(g) -> bool:
+    """True when the listed edges, in order, walk one simple path through
+    every vertex (consecutive edges share an endpoint, |V| = |E| + 1)."""
+    edges = g.edges
+    if len(edges) < 2 or len(g.vertices) != len(edges) + 1:
+        return False
+    start = {edges[0].source, edges[0].target} - {edges[1].source, edges[1].target}
+    if len(start) != 1:
+        return False
+    walk = [start.pop()]
+    for e in edges:
+        if walk[-1] not in (e.source, e.target):
+            return False
+        walk.append(e.target if e.source == walk[-1] else e.source)
+    return len(set(walk)) == len(walk)
+
+
 def _declare_truncation(g, depth):
-    """Attach family metadata for --depth: geometric chains are recognized
-    by their length law, anything else is an unknown infinite family."""
+    """Attach family metadata for --depth: a geometric chain is recognized
+    when the file holds its first ``depth`` edges, listed in path order with
+    one length ratio; anything else is an unknown infinite family."""
     lengths = g.finite_lengths
     info = TruncationInfo("unknown", depth)
-    if len(lengths) == len(g.edges) and len(lengths) >= 2:
+    if len(lengths) == len(g.edges) == depth and _walks_one_path(g):
         ratios = [b / a for a, b in zip(lengths[:-1], lengths[1:])]
-        degs = sorted(len(entries) for entries in incidence_sets(g).values())
-        if degs[0] >= 1 and degs[-1] <= 2 and all(
-            abs(r - ratios[0]) <= 1e-12 * max(1.0, ratios[0]) for r in ratios
-        ):
+        if all(abs(r - ratios[0]) <= 1e-12 * max(1.0, ratios[0]) for r in ratios):
             info = TruncationInfo("geometric_chain", depth, lengths[0], ratios[0])
     return replace(g, truncation=info)
 

@@ -8,14 +8,39 @@ prescribed trace data to the complementary trace data of the solution of
 the edge eigenvalue equation), its derivative, the defect solutions
 themselves, and the spectrum of the decoupled (trace-zero) edge operator.
 
-All interval formulas are written as ratios of the entire functions
+Both interval models reduce to one kernel, the Laplacian response
+M_L(l; k^2) of -psi'' = k^2 psi on [0, l].  The first component of a
+Dirac spinor solves that equation at the wavenumber
+
+    k^2(lambda) = (lambda^2 - c^4/4) / c^2,
+
+and the Dirac graph trace maps are the Laplacian ones rescaled by
+rho(lambda) = c^2 / (lambda + c^2/2) and rephased by D = diag(1, -i):
+
+    M(lambda)  = rho D^H M_L(l; k^2) D,
+    M'(lambda) = rho' D^H M_L D + rho (k^2)' D^H (dM_L/dk^2) D.
+
+The Laplacian is the identity reduction k^2 = lambda, rho = 1, D = I.
+The poles of M are the k^2-preimages of the Dirichlet values (n pi/l)^2,
+n >= 1, plus, for Dirac, the pole of rho at -c^2/2.  Each interval
+model class states its reduction once: ``_reduce`` (k^2, rho and their
+derivatives), ``_pole`` (the preimages of a wavenumber), ``_wavenumber``
+(where to look for the nearest poles), ``_extra_poles`` and the default
+point ``_lambda0``; every function below reads it from there.
+
+The kernel is written with ratios of the entire functions
 
     S(w) = sin(sqrt(w)) / sqrt(w),    C(w) = cos(sqrt(w)),
 
-evaluated at w = (length * wavenumber)^2, which is a polynomial in the
-spectral parameter.  This removes every branch-cut and removable-
+evaluated at w = l^2 k^2.  This removes every branch-cut and removable-
 singularity issue: the same expression is valid above threshold, inside
-spectral gaps and at complex spectral parameters.
+spectral gaps and at complex spectral parameters.  Near w = 0 the
+derivative comes from series; for real w < -1 the kernel switches to
+hyperbolic ratios that never overflow, for either model.
+
+Two cases stay outside the kernel: the Dirac "hat" trace maps, whose
+poles are at cos(l k) = 0, and the half-line (boundary dimension d = 1),
+whose response is the Herglotz branch of i sqrt(lambda).
 """
 
 from __future__ import annotations
@@ -47,6 +72,8 @@ __all__ = [
     "pole_distance",
 ]
 
+_POLE_TOL = 1e-9
+
 
 class EdgeModelError(ValueError):
     """Invalid edge-model parameters or inadmissible spectral point."""
@@ -68,6 +95,23 @@ class Laplacian:
     """Free Laplacian -d^2/dx^2 on finite interval edges."""
 
     kind = "laplacian"
+    _lambda0 = 0.0
+    _extra_poles = ()
+
+    @staticmethod
+    def _reduce(lam):
+        """(k^2, dk^2/dlambda, rho, drho/dlambda); rho None: no rescaling."""
+        return lam, 1.0, None, None
+
+    @staticmethod
+    def _pole(k):
+        """Spectral points at which the wavenumber is the real number k."""
+        return (k ** 2,)
+
+    @staticmethod
+    def _wavenumber(lam):
+        """Real wavenumber near which the poles closest to lam lie."""
+        return math.sqrt(max(lam.real, 0.0))
 
 
 @dataclass(frozen=True)
@@ -81,12 +125,35 @@ class Dirac:
         if not self.c > 0:
             raise EdgeModelError(f"Dirac speed of light must be positive, got {self.c}")
 
+    @property
+    def _lambda0(self):
+        return self.c ** 2 / 2
+
+    @property
+    def _extra_poles(self):
+        return (-self.c * self.c / 2,)
+
+    def _reduce(self, lam):
+        c2 = self.c * self.c
+        shift = lam + c2 / 2
+        rho = c2 / shift
+        return (lam * lam - (c2 / 2) ** 2) / c2, 2 * lam / c2, rho, -rho / shift
+
+    def _pole(self, k):
+        root = math.sqrt((self.c * k) ** 2 + self.c ** 4 / 4)
+        return root, -root
+
+    def _wavenumber(self, lam):
+        c = self.c
+        return math.sqrt(max(abs(lam) ** 2 - (c * c / 2) ** 2, 0.0)) / c
+
 
 @dataclass(frozen=True)
 class HalfLineLaplacian:
     """Free Laplacian on a half-line edge (one boundary point, d = 1)."""
 
     kind = "half_line_laplacian"
+    _lambda0 = None
 
 
 EdgeModel = Union[Laplacian, Dirac, HalfLineLaplacian]
@@ -108,6 +175,9 @@ DIRAC_GRAPH_FROM_HAT = np.array(
     ],
     dtype=complex,
 )
+
+# Entrywise form of D^H X D for D = diag(1, -i).
+_DIRAC_PHASE = np.array([[1, -1j], [1j, 1]])
 
 _SERIES_CUTOFF = 1e-3
 
@@ -180,12 +250,38 @@ def _check_triplet(model: EdgeModel, triplet: str):
 
 
 def _check_length(model: EdgeModel, ell: float):
-    if isinstance(model, HalfLineLaplacian):
+    if boundary_dim(model) == 1:
         if not math.isinf(ell):
             raise EdgeModelError("half-line model requires length = inf")
         return
     if not (ell > 0 and math.isfinite(ell)):
         raise EdgeModelError(f"interval edge needs finite positive length, got {ell}")
+
+
+def _pole_family(model: EdgeModel, triplet: str):
+    """First index, index offset and extra poles of an interval edge.
+
+    The poles sit where the wavenumber is (n + offset) pi / l: sin(l k) = 0
+    for the graph trace maps, cos(l k) = 0 for the Dirac hat maps.
+    """
+    if triplet == "hat":
+        return 0, 0.5, ()
+    return 1, 0, model._extra_poles
+
+
+def _nearest_pole(model: EdgeModel, ell: float, lam: complex, triplet: str):
+    """(distance, pole) from lam to the decoupled spectrum; inputs checked."""
+    if boundary_dim(model) == 1:
+        if lam.real <= 0:
+            return abs(lam), 0.0
+        return abs(lam.imag), lam.real
+    first, offset, candidates = _pole_family(model, triplet)
+    candidates = list(candidates)
+    n_guess = int(ell * model._wavenumber(lam) / math.pi)
+    for n in range(max(first, n_guess - 2), n_guess + 4):
+        candidates.extend(model._pole((n + offset) * math.pi / ell))
+    pole = min(candidates, key=lambda p: abs(lam - p))
+    return abs(lam - pole), pole
 
 
 def pole_distance(model: EdgeModel, ell: float, lam, triplet: str = "graph"):
@@ -196,56 +292,102 @@ def pole_distance(model: EdgeModel, ell: float, lam, triplet: str = "graph"):
     """
     _check_triplet(model, triplet)
     _check_length(model, ell)
-    lam = complex(lam)
-    if isinstance(model, HalfLineLaplacian):
-        if lam.real <= 0:
-            return abs(lam), 0.0
-        return abs(lam.imag), lam.real
-    if isinstance(model, Laplacian):
-        candidates = _laplacian_pole_candidates(ell, lam)
+    return _nearest_pole(model, ell, complex(lam), triplet)
+
+
+def _halfline_root(lam):
+    # sqrt(lambda) on the branch Im >= 0, so that i*sqrt(lambda) is the
+    # Herglotz function continuing -sqrt(-lambda) from the negative
+    # half-axis, with m(conj(lam)) = conj(m(lam)).
+    z = np.sqrt(complex(lam))
+    return -z if z.imag < 0 else z
+
+
+def _kernel(ell, k2, derivative):
+    """Laplacian response M_L(l; k^2) and, when asked, dM_L/d(k^2)."""
+    w = ell * ell * k2
+    dm = None
+    if _is_real(k2) and np.real(w) < -1.0:
+        kappa = math.sqrt(-np.real(k2))
+        y = kappa * ell
+        csch = _csch(y)
+        m11, m12 = -kappa / math.tanh(y), kappa * csch
+        if derivative:
+            coth = 1.0 / math.tanh(y)
+            d11 = (coth - y * (coth * coth - 1.0)) / (2 * kappa)
+            d12 = csch * (y * coth - 1.0) / (2 * kappa)
     else:
-        candidates = _dirac_pole_candidates(model.c, ell, lam, triplet)
-    dists = [abs(lam - p) for p in candidates]
-    i = int(np.argmin(dists))
-    return dists[i], candidates[i]
+        s, c = _sc(w)
+        m11, m12 = -c / (ell * s), 1.0 / (ell * s)
+        if derivative and abs(w) < _SERIES_CUTOFF:
+            d11 = ell * _poly(_D1_COEF, w)
+            d12 = ell * _poly(_E1_COEF, w)
+        elif derivative:
+            sp = (c - s) / (2 * w)
+            d11 = ell * (s * s / 2 + c * (c - s) / (2 * w)) / (s * s)
+            d12 = ell * (-sp / (s * s))
+    if derivative:
+        dm = np.array([[d11, d12], [d12, d11]], dtype=complex)
+    return np.array([[m11, m12], [m12, m11]], dtype=complex), dm
 
 
-def _laplacian_pole_candidates(ell, lam):
-    n_guess = ell * math.sqrt(max(lam.real, 0.0)) / math.pi
-    lo = max(1, int(n_guess) - 2)
-    return [(n * math.pi / ell) ** 2 for n in range(lo, lo + 5)]
+def _weyl_hat(c, ell, lam, derivative):
+    """Dirac response and derivative under the hat trace maps."""
+    half_gap = c * c / 2
+    w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
+    s, cw = _sc(w)
+    m11 = (lam - half_gap) * ell * s / cw
+    m12 = 1.0 / cw
+    m22 = (lam + half_gap) * ell * s / (c * c * cw)
+    m = np.array([[m11, m12], [m12, m22]], dtype=complex)
+    if not derivative:
+        return m, None
+    wp = 2 * ell * ell * lam / (c * c)
+    sp = _sc_prime(w)
+    d11 = ell * ((s + (lam - half_gap) * sp * wp) / cw
+                 + (lam - half_gap) * s * s * wp / (2 * cw * cw))
+    d12 = s * wp / (2 * cw * cw)
+    d22 = (ell / (c * c)) * ((s + (lam + half_gap) * sp * wp) / cw
+                             + (lam + half_gap) * s * s * wp / (2 * cw * cw))
+    return m, np.array([[d11, d12], [d12, d22]], dtype=complex)
 
 
-def _dirac_pole_candidates(c, ell, lam, triplet):
-    # Graph triplet poles: sin(ell*k)=0 (k != 0) plus the gap edge -c^2/2;
-    # hat triplet poles: cos(ell*k)=0.
-    ck2 = max(abs(lam) ** 2 - (c * c / 2) ** 2, 0.0)
-    n_guess = ell * math.sqrt(ck2) / (c * math.pi)
-    out = []
-    if triplet == "graph":
-        out.append(-c * c / 2)
-        offsets = [n for n in range(max(1, int(n_guess) - 2), int(n_guess) + 4)]
-    else:
-        offsets = [n + 0.5 for n in range(max(0, int(n_guess) - 2), int(n_guess) + 4)]
-    for n in offsets:
-        root = math.sqrt((c * n * math.pi / ell) ** 2 + c ** 4 / 4)
-        out.extend([root, -root])
-    return out
+def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False):
+    """(distance, pole, M(lam), M'(lam) or None) of one edge.
 
-
-def _guard_pole(model, ell, lam, triplet):
-    dist, pole = pole_distance(model, ell, lam, triplet)
-    if dist < 1e-9 * max(1.0, abs(pole)):
+    The one pole computation of an edge evaluation: raises PoleOfWeylError
+    within ``tol * max(1, |pole|)`` of the nearest decoupled eigenvalue.
+    """
+    _check_triplet(model, triplet)
+    _check_length(model, ell)
+    dist, pole = _nearest_pole(model, ell, complex(lam), triplet)
+    if dist < tol * max(1.0, abs(pole)):
         raise PoleOfWeylError(lam, pole)
+    if boundary_dim(model) == 1:
+        z = _halfline_root(lam)
+        return (dist, pole, np.array([[1j * z]], dtype=complex),
+                np.array([[1j / (2 * z)]], dtype=complex))
+    if triplet == "hat":
+        return (dist, pole) + _weyl_hat(model.c, ell, lam, derivative)
+    k2, dk2, rho, drho = model._reduce(lam)
+    m, dm = _kernel(ell, k2, derivative)
+    if rho is not None:
+        if derivative:
+            dm = _DIRAC_PHASE * (drho * m + (rho * dk2) * dm)
+        m = rho * _DIRAC_PHASE * m
+    return dist, pole, m, dm
 
 
-def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph") -> np.ndarray:
+def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph",
+         *, _pole_tol: float = _POLE_TOL) -> np.ndarray:
     """Boundary response matrix M(lambda) of one edge.
 
     ``triplet="hat"`` selects the alternative Dirac trace maps (first
     component at the left endpoint paired with the scaled second component
     at the right endpoint); ``"graph"`` is the convention used for vertex
-    couplings throughout the package.
+    couplings throughout the package.  Raises PoleOfWeylError within 1e-9
+    (relative) of a decoupled eigenvalue; ``_pole_tol`` lets the secular
+    matrix apply its own guard within the same pole computation.
 
     The Dirac graph trace maps are Gamma0 = (psi1(0), i psi1(l)) and
     Gamma1 = (ic psi2(0), c psi2(l)).  At the gap center lambda0 = c^2/2,
@@ -253,115 +395,12 @@ def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph") -> np.ndarra
     M(lambda0) = (1/l)[[-1, -i], [i, -1]]; the hat value there is
     [[0, 1], [1, l]].
     """
-    _check_triplet(model, triplet)
-    _check_length(model, ell)
-    _guard_pole(model, ell, lam, triplet)
-    if isinstance(model, Laplacian):
-        return _weyl_laplacian(ell, lam)
-    if isinstance(model, HalfLineLaplacian):
-        return np.array([[_halfline_m(lam)]], dtype=complex)
-    return _weyl_dirac(model.c, ell, lam, triplet)
-
-
-def _weyl_laplacian(ell, lam):
-    w = ell * ell * lam
-    if _is_real(lam) and np.real(w) < -1.0:
-        kappa = math.sqrt(-np.real(lam))
-        y = kappa * ell
-        m11 = -kappa / math.tanh(y)
-        m12 = kappa * _csch(y)
-    else:
-        s, c = _sc(w)
-        m11 = -c / (ell * s)
-        m12 = 1.0 / (ell * s)
-    return np.array([[m11, m12], [m12, m11]], dtype=complex)
-
-
-def _weyl_dirac(c, ell, lam, triplet):
-    half_gap = c * c / 2
-    w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
-    s, cw = _sc(w)
-    if triplet == "hat":
-        m11 = (lam - half_gap) * ell * s / cw
-        m12 = 1.0 / cw
-        m22 = (lam + half_gap) * ell * s / (c * c * cw)
-        return np.array([[m11, m12], [m12, m22]], dtype=complex)
-    g = c * c / (ell * (lam + half_gap) * s)
-    gc = g * cw
-    return np.array([[-gc, -1j * g], [1j * g, -gc]], dtype=complex)
-
-
-def _halfline_m(lam):
-    # Herglotz branch of i*sqrt(lambda): continues -sqrt(-lambda) from the
-    # negative half-axis, with m(conj(lam)) = conj(m(lam)).
-    lam = complex(lam)
-    if lam.imag == 0.0 and lam.real >= 0.0:
-        raise EdgeModelError(
-            "half-line boundary response undefined on the ray [0, inf)"
-        )
-    z = np.sqrt(lam)
-    if z.imag < 0:
-        z = -z
-    return complex(1j * z)
+    return _response(model, ell, lam, triplet, _pole_tol)[2]
 
 
 def weyl_derivative(model: EdgeModel, ell: float, lam, triplet: str = "graph") -> np.ndarray:
     """d/dlambda of :func:`weyl`, from the differentiated closed forms."""
-    _check_triplet(model, triplet)
-    _check_length(model, ell)
-    _guard_pole(model, ell, lam, triplet)
-    if isinstance(model, Laplacian):
-        return _weyl_laplacian_deriv(ell, lam)
-    if isinstance(model, HalfLineLaplacian):
-        lam = complex(lam)
-        z = np.sqrt(lam)
-        if z.imag < 0:
-            z = -z
-        if lam.imag == 0.0 and lam.real >= 0.0:
-            raise EdgeModelError(
-                "half-line boundary response undefined on the ray [0, inf)"
-            )
-        return np.array([[1j / (2 * z)]], dtype=complex)
-    return _weyl_dirac_deriv(model.c, ell, lam, triplet)
-
-
-def _weyl_laplacian_deriv(ell, lam):
-    w = ell * ell * lam
-    if _is_real(lam) and np.real(w) < -1.0:
-        kappa = math.sqrt(-np.real(lam))
-        y = kappa * ell
-        coth = 1.0 / math.tanh(y)
-        csch = _csch(y)
-        d11 = (coth - y * (coth * coth - 1.0)) / (2 * kappa)
-        d12 = csch * (y * coth - 1.0) / (2 * kappa)
-    elif abs(w) < _SERIES_CUTOFF:
-        d11 = ell * _poly(_D1_COEF, w)
-        d12 = ell * _poly(_E1_COEF, w)
-    else:
-        s, c = _sc(w)
-        sp = (c - s) / (2 * w)
-        d11 = ell * (s * s / 2 + c * (c - s) / (2 * w)) / (s * s)
-        d12 = ell * (-sp / (s * s))
-    return np.array([[d11, d12], [d12, d11]], dtype=complex)
-
-
-def _weyl_dirac_deriv(c, ell, lam, triplet):
-    half_gap = c * c / 2
-    w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
-    wp = 2 * ell * ell * lam / (c * c)
-    s, cw = _sc(w)
-    sp = _sc_prime(w)
-    if triplet == "hat":
-        d11 = ell * ((s + (lam - half_gap) * sp * wp) / cw
-                     + (lam - half_gap) * s * s * wp / (2 * cw * cw))
-        d12 = s * wp / (2 * cw * cw)
-        d22 = (ell / (c * c)) * ((s + (lam + half_gap) * sp * wp) / cw
-                                 + (lam + half_gap) * s * s * wp / (2 * cw * cw))
-        return np.array([[d11, d12], [d12, d22]], dtype=complex)
-    g = c * c / (ell * (lam + half_gap) * s)
-    gp = -c * c * (s + (lam + half_gap) * sp * wp) / (ell * (lam + half_gap) ** 2 * s * s)
-    gcp = gp * cw - g * s * wp / 2
-    return np.array([[-gcp, -1j * gp], [1j * gp, -gcp]], dtype=complex)
+    return _response(model, ell, lam, triplet, derivative=True)[3]
 
 
 def default_lambda0(model: EdgeModel):
@@ -372,11 +411,16 @@ def default_lambda0(model: EdgeModel):
     decoupled spectrum [0, inf), so no default exists and a negative value
     has to be supplied.
     """
-    if isinstance(model, Dirac):
-        return model.c ** 2 / 2
-    if isinstance(model, Laplacian):
-        return 0.0
-    return None
+    return model._lambda0
+
+
+def _special_values(model: EdgeModel, ell: float, lam0):
+    """(distance to the nearest pole, M(lambda0), ||M'(lambda0)||) at a real
+    point, from one pole computation."""
+    if not _is_real(lam0):
+        raise EdgeModelError(f"lambda0 must be real, got {lam0}")
+    dist, _, m, dm = _response(model, ell, lam0, derivative=True)
+    return dist, m, float(np.max(np.abs(np.linalg.eigvalsh(dm))))
 
 
 def weyl_norm_prime(model: EdgeModel, ell: float, lam0=None) -> float:
@@ -385,10 +429,7 @@ def weyl_norm_prime(model: EdgeModel, ell: float, lam0=None) -> float:
         lam0 = default_lambda0(model)
         if lam0 is None:
             raise EdgeModelError("half-line edges need an explicit lambda0 < 0")
-    if not _is_real(lam0):
-        raise EdgeModelError(f"lambda0 must be real, got {lam0}")
-    deriv = weyl_derivative(model, ell, lam0)
-    return float(np.max(np.abs(np.linalg.eigvalsh(deriv))))
+    return _special_values(model, ell, lam0)[2]
 
 
 def transform_triplet(weyl_value: np.ndarray, w_blocks: np.ndarray) -> np.ndarray:
@@ -418,9 +459,9 @@ class DefectElement:
     """Solution of the edge eigenvalue equation with prescribed Gamma0 data.
 
     Coefficients refer to the normalized fundamental system
-    c(x) = C(k^2 x^2), s(x) = x S(k^2 x^2) of the second-order reduction;
-    for the Dirac model the second spinor component is recovered from the
-    first-order system.
+    c(x) = C(k^2 x^2), s(x) = x S(k^2 x^2) of the second-order reduction,
+    psi1 = a c + b s; for the Dirac model the second spinor component is
+    recovered from the first-order system, ic psi2 = rho psi1'.
     """
 
     model: EdgeModel
@@ -433,90 +474,58 @@ class DefectElement:
     def values(self, x):
         """Solution values at points ``x``: shape (n,) scalar or (2, n) spinor."""
         x = np.asarray(x, dtype=float)
-        if isinstance(self.model, HalfLineLaplacian):
-            z = np.sqrt(complex(self.lam))
-            if z.imag < 0:
-                z = -z
-            return self.coeff[0] * np.exp(1j * z * x)
+        if boundary_dim(self.model) == 1:
+            return self.coeff[0] * np.exp(1j * _halfline_root(self.lam) * x)
         a, b = self.coeff
-        if isinstance(self.model, Laplacian):
-            k2 = complex(self.lam)
-        else:
-            c = self.model.c
-            k2 = (complex(self.lam) ** 2 - (c * c / 2) ** 2) / (c * c)
-        cvals = np.array([_sc(k2 * xi * xi)[1] for xi in x])
-        svals = np.array([xi * _sc(k2 * xi * xi)[0] for xi in x])
+        k2, _, rho, _ = self.model._reduce(complex(self.lam))
+        sc = [_sc(k2 * xi * xi) for xi in x]
+        cvals = np.array([cw for _, cw in sc])
+        svals = x * np.array([s for s, _ in sc])
         psi1 = a * cvals + b * svals
-        if isinstance(self.model, Laplacian):
+        if rho is None:
             return psi1
-        c = self.model.c
-        lam = complex(self.lam)
-        psi2 = (1j * (lam - c * c / 2) / c) * a * svals \
-            - (1j * c / (lam + c * c / 2)) * b * cvals
-        return np.vstack([psi1, psi2])
+        dpsi1 = b * cvals - k2 * a * svals
+        return np.vstack([psi1, rho * dpsi1 / (1j * self.model.c)])
 
     def boundary_data(self):
         """Return (Gamma0, Gamma1) of the element under its trace convention."""
-        if isinstance(self.model, HalfLineLaplacian):
-            z = np.sqrt(complex(self.lam))
-            if z.imag < 0:
-                z = -z
-            a = self.coeff[0]
-            return np.array([a]), np.array([1j * z * a])
-        a, b = self.coeff
+        a = self.coeff[0]
+        if boundary_dim(self.model) == 1:
+            return np.array([a]), np.array([1j * _halfline_root(self.lam) * a])
+        b = self.coeff[1]
         ell = self.ell
-        lam = complex(self.lam)
-        if isinstance(self.model, Laplacian):
-            k2 = lam
-        else:
-            c = self.model.c
-            k2 = (lam * lam - (c * c / 2) ** 2) / (c * c)
+        k2, _, rho, _ = self.model._reduce(complex(self.lam))
         s, cw = _sc(k2 * ell * ell)
-        cl, sl = cw, ell * s
-        psi1_0, psi1_l = a, a * cl + b * sl
-        dpsi1_0, dpsi1_l = b, -k2 * a * sl + b * cl
-        if isinstance(self.model, Laplacian):
-            return np.array([psi1_0, psi1_l]), np.array([dpsi1_0, -dpsi1_l])
-        c = self.model.c
-        # ic*psi2 = c^2 * psi1' / (lam + c^2/2)
-        icpsi2_0 = c * c * dpsi1_0 / (lam + c * c / 2)
-        icpsi2_l = c * c * dpsi1_l / (lam + c * c / 2)
+        sl = ell * s
+        psi_l = a * cw + b * sl
+        dpsi_l = -k2 * a * sl + b * cw
+        if rho is None:
+            return np.array([a, psi_l]), np.array([b, -dpsi_l])
         if self.triplet == "hat":
-            return np.array([psi1_0, icpsi2_l]), np.array([icpsi2_0, psi1_l])
-        return np.array([psi1_0, 1j * psi1_l]), np.array([icpsi2_0, -1j * icpsi2_l])
+            return np.array([a, rho * dpsi_l]), np.array([rho * b, psi_l])
+        # D^H (psi1(0), psi1(l)) and rho D^H (psi1'(0), -psi1'(l)).
+        return np.array([a, 1j * psi_l]), rho * np.array([b, -1j * dpsi_l])
 
 
 def defect_element(model: EdgeModel, ell: float, lam, gamma0,
                    triplet: str = "graph") -> DefectElement:
-    """Defect solution with Gamma0 data ``gamma0`` at spectral point ``lam``."""
-    _check_triplet(model, triplet)
-    _check_length(model, ell)
-    _guard_pole(model, ell, lam, triplet)
+    """Defect solution with Gamma0 data ``gamma0`` at spectral point ``lam``.
+
+    Every trace convention has Gamma0[0] = psi1(0) and Gamma1[0] =
+    rho psi1'(0), so the coefficients are read off M(lam) gamma0.
+    """
+    m = _response(model, ell, lam, triplet)[2]
     gamma0 = np.asarray(gamma0, dtype=complex)
     if gamma0.shape != (boundary_dim(model),):
         raise EdgeModelError(
             f"gamma0 must have shape ({boundary_dim(model)},), got {gamma0.shape}"
         )
     lam = complex(lam)
-    if isinstance(model, HalfLineLaplacian):
+    if boundary_dim(model) == 1:
         return DefectElement(model, ell, lam, (gamma0[0],), (gamma0[0],), triplet)
-    if isinstance(model, Laplacian):
-        k2 = lam
-    else:
-        c = model.c
-        k2 = (lam * lam - (c * c / 2) ** 2) / (c * c)
-    s, cw = _sc(k2 * ell * ell)
-    cl, sl = cw, ell * s
-    x0, y0 = gamma0
-    a = x0
-    if isinstance(model, Laplacian):
-        b = (y0 - x0 * cl) / sl
-    elif triplet == "graph":
-        b = (-1j * y0 - x0 * cl) / sl
-    else:
-        c = model.c
-        b = (y0 + (lam - c * c / 2) * x0 * sl) * (lam + c * c / 2) / (c * c * cl)
-    return DefectElement(model, ell, lam, tuple(gamma0), (a, b), triplet)
+    rho = model._reduce(lam)[2]
+    b = (m[0] @ gamma0) / (1.0 if rho is None else rho)
+    return DefectElement(model, ell, lam, tuple(gamma0), (gamma0[0], b), triplet)
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -531,7 +540,7 @@ def green_identity_residual(f: DefectElement, g: DefectElement) -> complex:
     """
     if (f.model, f.ell, f.triplet) != (g.model, g.ell, g.triplet):
         raise EdgeModelError("defect elements must live on the same edge")
-    if isinstance(f.model, HalfLineLaplacian):
+    if boundary_dim(f.model) == 1:
         raise EdgeModelError("Green identity check is for finite edges")
     x = 0.5 * f.ell * (_GAUSS_NODES + 1.0)
     wq = 0.5 * f.ell * _GAUSS_WEIGHTS
@@ -560,43 +569,21 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
     _check_length(model, ell)
     if (window is None) == (count is None):
         raise EdgeModelError("specify exactly one of window or count")
-    if isinstance(model, HalfLineLaplacian):
+    if boundary_dim(model) == 1:
         return np.array([])
-    vals: list[float] = []
-    if isinstance(model, Laplacian):
-        if count is not None:
-            vals = [(n * math.pi / ell) ** 2 for n in range(1, count + 1)]
-        else:
-            a, b = window
-            n = 1
-            while (n * math.pi / ell) ** 2 <= b:
-                v = (n * math.pi / ell) ** 2
-                if v >= a:
-                    vals.append(v)
-                n += 1
+    first, offset, extra = _pole_family(model, triplet)
+    if count is not None:
+        vals = list(extra) + [p for n in range(first, first + count)
+                              for p in model._pole((n + offset) * math.pi / ell)]
     else:
-        c = model.c
-        if triplet == "graph":
-            ks = None if count is None else [n * math.pi / ell for n in range(1, count + 1)]
-            gap_edge = [-c * c / 2]
-        else:
-            ks = None if count is None else [(n + 0.5) * math.pi / ell for n in range(count)]
-            gap_edge = []
-        if count is not None:
-            vals = gap_edge + [s * math.sqrt((c * k) ** 2 + c ** 4 / 4)
-                               for k in ks for s in (1, -1)]
-        else:
-            a, b = window
-            vals = [v for v in gap_edge if a <= v <= b]
-            n = 1 if triplet == "graph" else 0
-            while True:
-                k = (n * math.pi / ell) if triplet == "graph" else ((n + 0.5) * math.pi / ell)
-                root = math.sqrt((c * k) ** 2 + c ** 4 / 4)
-                if root > max(abs(a), abs(b)) and root > b and -root < a:
-                    break
-                if a <= root <= b:
-                    vals.append(root)
-                if a <= -root <= b:
-                    vals.append(-root)
-                n += 1
+        a, b = window
+        vals = [v for v in extra if a <= v <= b]
+        n = first
+        while True:
+            poles = model._pole((n + offset) * math.pi / ell)
+            vals.extend(p for p in poles if a <= p <= b)
+            # Positive poles only grow with n and negative ones only fall.
+            if all(p > b if p > 0 else p < a for p in poles):
+                break
+            n += 1
     return np.array(sorted(vals))

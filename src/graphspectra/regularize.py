@@ -21,7 +21,6 @@ from .graphs import MetricGraph, edge_model_for
 
 __all__ = ["Regularization", "build_regularization", "regularized_weyl"]
 
-_POLE_TOL = 1e-9
 _CERT_TOL = 1e-6
 
 
@@ -60,14 +59,10 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
     eps = math.inf
     for e in g.edges:
         model = edge_model_for(g.model, e)
-        dist, pole = em.pole_distance(model, e.length, lam0)
-        if dist < _POLE_TOL * max(1.0, abs(pole)):
-            raise em.PoleOfWeylError(lam0, pole)
+        dist, special[e.id], r2 = em._special_values(model, e.length, lam0)
         eps = min(eps, dist)
-        r2 = em.weyl_norm_prime(model, e.length, lam0)
         weights[e.id] = math.sqrt(r2)
         norms[e.id] = r2
-        special[e.id] = em.weyl(model, e.length, lam0)
     return Regularization(lam0, weights, special, norms, eps, eps > _CERT_TOL)
 
 
@@ -83,6 +78,5 @@ def regularized_weyl(model, ell: float, lam, reg: Regularization,
         m0 = reg.m_at_lambda0[edge_id]
         r2 = reg.norm_prime[edge_id]
     else:
-        m0 = em.weyl(model, ell, reg.lambda0)
-        r2 = em.weyl_norm_prime(model, ell, reg.lambda0)
+        _, m0, r2 = em._special_values(model, ell, reg.lambda0)
     return (em.weyl(model, ell, lam) - m0) / r2

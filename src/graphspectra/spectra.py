@@ -104,10 +104,7 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam,
     blocks = {}
     for e in g.edges:
         model = edge_model_for(g.model, e)
-        dist, pole = em.pole_distance(model, e.length, lam)
-        if dist < _POLE_GUARD * max(1.0, abs(pole)):
-            raise em.PoleOfWeylError(lam, pole)
-        blocks[e.id] = em.weyl(model, e.length, lam)
+        blocks[e.id] = em.weyl(model, e.length, lam, _pole_tol=_POLE_GUARD)
     norms = np.array([el.norm for el in gb.elements])
     return pairing(gb, coupling, blocks) / np.outer(norms, norms)
 
@@ -473,7 +470,7 @@ def decoupled_ground_state(g: MetricGraph) -> float:
 
 
 def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling,
-                            reg=None, grid=None) -> Optional[float]:
+                            grid=None) -> Optional[float]:
     """Largest grid point lambda0 below the decoupled ground state where
     L - P M(lambda0) P is positive semi-definite; None when no grid point
     qualifies.  Laplacian model only (the decoupled operator is the

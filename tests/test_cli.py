@@ -171,3 +171,23 @@ def test_weyl_command(tmp_path, capsys):
 
 def test_missing_file_exit(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("ends,lengths", [
+    ([("a", "b"), ("b", "c"), ("c", "a")], [1.0, 0.5, 0.25]),  # 3-cycle
+    ([("a", "b"), ("c", "d")], [1.0, 0.5]),                    # two disjoint edges
+])
+def test_criteria_depth_non_chain_is_unknown_family(tmp_path, capsys, ends, lengths):
+    vertices = sorted({v for pair in ends for v in pair})
+    data = {
+        "model": {"type": "laplacian"},
+        "vertices": [{"id": v} for v in vertices],
+        "edges": [{"id": f"e{i}", "from": s, "to": t, "length": length}
+                  for i, ((s, t), length) in enumerate(zip(ends, lengths))],
+    }
+    path = write(tmp_path, "not_chain.json", data)
+    assert main(["criteria", path, "--depth", str(len(ends))]) == 0
+    out = capsys.readouterr().out
+    by_name = {entry["criterion"]: entry for entry in json.loads(out)}
+    assert by_name["self-adjointness"]["criterion_ref"] == "sa.unknown-family"
+    assert '_closed_form"' not in out  # no chain-tail witness key anywhere

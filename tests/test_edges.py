@@ -255,11 +255,25 @@ def test_conjugate_symmetry_sampled():
 
 
 def test_derivative_positive_definite_on_real_gaps():
-    for model, lams in [(LAP, [-6.0, -1.0, 0.0, 3.0]),
-                        (em.Dirac(1.0), [-0.4, 0.0, 0.5, 1.1])]:
+    for model, ell, lams in [(LAP, 1.0, [-6.0, -1.0, 0.0, 3.0]),
+                             (em.Dirac(1.0), 1.0, [-0.4, 0.0, 0.5, 1.1]),
+                             (em.Dirac(137.0), 7.0, [5.0, 1000.0, -2815.35])]:
         for lam in lams:
-            d = em.weyl_derivative(model, 1.0, lam)
+            d = em.weyl_derivative(model, ell, lam)
             assert np.min(np.linalg.eigvalsh(d)) > 0
+
+
+# 60-digit references for M_11 and M'_11 of the Dirac graph triplet deep in
+# the gap, where l^2 k^2 is far below -1 (the hyperbolic kernel branch).
+@pytest.mark.parametrize("ell,lam,m11,dm11", [
+    (7.0, 5.0, -136.92702673392995, 0.014590768352417067),
+    (7.0, -2815.35, -186.69952942017365, 0.02186204039044668),
+    (11.0, 0.0, -137.0, 0.014598540145985401),
+])
+def test_dirac_deep_gap_references(ell, lam, m11, dm11):
+    model = em.Dirac(137.0)
+    assert abs(em.weyl(model, ell, lam)[0, 0] - m11) <= 1e-12 * abs(m11)
+    assert abs(em.weyl_derivative(model, ell, lam)[0, 0] - dm11) <= 1e-12 * abs(dm11)
 
 
 def test_derivative_matches_central_differences():

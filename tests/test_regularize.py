@@ -20,6 +20,15 @@ def test_dirac_star_weights():
         assert abs(reg.norm_prime[e.id] - 13 / 6) < 1e-12
 
 
+def test_dirac_deep_gap_weights():
+    # 60-digit reference for M'_11(5) at c = 137, l = 7; M' is diagonal there
+    # up to csch(l kappa) ~ 1e-208, so the norm is M'_11.
+    g = gr.star(3, lengths=[7.0] * 3, model=Dirac(137.0))
+    reg = rg.build_regularization(g, 5.0)
+    for e in g.edges:
+        assert abs(reg.norm_prime[e.id] - 0.014590768352417067) <= 1e-12 * 0.0146
+
+
 def test_laplacian_weight_is_half_length():
     g = gr.interval(1.0)
     reg = rg.build_regularization(g)
