@@ -179,15 +179,52 @@ class GlobalBasis:
         raise KeyError(label)
 
 
-def _add_blocks(applied: np.ndarray, basis: np.ndarray, blocks) -> None:
-    """applied[idx] += block @ basis[idx] for (idx, block) pairs whose
-    coordinate lists are disjoint; one batched product per block size."""
-    by_size = {}
-    for idx, block in blocks:
-        by_size.setdefault(len(idx), []).append((idx, block))
-    for same in by_size.values():
-        pos = np.array([idx for idx, _ in same])
-        applied[pos] += np.array([block for _, block in same]) @ basis[pos]
+def _by_size(owned):
+    """Group {key: coordinate positions} by block size: [(keys, positions)],
+    one entry per size, so each group is applied as one batched product."""
+    groups = {}
+    for key, idx in owned.items():
+        groups.setdefault(len(idx), []).append((key, idx))
+    return [([key for key, _ in same], np.array([idx for _, idx in same]))
+            for same in groups.values()]
+
+
+class _CompiledPairing:
+    """The compile step of ``pairing``, built once per (basis, coupling):
+    the raw basis matrix B, the rows and segment offsets of the sum B^H,
+    the edge coordinates grouped by block size and the vertex term L B.
+    Calling it runs the per-lambda step."""
+
+    def __init__(self, gb: GlobalBasis, coupling: VertexCoupling):
+        n = len(gb.elements)
+        counts = [len(el.positions) for el in gb.elements]
+        self.rows = np.concatenate([el.positions for el in gb.elements])
+        values = np.concatenate([el.values for el in gb.elements])
+        self.conj_values = values.conj()[:, None]
+        self.offsets = np.cumsum([0] + counts[:-1])
+        self.norms = np.array([el.norm for el in gb.elements])
+        self.basis = np.zeros((gb.size, n), dtype=complex)
+        self.basis[self.rows, np.repeat(np.arange(n), counts)] = values
+        self.vertex_term = np.zeros_like(self.basis)
+        owned = {el.vertex: el.positions for el in gb.elements}
+        for vertices, pos in _by_size(owned):
+            self.vertex_term[pos] += (np.array([coupling.block(v).operator() for v in vertices])
+                                      @ self.basis[pos])
+        by_edge = {}
+        for p, (eid, _) in enumerate(gb.coords):
+            by_edge.setdefault(eid, []).append(p)
+        self.edge_groups = _by_size(by_edge)
+
+    def __call__(self, edge_blocks, applied=None) -> np.ndarray:
+        """P for M = ``edge_blocks``; (L - M) B is formed in ``applied``,
+        by default a fresh copy of the vertex term."""
+        if applied is None:
+            applied = self.vertex_term.copy()
+        for eids, pos in self.edge_groups:
+            applied[pos] -= np.array([edge_blocks[eid] for eid in eids]) @ self.basis[pos]
+        terms = applied[self.rows]
+        terms *= self.conj_values
+        return np.add.reduceat(terms, self.offsets, axis=0)
 
 
 def pairing(gb: GlobalBasis, coupling: VertexCoupling, edge_blocks) -> np.ndarray:
@@ -201,26 +238,13 @@ def pairing(gb: GlobalBasis, coupling: VertexCoupling, edge_blocks) -> np.ndarra
     block by block and B^H as a sum over each element's own coordinates,
     so no coordinate-by-coordinate matrix is formed and the work grows
     like (number of coordinates) x (number of basis elements).
+
+    The compile step (``_CompiledPairing``) builds everything but M; the
+    per-lambda step subtracts M B group by group and sums.  This one-shot
+    entry runs both, forming (L - M) B in place of the vertex term.
     """
-    n = len(gb.elements)
-    counts = [len(el.positions) for el in gb.elements]
-    rows = np.concatenate([el.positions for el in gb.elements])
-    cols = np.repeat(np.arange(n), counts)
-    values = np.concatenate([el.values for el in gb.elements])
-    basis = np.zeros((gb.size, n), dtype=complex)
-    basis[rows, cols] = values
-    applied = np.zeros_like(basis)
-    owned = {el.vertex: el.positions for el in gb.elements}
-    _add_blocks(applied, basis,
-                [(idx, coupling.block(v).operator()) for v, idx in owned.items()])
-    by_edge = {}
-    for p, (eid, _) in enumerate(gb.coords):
-        by_edge.setdefault(eid, []).append(p)
-    _add_blocks(applied, basis,
-                [(idx, -edge_blocks[eid]) for eid, idx in by_edge.items()])
-    terms = applied[rows]
-    terms *= values.conj()[:, None]
-    return np.add.reduceat(terms, np.cumsum([0] + counts[:-1]), axis=0)
+    compiled = _CompiledPairing(gb, coupling)
+    return compiled(edge_blocks, compiled.vertex_term)
 
 
 def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:

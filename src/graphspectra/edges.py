@@ -36,7 +36,9 @@ evaluated at w = l^2 k^2.  This removes every branch-cut and removable-
 singularity issue: the same expression is valid above threshold, inside
 spectral gaps and at complex spectral parameters.  Near w = 0 the
 derivative comes from series; for real w < -1 the kernel switches to
-hyperbolic ratios that never overflow, for either model.
+hyperbolic ratios that never overflow, for either model, and for
+|Im sqrt(w)| > 20 to exponential forms of cot and csc.  The hat maps
+make the same switch to tanh and sech for real w < -1.
 
 Two cases stay outside the kernel: the Dirac "hat" trace maps, whose
 poles are at cos(l k) = 0, and the half-line (boundary dimension d = 1),
@@ -45,6 +47,7 @@ whose response is the Herglotz branch of i sqrt(lambda).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -316,6 +319,20 @@ def _kernel(ell, k2, derivative):
             coth = 1.0 / math.tanh(y)
             d11 = (coth - y * (coth * coth - 1.0)) / (2 * kappa)
             d12 = csch * (y * coth - 1.0) / (2 * kappa)
+    elif not _is_real(k2) and abs(np.sqrt(w).imag) > 20.0:
+        # sin and cos of z = sqrt(w) overflow for large |Im z|; with
+        # u = exp(i sgn(Im z) z), |u| < 1, the ratios q = z cot z = C/S and
+        # r = z csc z = 1/S are exponential forms that cannot overflow, and
+        # 1 + cot^2 = csc^2 turns the derivative into a sum without cancellation.
+        z = np.sqrt(complex(w))
+        sgn = 1.0 if z.imag > 0 else -1.0
+        u = cmath.exp(1j * sgn * z)
+        q = -sgn * 1j * z * (1 + u * u) / (1 - u * u)
+        r = -sgn * 2j * z * u / (1 - u * u)
+        m11, m12 = -q / ell, r / ell
+        if derivative:
+            d11 = ell * (r * r - q) / (2 * w)
+            d12 = -ell * r * (q - 1) / (2 * w)
     else:
         s, c = _sc(w)
         m11, m12 = -c / (ell * s), 1.0 / (ell * s)
@@ -335,18 +352,26 @@ def _weyl_hat(c, ell, lam, derivative):
     """Dirac response and derivative under the hat trace maps."""
     half_gap = c * c / 2
     w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
-    s, cw = _sc(w)
+    deep = _is_real(w) and np.real(w) < -1.0
+    if deep:
+        # S and C overflow deep in the gap: use S/C = tanh(y)/y in place of
+        # S with C = 1, and carry 1/C = sech(y) in the terms that need it.
+        y = math.sqrt(-np.real(w))
+        e = math.exp(-y)
+        s, cw, sech = math.tanh(y) / y, 1.0, 2.0 * e / (1.0 + e * e)
+    else:
+        (s, cw), sech = _sc(w), 1.0
     m11 = (lam - half_gap) * ell * s / cw
-    m12 = 1.0 / cw
+    m12 = sech / cw
     m22 = (lam + half_gap) * ell * s / (c * c * cw)
     m = np.array([[m11, m12], [m12, m22]], dtype=complex)
     if not derivative:
         return m, None
     wp = 2 * ell * ell * lam / (c * c)
-    sp = _sc_prime(w)
+    sp = (cw - s) / (2 * w) if deep else _sc_prime(w)
     d11 = ell * ((s + (lam - half_gap) * sp * wp) / cw
                  + (lam - half_gap) * s * s * wp / (2 * cw * cw))
-    d12 = s * wp / (2 * cw * cw)
+    d12 = sech * s * wp / (2 * cw * cw)
     d22 = (ell / (c * c)) * ((s + (lam + half_gap) * sp * wp) / cw
                              + (lam + half_gap) * s * s * wp / (2 * cw * cw))
     return m, np.array([[d11, d12], [d12, d22]], dtype=complex)

@@ -10,9 +10,10 @@ over the orthonormalized global basis is singular.  Since every edge
 response matrix has positive-definite derivative on real gaps, K is
 strictly decreasing in lambda between consecutive poles, so each sorted
 eigenvalue branch of K crosses zero at most once per pole-free cell and
-bisection on the branches finds every root with its multiplicity - in
-particular even-multiplicity roots that a bare determinant sign scan
-cannot see.
+Brent's method on the branches finds every root with its multiplicity -
+in particular even-multiplicity roots that a bare determinant sign scan
+cannot see.  Only the edge term M(lambda) depends on lambda, so a scan
+compiles the rest of K once and repeats only the per-lambda step.
 
 Route 2 (oracle): per edge, the raw first-order ODE system is integrated
 by classical RK4 to build transfer matrices; the vertex conditions
@@ -33,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import GlobalBasis, VertexCoupling, global_basis, pairing
+from .coupling import GlobalBasis, VertexCoupling, _CompiledPairing, global_basis
 from .graphs import MetricGraph, edge_model_for, incidence_sets
 
 __all__ = [
@@ -91,58 +92,83 @@ def _decoupled_in_window(g: MetricGraph, window) -> np.ndarray:
 
 
 def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam,
-                 gb: Optional[GlobalBasis] = None) -> np.ndarray:
+                 gb: Optional[GlobalBasis] = None, *,
+                 _pairing: Optional[_CompiledPairing] = None) -> np.ndarray:
     """Secular matrix <(L - M(lambda)) bhat_j, bhat_i> over the global basis.
 
     This is the shared boundary pairing ``coupling.pairing`` at
     M = M(lambda), with the raw basis vectors b normalized to bhat =
     b / ||b||.  Hermitian for real lambda; raises PoleOfWeylError within
     1e-8 of a decoupled edge eigenvalue.
+
+    The pairing has a compile step (basis matrix, index arrays, vertex
+    term L B; independent of lambda) and a per-lambda step (subtract
+    M(lambda) B, sum over B^H).  Callers that evaluate many lambda hand
+    their compiled pairing in ``_pairing``; otherwise the call compiles
+    its own.
     """
-    if gb is None:
-        gb = global_basis(g, coupling)
     blocks = {}
     for e in g.edges:
         model = edge_model_for(g.model, e)
         blocks[e.id] = em.weyl(model, e.length, lam, _pole_tol=_POLE_GUARD)
-    norms = np.array([el.norm for el in gb.elements])
-    return pairing(gb, coupling, blocks) / np.outer(norms, norms)
+    if _pairing is None:
+        # Compiled for this call alone, so (L - M) B may overwrite its vertex term.
+        compiled = _CompiledPairing(gb if gb is not None else global_basis(g, coupling),
+                                    coupling)
+        pair = compiled(blocks, compiled.vertex_term)
+    else:
+        compiled, pair = _pairing, _pairing(blocks)
+    return pair / np.outer(compiled.norms, compiled.norms)
 
 
-def _branch_eigenvalues(g, coupling, gb, lam):
-    k = krein_matrix(g, coupling, lam, gb)
-    return np.sort(np.linalg.eigvalsh(k))[::-1]  # descending
+def _branch_eigenvalues(g, coupling, compiled, lam):
+    k = krein_matrix(g, coupling, lam, _pairing=compiled)
+    return np.linalg.eigvalsh(k)[::-1]  # descending
 
 
-def _bisect_branch(fun, j, lo, hi, flo, fhi, tol):
-    """Zero of the j-th descending eigenvalue branch (decreasing in lambda).
+def _brent_branch(fun, j, a, b, fa, fb):
+    """Zero of the j-th descending eigenvalue branch on [a, b], fa > 0 >= fb.
 
-    Bisection to the requested tolerance, then a short secant polish that
-    usually lands within a few ulps.
+    Brent's zeroin (Brent 1973, ch. 4): inverse quadratic or secant steps
+    kept inside the sign-change bracket, with a bisection step whenever
+    they would shrink it too slowly.  It stops when the bracket half-width
+    is at most 2e-16 * max(1, |lambda|).
     """
-    a, b = lo, hi
-    fa, fb = flo, fhi
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a < max(tol, 4e-16 * max(1.0, abs(mid))):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2e-16 * max(1.0, abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
             break
-        fm = fun(mid)[j]
-        if fm > 0:
-            a, fa = mid, fm
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            b, fb = mid, fm
-    x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(4):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo <= x2 <= hi):
-            break
-        f2 = fun(x2)[j]
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if f2 == 0.0:
-            break
-    return x1 if abs(f1) <= abs(f0) else x0
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = fun(b)[j]
+    return b
 
 
 def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
@@ -153,8 +179,10 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     are reported in ``excluded`` with the flag "undetermined-by-matching"
     since the criterion does not apply there (the oracle route resolves
     them).  Within each pole-free cell the sorted eigenvalue branches of
-    K(lambda) are strictly decreasing, so each is bisected independently;
-    coinciding branch zeros merge into one root with multiplicity.
+    K(lambda) are strictly decreasing, so Brent's method finds the zero of
+    each independently, to about two ulps.  ``tol`` is the merge radius
+    only: branch zeros closer than max(100 tol, 1e-9 max(1, |lambda|))
+    merge into one root with multiplicity.  K is compiled once per call.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -166,7 +194,8 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
 
     cuts = [a] + [p for p in poles if a < p < b] + [b]
     roots = []
-    fun = lambda lam: _branch_eigenvalues(g, coupling, gb, lam)
+    compiled = _CompiledPairing(gb, coupling)
+    fun = lambda lam: _branch_eigenvalues(g, coupling, compiled, lam)
     nbranch = len(gb.elements)
     usable_cells = 0
     for left, right in zip(cuts[:-1], cuts[1:]):
@@ -179,7 +208,7 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
         cell_roots = []
         for j in range(nbranch):
             if flo[j] > 0 >= fhi[j]:
-                r = _bisect_branch(fun, j, lo, hi, flo[j], fhi[j], tol)
+                r = _brent_branch(fun, j, lo, hi, flo[j], fhi[j])
                 cell_roots.append(r)
         cell_roots.sort()
         merged = []
@@ -189,7 +218,7 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
             else:
                 merged.append([r, 1])
         for r, mult in merged:
-            kmat = krein_matrix(g, coupling, r, gb)
+            kmat = krein_matrix(g, coupling, r, _pairing=compiled)
             residual = abs(np.linalg.det(kmat))
             sv = np.linalg.svd(kmat, compute_uv=False)
             mult_sv = int(np.sum(sv < _KERNEL_CUTOFF * max(1.0, sv[0])))
@@ -480,14 +509,14 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling,
     if isinstance(g.model, em.Dirac):
         return None
     ground = decoupled_ground_state(g)
-    gb = global_basis(g, coupling)
+    compiled = _CompiledPairing(global_basis(g, coupling), coupling)
     if grid is None:
         top = ground - max(1e-6, 1e-9 * abs(ground))
         grid = [top - (2.0 ** k - 1.0) * 1e-3 for k in range(40)]
         grid = [x for x in grid if x > ground - 1e7]
     def psd_at(lam0):
         try:
-            kmat = krein_matrix(g, coupling, lam0, gb)
+            kmat = krein_matrix(g, coupling, lam0, _pairing=compiled)
         except em.EdgeModelError:
             return None
         evs = np.linalg.eigvalsh(kmat)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,37 @@ def test_dirac_deep_gap_references(ell, lam, m11, dm11):
     model = em.Dirac(137.0)
     assert abs(em.weyl(model, ell, lam)[0, 0] - m11) <= 1e-12 * abs(m11)
     assert abs(em.weyl_derivative(model, ell, lam)[0, 0] - dm11) <= 1e-12 * abs(dm11)
+
+
+# 60-digit references for the diagonals of M and M' under the Dirac hat maps
+# deep in the gap; the off-diagonals are of order sech(l k) and underflow.
+@pytest.mark.parametrize("ell,lam,m,dm", [
+    (7.0, 5.0, [-136.92702673392995, 0.0073031601127449602],
+     [0.014590768352417067, 7.7821537491450561e-7]),
+    (11.0, 0.0, [-137.0, 0.0072992700729927007],
+     [0.014598540145985401, 7.7780063647426083e-7]),
+])
+def test_dirac_hat_deep_gap_references(ell, lam, m, dm):
+    model = em.Dirac(137.0)
+    for got, want in [(em.weyl(model, ell, lam, triplet="hat"), m),
+                      (em.weyl_derivative(model, ell, lam, triplet="hat"), dm)]:
+        np.testing.assert_allclose(got.diagonal(), want, rtol=1e-12, atol=0)
+        assert abs(got[0, 1]) <= 1e-200 and abs(got[1, 0]) <= 1e-200
+
+
+# 60-digit references for M_11 and M'_11 at complex lambda; at -1e6 + 1j the
+# sine and cosine of sqrt(lambda) overflow.
+def test_laplacian_large_imaginary_wavenumber():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = em.weyl(LAP, 1.0, -1e6 + 1j), em.weyl_derivative(LAP, 1.0, -1e6 + 1j)
+        far = em.weyl(LAP, 1.0, 1e6 + 1e5j), em.weyl_derivative(LAP, 1.0, 1e6 + 1e5j)
+    for got, want in [(near[0][0, 0], -1000.000000000125 + 0.0004999999999999375j),
+                      (near[1][0, 0], 0.0004999999999998125 + 2.4999999999984375e-10j),
+                      (far[0][0, 0], -49.937771837002435 + 1001.2461141278125j),
+                      (far[1][0, 0], 2.4844970087019215e-5 + 0.00049813856005520432j)]:
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(near[0][0, 1]) <= 1e-300
 
 
 def test_derivative_matches_central_differences():

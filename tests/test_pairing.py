@@ -11,6 +11,7 @@ import pytest
 
 from graphspectra import coupling as cp
 from graphspectra import discrete as dc
+from graphspectra import edges as em
 from graphspectra import graphs as gr
 from graphspectra import regularize as rg
 from graphspectra import spectra as sp
@@ -90,6 +91,20 @@ def test_krein_lmin_and_weights_share_one_pairing(make):
     for i in range(dl.size):
         for j in range(i + 1, dl.size):
             assert abs(dl.weight(i, j) - raw[i, j]) <= tol
+
+
+@pytest.mark.parametrize("make", PROBLEMS)
+def test_compiled_krein_matches_one_shot_pairing(make):
+    g, coup, _ = make()
+    gb = cp.global_basis(g, coup)
+    norms = np.array([el.norm for el in gb.elements])
+    compiled = cp._CompiledPairing(gb, coup)
+    for lam in (-0.7, 0.4 + 0.3j):
+        blocks = {e.id: em.weyl(gr.edge_model_for(g.model, e), e.length, lam)
+                  for e in g.edges}
+        want = cp.pairing(gb, coup, blocks) / np.outer(norms, norms)
+        assert np.array_equal(sp.krein_matrix(g, coup, lam), want)
+        assert np.array_equal(sp.krein_matrix(g, coup, lam, _pairing=compiled), want)
 
 
 def test_full_subspace_star_stays_fast():

@@ -95,14 +95,42 @@ def test_star_scan_oracle_agreement_with_multiplicities():
     coup = delta_problem(g, 0.0)
     scan = sp.scan_spectrum(g, coup, (-5.0, 60.0))
     oracle = sp.oracle_eigenvalues(g, coup, (-5.0, 60.0))
-    mult_scan = {round(r.lam, 6): r.multiplicity for r in scan.roots}
-    assert mult_scan[round((math.pi / 2) ** 2, 6)] == 2
-    assert mult_scan[round((3 * math.pi / 2) ** 2, 6)] == 2
+    for n in (0, 1):
+        double = ((n + 0.5) * math.pi) ** 2
+        root = min(scan.roots, key=lambda r: abs(r.lam - double))
+        assert abs(root.lam - double) <= 1e-13 * double
+        assert root.multiplicity == 2
     pairs, only_scan, only_oracle = sp.match_spectra(
         scan.values, oracle.values, scan.excluded, rtol=1e-6)
     assert not only_scan and not only_oracle
     for x, y in pairs:
         assert abs(x - y) <= 1e-6 * max(1.0, abs(x))
+
+
+def test_neumann_leaf_star_roots():
+    # 60-digit roots of sum_e tan(k l_e) = 0, lambda = k^2: Kirchhoff centre,
+    # Neumann leaves.
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3])
+    scan = sp.scan_spectrum(g, delta_problem(g, 0.0), (0.5, 30.0))
+    want = [1.802368011163211243, 3.5546633939535946317,
+            17.095410218788818153, 28.383339490323194154]
+    np.testing.assert_allclose(scan.values, want, rtol=1e-13, atol=0)
+    assert [r.multiplicity for r in scan.roots] == [1, 1, 1, 1]
+
+
+def test_scan_evaluations_per_root(monkeypatch):
+    calls = []
+    krein = sp.krein_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return krein(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "krein_matrix", counted)
+    g = gr.random_graph(7, 15)
+    scan = sp.scan_spectrum(g, delta_problem(g, 0.0), (-1.0, 20.0))
+    assert len(scan.roots) > 0
+    assert len(calls) <= 12 * len(scan.roots)
 
 
 def test_dirac_interval_agreement():
