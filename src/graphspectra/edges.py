@@ -220,14 +220,6 @@ def _sc(w):
     return math.sinh(y) / y, math.cosh(y)
 
 
-def _sc_prime(w):
-    """dS/dw, with the removable singularity at w = 0 resolved by series."""
-    if abs(w) < _SERIES_CUTOFF:
-        return _poly(_SP_COEF, w)
-    s, c = _sc(w)
-    return (c - s) / (2 * w)
-
-
 def _csch(y):
     # 1/sinh for y > 0 without overflow; underflows cleanly to 0.0.
     if y < 20.0:
@@ -349,31 +341,41 @@ def _kernel(ell, k2, derivative):
 
 
 def _weyl_hat(c, ell, lam, derivative):
-    """Dirac response and derivative under the hat trace maps."""
+    """Dirac response and derivative under the hat trace maps.
+
+    Written in t = S/C = tan(z)/z and sec = 1/C, z = sqrt(w), which stay
+    finite where S and C overflow: deep in the gap they are tanh(y)/y and
+    sech(y), y = sqrt(-w), and for |Im z| > 20 the exponential forms with
+    u = exp(i sgn(Im z) z), |u| < 1, as in ``_kernel``.
+    """
     half_gap = c * c / 2
     w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
-    deep = _is_real(w) and np.real(w) < -1.0
-    if deep:
-        # S and C overflow deep in the gap: use S/C = tanh(y)/y in place of
-        # S with C = 1, and carry 1/C = sech(y) in the terms that need it.
+    if _is_real(w) and np.real(w) < -1.0:
         y = math.sqrt(-np.real(w))
         e = math.exp(-y)
-        s, cw, sech = math.tanh(y) / y, 1.0, 2.0 * e / (1.0 + e * e)
+        t, sec = math.tanh(y) / y, 2.0 * e / (1.0 + e * e)
+    elif not _is_real(w) and abs(np.sqrt(w).imag) > 20.0:
+        z = np.sqrt(complex(w))
+        sgn = 1.0 if z.imag > 0 else -1.0
+        u = cmath.exp(1j * sgn * z)
+        t, sec = sgn * 1j * (1 - u * u) / ((1 + u * u) * z), 2 * u / (1 + u * u)
     else:
-        (s, cw), sech = _sc(w), 1.0
-    m11 = (lam - half_gap) * ell * s / cw
-    m12 = sech / cw
-    m22 = (lam + half_gap) * ell * s / (c * c * cw)
-    m = np.array([[m11, m12], [m12, m22]], dtype=complex)
+        s, cw = _sc(w)
+        t, sec = s / cw, 1.0 / cw
+    m11 = (lam - half_gap) * ell * t
+    m22 = (lam + half_gap) * ell * t / (c * c)
+    m = np.array([[m11, sec], [sec, m22]], dtype=complex)
     if not derivative:
         return m, None
     wp = 2 * ell * ell * lam / (c * c)
-    sp = (cw - s) / (2 * w) if deep else _sc_prime(w)
-    d11 = ell * ((s + (lam - half_gap) * sp * wp) / cw
-                 + (lam - half_gap) * s * s * wp / (2 * cw * cw))
-    d12 = sech * s * wp / (2 * cw * cw)
-    d22 = (ell / (c * c)) * ((s + (lam + half_gap) * sp * wp) / cw
-                             + (lam + half_gap) * s * s * wp / (2 * cw * cw))
+    # dt/dw = S'/C + t^2/2 = (sec^2 - t)/(2w), by 1 + w t^2 = sec^2.
+    if abs(w) < _SERIES_CUTOFF:
+        dt = (_poly(_SP_COEF, w) * sec + t * t / 2) * wp
+    else:
+        dt = (sec * sec - t) / (2 * w) * wp
+    d11 = ell * (t + (lam - half_gap) * dt)
+    d12 = sec * t * wp / 2
+    d22 = (ell / (c * c)) * (t + (lam + half_gap) * dt)
     return m, np.array([[d11, d12], [d12, d22]], dtype=complex)
 
 

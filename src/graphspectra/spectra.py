@@ -22,7 +22,11 @@ condition) are assembled into one global matrix whose determinant
 vanishes at eigenvalues.  No closed-form trigonometry enters, so this
 route is algorithmically independent of route 1 and is also valid at
 points embedded in the decoupled spectra, where the matching criterion
-is silent.
+is silent.  The vertex conditions are compiled once per call into a fixed
+linear map from the transfer matrices to the global matrix; all edges are
+stepped in one batched product, the sample grid is assembled in blocks,
+and sign changes of the determinant are polished by the same Brent
+zeroin as route 1.
 """
 
 from __future__ import annotations
@@ -126,13 +130,13 @@ def _branch_eigenvalues(g, coupling, compiled, lam):
     return np.linalg.eigvalsh(k)[::-1]  # descending
 
 
-def _brent_branch(fun, j, a, b, fa, fb):
-    """Zero of the j-th descending eigenvalue branch on [a, b], fa > 0 >= fb.
+def _brent_zero(f, a, b, fa, fb, *, atol=0.0, rtol=2e-16):
+    """Zero of f on [a, b], where fa = f(a) and fb = f(b) differ in sign.
 
     Brent's zeroin (Brent 1973, ch. 4): inverse quadratic or secant steps
     kept inside the sign-change bracket, with a bisection step whenever
     they would shrink it too slowly.  It stops when the bracket half-width
-    is at most 2e-16 * max(1, |lambda|).
+    is at most max(atol, rtol * max(1, |lambda|)).
     """
     c, fc = a, fa
     d = e = b - a
@@ -143,7 +147,7 @@ def _brent_branch(fun, j, a, b, fa, fb):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2e-16 * max(1.0, abs(b))
+        tol = max(atol, rtol * max(1.0, abs(b)))
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             break
@@ -167,7 +171,7 @@ def _brent_branch(fun, j, a, b, fa, fb):
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = fun(b)[j]
+        fb = f(b)
     return b
 
 
@@ -208,7 +212,7 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
         cell_roots = []
         for j in range(nbranch):
             if flo[j] > 0 >= fhi[j]:
-                r = _brent_branch(fun, j, lo, hi, flo[j], fhi[j])
+                r = _brent_zero(lambda lam: fun(lam)[j], lo, hi, flo[j], fhi[j])
                 cell_roots.append(r)
         cell_roots.sort()
         merged = []
@@ -231,10 +235,14 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
 
 # ----------------------------------------------------------------- oracle
 
+# Bytes of oracle matrices assembled in place per block of grid samples.
+_ORACLE_BLOCK_BYTES = 1 << 18
+
+
 def _rk4_step_matrix(a_mats: np.ndarray, h) -> np.ndarray:
-    """One classical RK4 step matrix for u' = A u, batched over the leading axis."""
-    n = a_mats.shape[-1]
-    eye = np.broadcast_to(np.eye(n), a_mats.shape)
+    """One classical RK4 step matrix for u' = A u, batched over the leading
+    axes; the step ``h`` broadcasts against them."""
+    eye = np.eye(a_mats.shape[-1])
     k1 = a_mats
     k2 = a_mats @ (eye + (h / 2) * k1)
     k3 = a_mats @ (eye + (h / 2) * k2)
@@ -242,132 +250,133 @@ def _rk4_step_matrix(a_mats: np.ndarray, h) -> np.ndarray:
     return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _transfer_matrices(g: MetricGraph, lams: np.ndarray, mesh: int) -> dict:
-    """Per-edge transfer matrices u(0) -> u(length) by RK4 over ``mesh`` steps.
+def _oracle_edges(g: MetricGraph) -> list:
+    if any(e.is_half_line for e in g.edges):
+        raise ValueError("oracle handles finite lengths only")
+    return sorted(g.edges, key=lambda e: e.id)
+
+
+def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
+    """RK4 transfer matrices u(0) -> u(length), shape (E, n_lambda, 2, 2).
 
     The per-edge systems use only the raw differential equations:
     (psi, psi') for the Laplacian and the real form (psi1, i*psi2) for the
-    Dirac operator.  The RK4 step matrix of a constant-coefficient system
-    is composed by binary powering, which reproduces sequential stepping.
+    Dirac operator.  All edges step together, each with its own step
+    length; the step count is a power of two, so the RK4 step matrix of a
+    constant-coefficient system is composed by repeated squaring, which
+    reproduces sequential stepping.
     """
     lams = np.asarray(lams, dtype=float)
-    nl = lams.shape[0]
-    out = {}
-    steps = 1 << max(1, int(math.ceil(math.log2(mesh))))
-    for e in g.edges:
-        if e.is_half_line:
-            raise ValueError("oracle handles finite lengths only")
-        if isinstance(g.model, em.Dirac):
-            c = g.model.c
-            a = np.zeros((nl, 2, 2))
-            a[:, 0, 1] = (lams + c * c / 2) / c
-            a[:, 1, 0] = -(lams - c * c / 2) / c
-        else:
-            a = np.zeros((nl, 2, 2))
-            a[:, 0, 1] = 1.0
-            a[:, 1, 0] = -lams
-        h = e.length / steps
-        t = _rk4_step_matrix(a, h)
-        k = steps
-        acc = np.broadcast_to(np.eye(2), t.shape).copy()
-        while k:
-            if k & 1:
-                acc = t @ acc
-            t = t @ t
-            k >>= 1
-        out[e.id] = acc
-    return out
+    a = np.zeros((1, lams.shape[0], 2, 2))
+    if isinstance(model, em.Dirac):
+        c = model.c
+        a[..., 0, 1] = (lams + c * c / 2) / c
+        a[..., 1, 0] = -(lams - c * c / 2) / c
+    else:
+        a[..., 0, 1] = 1.0
+        a[..., 1, 0] = -lams
+    doublings = max(1, int(math.ceil(math.log2(mesh))))
+    t = _rk4_step_matrix(a, lengths[:, None, None, None] / (1 << doublings))
+    for _ in range(doublings):
+        t = t @ t
+    return t
 
 
-def _oracle_rows(g: MetricGraph, coupling: VertexCoupling):
-    """Precompute per-vertex condition data in the phase-rotated coordinates.
+def _transfer_matrices(g: MetricGraph, lams: np.ndarray, mesh: int) -> dict:
+    """Per-edge transfer matrices {edge id: (n_lambda, 2, 2)} over ``mesh`` steps."""
+    edges = _oracle_edges(g)
+    stack = _transfer_stack(g.model, np.array([e.length for e in edges]), lams, mesh)
+    return {e.id: t for e, t in zip(edges, stack)}
 
-    Rotating each incidence coordinate by conj(phase) (phase = i^t for the
-    Dirac model, 1 otherwise) makes the delta-type conditions real: traces
-    become psi1 values and fluxes become c * sign * (i psi2) values.
+
+class _CompiledOracle:
+    """The oracle matrix A(lambda) of one problem as a fixed linear map of the
+    edge transfer matrices T_e(lambda), compiled once per oracle call.
+
+    The unknowns are the states u_e(0) at the edge sources, in columns
+    2e, 2e+1 (edges in id order).  Each incidence coordinate is rotated by
+    conj(phase) (phase = i^t for the Dirac model, 1 otherwise), which makes
+    the delta-type conditions real: traces become psi1 values and fluxes
+    c * sign * (i psi2) values.  Per vertex, the rows say that Gamma0 lies
+    in the rotated coupling subspace (comp^H Gamma0 = 0) and that the block
+    condition holds (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint
+    has the constant traces (u_1, s u_2), a target endpoint (T[0] u, s T[1] u),
+    with s = sign (times c for Dirac), so
+
+        A[:, 2e+j] = base[:, 2e+j] + U[:, e] T_e[0, j] + V[:, e] T_e[1, j].
     """
-    inc = incidence_sets(g)
-    dirac = isinstance(g.model, em.Dirac)
-    rows = []
-    for v in sorted(g.vertices):
-        entries = inc[v]
-        deg = len(entries)
-        phases = np.array(
-            [1.0 if (not dirac or e.endpoint == 0) else 1.0j for e in entries]
-        )
-        block = coupling.block(v)
-        # D_v = diag(conj(phase)); rotated subspace basis is D_v @ basis.
-        basis = (phases.conj()[:, None]) * block.basis
-        norms = np.linalg.norm(basis, axis=0)
-        unit = basis / norms
-        q, s, _ = np.linalg.svd(basis, full_matrices=True)
-        rank = basis.shape[1]
-        comp = q[:, rank:]
-        rows.append((v, entries, unit, comp, block.matrix))
-    return rows
 
+    def __init__(self, g: MetricGraph, coupling: VertexCoupling):
+        edges = _oracle_edges(g)
+        column = {e.id: k for k, e in enumerate(edges)}
+        self.model = g.model
+        self.lengths = np.array([e.length for e in edges])
+        n, ne = 2 * len(edges), len(edges)
+        dirac = isinstance(g.model, em.Dirac)
+        self.base = np.zeros((n, ne, 2), dtype=complex)
+        self.u = np.zeros((n, ne), dtype=complex)
+        self.v = np.zeros((n, ne), dtype=complex)
+        inc = incidence_sets(g)
+        row = 0
+        for vertex in sorted(g.vertices):
+            entries = inc[vertex]
+            block = coupling.block(vertex)
+            phases = np.array([1.0 if (not dirac or e.endpoint == 0) else 1.0j
+                               for e in entries])
+            basis = phases.conj()[:, None] * block.basis
+            unit = basis / np.linalg.norm(basis, axis=0)
+            comp = np.linalg.svd(basis, full_matrices=True)[0][:, basis.shape[1]:]
+            # Coefficients of each incidence's Gamma0 and Gamma1 in the vertex rows.
+            gamma0 = np.vstack([comp.conj().T, -block.matrix @ unit.conj().T])
+            gamma1 = np.vstack([np.zeros((comp.shape[1], len(entries))), unit.conj().T])
+            rows = slice(row, row + len(entries))
+            for i, entry in enumerate(entries):
+                k = column[entry.edge]
+                s = (g.model.c if dirac else 1.0) * entry.sign
+                if entry.endpoint == 0:
+                    self.base[rows, k, 0] += gamma0[:, i]
+                    self.base[rows, k, 1] += s * gamma1[:, i]
+                else:
+                    self.u[rows, k] = gamma0[:, i]
+                    self.v[rows, k] = s * gamma1[:, i]
+            row += len(entries)
+        block_len = max(1, _ORACLE_BLOCK_BYTES // (16 * n * n))
+        self._out = np.empty((block_len, n, n), dtype=complex)
+        self._scratch = np.empty((block_len, n, ne), dtype=complex)
 
-def _oracle_matrix(g, rows_data, transfers, lam_index):
-    """Assemble the vertex-condition matrix at one sampled lambda."""
-    edge_ids = sorted(e.id for e in g.edges)
-    col_of = {eid: 2 * i for i, eid in enumerate(edge_ids)}
-    n = 2 * len(edge_ids)
-    dirac = isinstance(g.model, em.Dirac)
-    c = g.model.c if dirac else None
+    def matrices(self, lams, mesh: int) -> np.ndarray:
+        """A(lambda) for at most one block of lambda values, in the shared buffer."""
+        t = _transfer_stack(self.model, self.lengths, lams, mesh)
+        nb, (n, ne) = t.shape[1], self.u.shape
+        out, tmp = self._out[:nb], self._scratch[:nb]
+        columns = out.reshape(nb, n, ne, 2)
+        for j in (0, 1):
+            col = columns[..., j]
+            np.multiply(self.u, t[:, :, 0, j].T[:, None, :], out=col)
+            np.multiply(self.v, t[:, :, 1, j].T[:, None, :], out=tmp)
+            col += tmp
+            col += self.base[..., j]
+        return out
 
-    def trace_rows(entries):
-        """Per incidence: rotated (Gamma0, Gamma1) as rows over the unknowns."""
-        g0 = np.zeros((len(entries), n), dtype=complex)
-        g1 = np.zeros((len(entries), n), dtype=complex)
-        for i, entry in enumerate(entries):
-            col = col_of[entry.edge]
-            t_mat = transfers[entry.edge][lam_index]
-            if entry.endpoint == 0:
-                first = np.array([1.0, 0.0])
-                second = np.array([0.0, 1.0])
-            else:
-                first = t_mat[0]
-                second = t_mat[1]
-            if dirac:
-                # rotated traces: psi1(t ell) and c * sign * (i psi2)(t ell)
-                g0[i, col:col + 2] = first
-                g1[i, col:col + 2] = c * entry.sign * second
-            else:
-                g0[i, col:col + 2] = first
-                g1[i, col:col + 2] = entry.sign * second
-        return g0, g1
+    def dets(self, lams: np.ndarray, mesh: int):
+        """det A over a grid, and whether every A there is numerically real."""
+        dets = np.empty(len(lams), dtype=complex)
+        real_ok = True
+        step = self._out.shape[0]
+        for start in range(0, len(lams), step):
+            a = self.matrices(lams[start:start + step], mesh)
+            imag = np.abs(a.imag).max(axis=(1, 2))
+            real = np.abs(a.real).max(axis=(1, 2))
+            real_ok = real_ok and not np.any(imag > 1e-9 * np.maximum(1.0, real))
+            dets[start:start + step] = np.linalg.det(a)
+        return dets, real_ok
 
-    out_rows = []
-    for v, entries, unit, comp, mat in rows_data:
-        g0, g1 = trace_rows(entries)
-        # Gamma0 data must lie in the rotated coupling subspace.
-        for k in range(comp.shape[1]):
-            out_rows.append(comp[:, k].conj() @ g0)
-        # Hermitian block condition: <Gamma1, bhat_i> = sum_j mat[i, j] <Gamma0, bhat_j>.
-        proj0 = unit.conj().T @ g0
-        proj1 = unit.conj().T @ g1
-        for i in range(unit.shape[1]):
-            out_rows.append(proj1[i] - mat[i] @ proj0)
-    return np.array(out_rows)
+    def det(self, lam: float, mesh: int) -> complex:
+        return np.linalg.det(self.matrices([lam], mesh))[0]
 
-
-def _oracle_dets(g, rows_data, lams, mesh):
-    transfers = _transfer_matrices(g, np.asarray(lams, dtype=float), mesh)
-    dets = []
-    real_ok = True
-    for i in range(len(lams)):
-        a = _oracle_matrix(g, rows_data, transfers, i)
-        if np.max(np.abs(a.imag)) > 1e-9 * max(1.0, np.max(np.abs(a.real))):
-            real_ok = False
-        dets.append(np.linalg.det(a))
-    return np.array(dets), real_ok
-
-
-def _oracle_sigma_ratio(g, rows_data, lam, mesh):
-    transfers = _transfer_matrices(g, np.array([lam]), mesh)
-    a = _oracle_matrix(g, rows_data, transfers, 0)
-    sv = np.linalg.svd(a, compute_uv=False)
-    return sv[-1] / max(sv[0], 1e-300), sv
+    def sigma_ratio(self, lam: float, mesh: int):
+        sv = np.linalg.svd(self.matrices([lam], mesh)[0], compute_uv=False)
+        return sv[-1] / max(sv[0], 1e-300), sv
 
 
 def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
@@ -375,7 +384,11 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
                        samples: int = 600) -> SpectrumResult:
     """Eigenvalues in the window from the RK4 transfer-matrix determinant.
 
-    Sign changes of the (real) determinant are bisected; local minima of
+    The oracle matrix is compiled once per call (``_CompiledOracle``), so
+    each (lambda, mesh) pair costs one batched transfer product over all
+    edges and one broadcast assembly.  Sign changes of the (real)
+    determinant on the sample grid are polished by Brent's method to a
+    bracket width of max(1e-3 tol, 4e-16 max(1, |lambda|)); local minima of
     |det| that dip to a numerical kernel (even-multiplicity roots) are
     refined by golden-section search on the smallest singular value.
     Each root is re-polished at twice the mesh; movement beyond 10 * tol
@@ -384,9 +397,9 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise ValueError("window must satisfy a < b")
-    rows_data = _oracle_rows(g, coupling)
+    oracle = _CompiledOracle(g, coupling)
     grid = np.linspace(a, b, samples)
-    dets, real_ok = _oracle_dets(g, rows_data, grid, mesh)
+    dets, real_ok = oracle.dets(grid, mesh)
 
     candidates = []  # (lo, hi, kind)
     if real_ok:
@@ -408,59 +421,42 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
             if mags[i] < mags[i - 1] and mags[i] < mags[i + 1]:
                 candidates.append((grid[i - 1], grid[i + 1], "min"))
 
-    def det_at(lam, use_mesh):
-        transfers = _transfer_matrices(g, np.array([lam]), use_mesh)
-        return np.linalg.det(_oracle_matrix(g, rows_data, transfers, 0))
-
     def refine(lo, hi, kind, use_mesh):
         if kind == "sign":
-            fa = det_at(lo, use_mesh).real
-            fb = det_at(hi, use_mesh).real
+            det_at = lambda lam: oracle.det(lam, use_mesh).real
+            fa, fb = det_at(lo), det_at(hi)
             attempts = 0
             while np.sign(fa) == np.sign(fb) and attempts < 5:
                 span = hi - lo
                 lo, hi = max(a, lo - span), min(b, hi + span)
-                fa = det_at(lo, use_mesh).real
-                fb = det_at(hi, use_mesh).real
+                fa, fb = det_at(lo), det_at(hi)
                 attempts += 1
-            if np.sign(fa) == np.sign(fb):
-                kind = "min"  # degenerate bracket: fall through to minimization
-            else:
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if hi - lo < max(tol * 1e-3, 4e-16 * max(1.0, abs(mid))):
-                        break
-                    fm = det_at(mid, use_mesh).real
-                    if fm == 0.0:
-                        return mid
-                    if np.sign(fm) == np.sign(fa):
-                        lo, fa = mid, fm
-                    else:
-                        hi = mid
-                return 0.5 * (lo + hi)
+            if np.sign(fa) != np.sign(fb):
+                return _brent_zero(det_at, lo, hi, fa, fb, atol=0.5e-3 * tol)
+            # degenerate bracket: fall through to minimization
         # golden-section minimization of the smallest singular-value ratio
         phi = (math.sqrt(5) - 1) / 2
         x1 = hi - phi * (hi - lo)
         x2 = lo + phi * (hi - lo)
-        f1 = _oracle_sigma_ratio(g, rows_data, x1, use_mesh)[0]
-        f2 = _oracle_sigma_ratio(g, rows_data, x2, use_mesh)[0]
+        f1 = oracle.sigma_ratio(x1, use_mesh)[0]
+        f2 = oracle.sigma_ratio(x2, use_mesh)[0]
         for _ in range(120):
             if hi - lo < max(tol * 1e-3, 4e-16 * max(1.0, abs(lo))):
                 break
             if f1 <= f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - phi * (hi - lo)
-                f1 = _oracle_sigma_ratio(g, rows_data, x1, use_mesh)[0]
+                f1 = oracle.sigma_ratio(x1, use_mesh)[0]
             else:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + phi * (hi - lo)
-                f2 = _oracle_sigma_ratio(g, rows_data, x2, use_mesh)[0]
+                f2 = oracle.sigma_ratio(x2, use_mesh)[0]
         return 0.5 * (lo + hi)
 
     roots = []
     for lo, hi, kind in candidates:
         r = refine(lo, hi, kind, mesh)
-        ratio, sv = _oracle_sigma_ratio(g, rows_data, r, mesh)
+        ratio, sv = oracle.sigma_ratio(r, mesh)
         if ratio > 1e-5:
             continue  # spurious |det| dip, matrix not numerically singular
         r2 = refine(max(a, r - 10 * max(tol, 1e-9 * max(1.0, abs(r)))),
@@ -470,7 +466,7 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
             raise OracleConvergenceError(
                 f"root at {r} moved by {abs(r2 - r):.3e} under mesh doubling"
             )
-        ratio2, sv2 = _oracle_sigma_ratio(g, rows_data, r2, 2 * mesh)
+        ratio2, sv2 = oracle.sigma_ratio(r2, 2 * mesh)
         mult = int(np.sum(sv2 < max(_KERNEL_CUTOFF, 10 * ratio2) * max(sv2[0], 1e-300)))
         roots.append(Root(float(r2), float(ratio2), max(1, mult), "oracle"))
 

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import graphspectra
 from graphspectra.cli import main
 
 
@@ -71,6 +75,22 @@ def test_spectrum_csv_output(tmp_path, capsys):
     assert any(line.startswith("krein,") and "agrees-oracle" in line for line in lines)
     assert any(line.startswith("oracle,") for line in lines)
     assert any("undetermined-by-matching" in line for line in lines)
+
+
+def test_oracle_spectrum_does_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize alone adds about 25 MB to the resident set of a CLI run.
+    path = write(tmp_path, "star.json", star3())
+    script = ("import sys\n"
+              "from graphspectra.cli import main\n"
+              f"code = main(['spectrum', {path!r}, '--min', '-1', '--max', '25', '--oracle'])\n"
+              "assert code == 0, code\n"
+              "assert 'scipy.optimize' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(graphspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_spectrum_deterministic_bytes(tmp_path, capsys):

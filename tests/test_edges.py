@@ -308,6 +308,23 @@ def test_laplacian_large_imaginary_wavenumber():
     assert abs(near[0][0, 1]) <= 1e-300
 
 
+# 60-digit references for the Dirac hat maps at complex lambda, where the
+# sine and cosine of sqrt(w) overflow; M_12 = sec(sqrt(w)) is about 5e-869.
+def test_dirac_hat_large_imaginary_wavenumber():
+    model = em.Dirac(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = em.weyl(model, 1.0, 0.5 + 2000j, triplet="hat")
+        dm = em.weyl_derivative(model, 1.0, 0.5 + 2000j, triplet="hat")
+    for got, want, rtol in [
+            (m[0, 0], -0.00024999996093750769043 + 0.99999990625001708984j, 1e-13),
+            (m[1, 1], 0.00024999999218750085449 + 1.0000000312499975586j, 1e-13),
+            (dm[0, 0], 9.3749965820323074338e-11 - 1.2499994140626922607e-7j, 1e-11),
+            (dm[1, 1], -3.1249995117188461304e-11 + 1.2499998828125213623e-7j, 1e-11)]:
+        assert abs(got - want) <= rtol * abs(want)
+    assert abs(m[0, 1]) <= 1e-300 and abs(dm[0, 1]) <= 1e-300
+
+
 def test_derivative_matches_central_differences():
     rng = np.random.default_rng(5)
     for model, low, high in [(LAP, -8.0, 6.0), (em.Dirac(1.0), -2.0, 2.0)]:
