@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-import scipy.sparse
 
 from . import edges as em
 from .coupling import VertexCoupling, global_basis, pairing
@@ -164,6 +163,7 @@ def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization,
     out = pair[idx][:, idx] / np.outer(rnorm, rnorm)
     if len(idx) < _DENSE_LIMIT:
         return out
+    import scipy.sparse  # imported here: it is most of the package's import time
     return scipy.sparse.csr_matrix(out)
 
 
@@ -188,6 +188,7 @@ def quadratic_form(dl: DiscreteLaplacian, f: np.ndarray) -> float:
 def unitary_equivalence_residual(dl: DiscreteLaplacian, lmin, trials=100,
                                  seed: int = 0, vectors=None) -> float:
     """max over trial vectors of ||U D_L x - Lmin U x|| / ||x||, U = diag(sqrt m)."""
+    import scipy.sparse
     lmin = np.asarray(lmin.todense() if scipy.sparse.issparse(lmin) else lmin,
                       dtype=complex)
     n = dl.size

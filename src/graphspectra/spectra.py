@@ -23,10 +23,13 @@ vanishes at eigenvalues.  No closed-form trigonometry enters, so this
 route is algorithmically independent of route 1 and is also valid at
 points embedded in the decoupled spectra, where the matching criterion
 is silent.  The vertex conditions are compiled once per call into a fixed
-linear map from the transfer matrices to the global matrix; all edges are
-stepped in one batched product, the sample grid is assembled in blocks,
-and sign changes of the determinant are polished by the same Brent
-zeroin as route 1.
+linear map from the transfer matrices to the global matrix (real when the
+coupling data are real, so that LU runs in real arithmetic); all edges
+are stepped in one batched product, the sample grid is assembled in
+blocks, and sign changes of the determinant are polished by the same
+Brent zeroin as route 1.  The zeroin is a coroutine, so the oracle
+polishes all its candidates in lockstep rounds, with one stacked
+determinant or singular-value call per round and block.
 """
 
 from __future__ import annotations
@@ -130,8 +133,10 @@ def _branch_eigenvalues(g, coupling, compiled, lam):
     return np.linalg.eigvalsh(k)[::-1]  # descending
 
 
-def _brent_zero(f, a, b, fa, fb, *, atol=0.0, rtol=2e-16):
-    """Zero of f on [a, b], where fa = f(a) and fb = f(b) differ in sign.
+def _brent_steps(a, b, fa, fb, *, atol=0.0, rtol=2e-16):
+    """Zero of f on [a, b], where fa = f(a) and fb = f(b) differ in sign, as
+    a coroutine: it yields each lambda where it needs f, is sent f(lambda)
+    there, and returns the zero.
 
     Brent's zeroin (Brent 1973, ch. 4): inverse quadratic or secant steps
     kept inside the sign-change bracket, with a bisection step whenever
@@ -171,8 +176,20 @@ def _brent_zero(f, a, b, fa, fb, *, atol=0.0, rtol=2e-16):
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
+        fb = yield b
     return b
+
+
+def _brent_zero(f, a, b, fa, fb, *, atol=0.0, rtol=2e-16):
+    """``_brent_steps`` driven by calls of the scalar function f."""
+    steps = _brent_steps(a, b, fa, fb, atol=atol, rtol=rtol)
+    value = None
+    while True:
+        try:
+            lam = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = f(lam)
 
 
 def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
@@ -283,7 +300,8 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
 
 
 def _transfer_matrices(g: MetricGraph, lams: np.ndarray, mesh: int) -> dict:
-    """Per-edge transfer matrices {edge id: (n_lambda, 2, 2)} over ``mesh`` steps."""
+    """Per-edge transfer matrices {edge id: (n_lambda, 2, 2)} over
+    2**ceil(log2(mesh)) RK4 steps (at least two)."""
     edges = _oracle_edges(g)
     stack = _transfer_stack(g.model, np.array([e.length for e in edges]), lams, mesh)
     return {e.id: t for e, t in zip(edges, stack)}
@@ -340,9 +358,15 @@ class _CompiledOracle:
                     self.u[rows, k] = gamma0[:, i]
                     self.v[rows, k] = s * gamma1[:, i]
             row += len(entries)
-        block_len = max(1, _ORACLE_BLOCK_BYTES // (16 * n * n))
-        self._out = np.empty((block_len, n, n), dtype=complex)
-        self._scratch = np.empty((block_len, n, ne), dtype=complex)
+        # Real couplings give a real A(lambda) at real lambda: factorize it in
+        # real arithmetic, with twice the matrices per block.
+        self.real = not any(x.imag.any() for x in (self.base, self.u, self.v))
+        if self.real:
+            self.base, self.u, self.v = (x.real.copy() for x in (self.base, self.u, self.v))
+        dtype = self.u.dtype
+        block_len = max(1, _ORACLE_BLOCK_BYTES // (dtype.itemsize * n * n))
+        self._out = np.empty((block_len, n, n), dtype=dtype)
+        self._scratch = np.empty((block_len, n, ne), dtype=dtype)
 
     def matrices(self, lams, mesh: int) -> np.ndarray:
         """A(lambda) for at most one block of lambda values, in the shared buffer."""
@@ -360,23 +384,162 @@ class _CompiledOracle:
 
     def dets(self, lams: np.ndarray, mesh: int):
         """det A over a grid, and whether every A there is numerically real."""
-        dets = np.empty(len(lams), dtype=complex)
+        dets = np.empty(len(lams), dtype=self._out.dtype)
         real_ok = True
         step = self._out.shape[0]
         for start in range(0, len(lams), step):
             a = self.matrices(lams[start:start + step], mesh)
-            imag = np.abs(a.imag).max(axis=(1, 2))
-            real = np.abs(a.real).max(axis=(1, 2))
-            real_ok = real_ok and not np.any(imag > 1e-9 * np.maximum(1.0, real))
+            if not self.real:
+                imag = np.abs(a.imag).max(axis=(1, 2))
+                real = np.abs(a.real).max(axis=(1, 2))
+                real_ok = real_ok and not np.any(imag > 1e-9 * np.maximum(1.0, real))
             dets[start:start + step] = np.linalg.det(a)
         return dets, real_ok
 
-    def det(self, lam: float, mesh: int) -> complex:
-        return np.linalg.det(self.matrices([lam], mesh))[0]
+    def drive(self, tasks: list) -> list:
+        """Run the coroutines ``tasks`` in lockstep; returns their results.
 
-    def sigma_ratio(self, lam: float, mesh: int):
-        sv = np.linalg.svd(self.matrices([lam], mesh)[0], compute_uv=False)
-        return sv[-1] / max(sv[0], 1e-300), sv
+        A task yields requests ``(kind, lambda, mesh)`` and is sent, for kind
+        "det", the real part of det A(lambda), and for kind "sigma", the pair
+        (sigma_min / sigma_max, singular values) of A(lambda).  Each round
+        answers all pending requests, with one assembly and one stacked
+        LAPACK call per block of requests of the same kind and mesh.  When
+        tasks raise OracleConvergenceError, the error of the first of them
+        is raised, as a loop over the tasks in order would raise it.
+        """
+        results = [None] * len(tasks)
+        errors = {}
+        answers = {i: None for i in range(len(tasks))}
+        step = self._out.shape[0]
+        while answers:
+            groups = {}
+            for i, answer in answers.items():
+                if errors and i > min(errors):
+                    continue  # a task before it has already failed
+                try:
+                    kind, lam, mesh = tasks[i].send(answer)
+                except StopIteration as stop:
+                    results[i] = stop.value
+                except OracleConvergenceError as exc:
+                    errors[i] = exc
+                else:
+                    groups.setdefault((kind, mesh), []).append((i, lam))
+            answers = {}
+            for (kind, mesh), requests in groups.items():
+                for start in range(0, len(requests), step):
+                    chunk = requests[start:start + step]
+                    a = self.matrices([lam for _, lam in chunk], mesh)
+                    if kind == "det":
+                        values = np.linalg.det(a).real
+                    else:
+                        sv = np.linalg.svd(a, compute_uv=False)
+                        values = zip(sv[:, -1] / np.maximum(sv[:, 0], 1e-300), sv)
+                    answers.update((i, v) for (i, _), v in zip(chunk, values))
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
+def _grid_candidates(grid: np.ndarray, dets: np.ndarray, real_ok: bool) -> list:
+    """Brackets (lo, hi, kind) to polish, from det A on the sample grid.
+
+    For a real determinant, every sign change between neighbouring samples
+    ("sign"), then every strict local minimum of |det| that no sign bracket
+    contains ("min").  An exact zero is a sign change against its left
+    neighbour and counts as +1e-300 against its right one.  Otherwise,
+    every strict local minimum of |det|.
+    """
+    if real_ok:
+        vals = dets.real
+        held = vals[:-1].copy()
+        held[held == 0.0] = 1e-300
+        sign = np.flatnonzero(np.sign(held) != np.sign(vals[1:]))
+        mags = np.abs(np.concatenate([held, vals[-1:]]))
+    else:
+        sign = np.array([], dtype=int)
+        mags = np.abs(dets)
+    minima = 1 + np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] < mags[2:]))
+    x = grid[minima, None]
+    covered = ((grid[sign] <= x) & (x <= grid[sign + 1])).any(axis=1)
+    return ([(grid[i], grid[i + 1], "sign") for i in sign]
+            + [(grid[i - 1], grid[i + 1], "min") for i in minima[~covered]])
+
+
+def _as_requests(steps, kind: str, mesh: int):
+    """The coroutine ``steps``, which yields bare lambdas, with each of them
+    turned into the request (kind, lambda, mesh)."""
+    value = None
+    while True:
+        try:
+            lam = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = yield kind, lam, mesh
+
+
+def _oracle_refine(lo, hi, kind, window, mesh, tol):
+    """Coroutine: one polish of the candidate bracket [lo, hi] at ``mesh``.
+
+    A sign bracket is widened (at most five times, inside the window) until
+    det changes sign, then polished by Brent to a bracket width of
+    max(1e-3 tol, 4e-16 max(1, |lambda|)); a "min" bracket, or a sign bracket
+    that cannot be restored, is refined by golden-section search on the
+    singular-value ratio.
+    """
+    a, b = window
+    if kind == "sign":
+        fa = yield "det", lo, mesh
+        fb = yield "det", hi, mesh
+        attempts = 0
+        while np.sign(fa) == np.sign(fb) and attempts < 5:
+            span = hi - lo
+            lo, hi = max(a, lo - span), min(b, hi + span)
+            fa = yield "det", lo, mesh
+            fb = yield "det", hi, mesh
+            attempts += 1
+        if np.sign(fa) != np.sign(fb):
+            steps = _brent_steps(lo, hi, fa, fb, atol=0.5e-3 * tol)
+            return (yield from _as_requests(steps, "det", mesh))
+        # degenerate bracket: fall through to minimization
+    # golden-section minimization of the smallest singular-value ratio
+    phi = (math.sqrt(5) - 1) / 2
+    x1 = hi - phi * (hi - lo)
+    x2 = lo + phi * (hi - lo)
+    f1 = (yield "sigma", x1, mesh)[0]
+    f2 = (yield "sigma", x2, mesh)[0]
+    for _ in range(120):
+        if hi - lo < max(tol * 1e-3, 4e-16 * max(1.0, abs(lo))):
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - phi * (hi - lo)
+            f1 = (yield "sigma", x1, mesh)[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + phi * (hi - lo)
+            f2 = (yield "sigma", x2, mesh)[0]
+    return 0.5 * (lo + hi)
+
+
+def _oracle_root(lo, hi, kind, window, mesh, tol):
+    """Coroutine for ``_CompiledOracle.drive``: one grid candidate polished
+    at ``mesh``, checked for a numerical kernel, polished again at twice
+    the mesh, and returned as a Root (None for a spurious |det| dip)."""
+    a, b = window
+    r = yield from _oracle_refine(lo, hi, kind, window, mesh, tol)
+    ratio, _ = yield "sigma", r, mesh
+    if ratio > 1e-5:
+        return None  # spurious |det| dip, matrix not numerically singular
+    width = 10 * max(tol, 1e-9 * max(1.0, abs(r)))
+    r2 = yield from _oracle_refine(max(a, r - width), min(b, r + width),
+                                   kind, window, 2 * mesh, tol)
+    if abs(r2 - r) > 10 * max(tol, tol * abs(r)):
+        raise OracleConvergenceError(
+            f"root at {r} moved by {abs(r2 - r):.3e} under mesh doubling"
+        )
+    ratio2, sv2 = yield "sigma", r2, 2 * mesh
+    mult = int(np.sum(sv2 < max(_KERNEL_CUTOFF, 10 * ratio2) * max(sv2[0], 1e-300)))
+    return Root(float(r2), float(ratio2), max(1, mult), "oracle")
 
 
 def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
@@ -386,13 +549,16 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
 
     The oracle matrix is compiled once per call (``_CompiledOracle``), so
     each (lambda, mesh) pair costs one batched transfer product over all
-    edges and one broadcast assembly.  Sign changes of the (real)
-    determinant on the sample grid are polished by Brent's method to a
-    bracket width of max(1e-3 tol, 4e-16 max(1, |lambda|)); local minima of
-    |det| that dip to a numerical kernel (even-multiplicity roots) are
-    refined by golden-section search on the smallest singular value.
-    Each root is re-polished at twice the mesh; movement beyond 10 * tol
-    raises OracleConvergenceError.
+    edges and one broadcast assembly; when the coupling data are real, A
+    is real and is factorized in real arithmetic.  Sign changes of the
+    (real) determinant on the sample grid are polished by Brent's method
+    to a bracket width of max(1e-3 tol, 4e-16 max(1, |lambda|)); local
+    minima of |det| that dip to a numerical kernel (even-multiplicity
+    roots) are refined by golden-section search on the smallest singular
+    value.  Each root is re-polished at twice the mesh; movement beyond
+    10 * tol raises OracleConvergenceError.  All candidates are polished
+    in lockstep: each round evaluates the next lambda of every candidate
+    with one stacked determinant or singular-value call per block.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -400,75 +566,9 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     oracle = _CompiledOracle(g, coupling)
     grid = np.linspace(a, b, samples)
     dets, real_ok = oracle.dets(grid, mesh)
-
-    candidates = []  # (lo, hi, kind)
-    if real_ok:
-        vals = dets.real
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                vals[i] = 1e-300
-            if np.sign(vals[i]) != np.sign(vals[i + 1]):
-                candidates.append((grid[i], grid[i + 1], "sign"))
-        mags = np.abs(vals)
-        for i in range(1, len(grid) - 1):
-            if mags[i] < mags[i - 1] and mags[i] < mags[i + 1]:
-                covered = any(lo <= grid[i] <= hi for lo, hi, _ in candidates)
-                if not covered:
-                    candidates.append((grid[i - 1], grid[i + 1], "min"))
-    else:
-        mags = np.abs(dets)
-        for i in range(1, len(grid) - 1):
-            if mags[i] < mags[i - 1] and mags[i] < mags[i + 1]:
-                candidates.append((grid[i - 1], grid[i + 1], "min"))
-
-    def refine(lo, hi, kind, use_mesh):
-        if kind == "sign":
-            det_at = lambda lam: oracle.det(lam, use_mesh).real
-            fa, fb = det_at(lo), det_at(hi)
-            attempts = 0
-            while np.sign(fa) == np.sign(fb) and attempts < 5:
-                span = hi - lo
-                lo, hi = max(a, lo - span), min(b, hi + span)
-                fa, fb = det_at(lo), det_at(hi)
-                attempts += 1
-            if np.sign(fa) != np.sign(fb):
-                return _brent_zero(det_at, lo, hi, fa, fb, atol=0.5e-3 * tol)
-            # degenerate bracket: fall through to minimization
-        # golden-section minimization of the smallest singular-value ratio
-        phi = (math.sqrt(5) - 1) / 2
-        x1 = hi - phi * (hi - lo)
-        x2 = lo + phi * (hi - lo)
-        f1 = oracle.sigma_ratio(x1, use_mesh)[0]
-        f2 = oracle.sigma_ratio(x2, use_mesh)[0]
-        for _ in range(120):
-            if hi - lo < max(tol * 1e-3, 4e-16 * max(1.0, abs(lo))):
-                break
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - phi * (hi - lo)
-                f1 = oracle.sigma_ratio(x1, use_mesh)[0]
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + phi * (hi - lo)
-                f2 = oracle.sigma_ratio(x2, use_mesh)[0]
-        return 0.5 * (lo + hi)
-
-    roots = []
-    for lo, hi, kind in candidates:
-        r = refine(lo, hi, kind, mesh)
-        ratio, sv = oracle.sigma_ratio(r, mesh)
-        if ratio > 1e-5:
-            continue  # spurious |det| dip, matrix not numerically singular
-        r2 = refine(max(a, r - 10 * max(tol, 1e-9 * max(1.0, abs(r)))),
-                    min(b, r + 10 * max(tol, 1e-9 * max(1.0, abs(r)))),
-                    kind, 2 * mesh)
-        if abs(r2 - r) > 10 * max(tol, tol * abs(r)):
-            raise OracleConvergenceError(
-                f"root at {r} moved by {abs(r2 - r):.3e} under mesh doubling"
-            )
-        ratio2, sv2 = oracle.sigma_ratio(r2, 2 * mesh)
-        mult = int(np.sum(sv2 < max(_KERNEL_CUTOFF, 10 * ratio2) * max(sv2[0], 1e-300)))
-        roots.append(Root(float(r2), float(ratio2), max(1, mult), "oracle"))
+    tasks = [_oracle_root(lo, hi, kind, (a, b), mesh, tol)
+             for lo, hi, kind in _grid_candidates(grid, dets, real_ok)]
+    roots = [r for r in oracle.drive(tasks) if r is not None]
 
     merged = []
     for r in sorted(roots, key=lambda r: r.lam):

@@ -1,5 +1,7 @@
 """The compiled RK4 oracle: its matrix A(lambda) against a per-incidence
-reference assembly, and the number of determinants it takes per root."""
+reference assembly, the grid candidate scan against a loop over the grid,
+the lockstep polish against the same coroutines driven one at a time, and
+the number of determinant calls it takes per root."""
 
 from __future__ import annotations
 
@@ -104,3 +106,96 @@ def test_oracle_determinants_per_root(monkeypatch):
     oracle = sp.oracle_eigenvalues(g, delta(g, 0.0), (-1.0, 20.0))
     assert len(oracle.roots) > 0
     assert len(calls) <= 25 * len(oracle.roots)
+    # Lockstep rounds: one stacked call per round and kind, not one per root.
+    assert len(calls) <= 60
+
+
+def grid_candidates_loop(grid, dets, real_ok):
+    """The candidate scan as a loop over the grid, kept as the reference."""
+    candidates = []
+    if real_ok:
+        vals = dets.real.copy()
+        for i in range(len(grid) - 1):
+            if vals[i] == 0.0:
+                vals[i] = 1e-300
+            if np.sign(vals[i]) != np.sign(vals[i + 1]):
+                candidates.append((grid[i], grid[i + 1], "sign"))
+        mags = np.abs(vals)
+        for i in range(1, len(grid) - 1):
+            if mags[i] < mags[i - 1] and mags[i] < mags[i + 1]:
+                covered = any(lo <= grid[i] <= hi for lo, hi, _ in candidates)
+                if not covered:
+                    candidates.append((grid[i - 1], grid[i + 1], "min"))
+    else:
+        mags = np.abs(dets)
+        for i in range(1, len(grid) - 1):
+            if mags[i] < mags[i - 1] and mags[i] < mags[i + 1]:
+                candidates.append((grid[i - 1], grid[i + 1], "min"))
+    return candidates
+
+
+def test_grid_candidates_match_loop():
+    # Exact zeros (leading, trailing, in a run, between equal signs), minima
+    # inside sign brackets and minima two samples apart.
+    crafted = np.array([0.0, 3.0, 0.0, -1.0, 0.0, 0.0, 2.0, 1.0, 1.5, 0.5, 2.0,
+                        0.1, -3.0, 0.3, 0.05, 0.3, 0.04, 0.3, 0.0, 0.2, -4.0, 0.0])
+    grid = np.linspace(-1.0, 1.0, len(crafted))
+    want = grid_candidates_loop(grid, crafted, True)
+    assert sp._grid_candidates(grid, crafted, True) == want
+    assert {kind for _, _, kind in want} == {"sign", "min"}
+    assert sp._grid_candidates(grid, crafted + 0.5j, False) == \
+        grid_candidates_loop(grid, crafted + 0.5j, False)
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 3, 50, 600):
+        grid = np.linspace(-2.0, 5.0, size)
+        for _ in range(20):
+            vals = rng.choice([0.0, 1e-300, -1e-300, 0.5, -0.5, 2.0, -2.0], size) * \
+                rng.uniform(0.5, 1.0, size)
+            for dets, real_ok in ((vals, True), (vals.astype(complex), True),
+                                  (vals + 1j * vals[::-1], False)):
+                assert (sp._grid_candidates(grid, dets, real_ok)
+                        == grid_candidates_loop(grid, dets, real_ok))
+
+
+def random_tree():
+    g = gr.random_graph(7, 15)
+    return g, delta(g, 0.0), (-1.0, 20.0)
+
+
+@pytest.mark.parametrize("make", [laplacian_star, dirac_star, dirac_star_custom_centre,
+                                  short_edge_chain, random_tree])
+def test_lockstep_matches_one_at_a_time(make):
+    g, coupling, lams = make()
+    window, mesh, tol = (min(lams), max(lams)), 2000, 1e-8
+    oracle = sp._CompiledOracle(g, coupling)
+    grid = np.linspace(*window, 600)
+    candidates = sp._grid_candidates(grid, *oracle.dets(grid, mesh))
+
+    def tasks():
+        return [sp._oracle_root(lo, hi, kind, window, mesh, tol)
+                for lo, hi, kind in candidates]
+
+    together = oracle.drive(tasks())
+    assert any(root is not None for root in together)
+    assert together == [oracle.drive([task])[0] for task in tasks()]
+
+
+def test_drive_raises_the_error_of_the_first_failing_task():
+    g, coupling, _ = laplacian_star()
+    oracle = sp._CompiledOracle(g, coupling)
+
+    def task(result, rounds, fail=False):
+        value = None
+        for k in range(rounds):
+            value = yield ("det" if k % 2 else "sigma"), 1.0 + k, 2000
+        if fail:
+            raise sp.OracleConvergenceError(result)
+        return result, value
+
+    results = oracle.drive([task("a", 2), task("b", 0), task("c", 1)])
+    assert [r[0] for r in results] == ["a", "b", "c"]
+    assert results[0][1] == np.linalg.det(oracle.matrices([2.0], 2000)[0]).real
+    assert results[1][1] is None and len(results[2][1]) == 2  # (ratio, sv)
+    # The second task fails in round 5, the third in round 1: the second wins.
+    with pytest.raises(sp.OracleConvergenceError, match="second"):
+        oracle.drive([task("first", 2), task("second", 5, True), task("third", 1, True)])
