@@ -133,7 +133,7 @@ def _branch_eigenvalues(g, coupling, compiled, lam):
     return np.linalg.eigvalsh(k)[::-1]  # descending
 
 
-def _brent_steps(a, b, fa, fb, *, atol=0.0, rtol=2e-16):
+def _brent_steps(a, b, fa, fb, *, atol=0.0):
     """Zero of f on [a, b], where fa = f(a) and fb = f(b) differ in sign, as
     a coroutine: it yields each lambda where it needs f, is sent f(lambda)
     there, and returns the zero.
@@ -141,7 +141,7 @@ def _brent_steps(a, b, fa, fb, *, atol=0.0, rtol=2e-16):
     Brent's zeroin (Brent 1973, ch. 4): inverse quadratic or secant steps
     kept inside the sign-change bracket, with a bisection step whenever
     they would shrink it too slowly.  It stops when the bracket half-width
-    is at most max(atol, rtol * max(1, |lambda|)).
+    is at most max(atol, 2e-16 * max(1, |lambda|)).
     """
     c, fc = a, fa
     d = e = b - a
@@ -152,7 +152,7 @@ def _brent_steps(a, b, fa, fb, *, atol=0.0, rtol=2e-16):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = max(atol, rtol * max(1.0, abs(b)))
+        tol = max(atol, 2e-16 * max(1.0, abs(b)))
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             break
@@ -180,9 +180,9 @@ def _brent_steps(a, b, fa, fb, *, atol=0.0, rtol=2e-16):
     return b
 
 
-def _brent_zero(f, a, b, fa, fb, *, atol=0.0, rtol=2e-16):
+def _brent_zero(f, a, b, fa, fb):
     """``_brent_steps`` driven by calls of the scalar function f."""
-    steps = _brent_steps(a, b, fa, fb, atol=atol, rtol=rtol)
+    steps = _brent_steps(a, b, fa, fb)
     value = None
     while True:
         try:
