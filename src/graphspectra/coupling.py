@@ -180,8 +180,8 @@ class GlobalBasis:
 
 
 def _by_size(owned):
-    """Group {key: coordinate positions} by block size: [(keys, positions)],
-    one entry per size, so each group is applied as one batched product."""
+    """Group {key: index sequence} by length: [(keys, indices)], one entry
+    per length, so that each group is handled by one batched operation."""
     groups = {}
     for key, idx in owned.items():
         groups.setdefault(len(idx), []).append((key, idx))
@@ -190,41 +190,85 @@ def _by_size(owned):
 
 
 class _CompiledPairing:
-    """The compile step of ``pairing``, built once per (basis, coupling):
-    the raw basis matrix B, the rows and segment offsets of the sum B^H,
-    the edge coordinates grouped by block size and the vertex term L B.
-    Calling it runs the per-lambda step."""
+    """The compile step of ``pairing``, built once per (basis, coupling).
+
+    It holds the vertex term P0 = B^H L B, block-diagonal per vertex, and
+    the edge term as triplets: for each pair of boundary coordinates (p, q)
+    on one edge and each pair of basis elements i, j with b_i[p] != 0 and
+    b_j[q] != 0, the flat target i*n + j, the weight conj(b_i[p]) b_j[q]
+    and the position of M[p, q] in the edge blocks stacked in ``edge_ids``
+    order.  Triplets are sorted by target, so that the per-lambda step is a
+    gather, a product and one segment sum: O(nnz) work, with nnz = 4E for
+    delta couplings.  Calling it runs that step.
+    """
 
     def __init__(self, gb: GlobalBasis, coupling: VertexCoupling):
         n = len(gb.elements)
-        counts = [len(el.positions) for el in gb.elements]
-        self.rows = np.concatenate([el.positions for el in gb.elements])
-        values = np.concatenate([el.values for el in gb.elements])
-        self.conj_values = values.conj()[:, None]
-        self.offsets = np.cumsum([0] + counts[:-1])
         self.norms = np.array([el.norm for el in gb.elements])
-        self.basis = np.zeros((gb.size, n), dtype=complex)
-        self.basis[self.rows, np.repeat(np.arange(n), counts)] = values
-        self.vertex_term = np.zeros_like(self.basis)
-        owned = {el.vertex: el.positions for el in gb.elements}
-        for vertices, pos in _by_size(owned):
-            self.vertex_term[pos] += (np.array([coupling.block(v).operator() for v in vertices])
-                                      @ self.basis[pos])
+        self.p0 = np.zeros(n * n, dtype=complex)
+        owned = {}
+        for i, el in enumerate(gb.elements):
+            owned.setdefault(el.vertex, []).append(i)
+        shapes = {}  # vertex blocks grouped by basis shape (degree, dimension)
+        for v in owned:
+            block = coupling.block(v)
+            shapes.setdefault(block.basis.shape, []).append(block)
+        for same in shapes.values():
+            idx = np.array([owned[block.vertex] for block in same])
+            basis = np.array([block.basis for block in same])
+            ops = np.array([block.operator() for block in same])
+            blocks = basis.conj().transpose(0, 2, 1) @ ops @ basis
+            self.p0[(idx[:, :, None] * n + idx[:, None, :]).ravel()] = blocks.ravel()
+
+        # Sparse B: its nonzero entries sorted by coordinate.
+        counts = [len(el.positions) for el in gb.elements]
+        rows = np.concatenate([el.positions for el in gb.elements])
+        cols = np.repeat(np.arange(n), counts)
+        vals = np.concatenate([el.values for el in gb.elements])
+        keep = np.flatnonzero(vals)
+        order = keep[np.argsort(rows[keep], kind="stable")]
+        cols, vals = cols[order], vals[order]
+        per_coord = np.bincount(rows[order], minlength=gb.size)
+        first = np.cumsum(per_coord) - per_coord
+
+        # Coordinate pairs (p, q) of each edge and the position of M[p, q].
         by_edge = {}
         for p, (eid, _) in enumerate(gb.coords):
             by_edge.setdefault(eid, []).append(p)
-        self.edge_groups = _by_size(by_edge)
+        self.edge_ids, pa, pb, src = [], [], [], []
+        offset = 0
+        for eids, pos in _by_size(by_edge):
+            k, d = pos.shape
+            self.edge_ids.extend(eids)
+            pa.append(np.repeat(pos, d, axis=1).ravel())
+            pb.append(np.tile(pos, d).ravel())
+            src.append(offset + np.arange(k * d * d))
+            offset += k * d * d
+        pa, pb, src = (np.concatenate(x) for x in (pa, pb, src))
 
-    def __call__(self, edge_blocks, applied=None) -> np.ndarray:
-        """P for M = ``edge_blocks``; (L - M) B is formed in ``applied``,
-        by default a fresh copy of the vertex term."""
-        if applied is None:
-            applied = self.vertex_term.copy()
-        for eids, pos in self.edge_groups:
-            applied[pos] -= np.array([edge_blocks[eid] for eid in eids]) @ self.basis[pos]
-        terms = applied[self.rows]
-        terms *= self.conj_values
-        return np.add.reduceat(terms, self.offsets, axis=0)
+        # One triplet per pair of nonzero entries in rows p and q of B.
+        nb = per_coord[pb]
+        total = per_coord[pa] * nb
+        pair = np.repeat(np.arange(total.size), total)
+        local = np.arange(pair.size) - np.repeat(np.cumsum(total) - total, total)
+        ea = first[pa][pair] + local // nb[pair]
+        eb = first[pb][pair] + local % nb[pair]
+        target = cols[ea] * n + cols[eb]
+        order = np.argsort(target, kind="stable")
+        target = target[order]
+        self.src = src[pair][order]
+        self.weights = (vals[ea].conj() * vals[eb])[order]
+        self.starts = np.flatnonzero(np.diff(target, prepend=-1))
+        self.targets = target[self.starts]
+        self.n = n
+
+    def __call__(self, edge_blocks) -> np.ndarray:
+        """P for M = ``edge_blocks``: P0 minus the segment sums of the
+        weighted M entries."""
+        m = np.concatenate([edge_blocks[eid] for eid in self.edge_ids], axis=None)
+        out = self.p0.copy()
+        out[self.targets] -= np.add.reduceat(m[self.src] * self.weights, self.starts)
+        return out.reshape(self.n, self.n)
 
 
 def pairing(gb: GlobalBasis, coupling: VertexCoupling, edge_blocks) -> np.ndarray:
@@ -234,17 +278,17 @@ def pairing(gb: GlobalBasis, coupling: VertexCoupling, edge_blocks) -> np.ndarra
     per-edge blocks ``edge_blocks[edge id]``, each placed at its edge's
     boundary coordinates (1x1 on a half-line).  The secular matrix, the
     discrete weights and L_min are this matrix for M = M(lambda) or
-    M(lambda0), rescaled by basis or measure norms.  (L - M) B is applied
-    block by block and B^H as a sum over each element's own coordinates,
-    so no coordinate-by-coordinate matrix is formed and the work grows
-    like (number of coordinates) x (number of basis elements).
+    M(lambda0), rescaled by basis or measure norms.
 
-    The compile step (``_CompiledPairing``) builds everything but M; the
-    per-lambda step subtracts M B group by group and sums.  This one-shot
-    entry runs both, forming (L - M) B in place of the vertex term.
+    P = B^H L B - B^H M B.  The first term is block-diagonal per vertex and
+    independent of M; the second is a scatter-add of the entries of M over
+    the nonzero entries of the sparse basis matrix B, so no coordinate-by-
+    coordinate or dense basis matrix is formed and the work per M is
+    O(nnz).  The compile step (``_CompiledPairing``) builds both the first
+    term and the index arrays of the second; this one-shot entry compiles
+    and calls it.
     """
-    compiled = _CompiledPairing(gb, coupling)
-    return compiled(edge_blocks, compiled.vertex_term)
+    return _CompiledPairing(gb, coupling)(edge_blocks)
 
 
 def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:

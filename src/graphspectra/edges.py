@@ -208,7 +208,7 @@ def _sc(w):
     if isinstance(w, complex) and w.imag != 0.0:
         z = np.sqrt(complex(w))
         return complex(np.sin(z) / z), complex(np.cos(z))
-    w = float(np.real(w))
+    w = float(w.real)
     if w > 0:
         z = math.sqrt(w)
         return math.sin(z) / z, math.cos(z)
@@ -229,7 +229,7 @@ def _csch(y):
 
 
 def _is_real(lam) -> bool:
-    return np.imag(lam) == 0.0
+    return lam.imag == 0.0
 
 
 def boundary_dim(model: EdgeModel) -> int:
@@ -275,8 +275,12 @@ def _nearest_pole(model: EdgeModel, ell: float, lam: complex, triplet: str):
     n_guess = int(ell * model._wavenumber(lam) / math.pi)
     for n in range(max(first, n_guess - 2), n_guess + 4):
         candidates.extend(model._pole((n + offset) * math.pi / ell))
-    pole = min(candidates, key=lambda p: abs(lam - p))
-    return abs(lam - pole), pole
+    dist = pole = None
+    for p in candidates:  # the first of equally near poles wins
+        d = abs(lam - p)
+        if dist is None or d < dist:
+            dist, pole = d, p
+    return dist, pole
 
 
 def pole_distance(model: EdgeModel, ell: float, lam, triplet: str = "graph"):
@@ -302,8 +306,8 @@ def _kernel(ell, k2, derivative):
     """Laplacian response M_L(l; k^2) and, when asked, dM_L/d(k^2)."""
     w = ell * ell * k2
     dm = None
-    if _is_real(k2) and np.real(w) < -1.0:
-        kappa = math.sqrt(-np.real(k2))
+    if _is_real(k2) and w.real < -1.0:
+        kappa = math.sqrt(-k2.real)
         y = kappa * ell
         csch = _csch(y)
         m11, m12 = -kappa / math.tanh(y), kappa * csch
@@ -350,8 +354,8 @@ def _weyl_hat(c, ell, lam, derivative):
     """
     half_gap = c * c / 2
     w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
-    if _is_real(w) and np.real(w) < -1.0:
-        y = math.sqrt(-np.real(w))
+    if _is_real(w) and w.real < -1.0:
+        y = math.sqrt(-w.real)
         e = math.exp(-y)
         t, sec = math.tanh(y) / y, 2.0 * e / (1.0 + e * e)
     elif not _is_real(w) and abs(np.sqrt(w).imag) > 20.0:

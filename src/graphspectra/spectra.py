@@ -13,7 +13,12 @@ eigenvalue branch of K crosses zero at most once per pole-free cell and
 Brent's method on the branches finds every root with its multiplicity -
 in particular even-multiplicity roots that a bare determinant sign scan
 cannot see.  Only the edge term M(lambda) depends on lambda, so a scan
-compiles the rest of K once and repeats only the per-lambda step.
+compiles the rest of K once and repeats only the per-lambda step: one
+edge response per edge, an O(nnz) scatter-add of their entries and one
+eigensolve, in real arithmetic when K is real (delta couplings in both
+edge models).  Brent's zero is a point it evaluated, so each root's
+residual |det K| and kernel dimension are read off the eigenvalues kept
+there, and no lambda is evaluated twice.
 
 Route 2 (oracle): per edge, the raw first-order ODE system is integrated
 by classical RK4 to build transfer matrices; the vertex conditions
@@ -108,9 +113,10 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam,
     b / ||b||.  Hermitian for real lambda; raises PoleOfWeylError within
     1e-8 of a decoupled edge eigenvalue.
 
-    The pairing has a compile step (basis matrix, index arrays, vertex
-    term L B; independent of lambda) and a per-lambda step (subtract
-    M(lambda) B, sum over B^H).  Callers that evaluate many lambda hand
+    The pairing has a compile step (the vertex term B^H L B and the
+    triplets of the edge term; independent of lambda) and a per-lambda
+    step (gather the entries of M(lambda), weight them and subtract their
+    segment sums: O(nnz) work).  Callers that evaluate many lambda hand
     their compiled pairing in ``_pairing``; otherwise the call compiles
     its own.
     """
@@ -118,19 +124,17 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam,
     for e in g.edges:
         model = edge_model_for(g.model, e)
         blocks[e.id] = em.weyl(model, e.length, lam, _pole_tol=_POLE_GUARD)
-    if _pairing is None:
-        # Compiled for this call alone, so (L - M) B may overwrite its vertex term.
+    compiled = _pairing
+    if compiled is None:
         compiled = _CompiledPairing(gb if gb is not None else global_basis(g, coupling),
                                     coupling)
-        pair = compiled(blocks, compiled.vertex_term)
-    else:
-        compiled, pair = _pairing, _pairing(blocks)
-    return pair / np.outer(compiled.norms, compiled.norms)
+    return compiled(blocks) / np.outer(compiled.norms, compiled.norms)
 
 
-def _branch_eigenvalues(g, coupling, compiled, lam):
-    k = krein_matrix(g, coupling, lam, _pairing=compiled)
-    return np.linalg.eigvalsh(k)[::-1]  # descending
+def _eigvalsh(k: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix k, in real arithmetic
+    when k has no imaginary part (delta couplings in both edge models)."""
+    return np.linalg.eigvalsh(k if k.imag.any() else k.real)
 
 
 def _brent_steps(a, b, fa, fb, *, atol=0.0):
@@ -203,7 +207,14 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     K(lambda) are strictly decreasing, so Brent's method finds the zero of
     each independently, to about two ulps.  ``tol`` is the merge radius
     only: branch zeros closer than max(100 tol, 1e-9 max(1, |lambda|))
-    merge into one root with multiplicity.  K is compiled once per call.
+    merge into one root with multiplicity.
+
+    K is compiled once per call, each lambda is evaluated at most once (the
+    eigenvalues of every evaluated lambda are kept per cell), and the
+    eigensolve runs in real arithmetic when K is real.  Brent's zero is a
+    point it evaluated, so each root's residual |det K| = |prod mu| and its
+    kernel dimension #{|mu| < 1e-7 max(1, max |mu|)} (the singular values
+    of the Hermitian K are the |mu|) are read off eigenvalues at hand.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -216,7 +227,6 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     cuts = [a] + [p for p in poles if a < p < b] + [b]
     roots = []
     compiled = _CompiledPairing(gb, coupling)
-    fun = lambda lam: _branch_eigenvalues(g, coupling, compiled, lam)
     nbranch = len(gb.elements)
     usable_cells = 0
     for left, right in zip(cuts[:-1], cuts[1:]):
@@ -225,6 +235,13 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
         if hi <= lo:
             continue
         usable_cells += 1
+        seen = {}  # lambda -> eigenvalues of K(lambda), descending
+
+        def fun(lam):
+            if lam not in seen:
+                seen[lam] = _eigvalsh(krein_matrix(g, coupling, lam, _pairing=compiled))[::-1]
+            return seen[lam]
+
         flo, fhi = fun(lo), fun(hi)
         cell_roots = []
         for j in range(nbranch):
@@ -239,11 +256,9 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
             else:
                 merged.append([r, 1])
         for r, mult in merged:
-            kmat = krein_matrix(g, coupling, r, _pairing=compiled)
-            residual = abs(np.linalg.det(kmat))
-            sv = np.linalg.svd(kmat, compute_uv=False)
-            mult_sv = int(np.sum(sv < _KERNEL_CUTOFF * max(1.0, sv[0])))
-            roots.append(Root(r, float(residual), max(mult, mult_sv), "krein"))
+            mu = np.abs(seen[r])
+            mult_sv = int(np.sum(mu < _KERNEL_CUTOFF * max(1.0, mu.max())))
+            roots.append(Root(r, float(np.prod(mu)), max(mult, mult_sv), "krein"))
     if usable_cells == 0:
         raise ValueError("window consists of pole neighborhoods only")
     excluded = tuple(float(p) for p in poles if a <= p <= b)
@@ -615,7 +630,7 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling,
             kmat = krein_matrix(g, coupling, lam0, _pairing=compiled)
         except em.EdgeModelError:
             return None
-        evs = np.linalg.eigvalsh(kmat)
+        evs = _eigvalsh(kmat)
         return bool(evs[0] >= -1e-10 * max(1.0, float(np.max(np.abs(evs)))))
 
     best = None

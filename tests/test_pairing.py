@@ -39,7 +39,21 @@ def halfline_graph():
     return g, cp.delta_coupling(g, {"c": -2.0, "b": 0.5}), -1.0
 
 
-PROBLEMS = [delta_random_tree, dirac_star_custom_centre, halfline_graph]
+def loop_and_double_edge():
+    # Five coordinates at b, shared by both elements of its 2-dim block; the
+    # loop puts both ends of one edge on the same elements.
+    g = MetricGraph(("a", "b", "c"), (Edge("loop", "b", "b", 1.1),
+                                      Edge("ab1", "a", "b", 0.8),
+                                      Edge("ab2", "a", "b", 1.4),
+                                      Edge("bc", "b", "c", 0.6),
+                                      Edge("ca", "c", "a", 1.7)))
+    vectors = [[1.0, 0.5j, -0.3, 0.2 + 0.1j, 1.0], [0.4j, 1.0, 0.7, -1.0j, 0.0]]
+    matrix = np.array([[0.3, 0.1 - 0.6j], [0.1 + 0.6j, -1.2]])
+    return g, cp.custom_coupling(g, {"b": (vectors, matrix)}), None
+
+
+PROBLEMS = [delta_random_tree, dirac_star_custom_centre, halfline_graph,
+            loop_and_double_edge]
 
 
 def dense_pairing(gb, coupling, edge_blocks):

@@ -126,11 +126,47 @@ def test_scan_evaluations_per_root(monkeypatch):
         calls.append(args[2])
         return krein(*args, **kwargs)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root residuals come from the eigenvalues at hand")
+
     monkeypatch.setattr(sp, "krein_matrix", counted)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
     g = gr.random_graph(7, 15)
     scan = sp.scan_spectrum(g, delta_problem(g, 0.0), (-1.0, 20.0))
     assert len(scan.roots) > 0
     assert len(calls) <= 12 * len(scan.roots)
+    assert len(calls) == len(set(calls))
+
+    # Double roots: two branches whose zeroin steps coincide.
+    calls.clear()
+    equal = gr.star(3, lengths=1.0)
+    scan = sp.scan_spectrum(equal, delta_problem(equal, 0.0), (-5.0, 60.0))
+    assert [r.multiplicity for r in scan.roots] == [1, 2, 2]
+    assert len(calls) == len(set(calls))
+
+
+def test_scan_eigensolves_real_secular_matrices_in_real_arithmetic(monkeypatch):
+    from test_pairing import dirac_star_custom_centre
+
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    tree = gr.random_graph(7, 15)
+    star = gr.star(3, lengths=[1.0, 0.7, 1.3], model=Dirac(1.0))
+    custom, coup, _ = dirac_star_custom_centre()
+    for g, coupling, window, dtype in [
+            (tree, delta_problem(tree, 0.0), (-1.0, 20.0), np.float64),
+            (star, delta_problem(star, 0.5), (-5.0, 5.0), np.float64),
+            (custom, coup, (-5.0, 5.0), np.complex128)]:
+        dtypes.clear()
+        assert sp.scan_spectrum(g, coupling, window).roots
+        assert set(dtypes) == {np.dtype(dtype)}
 
 
 def test_dirac_interval_agreement():
