@@ -112,13 +112,18 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     """
     gb, pair, m = _regularized_pairing(g, coupling, reg)
     n = len(gb.elements)
-    herm_err = np.linalg.norm(pair - pair.conj().T)
-    if herm_err > _HERM_TOL * max(1.0, np.linalg.norm(pair)):
+    # The nonzero entries of P in row-major order give the norms of P and
+    # P - P^H without an n x n temporary; an entry whose mirror is zero
+    # stands for two equal terms of P - P^H.
+    rows, cols = np.nonzero(pair)
+    vals, mirror = pair[rows, cols], pair[cols, rows].conj()
+    herm_err = np.linalg.norm((vals - mirror) * np.where(mirror == 0, np.sqrt(2.0), 1.0))
+    if herm_err > _HERM_TOL * max(1.0, np.linalg.norm(vals)):
         raise AssertionError(f"pairing matrix not Hermitian: error {herm_err:.2e}")
 
-    scale = max(1.0, float(np.max(np.abs(pair))) if pair.size else 1.0)
-    rows, cols = np.nonzero(np.triu(np.abs(pair) >= 1e-14 * scale, k=1))
-    vals = -pair[rows, cols]
+    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
+    upper = (cols > rows) & (np.abs(vals) >= 1e-14 * scale)
+    rows, cols, vals = rows[upper], cols[upper], -vals[upper]
     applicable = not (np.any(np.abs(vals.imag) > _REAL_TOL * np.maximum(1.0, np.abs(vals)))
                       or np.any(vals.real < 0))
     b = dict(zip(zip(rows.tolist(), cols.tolist()), vals.real))

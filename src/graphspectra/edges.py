@@ -28,21 +28,21 @@ derivatives), ``_pole`` (the preimages of a wavenumber), ``_wavenumber``
 (where to look for the nearest poles), ``_extra_poles`` and the default
 point ``_lambda0``; every function below reads it from there.
 
-The kernel is written with ratios of the entire functions
+Every interval evaluation is written with ratios of the entire functions
 
     S(w) = sin(sqrt(w)) / sqrt(w),    C(w) = cos(sqrt(w)),
 
-evaluated at w = l^2 k^2.  This removes every branch-cut and removable-
-singularity issue: the same expression is valid above threshold, inside
-spectral gaps and at complex spectral parameters.  Near w = 0 the
-derivative comes from series; for real w < -1 the kernel switches to
-hyperbolic ratios that never overflow, for either model, and for
-|Im sqrt(w)| > 20 to exponential forms of cot and csc.  The hat maps
-make the same switch to tanh and sech for real w < -1.
-
-Two cases stay outside the kernel: the Dirac "hat" trace maps, whose
-poles are at cos(l k) = 0, and the half-line (boundary dimension d = 1),
-whose response is the Herglotz branch of i sqrt(lambda).
+at w = l^2 k^2.  This removes every branch-cut and removable-singularity
+issue: the same expression is valid above threshold, inside spectral
+gaps and at complex spectral parameters.  One helper, ``_trig``, returns
+C and S times a common scale e with |e| <= 1, and log e: series near
+w = 0, exp(-sqrt(-w)) for real w < 0 and exp(i sqrt(w)) for
+Im sqrt(w) > 20, where sin and cos overflow.  The kernel (q = C/S and
+1/S = e/(S e)), the Dirac "hat" trace maps (S/C and 1/C, poles at
+cos(l k) = 0) and the defect solutions (ratios at two points, which
+bring in e(l)/e(x), of modulus at most 1) are all ratios of its output,
+so none of them overflows.  The half-line (boundary dimension d = 1)
+has the Herglotz branch of i sqrt(lambda) as its response.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ class Laplacian:
         return (k ** 2,)
 
     @staticmethod
-    def _wavenumber(lam):
-        """Real wavenumber near which the poles closest to lam lie."""
-        return math.sqrt(max(lam.real, 0.0))
+    def _wavenumber(x):
+        """Wavenumber at the real point x, 0 where it is imaginary; the poles
+        nearest to any lam with Re lam = x lie next to it."""
+        return math.sqrt(max(x, 0.0))
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,9 @@ class Dirac:
         root = math.sqrt((self.c * k) ** 2 + self.c ** 4 / 4)
         return root, -root
 
-    def _wavenumber(self, lam):
+    def _wavenumber(self, x):
         c = self.c
-        return math.sqrt(max(abs(lam) ** 2 - (c * c / 2) ** 2, 0.0)) / c
+        return math.sqrt(max(x * x - (c * c / 2) ** 2, 0.0)) / c
 
 
 @dataclass(frozen=True)
@@ -185,11 +186,10 @@ _DIRAC_PHASE = np.array([[1, -1j], [1j, 1]])
 _SERIES_CUTOFF = 1e-3
 
 # Taylor coefficients around w = 0 (w = z^2):
-#   S(w) = sin(z)/z, C(w) = cos(z), S'(w) = dS/dw,
+#   S(w) = sin(z)/z, C(w) = cos(z),
 #   D1(w) = -d/dw (C/S), E1(w) = d/dw (1/S).
 _S_COEF = [1.0, -1 / 6, 1 / 120, -1 / 5040, 1 / 362880, -1 / 39916800]
 _C_COEF = [1.0, -1 / 2, 1 / 24, -1 / 720, 1 / 40320, -1 / 3628800]
-_SP_COEF = [-1 / 6, 1 / 60, -1 / 1680, 1 / 90720, -1 / 7983360]
 _D1_COEF = [1 / 3, 2 / 45, 2 / 315, 4 / 4725, 10 / 93555]
 _E1_COEF = [1 / 6, 7 / 180, 31 / 5040, 127 / 151200]
 
@@ -201,35 +201,34 @@ def _poly(coef, w):
     return acc
 
 
-def _sc(w):
-    """Return (S(w), C(w)); exact real output for real w."""
+def _trig(w):
+    """(C(w) e, S(w) e, log e) for a scale e that keeps both finite.
+
+    With z = sqrt(w) on the branch Im z >= 0 (S and C are even in z), the
+    scale is e = 1 for real w > 0 and for Im z <= 20, exp(-sqrt(-w)) for
+    real w < 0 and exp(iz) for Im z > 20, so |e| <= 1 and C e, S e never
+    overflow.  Callers form ratios of the three outputs.  Real w gives real
+    floats.
+    """
+    if w.imag == 0.0:
+        w = float(w.real)
     if abs(w) < _SERIES_CUTOFF:
-        return _poly(_S_COEF, w), _poly(_C_COEF, w)
-    if isinstance(w, complex) and w.imag != 0.0:
-        z = np.sqrt(complex(w))
-        return complex(np.sin(z) / z), complex(np.cos(z))
-    w = float(w.real)
-    if w > 0:
-        z = math.sqrt(w)
-        return math.sin(z) / z, math.cos(z)
-    y = math.sqrt(-w)
-    if y > 700.0:
-        raise EdgeModelError(
-            f"hyperbolic overflow at w={w}; use the dedicated stable paths"
-        )
-    return math.sinh(y) / y, math.cosh(y)
-
-
-def _csch(y):
-    # 1/sinh for y > 0 without overflow; underflows cleanly to 0.0.
-    if y < 20.0:
-        return 1.0 / math.sinh(y)
-    e = math.exp(-y)
-    return 2.0 * e / (1.0 - e * e)
-
-
-def _is_real(lam) -> bool:
-    return lam.imag == 0.0
+        return _poly(_C_COEF, w), _poly(_S_COEF, w), 0.0
+    if isinstance(w, float):
+        if w > 0:
+            z = math.sqrt(w)
+            return math.cos(z), math.sin(z) / z, 0.0
+        y = math.sqrt(-w)
+        v = math.expm1(-2.0 * y)  # exp(-2y) - 1
+        return 1.0 + v / 2, -v / (2 * y), -y
+    z = cmath.sqrt(w)
+    if z.imag < 0:
+        z = -z
+    if z.imag <= 20.0:
+        # Not the exponential form: near the poles it loses digits.
+        return cmath.cos(z), cmath.sin(z) / z, 0.0
+    u = cmath.exp(2j * z)
+    return (1 + u) / 2, (u - 1) / (2j * z), 1j * z
 
 
 def boundary_dim(model: EdgeModel) -> int:
@@ -270,10 +269,13 @@ def _nearest_pole(model: EdgeModel, ell: float, lam: complex, triplet: str):
         if lam.real <= 0:
             return abs(lam), 0.0
         return abs(lam.imag), lam.real
+    # All poles are real, so the nearest one brackets Re lam: its index is
+    # n0 or n0 + 1, with (n0 + offset) pi / l the last pole wavenumber at
+    # or below that of Re lam.
     first, offset, candidates = _pole_family(model, triplet)
     candidates = list(candidates)
-    n_guess = int(ell * model._wavenumber(lam) / math.pi)
-    for n in range(max(first, n_guess - 2), n_guess + 4):
+    n0 = math.floor(ell * model._wavenumber(lam.real) / math.pi - offset)
+    for n in range(max(first, n0), n0 + 2):
         candidates.extend(model._pole((n + offset) * math.pi / ell))
     dist = pole = None
     for p in candidates:  # the first of equally near poles wins
@@ -303,43 +305,22 @@ def _halfline_root(lam):
 
 
 def _kernel(ell, k2, derivative):
-    """Laplacian response M_L(l; k^2) and, when asked, dM_L/d(k^2)."""
+    """Laplacian response M_L(l; k^2) and, when asked, dM_L/d(k^2).
+
+    In q = C/S = z cot z and r = 1/S = z csc z, M_L = [[-q, r], [r, -q]]/l,
+    and r^2 = q^2 + w turns the derivative into (r^2 - q)/(2w) and
+    -r(q - 1)/(2w) times l.
+    """
     w = ell * ell * k2
+    c, s, log_e = _trig(w)
+    q, r = c / s, cmath.exp(log_e) / s
+    m11, m12 = -q / ell, r / ell
     dm = None
-    if _is_real(k2) and w.real < -1.0:
-        kappa = math.sqrt(-k2.real)
-        y = kappa * ell
-        csch = _csch(y)
-        m11, m12 = -kappa / math.tanh(y), kappa * csch
-        if derivative:
-            coth = 1.0 / math.tanh(y)
-            d11 = (coth - y * (coth * coth - 1.0)) / (2 * kappa)
-            d12 = csch * (y * coth - 1.0) / (2 * kappa)
-    elif not _is_real(k2) and abs(np.sqrt(w).imag) > 20.0:
-        # sin and cos of z = sqrt(w) overflow for large |Im z|; with
-        # u = exp(i sgn(Im z) z), |u| < 1, the ratios q = z cot z = C/S and
-        # r = z csc z = 1/S are exponential forms that cannot overflow, and
-        # 1 + cot^2 = csc^2 turns the derivative into a sum without cancellation.
-        z = np.sqrt(complex(w))
-        sgn = 1.0 if z.imag > 0 else -1.0
-        u = cmath.exp(1j * sgn * z)
-        q = -sgn * 1j * z * (1 + u * u) / (1 - u * u)
-        r = -sgn * 2j * z * u / (1 - u * u)
-        m11, m12 = -q / ell, r / ell
-        if derivative:
-            d11 = ell * (r * r - q) / (2 * w)
-            d12 = -ell * r * (q - 1) / (2 * w)
-    else:
-        s, c = _sc(w)
-        m11, m12 = -c / (ell * s), 1.0 / (ell * s)
-        if derivative and abs(w) < _SERIES_CUTOFF:
-            d11 = ell * _poly(_D1_COEF, w)
-            d12 = ell * _poly(_E1_COEF, w)
-        elif derivative:
-            sp = (c - s) / (2 * w)
-            d11 = ell * (s * s / 2 + c * (c - s) / (2 * w)) / (s * s)
-            d12 = ell * (-sp / (s * s))
     if derivative:
+        if abs(w) < _SERIES_CUTOFF:
+            d11, d12 = ell * _poly(_D1_COEF, w), ell * _poly(_E1_COEF, w)
+        else:
+            d11, d12 = ell * (r * r - q) / (2 * w), -ell * r * (q - 1) / (2 * w)
         dm = np.array([[d11, d12], [d12, d11]], dtype=complex)
     return np.array([[m11, m12], [m12, m11]], dtype=complex), dm
 
@@ -347,34 +328,21 @@ def _kernel(ell, k2, derivative):
 def _weyl_hat(c, ell, lam, derivative):
     """Dirac response and derivative under the hat trace maps.
 
-    Written in t = S/C = tan(z)/z and sec = 1/C, z = sqrt(w), which stay
-    finite where S and C overflow: deep in the gap they are tanh(y)/y and
-    sech(y), y = sqrt(-w), and for |Im z| > 20 the exponential forms with
-    u = exp(i sgn(Im z) z), |u| < 1, as in ``_kernel``.
+    Written in t = S/C = tan(z)/z and sec = 1/C, z = sqrt(w), with
+    dt/dw = (sec^2 - t)/(2w) by 1 + w t^2 = sec^2, or t^2 D1(w) near w = 0.
     """
     half_gap = c * c / 2
     w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
-    if _is_real(w) and w.real < -1.0:
-        y = math.sqrt(-w.real)
-        e = math.exp(-y)
-        t, sec = math.tanh(y) / y, 2.0 * e / (1.0 + e * e)
-    elif not _is_real(w) and abs(np.sqrt(w).imag) > 20.0:
-        z = np.sqrt(complex(w))
-        sgn = 1.0 if z.imag > 0 else -1.0
-        u = cmath.exp(1j * sgn * z)
-        t, sec = sgn * 1j * (1 - u * u) / ((1 + u * u) * z), 2 * u / (1 + u * u)
-    else:
-        s, cw = _sc(w)
-        t, sec = s / cw, 1.0 / cw
+    cw, s, log_e = _trig(w)
+    t, sec = s / cw, cmath.exp(log_e) / cw
     m11 = (lam - half_gap) * ell * t
     m22 = (lam + half_gap) * ell * t / (c * c)
     m = np.array([[m11, sec], [sec, m22]], dtype=complex)
     if not derivative:
         return m, None
     wp = 2 * ell * ell * lam / (c * c)
-    # dt/dw = S'/C + t^2/2 = (sec^2 - t)/(2w), by 1 + w t^2 = sec^2.
     if abs(w) < _SERIES_CUTOFF:
-        dt = (_poly(_SP_COEF, w) * sec + t * t / 2) * wp
+        dt = t * t * _poly(_D1_COEF, w) * wp
     else:
         dt = (sec * sec - t) / (2 * w) * wp
     d11 = ell * (t + (lam - half_gap) * dt)
@@ -383,17 +351,22 @@ def _weyl_hat(c, ell, lam, derivative):
     return m, np.array([[d11, d12], [d12, d22]], dtype=complex)
 
 
-def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False):
-    """(distance, pole, M(lam), M'(lam) or None) of one edge.
-
-    The one pole computation of an edge evaluation: raises PoleOfWeylError
-    within ``tol * max(1, |pole|)`` of the nearest decoupled eigenvalue.
-    """
+def _guard(model, ell, lam, triplet="graph", tol=_POLE_TOL):
+    """(distance, pole) of one edge evaluation, the one pole computation:
+    raises PoleOfWeylError within ``tol * max(1, |pole|)`` of the nearest
+    decoupled eigenvalue."""
     _check_triplet(model, triplet)
     _check_length(model, ell)
     dist, pole = _nearest_pole(model, ell, complex(lam), triplet)
     if dist < tol * max(1.0, abs(pole)):
         raise PoleOfWeylError(lam, pole)
+    return dist, pole
+
+
+def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False):
+    """(distance, pole, M(lam), M'(lam) or None) of one edge, guarded by
+    ``_guard``."""
+    dist, pole = _guard(model, ell, lam, triplet, tol)
     if boundary_dim(model) == 1:
         z = _halfline_root(lam)
         return (dist, pole, np.array([[1j * z]], dtype=complex),
@@ -448,7 +421,7 @@ def default_lambda0(model: EdgeModel):
 def _special_values(model: EdgeModel, ell: float, lam0):
     """(distance to the nearest pole, M(lambda0), ||M'(lambda0)||) at a real
     point, from one pole computation."""
-    if not _is_real(lam0):
+    if lam0.imag != 0.0:
         raise EdgeModelError(f"lambda0 must be real, got {lam0}")
     dist, _, m, dm = _response(model, ell, lam0, derivative=True)
     return dist, m, float(np.max(np.abs(np.linalg.eigvalsh(dm))))
@@ -489,63 +462,65 @@ def transform_triplet(weyl_value: np.ndarray, w_blocks: np.ndarray) -> np.ndarra
 class DefectElement:
     """Solution of the edge eigenvalue equation with prescribed Gamma0 data.
 
-    Coefficients refer to the normalized fundamental system
-    c(x) = C(k^2 x^2), s(x) = x S(k^2 x^2) of the second-order reduction,
-    psi1 = a c + b s; for the Dirac model the second spinor component is
-    recovered from the first-order system, ic psi2 = rho psi1'.
+    ``ends`` holds the first spinor component at both endpoints in
+    two-point form: (psi1(0), psi1(l)) under the graph trace maps and
+    (psi1(0), psi1'(l)) under the Dirac hat maps; (psi(0),) on a half-line.
+    In between, psi1 is the combination of c(x) = C(k^2 x^2) and
+    s(x) = x S(k^2 x^2), taken at x and l - x, that matches them; for the
+    Dirac model the second spinor component is recovered from the
+    first-order system, ic psi2 = rho psi1'.
     """
 
     model: EdgeModel
     ell: float
     lam: complex
     gamma0: tuple
-    coeff: tuple
+    ends: tuple
     triplet: str = "graph"
 
     def values(self, x):
         """Solution values at points ``x``: shape (n,) scalar or (2, n) spinor."""
         x = np.asarray(x, dtype=float)
         if boundary_dim(self.model) == 1:
-            return self.coeff[0] * np.exp(1j * _halfline_root(self.lam) * x)
-        a, b = self.coeff
+            return self.ends[0] * np.exp(1j * _halfline_root(self.lam) * x)
+        near, far = self.ends
+        ell = self.ell
         k2, _, rho, _ = self.model._reduce(complex(self.lam))
-        sc = [_sc(k2 * xi * xi) for xi in x]
-        cvals = np.array([cw for _, cw in sc])
-        svals = x * np.array([s for s, _ in sc])
-        psi1 = a * cvals + b * svals
+        c_l, s_l, log_l = _trig(k2 * ell * ell)
+
+        def cs(y):
+            # (c(y), s(y)) times e(l); e(l)/e(y) has modulus at most 1.
+            cy, sy, log_y = _trig(k2 * y * y)
+            f = cmath.exp(log_l - log_y)
+            return cy * f, y * sy * f
+
+        cx, sx = np.array([cs(y) for y in x], dtype=complex).reshape(-1, 2).T
+        cr, sr = np.array([cs(y) for y in ell - x], dtype=complex).reshape(-1, 2).T
+        if self.triplet == "hat":
+            psi1 = (near * cr + far * sx) / c_l
+            dpsi1 = (near * k2 * sr + far * cx) / c_l
+        else:
+            psi1 = (near * sr + far * sx) / (ell * s_l)
+            dpsi1 = (far * cx - near * cr) / (ell * s_l)
         if rho is None:
             return psi1
-        dpsi1 = b * cvals - k2 * a * svals
         return np.vstack([psi1, rho * dpsi1 / (1j * self.model.c)])
 
     def boundary_data(self):
-        """Return (Gamma0, Gamma1) of the element under its trace convention."""
-        a = self.coeff[0]
-        if boundary_dim(self.model) == 1:
-            return np.array([a]), np.array([1j * _halfline_root(self.lam) * a])
-        b = self.coeff[1]
-        ell = self.ell
-        k2, _, rho, _ = self.model._reduce(complex(self.lam))
-        s, cw = _sc(k2 * ell * ell)
-        sl = ell * s
-        psi_l = a * cw + b * sl
-        dpsi_l = -k2 * a * sl + b * cw
-        if rho is None:
-            return np.array([a, psi_l]), np.array([b, -dpsi_l])
-        if self.triplet == "hat":
-            return np.array([a, rho * dpsi_l]), np.array([rho * b, psi_l])
-        # D^H (psi1(0), psi1(l)) and rho D^H (psi1'(0), -psi1'(l)).
-        return np.array([a, 1j * psi_l]), rho * np.array([b, -1j * dpsi_l])
+        """Return (Gamma0, Gamma1 = M(lam) Gamma0) under the element's trace
+        convention."""
+        gamma0 = np.array(self.gamma0, dtype=complex)
+        return gamma0, _response(self.model, self.ell, self.lam, self.triplet)[2] @ gamma0
 
 
 def defect_element(model: EdgeModel, ell: float, lam, gamma0,
                    triplet: str = "graph") -> DefectElement:
     """Defect solution with Gamma0 data ``gamma0`` at spectral point ``lam``.
 
-    Every trace convention has Gamma0[0] = psi1(0) and Gamma1[0] =
-    rho psi1'(0), so the coefficients are read off M(lam) gamma0.
+    Gamma0 holds psi1(0) and the far-end datum: psi1(l) (times i for
+    Dirac) under the graph trace maps, rho psi1'(l) under the hat maps.
     """
-    m = _response(model, ell, lam, triplet)[2]
+    _guard(model, ell, lam, triplet)
     gamma0 = np.asarray(gamma0, dtype=complex)
     if gamma0.shape != (boundary_dim(model),):
         raise EdgeModelError(
@@ -555,8 +530,12 @@ def defect_element(model: EdgeModel, ell: float, lam, gamma0,
     if boundary_dim(model) == 1:
         return DefectElement(model, ell, lam, (gamma0[0],), (gamma0[0],), triplet)
     rho = model._reduce(lam)[2]
-    b = (m[0] @ gamma0) / (1.0 if rho is None else rho)
-    return DefectElement(model, ell, lam, tuple(gamma0), (gamma0[0], b), triplet)
+    far = gamma0[1]
+    if triplet == "hat":
+        far = far / rho
+    elif rho is not None:
+        far = -1j * far
+    return DefectElement(model, ell, lam, tuple(gamma0), (gamma0[0], far), triplet)
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)

@@ -10,15 +10,16 @@ over the orthonormalized global basis is singular.  Since every edge
 response matrix has positive-definite derivative on real gaps, K is
 strictly decreasing in lambda between consecutive poles, so each sorted
 eigenvalue branch of K crosses zero at most once per pole-free cell and
-Brent's method on the branches finds every root with its multiplicity -
-in particular even-multiplicity roots that a bare determinant sign scan
-cannot see.  Only the edge term M(lambda) depends on lambda, so a scan
-compiles the rest of K once and repeats only the per-lambda step: one
+Brent's method on the branches finds every root, with the number of
+branches crossing there as its multiplicity - in particular
+even-multiplicity roots that a bare determinant sign scan cannot see.
+Only the edge term M(lambda) depends on lambda, so a scan compiles the
+rest of K once and repeats only the per-lambda step: one
 edge response per edge, an O(nnz) scatter-add of their entries and one
 eigensolve, in real arithmetic when K is real (delta couplings in both
 edge models).  Brent's zero is a point it evaluated, so each root's
-residual |det K| and kernel dimension are read off the eigenvalues kept
-there, and no lambda is evaluated twice.
+residual |det K| is read off the eigenvalues kept there, and no lambda is
+evaluated twice.
 
 Route 2 (oracle): per edge, the raw first-order ODE system is integrated
 by classical RK4 to build transfer matrices; the vertex conditions
@@ -46,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import GlobalBasis, VertexCoupling, _CompiledPairing, global_basis
+from .coupling import VertexCoupling, _CompiledPairing, global_basis
 from .graphs import MetricGraph, edge_model_for, incidence_sets
 
 __all__ = [
@@ -103,8 +104,7 @@ def _decoupled_in_window(g: MetricGraph, window) -> np.ndarray:
     return np.array(out)
 
 
-def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam,
-                 gb: Optional[GlobalBasis] = None, *,
+def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
                  _pairing: Optional[_CompiledPairing] = None) -> np.ndarray:
     """Secular matrix <(L - M(lambda)) bhat_j, bhat_i> over the global basis.
 
@@ -126,8 +126,7 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam,
         blocks[e.id] = em.weyl(model, e.length, lam, _pole_tol=_POLE_GUARD)
     compiled = _pairing
     if compiled is None:
-        compiled = _CompiledPairing(gb if gb is not None else global_basis(g, coupling),
-                                    coupling)
+        compiled = _CompiledPairing(global_basis(g, coupling), coupling)
     return compiled(blocks) / np.outer(compiled.norms, compiled.norms)
 
 
@@ -207,14 +206,16 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     K(lambda) are strictly decreasing, so Brent's method finds the zero of
     each independently, to about two ulps.  ``tol`` is the merge radius
     only: branch zeros closer than max(100 tol, 1e-9 max(1, |lambda|))
-    merge into one root with multiplicity.
+    merge into one root, whose multiplicity is the number of branches that
+    cross zero there (each kernel dimension of K at a root is one such
+    crossing; a count of small |mu| would add false ones where K has
+    entries of order 1/l_min).
 
     K is compiled once per call, each lambda is evaluated at most once (the
     eigenvalues of every evaluated lambda are kept per cell), and the
     eigensolve runs in real arithmetic when K is real.  Brent's zero is a
-    point it evaluated, so each root's residual |det K| = |prod mu| and its
-    kernel dimension #{|mu| < 1e-7 max(1, max |mu|)} (the singular values
-    of the Hermitian K are the |mu|) are read off eigenvalues at hand.
+    point it evaluated, so each root's residual |det K| = |prod mu| is read
+    off eigenvalues at hand.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -256,9 +257,7 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
             else:
                 merged.append([r, 1])
         for r, mult in merged:
-            mu = np.abs(seen[r])
-            mult_sv = int(np.sum(mu < _KERNEL_CUTOFF * max(1.0, mu.max())))
-            roots.append(Root(r, float(np.prod(mu)), max(mult, mult_sv), "krein"))
+            roots.append(Root(r, float(np.prod(np.abs(seen[r]))), mult, "krein"))
     if usable_cells == 0:
         raise ValueError("window consists of pole neighborhoods only")
     excluded = tuple(float(p) for p in poles if a <= p <= b)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,16 @@ def dirac_star(alphas=(2.0, -1.0, 1.0, 0.0), lengths=(1.0, 1.0, 1.0), c=1.0):
     coup = cp.delta_coupling(g, gr.alpha_map(g, list(alphas)))
     reg = rg.build_regularization(g)
     return g, coup, reg
+
+
+def test_non_hermitian_pairing_raises():
+    g, coup, reg = dirac_star()
+    blocks = dict(reg.m_at_lambda0)
+    block = blocks["e00"].copy()
+    block[0, 1] += 0.5
+    blocks["e00"] = block
+    with pytest.raises(AssertionError, match="not Hermitian"):
+        dc.build_discrete(g, coup, dataclasses.replace(reg, m_at_lambda0=blocks))
 
 
 def test_dirac_delta_weights_are_inverse_lengths():

@@ -325,6 +325,69 @@ def test_dirac_hat_large_imaginary_wavenumber():
     assert abs(m[0, 1]) <= 1e-300 and abs(dm[0, 1]) <= 1e-300
 
 
+# 60-digit references for a Dirac edge deep in the gap, where sinh and cosh
+# of l sqrt(-k^2) = 753.5 overflow: psi1(x) = sinh(k(l - x))/sinh(kl) and
+# ic psi2 = rho psi1' with rho = 2, k = c/2.
+def test_defect_element_deep_gap_references():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        el = em.defect_element(em.Dirac(137.0), 11.0, 0.0, [1, 0])
+        g0, g1 = el.boundary_data()
+        vals = el.values([0.01, 0.5, 1.0])
+    assert np.array_equal(g0, [1, 0])
+    assert abs(g1[0] + 137.0) <= 1e-14 * 137.0 and abs(g1[1]) <= 1e-300
+    psi1 = [0.50409022957482551854, 1.3347932285976030013e-15, 1.7816729631100128627e-30]
+    np.testing.assert_allclose(vals[0], psi1, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(vals[1], 1j * np.array(psi1), rtol=1e-12, atol=0)
+
+
+# 60-digit references for psi(x) = sin(k(l - x))/sin(kl) at k^2 = -1e6 + 1j,
+# where the sine and cosine of k overflow.
+def test_defect_element_large_imaginary_wavenumber_references():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        el = em.defect_element(LAP, 1.0, -1e6 + 1j, [1, 0])
+        g0, g1 = el.boundary_data()
+        vals = el.values([0.001, 0.01, 0.5])
+    assert np.array_equal(g0, [1, 0])
+    want = -1000.000000000125 + 0.0004999999999999375j
+    assert abs(g1[0] - want) <= 1e-14 * abs(want) and abs(g1[1]) <= 1e-300
+    np.testing.assert_allclose(
+        vals, [0.36787944117135034408 + 1.8393972058566751171e-7j,
+               0.000045399929761860593051 + 2.2699964881116625876e-10j,
+               7.124576183652987969e-218 + 1.7811440830201929001e-221j],
+        rtol=1e-12, atol=0)
+
+
+# 60-digit reference for a Dirac graph-map derivative at a large phase
+# (l k about 8.6e6); rounding the phase already costs about 3e-10.
+def test_dirac_derivative_large_phase_reference():
+    got = em.weyl_derivative(em.Dirac(0.5), 25.0, 172737.98995525413 + 0.3911519252344373j)
+    d11 = 1.0383499580534248301e-15 + 2.0945887598670907463e-12j
+    d12 = 1.9587136856324666426e-9 + 1.6039143481050574835e-7j
+    want = np.array([[d11, -1j * d12], [1j * d12, d11]])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_pole_distance_matches_brute_force_nearest():
+    # The nearest pole of a complex lambda brackets Re lambda, not |lambda|.
+    dist, pole = em.pole_distance(em.Dirac(1.0), 1.0, 5 + 100j)
+    assert abs(pole - math.sqrt(4 * math.pi ** 2 + 0.25)) < 1e-12
+    assert abs(dist - abs(5 + 100j - pole)) < 1e-12
+    rng = np.random.default_rng(11)
+    cases = [(LAP, "graph"), (em.Dirac(0.5), "graph"), (em.Dirac(2.0), "graph"),
+             (em.Dirac(0.5), "hat"), (em.Dirac(2.0), "hat")]
+    for _ in range(300):
+        model, triplet = cases[rng.integers(0, len(cases))]
+        ell = float(rng.uniform(0.1, 3.0))
+        lam = complex(rng.uniform(-60.0, 60.0), rng.choice([0.0, rng.uniform(-80.0, 80.0)]))
+        poles = em.decoupled_eigenvalues(model, ell, count=400, triplet=triplet)
+        want = poles[np.argmin(np.abs(lam - poles))]
+        dist, pole = em.pole_distance(model, ell, lam, triplet)
+        assert pole == want
+        assert dist == abs(lam - want)
+
+
 def test_derivative_matches_central_differences():
     rng = np.random.default_rng(5)
     for model, low, high in [(LAP, -8.0, 6.0), (em.Dirac(1.0), -2.0, 2.0)]:

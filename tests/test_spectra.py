@@ -318,3 +318,13 @@ def test_csv_format():
     assert lines[0] == "method,lambda,residual,multiplicity,flag"
     assert all(len(line.split(",")) == 5 for line in lines[1:])
     assert sp.spectrum_csv(scan) == text  # deterministic
+
+
+def test_short_edge_chain_roots_are_simple():
+    # K has entries of order 1/l_min here; only branch crossings count
+    # towards multiplicity, and every root of these chains is simple.
+    for depth in (30, 40):
+        g = gr.geometric_chain(0.5, 0.5, depth)
+        res = sp.scan_spectrum(g, cp.delta_coupling(g, gr.alpha_map(g, 0.3)), (-1.0, 60.0))
+        assert len(res.roots) == 3
+        assert [r.multiplicity for r in res.roots] == [1, 1, 1]
