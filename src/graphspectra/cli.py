@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--oracle", action="store_true",
                    help="also run the RK4 transfer-matrix route and "
                         "cross-tag agreement")
-    p.add_argument("--mesh", type=int, default=2000)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("weyl", help="print one edge boundary response matrix")
@@ -193,8 +192,7 @@ def _cmd_spectrum(args) -> int:
     scan = sp.scan_spectrum(g, coupling, window, tol=args.tol)
     results = [scan]
     if args.oracle:
-        oracle = sp.oracle_eigenvalues(g, coupling, window, mesh=args.mesh,
-                                       tol=args.tol)
+        oracle = sp.oracle_eigenvalues(g, coupling, window, tol=args.tol)
         pairs, only_scan, _ = sp.match_spectra(
             scan.values, oracle.values, scan.excluded
         )

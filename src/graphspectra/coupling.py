@@ -17,11 +17,11 @@ form <(L - M) b_j, b_i> is evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from .edges import Dirac, Laplacian
+from .edges import Dirac
 from .graphs import MetricGraph, incidence_sets, boundary_coordinates
 
 __all__ = [
@@ -66,30 +66,26 @@ class VertexCoupling:
 
 
 def _delta_phases(entries, dirac: bool) -> np.ndarray:
+    """Delta-coupling phases over ``entries``: i at incoming Dirac coordinates, else 1."""
     if dirac:
         return np.array([1.0 if e.endpoint == 0 else 1.0j for e in entries])
     return np.ones(len(entries), dtype=complex)
 
 
-def delta_coupling(g: MetricGraph, alpha: Mapping[str, float],
-                   flavor: Optional[str] = None) -> VertexCoupling:
+def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling:
     """Point-interaction coupling of strength alpha(v) at each vertex.
 
-    ``flavor`` is "laplacian" or "dirac"; by default it follows the graph's
-    edge model.  Each vertex gets the one-dimensional subspace spanned by
-    its phase vector and the block alpha(v)/deg(v) on it.
+    Each vertex gets the one-dimensional subspace spanned by its phase
+    vector for the graph's edge model and the block alpha(v)/deg(v) on it.
     """
-    if flavor is None:
-        flavor = "dirac" if isinstance(g.model, Dirac) else "laplacian"
-    if flavor not in ("laplacian", "dirac"):
-        raise ValueError(f"unknown delta flavor {flavor!r}")
+    dirac = isinstance(g.model, Dirac)
     inc = incidence_sets(g)
     missing = [v for v in g.vertices if v not in alpha]
     if missing:
         raise ValueError(f"alpha missing for vertices {sorted(missing)}")
     blocks = {}
     for v, entries in inc.items():
-        vec = _delta_phases(entries, flavor == "dirac")
+        vec = _delta_phases(entries, dirac)
         mat = np.array([[alpha[v] / len(entries)]], dtype=complex)
         blocks[v] = VertexBlock(v, vec[:, None], mat)
     return VertexCoupling("delta", blocks)
@@ -171,12 +167,6 @@ class GlobalBasis:
     @property
     def size(self) -> int:
         return len(self.coords)
-
-    def index_of(self, label: str) -> int:
-        for i, el in enumerate(self.elements):
-            if el.label == label:
-                return i
-        raise KeyError(label)
 
 
 def _by_size(owned):

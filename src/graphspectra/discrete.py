@@ -58,7 +58,6 @@ _HERM_TOL = 1e-10
 @dataclass(frozen=True)
 class DiscreteLaplacian:
     labels: tuple                 # index set, one label per basis element
-    owners: tuple                 # owning vertex per index
     m: np.ndarray                 # positive measure
     c: np.ndarray                 # real potential
     b: Mapping                    # {(i, j): weight}, i < j, symmetric closure implied
@@ -79,15 +78,8 @@ class DiscreteLaplacian:
         key = (i, j) if i < j else (j, i)
         return self.b.get(key, 0.0)
 
-    def neighbors(self, i: int):
-        for (a, bnd), val in self.b.items():
-            if a == i:
-                yield bnd, val
-            elif bnd == i:
-                yield a, val
-
     def row_sum(self, i: int):
-        return sum(val for _, val in self.neighbors(i))
+        return sum(val for key, val in self.b.items() if i in key)
 
 
 def _regularized_pairing(g: MetricGraph, coupling: VertexCoupling,
@@ -133,7 +125,6 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     model_tag = "dirac" if isinstance(g.model, em.Dirac) else "laplacian"
     return DiscreteLaplacian(
         labels=tuple(el.label for el in gb.elements),
-        owners=tuple(el.vertex for el in gb.elements),
         m=m,
         c=c,
         b=b,
@@ -155,18 +146,16 @@ def weighted_degree(dl: DiscreteLaplacian) -> np.ndarray:
     return out / dl.m
 
 
-def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization,
-                subset=None):
+def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization):
     """Hermitian matrix <(L - M0) b_v, b_w> / (||R b_v|| ||R b_w||) over the
-    global basis; optionally restricted to the index ``subset``.
+    global basis.
 
     Dense ndarray below 64 indices, sparse CSR beyond.
     """
     _, pair, m = _regularized_pairing(g, coupling, reg)
-    idx = list(range(len(m))) if subset is None else list(subset)
-    rnorm = np.sqrt(m[idx])
-    out = pair[idx][:, idx] / np.outer(rnorm, rnorm)
-    if len(idx) < _DENSE_LIMIT:
+    rnorm = np.sqrt(m)
+    out = pair / np.outer(rnorm, rnorm)
+    if len(m) < _DENSE_LIMIT:
         return out
     import scipy.sparse  # imported here: it is most of the package's import time
     return scipy.sparse.csr_matrix(out)

@@ -462,13 +462,13 @@ def transform_triplet(weyl_value: np.ndarray, w_blocks: np.ndarray) -> np.ndarra
 class DefectElement:
     """Solution of the edge eigenvalue equation with prescribed Gamma0 data.
 
-    ``ends`` holds the first spinor component at both endpoints in
-    two-point form: (psi1(0), psi1(l)) under the graph trace maps and
-    (psi1(0), psi1'(l)) under the Dirac hat maps; (psi(0),) on a half-line.
-    In between, psi1 is the combination of c(x) = C(k^2 x^2) and
-    s(x) = x S(k^2 x^2), taken at x and l - x, that matches them; for the
-    Dirac model the second spinor component is recovered from the
-    first-order system, ic psi2 = rho psi1'.
+    ``ends`` holds the solution at both endpoints in two-point form:
+    (psi1(0), psi1(l)) under the graph trace maps, Gamma0 = (psi1(0),
+    ic psi2(l)) under the Dirac hat maps, (psi(0),) on a half-line.  In
+    between, psi1 is the combination of c(x) = C(k^2 x^2) and
+    s(x) = x S(k^2 x^2), taken at x and l - x, that matches them; for Dirac,
+    ic psi2 = rho psi1'.  The hat maps use 1/rho = (lambda + c^2/2)/c^2 and
+    rho k^2 = lambda - c^2/2, so that nothing divides by lambda + c^2/2.
     """
 
     model: EdgeModel
@@ -484,8 +484,12 @@ class DefectElement:
         if boundary_dim(self.model) == 1:
             return self.ends[0] * np.exp(1j * _halfline_root(self.lam) * x)
         near, far = self.ends
-        ell = self.ell
-        k2, _, rho, _ = self.model._reduce(complex(self.lam))
+        ell, lam = self.ell, complex(self.lam)
+        if self.triplet == "hat":
+            c2 = self.model.c * self.model.c
+            k2 = (lam * lam - (c2 / 2) ** 2) / c2
+        else:
+            k2, _, rho, _ = self.model._reduce(lam)
         c_l, s_l, log_l = _trig(k2 * ell * ell)
 
         def cs(y):
@@ -497,14 +501,15 @@ class DefectElement:
         cx, sx = np.array([cs(y) for y in x], dtype=complex).reshape(-1, 2).T
         cr, sr = np.array([cs(y) for y in ell - x], dtype=complex).reshape(-1, 2).T
         if self.triplet == "hat":
-            psi1 = (near * cr + far * sx) / c_l
-            dpsi1 = (near * k2 * sr + far * cx) / c_l
+            # far = ic psi2(l) = rho psi1'(l); flux = ic psi2 = rho psi1'.
+            psi1 = (near * cr + far * ((lam + c2 / 2) / c2) * sx) / c_l
+            flux = (near * (lam - c2 / 2) * sr + far * cx) / c_l
         else:
             psi1 = (near * sr + far * sx) / (ell * s_l)
-            dpsi1 = (far * cx - near * cr) / (ell * s_l)
-        if rho is None:
-            return psi1
-        return np.vstack([psi1, rho * dpsi1 / (1j * self.model.c)])
+            if rho is None:
+                return psi1
+            flux = rho * ((far * cx - near * cr) / (ell * s_l))
+        return np.vstack([psi1, flux / (1j * self.model.c)])
 
     def boundary_data(self):
         """Return (Gamma0, Gamma1 = M(lam) Gamma0) under the element's trace
@@ -518,7 +523,7 @@ def defect_element(model: EdgeModel, ell: float, lam, gamma0,
     """Defect solution with Gamma0 data ``gamma0`` at spectral point ``lam``.
 
     Gamma0 holds psi1(0) and the far-end datum: psi1(l) (times i for
-    Dirac) under the graph trace maps, rho psi1'(l) under the hat maps.
+    Dirac) under the graph trace maps, ic psi2(l) under the hat maps.
     """
     _guard(model, ell, lam, triplet)
     gamma0 = np.asarray(gamma0, dtype=complex)
@@ -529,11 +534,8 @@ def defect_element(model: EdgeModel, ell: float, lam, gamma0,
     lam = complex(lam)
     if boundary_dim(model) == 1:
         return DefectElement(model, ell, lam, (gamma0[0],), (gamma0[0],), triplet)
-    rho = model._reduce(lam)[2]
     far = gamma0[1]
-    if triplet == "hat":
-        far = far / rho
-    elif rho is not None:
+    if triplet == "graph" and isinstance(model, Dirac):
         far = -1j * far
     return DefectElement(model, ell, lam, tuple(gamma0), (gamma0[0], far), triplet)
 

@@ -4,8 +4,8 @@ Rescaling the per-edge trace maps by r_e = sqrt(||M_e'(lambda0)||) (and
 re-centering the second map by M_e(lambda0)) turns the direct sum of edge
 trace maps into honest boundary data for the whole graph even when edge
 lengths shrink to zero.  This module computes and certifies that data:
-the weights, the special values M_e(lambda0), and the distance from
-lambda0 to the decoupled edge spectra.
+the squared weights r_e^2, the special values M_e(lambda0), and the
+distance from lambda0 to the decoupled edge spectra.
 """
 
 from __future__ import annotations
@@ -27,18 +27,14 @@ _CERT_TOL = 1e-6
 @dataclass(frozen=True)
 class Regularization:
     lambda0: float
-    weights: Mapping[str, float]          # r_e = sqrt(||M_e'(lambda0)||)
     m_at_lambda0: Mapping[str, np.ndarray]
-    norm_prime: Mapping[str, float]       # r_e**2
+    norm_prime: Mapping[str, float]       # r_e**2 = ||M_e'(lambda0)||
     epsilon: float                        # certified distance to decoupled spectra
     certified: bool                       # epsilon > 1e-6 on the stored edge set
 
-    def weight(self, edge_id: str) -> float:
-        return self.weights[edge_id]
-
 
 def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regularization:
-    """Weights and special values for every edge at the real point lambda0.
+    """Squared weights r_e^2 and special values M_e at the real point lambda0.
 
     Raises when lambda0 sits within 1e-9 of a decoupled edge eigenvalue.
     For graphs carrying geometric-chain truncation metadata the certified
@@ -55,28 +51,21 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
                 "graphs with half-line edges need an explicit lambda0 < 0"
             )
     lam0 = float(lam0)
-    weights, special, norms = {}, {}, {}
+    special, norms = {}, {}
     eps = math.inf
     for e in g.edges:
         model = edge_model_for(g.model, e)
-        dist, special[e.id], r2 = em._special_values(model, e.length, lam0)
+        dist, special[e.id], norms[e.id] = em._special_values(model, e.length, lam0)
         eps = min(eps, dist)
-        weights[e.id] = math.sqrt(r2)
-        norms[e.id] = r2
-    return Regularization(lam0, weights, special, norms, eps, eps > _CERT_TOL)
+    return Regularization(lam0, special, norms, eps, eps > _CERT_TOL)
 
 
 def regularized_weyl(model, ell: float, lam, reg: Regularization,
-                     edge_id: Optional[str] = None) -> np.ndarray:
-    """(M(lambda) - M(lambda0)) / ||M'(lambda0)|| for one edge.
+                     edge_id: str) -> np.ndarray:
+    """(M(lambda) - M(lambda0)) / ||M'(lambda0)|| for the edge ``edge_id``,
+    with M(lambda0) and ||M'(lambda0)|| read from ``reg``.
 
     By construction the result vanishes at lambda0 and has unit derivative
-    norm there.  ``edge_id`` selects stored special values; without it they
-    are recomputed from (model, ell).
+    norm there.
     """
-    if edge_id is not None:
-        m0 = reg.m_at_lambda0[edge_id]
-        r2 = reg.norm_prime[edge_id]
-    else:
-        _, m0, r2 = em._special_values(model, ell, reg.lambda0)
-    return (em.weyl(model, ell, lam) - m0) / r2
+    return (em.weyl(model, ell, lam) - reg.m_at_lambda0[edge_id]) / reg.norm_prime[edge_id]

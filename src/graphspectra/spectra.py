@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import VertexCoupling, _CompiledPairing, global_basis
+from .coupling import VertexCoupling, _CompiledPairing, _delta_phases, global_basis
 from .graphs import MetricGraph, edge_model_for, incidence_sets
 
 __all__ = [
@@ -268,6 +268,8 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
 
 # Bytes of oracle matrices assembled in place per block of grid samples.
 _ORACLE_BLOCK_BYTES = 1 << 18
+# RK4 steps per edge on the grid and in the first polish; roots are checked at twice it.
+_ORACLE_MESH = 2000
 
 
 def _rk4_step_matrix(a_mats: np.ndarray, h) -> np.ndarray:
@@ -279,12 +281,6 @@ def _rk4_step_matrix(a_mats: np.ndarray, h) -> np.ndarray:
     k3 = a_mats @ (eye + (h / 2) * k2)
     k4 = a_mats @ (eye + h * k3)
     return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _oracle_edges(g: MetricGraph) -> list:
-    if any(e.is_half_line for e in g.edges):
-        raise ValueError("oracle handles finite lengths only")
-    return sorted(g.edges, key=lambda e: e.id)
 
 
 def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
@@ -313,33 +309,30 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     return t
 
 
-def _transfer_matrices(g: MetricGraph, lams: np.ndarray, mesh: int) -> dict:
-    """Per-edge transfer matrices {edge id: (n_lambda, 2, 2)} over
-    2**ceil(log2(mesh)) RK4 steps (at least two)."""
-    edges = _oracle_edges(g)
-    stack = _transfer_stack(g.model, np.array([e.length for e in edges]), lams, mesh)
-    return {e.id: t for e, t in zip(edges, stack)}
-
-
 class _CompiledOracle:
     """The oracle matrix A(lambda) of one problem as a fixed linear map of the
     edge transfer matrices T_e(lambda), compiled once per oracle call.
 
     The unknowns are the states u_e(0) at the edge sources, in columns
     2e, 2e+1 (edges in id order).  Each incidence coordinate is rotated by
-    conj(phase) (phase = i^t for the Dirac model, 1 otherwise), which makes
-    the delta-type conditions real: traces become psi1 values and fluxes
-    c * sign * (i psi2) values.  Per vertex, the rows say that Gamma0 lies
-    in the rotated coupling subspace (comp^H Gamma0 = 0) and that the block
-    condition holds (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint
-    has the constant traces (u_1, s u_2), a target endpoint (T[0] u, s T[1] u),
+    conj(phase), with the phases of the delta couplings (i^t for the Dirac
+    model, 1 otherwise), which makes the delta-type conditions real: traces
+    become psi1 values and fluxes c * sign * (i psi2) values.  Per vertex,
+    the rows say that Gamma0 lies in the rotated coupling subspace
+    (comp^H Gamma0 = 0) and that the block condition holds
+    (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint has the
+    constant traces (u_1, s u_2), a target endpoint (T[0] u, s T[1] u),
     with s = sign (times c for Dirac), so
 
         A[:, 2e+j] = base[:, 2e+j] + U[:, e] T_e[0, j] + V[:, e] T_e[1, j].
+
+    Whether A(lambda) is real is decided here, once (``real``).
     """
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
-        edges = _oracle_edges(g)
+        if g.has_half_line:
+            raise ValueError("oracle handles finite lengths only")
+        edges = sorted(g.edges, key=lambda e: e.id)
         column = {e.id: k for k, e in enumerate(edges)}
         self.model = g.model
         self.lengths = np.array([e.length for e in edges])
@@ -353,9 +346,7 @@ class _CompiledOracle:
         for vertex in sorted(g.vertices):
             entries = inc[vertex]
             block = coupling.block(vertex)
-            phases = np.array([1.0 if (not dirac or e.endpoint == 0) else 1.0j
-                               for e in entries])
-            basis = phases.conj()[:, None] * block.basis
+            basis = _delta_phases(entries, dirac).conj()[:, None] * block.basis
             unit = basis / np.linalg.norm(basis, axis=0)
             comp = np.linalg.svd(basis, full_matrices=True)[0][:, basis.shape[1]:]
             # Coefficients of each incidence's Gamma0 and Gamma1 in the vertex rows.
@@ -396,35 +387,35 @@ class _CompiledOracle:
             col += self.base[..., j]
         return out
 
-    def dets(self, lams: np.ndarray, mesh: int):
-        """det A over a grid, and whether every A there is numerically real."""
-        dets = np.empty(len(lams), dtype=self._out.dtype)
-        real_ok = True
+    def evaluate(self, kind: str, lams, mesh: int) -> list:
+        """For each lambda in ``lams``: det A(lambda) for kind "det" (real
+        when ``real``), or the pair (sigma_min / sigma_max, singular values)
+        of A(lambda) for kind "sigma".  One assembly and one stacked LAPACK
+        call per block of lambda values."""
+        values = []
         step = self._out.shape[0]
         for start in range(0, len(lams), step):
             a = self.matrices(lams[start:start + step], mesh)
-            if not self.real:
-                imag = np.abs(a.imag).max(axis=(1, 2))
-                real = np.abs(a.real).max(axis=(1, 2))
-                real_ok = real_ok and not np.any(imag > 1e-9 * np.maximum(1.0, real))
-            dets[start:start + step] = np.linalg.det(a)
-        return dets, real_ok
+            if kind == "det":
+                values.extend(np.linalg.det(a))
+            else:
+                sv = np.linalg.svd(a, compute_uv=False)
+                values.extend(zip(sv[:, -1] / np.maximum(sv[:, 0], 1e-300), sv))
+        return values
 
     def drive(self, tasks: list) -> list:
         """Run the coroutines ``tasks`` in lockstep; returns their results.
 
-        A task yields requests ``(kind, lambda, mesh)`` and is sent, for kind
-        "det", the real part of det A(lambda), and for kind "sigma", the pair
-        (sigma_min / sigma_max, singular values) of A(lambda).  Each round
-        answers all pending requests, with one assembly and one stacked
-        LAPACK call per block of requests of the same kind and mesh.  When
-        tasks raise OracleConvergenceError, the error of the first of them
-        is raised, as a loop over the tasks in order would raise it.
+        A task yields requests ``(kind, lambda, mesh)`` and is sent the
+        ``evaluate`` value of that kind at lambda; only sign brackets, which
+        exist when A is real, ask for "det".  Each round answers all pending
+        requests with one ``evaluate`` call per kind and mesh.  When tasks
+        raise OracleConvergenceError, the error of the first of them is
+        raised, as a loop over the tasks in order would raise it.
         """
         results = [None] * len(tasks)
         errors = {}
         answers = {i: None for i in range(len(tasks))}
-        step = self._out.shape[0]
         while answers:
             groups = {}
             for i, answer in answers.items():
@@ -440,30 +431,23 @@ class _CompiledOracle:
                     groups.setdefault((kind, mesh), []).append((i, lam))
             answers = {}
             for (kind, mesh), requests in groups.items():
-                for start in range(0, len(requests), step):
-                    chunk = requests[start:start + step]
-                    a = self.matrices([lam for _, lam in chunk], mesh)
-                    if kind == "det":
-                        values = np.linalg.det(a).real
-                    else:
-                        sv = np.linalg.svd(a, compute_uv=False)
-                        values = zip(sv[:, -1] / np.maximum(sv[:, 0], 1e-300), sv)
-                    answers.update((i, v) for (i, _), v in zip(chunk, values))
+                values = self.evaluate(kind, [lam for _, lam in requests], mesh)
+                answers.update((i, v) for (i, _), v in zip(requests, values))
         if errors:
             raise errors[min(errors)]
         return results
 
 
-def _grid_candidates(grid: np.ndarray, dets: np.ndarray, real_ok: bool) -> list:
+def _grid_candidates(grid: np.ndarray, dets: np.ndarray, real: bool) -> list:
     """Brackets (lo, hi, kind) to polish, from det A on the sample grid.
 
-    For a real determinant, every sign change between neighbouring samples
-    ("sign"), then every strict local minimum of |det| that no sign bracket
-    contains ("min").  An exact zero is a sign change against its left
-    neighbour and counts as +1e-300 against its right one.  Otherwise,
-    every strict local minimum of |det|.
+    For a real A, every sign change between neighbouring samples ("sign"),
+    then every strict local minimum of |det| that no sign bracket contains
+    ("min").  An exact zero is a sign change against its left neighbour and
+    counts as +1e-300 against its right one.  Otherwise, every strict local
+    minimum of |det|.
     """
-    if real_ok:
+    if real:
         vals = dets.real
         held = vals[:-1].copy()
         held[held == 0.0] = 1e-300
@@ -557,31 +541,31 @@ def _oracle_root(lo, hi, kind, window, mesh, tol):
 
 
 def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
-                       mesh: int = 2000, tol: float = 1e-8,
-                       samples: int = 600) -> SpectrumResult:
+                       tol: float = 1e-8, samples: int = 600) -> SpectrumResult:
     """Eigenvalues in the window from the RK4 transfer-matrix determinant.
 
     The oracle matrix is compiled once per call (``_CompiledOracle``), so
     each (lambda, mesh) pair costs one batched transfer product over all
     edges and one broadcast assembly; when the coupling data are real, A
     is real and is factorized in real arithmetic.  Sign changes of the
-    (real) determinant on the sample grid are polished by Brent's method
-    to a bracket width of max(1e-3 tol, 4e-16 max(1, |lambda|)); local
-    minima of |det| that dip to a numerical kernel (even-multiplicity
-    roots) are refined by golden-section search on the smallest singular
-    value.  Each root is re-polished at twice the mesh; movement beyond
-    10 * tol raises OracleConvergenceError.  All candidates are polished
-    in lockstep: each round evaluates the next lambda of every candidate
-    with one stacked determinant or singular-value call per block.
+    (real) determinant on the ``samples``-point grid, at ``_ORACLE_MESH``
+    RK4 steps per edge, are polished by Brent's method to a bracket width
+    of max(1e-3 tol, 4e-16 max(1, |lambda|)); local minima of |det| that
+    dip to a numerical kernel (even-multiplicity roots) are refined by
+    golden-section search on the smallest singular value.  Each root is
+    re-polished at twice the mesh; movement beyond 10 * tol raises
+    OracleConvergenceError.  All candidates are polished in lockstep: each
+    round evaluates the next lambda of every candidate with one stacked
+    determinant or singular-value call per block.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise ValueError("window must satisfy a < b")
     oracle = _CompiledOracle(g, coupling)
     grid = np.linspace(a, b, samples)
-    dets, real_ok = oracle.dets(grid, mesh)
-    tasks = [_oracle_root(lo, hi, kind, (a, b), mesh, tol)
-             for lo, hi, kind in _grid_candidates(grid, dets, real_ok)]
+    dets = np.array(oracle.evaluate("det", grid, _ORACLE_MESH))
+    tasks = [_oracle_root(lo, hi, kind, (a, b), _ORACLE_MESH, tol)
+             for lo, hi, kind in _grid_candidates(grid, dets, oracle.real)]
     roots = [r for r in oracle.drive(tasks) if r is not None]
 
     merged = []
@@ -608,35 +592,37 @@ def decoupled_ground_state(g: MetricGraph) -> float:
     return min(ground, 0.0) if g.has_half_line else ground
 
 
-def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling,
-                            grid=None) -> Optional[float]:
-    """Largest grid point lambda0 below the decoupled ground state where
-    L - P M(lambda0) P is positive semi-definite; None when no grid point
+def _psd(evs: np.ndarray) -> bool:
+    """Ascending eigenvalues ``evs`` of a positive semi-definite matrix, up
+    to -1e-10 relative to the largest |eigenvalue|."""
+    return bool(evs[0] >= -1e-10 * max(1.0, float(np.max(np.abs(evs)))))
+
+
+def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optional[float]:
+    """Largest lambda0 below the decoupled ground state where
+    L - P M(lambda0) P is positive semi-definite; None when no point
     qualifies.  Laplacian model only (the decoupled operator is the
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
-    lower bound for the whole spectrum.
+    lower bound for the whole spectrum.  The first PSD point of a fixed
+    descending grid is tightened by bisection against the last non-PSD one.
     """
     if isinstance(g.model, em.Dirac):
         return None
     ground = decoupled_ground_state(g)
     compiled = _CompiledPairing(global_basis(g, coupling), coupling)
-    if grid is None:
-        top = ground - max(1e-6, 1e-9 * abs(ground))
-        grid = [top - (2.0 ** k - 1.0) * 1e-3 for k in range(40)]
-        grid = [x for x in grid if x > ground - 1e7]
+    top = ground - max(1e-6, 1e-9 * abs(ground))
+    grid = [top - (2.0 ** k - 1.0) * 1e-3 for k in range(40)]
+    grid = [x for x in grid if x > ground - 1e7]
+
     def psd_at(lam0):
         try:
-            kmat = krein_matrix(g, coupling, lam0, _pairing=compiled)
+            return _psd(_eigvalsh(krein_matrix(g, coupling, lam0, _pairing=compiled)))
         except em.EdgeModelError:
             return None
-        evs = _eigvalsh(kmat)
-        return bool(evs[0] >= -1e-10 * max(1.0, float(np.max(np.abs(evs)))))
 
     best = None
     prev_non_psd = None
-    for lam0 in sorted(grid, reverse=True):
-        if lam0 >= ground:
-            continue
+    for lam0 in grid:
         verdict = psd_at(lam0)
         if verdict is None:
             continue

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from graphspectra import edges as em
-from graphspectra.spectra import _transfer_matrices
-from graphspectra.graphs import interval
+from graphspectra.spectra import _transfer_stack
 
 
 LAP = em.Laplacian()
@@ -341,6 +340,22 @@ def test_defect_element_deep_gap_references():
     np.testing.assert_allclose(vals[1], 1j * np.array(psi1), rtol=1e-12, atol=0)
 
 
+# Closed form under the Dirac hat maps at lambda = -c^2/2, the pole of
+# rho = c^2/(lambda + c^2/2): k = 0 and 1/rho = 0, so psi1 is constant and
+# ic psi2 = (lambda - c^2/2) psi1 (l - x) + ic psi2(l) is linear.  With
+# c = 2, l = 0.7 and Gamma0 = (1, 0.5): psi1 = 1, ic psi2 = 0.5 - 4 (0.7 - x).
+def test_defect_element_hat_maps_at_rho_pole():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        el = em.defect_element(em.Dirac(2.0), 0.7, -2.0, [1.0, 0.5], triplet="hat")
+        g0, g1 = el.boundary_data()
+        vals = el.values([0.0, 0.35, 0.7])
+    np.testing.assert_allclose(vals[0], [1.0, 1.0, 1.0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(vals[1], [1.15j, 0.45j, -0.25j], rtol=1e-14, atol=1e-15)
+    assert np.array_equal(g0, [1.0, 0.5])
+    np.testing.assert_allclose(g1, [-2.3, 1.0], rtol=1e-14, atol=0)
+
+
 # 60-digit references for psi(x) = sin(k(l - x))/sin(kl) at k^2 = -1e6 + 1j,
 # where the sine and cosine of k overflow.
 def test_defect_element_large_imaginary_wavenumber_references():
@@ -428,19 +443,17 @@ def test_halfline_values():
 def test_weyl_matches_rk4_transfer_matrix():
     # The interval response matrices against the raw ODE transfer matrix:
     # columns of T give the normalized fundamental system.
-    g = interval(1.0)
     for lam in [-3.0, -1.0, 0.7, 5.0]:
-        t = _transfer_matrices(g, np.array([lam]), 4096)["e"][0]
+        t = _transfer_stack(LAP, np.array([1.0]), [lam], 4096)[0, 0]
         m = em.weyl(LAP, 1.0, lam)
         # Laplacian traces: psi(0), psi(l); psi'(0), -psi'(l).
         gamma0 = np.array([[1.0, 0.0], [t[0, 0], t[0, 1]]])
         gamma1 = np.array([[0.0, 1.0], [-t[1, 0], -t[1, 1]]])
         assert np.max(np.abs(gamma1 - m @ gamma0)) < 1e-8
 
-    gd = interval(1.0, model=em.Dirac(1.0))
     c = 1.0
     for lam in [0.2, 0.5, 0.9]:
-        t = _transfer_matrices(gd, np.array([lam]), 4096)["e"][0]
+        t = _transfer_stack(em.Dirac(c), np.array([1.0]), [lam], 4096)[0, 0]
         m = em.weyl(em.Dirac(c), 1.0, lam)
         # Real system (psi1, i psi2); graph traces: (psi1(0), i psi1(l)),
         # (c (i psi2)(0), -i c (i psi2)(l)).

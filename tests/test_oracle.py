@@ -1,7 +1,8 @@
 """The compiled RK4 oracle: its matrix A(lambda) against a per-incidence
-reference assembly, the grid candidate scan against a loop over the grid,
-the lockstep polish against the same coroutines driven one at a time, and
-the number of determinant calls it takes per root."""
+reference assembly, its realness and its one evaluator, the grid candidate
+scan against a loop over the grid, the lockstep polish against the same
+coroutines driven one at a time, and the number of determinant calls it
+takes per root."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from graphspectra import coupling as cp
 from graphspectra import graphs as gr
 from graphspectra import spectra as sp
 from graphspectra.edges import Dirac
+from graphspectra.graphs import Edge, MetricGraph
 
 
 def reference_matrix(g, coupling, transfers, index):
@@ -82,7 +84,9 @@ def short_edge_chain():
 def test_compiled_matrix_matches_reference(make, mesh):
     g, coupling, lams = make()
     oracle = sp._CompiledOracle(g, coupling)
-    transfers = sp._transfer_matrices(g, np.array(lams), mesh)
+    edges = sorted(g.edges, key=lambda e: e.id)
+    stack = sp._transfer_stack(g.model, np.array([e.length for e in edges]), lams, mesh)
+    transfers = {e.id: t for e, t in zip(edges, stack)}
     for i, lam in enumerate(lams):
         want = reference_matrix(g, coupling, transfers, i)
         got = oracle.matrices([lam], mesh)[0]
@@ -91,6 +95,40 @@ def test_compiled_matrix_matches_reference(make, mesh):
     block = oracle.matrices(np.array(lams), mesh).copy()
     for i, lam in enumerate(lams):
         np.testing.assert_array_equal(block[i], oracle.matrices([lam], mesh)[0])
+
+
+def custom_delta_dirac():
+    """The delta Dirac coupling written out as a custom coupling, whose
+    basis vectors carry the phases (1, i)."""
+    g = MetricGraph(("a", "m", "z"),
+                    (Edge("e1", "a", "m", 1.0), Edge("e2", "m", "z", 0.7)), Dirac(1.0))
+    coupling = cp.delta_coupling(g, {"a": 0.5, "m": -1.0, "z": 0.2})
+    spec = {v: (block.basis.T, block.matrix) for v, block in coupling.blocks.items()}
+    return g, cp.custom_coupling(g, spec), (-3.0, 0.1, 3.0)
+
+
+def test_oracle_realness_and_evaluate():
+    for make in (laplacian_star, dirac_star, short_edge_chain, random_tree,
+                 custom_delta_dirac):
+        g, coupling, _ = make()
+        assert sp._CompiledOracle(g, coupling).real
+    g, coupling, _ = dirac_star_custom_centre()
+    assert not sp._CompiledOracle(g, coupling).real
+    # The grid block and single values give bit-identical answers, across
+    # several blocks for the chain.
+    for make in (laplacian_star, dirac_star_custom_centre, short_edge_chain):
+        g, coupling, lams = make()
+        oracle = sp._CompiledOracle(g, coupling)
+        grid = np.linspace(min(lams), max(lams), 600)
+        dets = oracle.evaluate("det", grid, 2000)
+        sigmas = oracle.evaluate("sigma", grid, 2000)
+        assert len(dets) == len(sigmas) == 600
+        assert np.isrealobj(np.array(dets)) == oracle.real
+        for i in (0, 1, 299, 598, 599):
+            assert oracle.evaluate("det", [grid[i]], 2000) == [dets[i]]
+            ratio, sv = oracle.evaluate("sigma", [grid[i]], 2000)[0]
+            assert ratio == sigmas[i][0]
+            np.testing.assert_array_equal(sv, sigmas[i][1])
 
 
 def test_oracle_determinants_per_root(monkeypatch):
@@ -169,7 +207,8 @@ def test_lockstep_matches_one_at_a_time(make):
     window, mesh, tol = (min(lams), max(lams)), 2000, 1e-8
     oracle = sp._CompiledOracle(g, coupling)
     grid = np.linspace(*window, 600)
-    candidates = sp._grid_candidates(grid, *oracle.dets(grid, mesh))
+    dets = np.array(oracle.evaluate("det", grid, mesh))
+    candidates = sp._grid_candidates(grid, dets, oracle.real)
 
     def tasks():
         return [sp._oracle_root(lo, hi, kind, window, mesh, tol)

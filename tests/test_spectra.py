@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from graphspectra import coupling as cp
+from graphspectra import criteria as cr
 from graphspectra import edges as em
 from graphspectra import graphs as gr
 from graphspectra import spectra as sp
 from graphspectra.edges import Dirac
 from graphspectra.graphs import Edge, MetricGraph
+from graphspectra.regularize import build_regularization
 
 
 def delta_problem(g, alpha):
@@ -86,7 +88,7 @@ def test_oracle_transfer_poles_match_dirichlet():
     g = gr.interval(1.0)
     for n in (1, 2):
         lam = (n * math.pi) ** 2
-        t = sp._transfer_matrices(g, np.array([lam]), 2048)["e"][0]
+        t = sp._transfer_stack(g.model, np.array([1.0]), [lam], 2048)[0, 0]
         assert abs(t[0, 1]) < 1e-8
 
 
@@ -167,6 +169,11 @@ def test_scan_eigensolves_real_secular_matrices_in_real_arithmetic(monkeypatch):
         dtypes.clear()
         assert sp.scan_spectrum(g, coupling, window).roots
         assert set(dtypes) == {np.dtype(dtype)}
+    # The semi-boundedness check eigensolves the same K, by the same rule.
+    coupling, reg = delta_problem(tree, 0.0), build_regularization(tree)
+    dtypes.clear()
+    assert cr.check_semibounded(tree, coupling, reg, -1.0).verdict == "HOLDS"
+    assert dtypes == [np.dtype(np.float64)]
 
 
 def test_dirac_interval_agreement():
@@ -198,7 +205,7 @@ def test_delta_well_bound_state_truncated_oracle():
     g = MetricGraph(("c", "l", "r"),
                     (Edge("e1", "c", "l", 40.0), Edge("e2", "c", "r", 40.0)))
     coup = cp.delta_coupling(g, {"c": -2.0, "l": 0.0, "r": 0.0})
-    res = sp.oracle_eigenvalues(g, coup, (-1.5, -0.5), mesh=2000)
+    res = sp.oracle_eigenvalues(g, coup, (-1.5, -0.5))
     assert len(res.roots) == 1
     assert abs(res.roots[0].lam + 1.0) < 1e-4
 
