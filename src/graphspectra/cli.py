@@ -172,12 +172,9 @@ def _cmd_criteria(args) -> int:
         cr.check_bounded_triplet_case(g),
         cr.check_mtilde_divergence(g, reg),
     ]
-    if not isinstance(g.model, em.Dirac):
-        ground = sp.decoupled_ground_state(g)
-        cert_point = reg.lambda0 - 1.0 if reg.lambda0 < ground else ground - 1.0
-        results.append(cr.check_semibounded(g, coupling, reg, cert_point))
-    else:
-        results.append(cr.check_semibounded(g, coupling, reg, -1.0))
+    ground = sp.decoupled_ground_state(g)
+    cert_point = reg.lambda0 - 1.0 if reg.lambda0 < ground else ground - 1.0
+    results.append(cr.check_semibounded(g, coupling, reg, cert_point))
     payload = [r.to_json_dict() for r in results]
     _write(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK

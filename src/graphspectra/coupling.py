@@ -10,8 +10,8 @@ block alpha(v)/deg(v).
 
 Basis vectors are stored unnormalized: the weighted measures downstream
 depend on the raw vectors, so normalization happens only inside matrix
-assembly.  ``pairing`` is that assembly: the one place where the boundary
-form <(L - M) b_j, b_i> is evaluated.
+assembly.  ``_CompiledPairing`` is that assembly: the one place where the
+sparse boundary form <(L - M) b_j, b_i> is evaluated.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "delta_coupling",
     "custom_coupling",
     "global_basis",
-    "pairing",
 ]
 
 
@@ -180,22 +179,29 @@ def _by_size(owned):
 
 
 class _CompiledPairing:
-    """The compile step of ``pairing``, built once per (basis, coupling).
+    """The boundary pairing P[i, j] = <(L - M) b_j, b_i> over the raw global
+    basis, compiled once per (basis, coupling); calling it with the edge
+    blocks M gives P.
 
-    It holds the vertex term P0 = B^H L B, block-diagonal per vertex, and
-    the edge term as triplets: for each pair of boundary coordinates (p, q)
-    on one edge and each pair of basis elements i, j with b_i[p] != 0 and
-    b_j[q] != 0, the flat target i*n + j, the weight conj(b_i[p]) b_j[q]
-    and the position of M[p, q] in the edge blocks stacked in ``edge_ids``
-    order.  Triplets are sorted by target, so that the per-lambda step is a
-    gather, a product and one segment sum: O(nnz) work, with nnz = 4E for
-    delta couplings.  Calling it runs that step.
+    L is the coupling operator (+)_v L_v, M the direct sum of the edge
+    blocks ``edge_blocks[edge id]`` at their boundary coordinates (1x1 on a
+    half-line).  The secular matrix, the discrete weights and L_min are P
+    at M(lambda) or M(lambda0), rescaled by basis or measure norms.
+
+    P is returned as its values on one symmetric pattern (b_i and b_j meet
+    only at a vertex or across an edge): ``rows`` and ``cols`` in row-major
+    order, ``mirror`` the position of each entry's transpose.  The vertex
+    term P0 = B^H L B is stored there; the edge term B^H M B is one triplet
+    per pair of coordinates (p, q) on an edge and basis elements i, j with
+    b_i[p] != 0 != b_j[q]: the weight conj(b_i[p]) b_j[q], the position of
+    M[p, q] in the blocks stacked in ``edge_ids`` order, sorted by pattern
+    entry.  So each M costs a gather, a product and one segment sum: O(nnz)
+    work, with nnz = 4E for delta couplings.
     """
 
     def __init__(self, gb: GlobalBasis, coupling: VertexCoupling):
         n = len(gb.elements)
-        self.norms = np.array([el.norm for el in gb.elements])
-        self.p0 = np.zeros(n * n, dtype=complex)
+        norms = np.array([el.norm for el in gb.elements])
         owned = {}
         for i, el in enumerate(gb.elements):
             owned.setdefault(el.vertex, []).append(i)
@@ -203,12 +209,13 @@ class _CompiledPairing:
         for v in owned:
             block = coupling.block(v)
             shapes.setdefault(block.basis.shape, []).append(block)
+        p0_at, p0 = [], []
         for same in shapes.values():
             idx = np.array([owned[block.vertex] for block in same])
             basis = np.array([block.basis for block in same])
             ops = np.array([block.operator() for block in same])
-            blocks = basis.conj().transpose(0, 2, 1) @ ops @ basis
-            self.p0[(idx[:, :, None] * n + idx[:, None, :]).ravel()] = blocks.ravel()
+            p0_at.append((idx[:, :, None] * n + idx[:, None, :]).ravel())
+            p0.append((basis.conj().transpose(0, 2, 1) @ ops @ basis).ravel())
 
         # Sparse B: its nonzero entries sorted by coordinate.
         counts = [len(el.positions) for el in gb.elements]
@@ -249,36 +256,31 @@ class _CompiledPairing:
         self.src = src[pair][order]
         self.weights = (vals[ea].conj() * vals[eb])[order]
         self.starts = np.flatnonzero(np.diff(target, prepend=-1))
-        self.targets = target[self.starts]
+
+        # The pattern: flat indices i*n + j of both terms, sorted, once each.
+        flat = np.sort(np.concatenate(p0_at + [target[self.starts]]), kind="stable")
+        flat = flat[np.flatnonzero(np.diff(flat, prepend=-1))]
+        self.rows, self.cols = flat // n, flat % n
+        self.mirror = np.argsort(self.cols * n + self.rows, kind="stable")
+        self.p0 = np.zeros(flat.size, dtype=complex)
+        self.p0[np.searchsorted(flat, np.concatenate(p0_at))] = np.concatenate(p0)
+        self.segments = np.searchsorted(flat, target[self.starts])
+        self.norm_products = norms[self.rows] * norms[self.cols]  # ||b_i|| ||b_j||
         self.n = n
 
     def __call__(self, edge_blocks) -> np.ndarray:
-        """P for M = ``edge_blocks``: P0 minus the segment sums of the
-        weighted M entries."""
+        """The values of P on the pattern for M = ``edge_blocks``: P0 minus
+        the segment sums of the weighted M entries."""
         m = np.concatenate([edge_blocks[eid] for eid in self.edge_ids], axis=None)
         out = self.p0.copy()
-        out[self.targets] -= np.add.reduceat(m[self.src] * self.weights, self.starts)
+        out[self.segments] -= np.add.reduceat(m[self.src] * self.weights, self.starts)
+        return out
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The n x n matrix with ``values`` on the pattern and zeros elsewhere."""
+        out = np.zeros(self.n * self.n, dtype=values.dtype)
+        out[self.rows * self.n + self.cols] = values
         return out.reshape(self.n, self.n)
-
-
-def pairing(gb: GlobalBasis, coupling: VertexCoupling, edge_blocks) -> np.ndarray:
-    """Boundary pairing P[i, j] = <(L - M) b_j, b_i> over the raw global basis.
-
-    L is the coupling operator (+)_v L_v and M the direct sum of the
-    per-edge blocks ``edge_blocks[edge id]``, each placed at its edge's
-    boundary coordinates (1x1 on a half-line).  The secular matrix, the
-    discrete weights and L_min are this matrix for M = M(lambda) or
-    M(lambda0), rescaled by basis or measure norms.
-
-    P = B^H L B - B^H M B.  The first term is block-diagonal per vertex and
-    independent of M; the second is a scatter-add of the entries of M over
-    the nonzero entries of the sparse basis matrix B, so no coordinate-by-
-    coordinate or dense basis matrix is formed and the work per M is
-    O(nnz).  The compile step (``_CompiledPairing``) builds both the first
-    term and the index arrays of the second; this one-shot entry compiles
-    and calls it.
-    """
-    return _CompiledPairing(gb, coupling)(edge_blocks)
 
 
 def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:

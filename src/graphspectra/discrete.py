@@ -17,14 +17,14 @@ which is unitarily equivalent to the discrete operator
 (D_L f)_v = ( sum_w b(v,w)(f_v - f_w) + c(v) f_v ) / m(v) via
 x |-> (||R b_v|| x_v).
 
-All of b, c and Lmin are read off one matrix, the boundary pairing
-P[v, w] = <(L - M0) b_w, b_v> from ``coupling.pairing`` (the same kernel
-that gives the secular matrix at M(lambda)): b(v, w) = -Re P[v, w] above
-the diagonal, c(v) = Re P[v, v] - sum_w b(v, w), and Lmin = R^-1 P R^-1
-with R = diag(||R b_v||).  The kernel works support-locally: a basis
-vector touches only the coordinates of its own vertex, and M0 couples
-the two endpoints of each edge, so off-diagonal terms exist only between
-vertices joined by an edge.
+All of b, c and Lmin are read off the values of one sparse matrix on its
+pattern, the boundary pairing P[v, w] = <(L - M0) b_w, b_v> of
+``coupling._CompiledPairing`` (which also gives the secular matrix):
+b(v, w) = -Re P[v, w] above the diagonal, c(v) = Re P[v, v] - sum_w
+b(v, w), and Lmin = R^-1 P R^-1 with R = diag(||R b_v||).  P couples only
+basis vectors of one vertex or of the two ends of an edge, so no n x n
+array is formed but the dense Lmin of a small index set.  The dict b is
+read as arrays (i, j, w) through ``_weights``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import VertexCoupling, global_basis, pairing
+from .coupling import VertexCoupling, _CompiledPairing, global_basis
 from .graphs import MetricGraph
 from .regularize import Regularization
 
@@ -82,16 +82,23 @@ class DiscreteLaplacian:
         return sum(val for key, val in self.b.items() if i in key)
 
 
+def _weights(dl: DiscreteLaplacian):
+    """The weights b as arrays (i, j, w), in the key order of ``dl.b``."""
+    ij = np.array(list(dl.b), dtype=np.intp).reshape(-1, 2)
+    return ij[:, 0], ij[:, 1], np.fromiter(dl.b.values(), dtype=float, count=len(dl.b))
+
+
 def _regularized_pairing(g: MetricGraph, coupling: VertexCoupling,
                          reg: Regularization):
-    """Global basis, pairing P = <(L - M0) b_j, b_i> and measure m = ||R b||^2."""
+    """Global basis, compiled pairing, the values of P at M0 and m = ||R b||^2."""
     gb = global_basis(g, coupling)
     m = np.array([
         sum(reg.norm_prime[gb.coords[p][0]] * abs(val) ** 2
             for p, val in zip(el.positions, el.values))
         for el in gb.elements
     ])
-    return gb, pairing(gb, coupling, reg.m_at_lambda0), m
+    compiled = _CompiledPairing(gb, coupling)
+    return gb, compiled, compiled(reg.m_at_lambda0), m
 
 
 def build_discrete(g: MetricGraph, coupling: VertexCoupling,
@@ -102,17 +109,15 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     still assembled but tagged ``criteria_applicable=False`` (real parts are
     stored; the summability/positivity criteria then refuse to run).
     """
-    gb, pair, m = _regularized_pairing(g, coupling, reg)
+    gb, compiled, vals, m = _regularized_pairing(g, coupling, reg)
     n = len(gb.elements)
-    # The nonzero entries of P in row-major order give the norms of P and
-    # P - P^H without an n x n temporary; an entry whose mirror is zero
-    # stands for two equal terms of P - P^H.
-    rows, cols = np.nonzero(pair)
-    vals, mirror = pair[rows, cols], pair[cols, rows].conj()
-    herm_err = np.linalg.norm((vals - mirror) * np.where(mirror == 0, np.sqrt(2.0), 1.0))
+    rows, cols = compiled.rows, compiled.cols
+    herm_err = np.linalg.norm(vals - vals[compiled.mirror].conj())
     if herm_err > _HERM_TOL * max(1.0, np.linalg.norm(vals)):
         raise AssertionError(f"pairing matrix not Hermitian: error {herm_err:.2e}")
 
+    # Every diagonal entry is on the pattern (in its vertex block), in order.
+    diagonal = vals[rows == cols].real
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     upper = (cols > rows) & (np.abs(vals) >= 1e-14 * scale)
     rows, cols, vals = rows[upper], cols[upper], -vals[upper]
@@ -121,7 +126,7 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     b = dict(zip(zip(rows.tolist(), cols.tolist()), vals.real))
     row_sums = (np.bincount(rows, vals.real, minlength=n)
                 + np.bincount(cols, vals.real, minlength=n))
-    c = pair.diagonal().real - row_sums
+    c = diagonal - row_sums
     model_tag = "dirac" if isinstance(g.model, em.Dirac) else "laplacian"
     return DiscreteLaplacian(
         labels=tuple(el.label for el in gb.elements),
@@ -139,11 +144,8 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
 
 def weighted_degree(dl: DiscreteLaplacian) -> np.ndarray:
     """Deg(v) = sum_w b(v, w) / m(v), per index."""
-    out = np.zeros(dl.size)
-    for (i, j), val in dl.b.items():
-        out[i] += val
-        out[j] += val
-    return out / dl.m
+    i, j, w = _weights(dl)
+    return (np.bincount(i, w, dl.size) + np.bincount(j, w, dl.size)) / dl.m
 
 
 def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization):
@@ -152,22 +154,24 @@ def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization):
 
     Dense ndarray below 64 indices, sparse CSR beyond.
     """
-    _, pair, m = _regularized_pairing(g, coupling, reg)
+    _, compiled, vals, m = _regularized_pairing(g, coupling, reg)
     rnorm = np.sqrt(m)
-    out = pair / np.outer(rnorm, rnorm)
+    rows, cols = compiled.rows, compiled.cols
+    vals = vals / (rnorm[rows] * rnorm[cols])
     if len(m) < _DENSE_LIMIT:
-        return out
+        return compiled.dense(vals)
     import scipy.sparse  # imported here: it is most of the package's import time
-    return scipy.sparse.csr_matrix(out)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(m), len(m)))
 
 
 def apply_discrete(dl: DiscreteLaplacian, f: np.ndarray) -> np.ndarray:
     """(D_L f)_v = ( sum_w b(v,w)(f_v - f_w) + c(v) f_v ) / m(v)."""
     f = np.asarray(f, dtype=complex)
+    i, j, w = _weights(dl)
+    flow = w * (f[i] - f[j])
     out = dl.c * f
-    for (i, j), val in dl.b.items():
-        out[i] += val * (f[i] - f[j])
-        out[j] += val * (f[j] - f[i])
+    np.add.at(out, i, flow)
+    np.subtract.at(out, j, flow)
     return out / dl.m
 
 
@@ -175,16 +179,13 @@ def quadratic_form(dl: DiscreteLaplacian, f: np.ndarray) -> float:
     """(D_L f, f)_m via the energy form
     1/2 sum b(v,w) |f_v - f_w|^2 + sum c(v) |f_v|^2."""
     f = np.asarray(f, dtype=complex)
-    acc = sum(val * abs(f[i] - f[j]) ** 2 for (i, j), val in dl.b.items())
-    return float(acc + np.sum(dl.c * np.abs(f) ** 2))
+    i, j, w = _weights(dl)
+    return float(np.sum(w * np.abs(f[i] - f[j]) ** 2) + np.sum(dl.c * np.abs(f) ** 2))
 
 
 def unitary_equivalence_residual(dl: DiscreteLaplacian, lmin, trials=100,
                                  seed: int = 0, vectors=None) -> float:
     """max over trial vectors of ||U D_L x - Lmin U x|| / ||x||, U = diag(sqrt m)."""
-    import scipy.sparse
-    lmin = np.asarray(lmin.todense() if scipy.sparse.issparse(lmin) else lmin,
-                      dtype=complex)
     n = dl.size
     u = np.sqrt(dl.m)
     if vectors is None:

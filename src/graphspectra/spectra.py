@@ -108,17 +108,17 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
                  _pairing: Optional[_CompiledPairing] = None) -> np.ndarray:
     """Secular matrix <(L - M(lambda)) bhat_j, bhat_i> over the global basis.
 
-    This is the shared boundary pairing ``coupling.pairing`` at
+    This is the boundary pairing P of ``coupling._CompiledPairing`` at
     M = M(lambda), with the raw basis vectors b normalized to bhat =
     b / ||b||.  Hermitian for real lambda; raises PoleOfWeylError within
     1e-8 of a decoupled edge eigenvalue.
 
-    The pairing has a compile step (the vertex term B^H L B and the
-    triplets of the edge term; independent of lambda) and a per-lambda
-    step (gather the entries of M(lambda), weight them and subtract their
-    segment sums: O(nnz) work).  Callers that evaluate many lambda hand
-    their compiled pairing in ``_pairing``; otherwise the call compiles
-    its own.
+    The pairing has a compile step (independent of lambda) and a
+    per-lambda step (gather the entries of M(lambda), weight them and
+    subtract their segment sums: O(nnz) work), whose values on the sparse
+    pattern of P are divided by ||b_i|| ||b_j||; the dense K is formed once,
+    for the eigensolve.  Callers that evaluate many lambda hand their compiled
+    pairing in ``_pairing``; otherwise the call compiles its own.
     """
     blocks = {}
     for e in g.edges:
@@ -127,7 +127,7 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
     compiled = _pairing
     if compiled is None:
         compiled = _CompiledPairing(global_basis(g, coupling), coupling)
-    return compiled(blocks) / np.outer(compiled.norms, compiled.norms)
+    return compiled.dense(compiled(blocks) / compiled.norm_products)
 
 
 def _eigvalsh(k: np.ndarray) -> np.ndarray:
@@ -347,10 +347,15 @@ class _CompiledOracle:
             entries = inc[vertex]
             block = coupling.block(vertex)
             basis = _delta_phases(entries, dirac).conj()[:, None] * block.basis
+            # Rotate out each column's leading phase, the matrix to match (the
+            # operator stays): a coupling real up to column phases gives a real A.
+            phase = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
+            phase = phase / np.abs(phase)
+            basis, matrix = basis * phase.conj(), phase[:, None] * block.matrix * phase.conj()
             unit = basis / np.linalg.norm(basis, axis=0)
             comp = np.linalg.svd(basis, full_matrices=True)[0][:, basis.shape[1]:]
             # Coefficients of each incidence's Gamma0 and Gamma1 in the vertex rows.
-            gamma0 = np.vstack([comp.conj().T, -block.matrix @ unit.conj().T])
+            gamma0 = np.vstack([comp.conj().T, -matrix @ unit.conj().T])
             gamma1 = np.vstack([np.zeros((comp.shape[1], len(entries))), unit.conj().T])
             rows = slice(row, row + len(entries))
             for i, entry in enumerate(entries):

@@ -79,14 +79,19 @@ def test_spectrum_csv_output(tmp_path, capsys):
 
 def test_oracle_spectrum_does_not_import_scipy_optimize(tmp_path):
     # scipy.optimize alone adds about 25 MB to the resident set of a CLI run,
-    # and scipy.sparse is most of the package's import time.
+    # scipy.sparse is most of the package's import time, and numpy.ma (which
+    # np.unique and np.union1d import) adds about 1 MB.  None of the
+    # spectrum, discrete and criteria commands needs any of scipy on a
+    # small graph.
     path = write(tmp_path, "star.json", star3())
     script = ("import sys\n"
               "from graphspectra.cli import main\n"
-              f"code = main(['spectrum', {path!r}, '--min', '-1', '--max', '25', '--oracle'])\n"
-              "assert code == 0, code\n"
-              "assert 'scipy.optimize' not in sys.modules\n"
-              "assert 'scipy.sparse' not in sys.modules\n")
+              f"for args in (['spectrum', {path!r}, '--min', '-1', '--max', '25', '--oracle'],\n"
+              f"             ['discrete', {path!r}], ['criteria', {path!r}]):\n"
+              "    code = main(args)\n"
+              "    assert code == 0, (args, code)\n"
+              "    assert 'scipy' not in sys.modules, args\n"
+              "    assert 'numpy.ma' not in sys.modules, args\n")
     src = os.path.dirname(os.path.dirname(graphspectra.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -102,7 +102,51 @@ def test_discreteness_disconnected_fails_connectivity():
     res = cr.check_discreteness(dl, g, reg)
     assert res.verdict == cr.FAILS
     assert res.witness["connectivity"]["verdict"] == cr.FAILS
-    assert len(res.witness["connectivity"]["components"]) == 2
+    assert res.witness["connectivity"]["components"] == [["a", "b"], ["c", "d"]]
+
+    # Components whose labels interleave come in the order of their first
+    # index, each sorted by label.
+    g = MetricGraph(("a", "b", "c", "d", "e", "f"),
+                    (Edge("ad", "a", "d", 1.0), Edge("bc", "b", "c", 0.5),
+                     Edge("ef", "e", "f", 2.0)))
+    coup, reg, dl = build(g)
+    res = cr.check_discreteness(dl, g, reg)
+    assert res.witness["connectivity"] == {
+        "verdict": cr.FAILS, "components": [["a", "d"], ["b", "c"], ["e", "f"]]}
+
+
+def test_connectivity_components_match_a_graph_search():
+    # Random forests on shuffled vertex names, against a depth-first search
+    # over the positive weights.
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        names = [f"v{k:02d}" for k in rng.permutation(60)]
+        cuts = np.sort(rng.choice(np.arange(2, 58, 2), size=4, replace=False))
+        edges = []
+        for part in np.split(np.array(names), cuts):
+            for k in range(1, len(part)):
+                edges.append(Edge(f"e{len(edges)}", part[k], part[rng.integers(0, k)],
+                                  float(rng.uniform(0.5, 2.0))))
+        g = MetricGraph(tuple(sorted(names)), tuple(edges))
+        coup, reg, dl = build(g)
+        adj = {k: set() for k in range(dl.size)}
+        for (i, j), val in dl.b.items():
+            if val > 0:
+                adj[i].add(j)
+                adj[j].add(i)
+        seen, want = set(), []
+        for start in range(dl.size):
+            if start not in seen:
+                comp, stack = [], [start]
+                while stack:
+                    x = stack.pop()
+                    if x not in seen:
+                        seen.add(x)
+                        comp.append(x)
+                        stack.extend(adj[x] - seen)
+                want.append(sorted(dl.labels[k] for k in comp))
+        got = cr.check_discreteness(dl, g, reg).witness["connectivity"]["components"]
+        assert got == want and len(want) == 5
 
 
 def test_discreteness_geometric_chain_closed_form():

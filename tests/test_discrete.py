@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,3 +192,50 @@ def test_json_export_shape():
     assert all(len(t) == 3 for t in payload["b"])
     import json
     json.dumps(payload)  # must be serializable
+
+
+def test_discrete_pipeline_memory_grows_with_the_edges_not_their_square():
+    # binary_tree(10) has 2,047 indices: one dense n x n complex matrix
+    # would take 64 MiB; the sparse pairing needs O(E).
+    import scipy.sparse  # noqa: F401  (imported before tracing, not counted)
+
+    g = gr.binary_tree(10)
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.5))
+    reg = rg.build_regularization(g)
+    tracemalloc.start()
+    try:
+        dc.build_discrete(g, coup, reg)
+        dc.lmin_matrix(g, coup, reg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_array_operations_match_the_loops():
+    # The loops over the weights dict are the reference; the array forms
+    # sum in another order, so allow 1e-14 of the largest entry.
+    g = gr.binary_tree(6)  # 127 indices: lmin_matrix returns CSR
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.5))
+    reg = rg.build_regularization(g)
+    dl = dc.build_discrete(g, coup, reg)
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=dl.size) + 1j * rng.normal(size=dl.size)
+    deg, applied, energy = np.zeros(dl.size), dl.c * f, 0.0
+    for (i, j), val in dl.b.items():
+        deg[i] += val
+        deg[j] += val
+        applied[i] += val * (f[i] - f[j])
+        applied[j] += val * (f[j] - f[i])
+        energy += val * abs(f[i] - f[j]) ** 2
+    energy += np.sum(dl.c * np.abs(f) ** 2)
+    for got, want in ((dc.weighted_degree(dl), deg / dl.m),
+                      (dc.apply_discrete(dl, f), applied / dl.m)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+    assert abs(dc.quadratic_form(dl, f) - energy) <= 1e-14 * abs(energy)
+
+    import scipy.sparse
+
+    lm = dc.lmin_matrix(g, coup, reg)
+    assert scipy.sparse.issparse(lm)
+    assert dc.unitary_equivalence_residual(dl, lm) < 1e-12

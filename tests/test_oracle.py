@@ -18,7 +18,9 @@ from graphspectra.graphs import Edge, MetricGraph
 
 def reference_matrix(g, coupling, transfers, index):
     """Vertex-condition rows written out per incidence, in phase-rotated
-    coordinates: comp^H Gamma0 = 0 and unit^H Gamma1 - mat unit^H Gamma0 = 0."""
+    coordinates: comp^H Gamma0 = 0 and unit^H Gamma1 - mat unit^H Gamma0 = 0,
+    with each basis column rotated by the conjugate phase of its first
+    nonzero entry and mat conjugated to match."""
     edge_ids = sorted(e.id for e in g.edges)
     col_of = {eid: 2 * i for i, eid in enumerate(edge_ids)}
     n = 2 * len(edge_ids)
@@ -31,7 +33,14 @@ def reference_matrix(g, coupling, transfers, index):
                            for e in entries])
         block = coupling.block(v)
         basis = phases.conj()[:, None] * block.basis
+        lead = np.array([col[np.flatnonzero(col)[0]] for col in basis.T])
+        basis = basis * (lead.conj() / np.abs(lead))
+        matrix = np.diag(lead / np.abs(lead)) @ block.matrix @ np.diag(lead.conj() / np.abs(lead))
         unit = basis / np.linalg.norm(basis, axis=0)
+        # The rotation keeps the coupling operator (in rotated coordinates).
+        np.testing.assert_allclose(unit @ matrix @ unit.conj().T,
+                                   phases.conj()[:, None] * block.operator() * phases,
+                                   rtol=0, atol=1e-14)
         q = np.linalg.svd(basis, full_matrices=True)[0]
         comp = q[:, basis.shape[1]:]
         g0 = np.zeros((len(entries), n), dtype=complex)
@@ -48,7 +57,7 @@ def reference_matrix(g, coupling, transfers, index):
         proj0 = unit.conj().T @ g0
         proj1 = unit.conj().T @ g1
         for i in range(unit.shape[1]):
-            rows.append(proj1[i] - block.matrix[i] @ proj0)
+            rows.append(proj1[i] - matrix[i] @ proj0)
     return np.array(rows)
 
 
@@ -105,6 +114,23 @@ def custom_delta_dirac():
     coupling = cp.delta_coupling(g, {"a": 0.5, "m": -1.0, "z": 0.2})
     spec = {v: (block.basis.T, block.matrix) for v, block in coupling.blocks.items()}
     return g, cp.custom_coupling(g, spec), (-3.0, 0.1, 3.0)
+
+
+def phase_rotated_laplacian_star():
+    """``laplacian_star``'s delta coupling with every basis vector times i."""
+    g, coupling, lams = laplacian_star()
+    spec = {v: (1j * block.basis.T, block.matrix) for v, block in coupling.blocks.items()}
+    return g, cp.custom_coupling(g, spec), lams
+
+
+def test_basis_phases_keep_the_oracle_real():
+    g, coupling, _ = laplacian_star()
+    _, rotated, _ = phase_rotated_laplacian_star()
+    assert sp._CompiledOracle(g, rotated).real
+    want = sp.oracle_eigenvalues(g, coupling, (-1.0, 25.0)).values
+    got = sp.oracle_eigenvalues(g, rotated, (-1.0, 25.0)).values
+    assert len(want) == 5
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_oracle_realness_and_evaluate():

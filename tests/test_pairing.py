@@ -81,10 +81,21 @@ def test_pairing_matches_dense_assembly(make):
         k = len(e.endpoints())
         a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         blocks[e.id] = a + a.conj().T
-    got = cp.pairing(gb, coup, blocks)
+    compiled = cp._CompiledPairing(gb, coup)
+    got = compiled.dense(compiled(blocks))
     want = dense_pairing(gb, coup, blocks)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
     np.testing.assert_allclose(got, got.conj().T, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    # One symmetric pattern in row-major order; ``mirror`` maps each entry
+    # to its transpose, and nothing outside it is nonzero.
+    rows, cols, n = compiled.rows, compiled.cols, len(gb.elements)
+    assert np.all(np.diff(rows * n + cols) > 0)
+    assert np.array_equal(rows[compiled.mirror], cols)
+    assert np.array_equal(cols[compiled.mirror], rows)
+    outside = np.ones((n, n), dtype=bool)
+    outside[rows, cols] = False
+    assert not np.any(want[outside])
 
 
 @pytest.mark.parametrize("make", PROBLEMS)
@@ -116,7 +127,8 @@ def test_compiled_krein_matches_one_shot_pairing(make):
     for lam in (-0.7, 0.4 + 0.3j):
         blocks = {e.id: em.weyl(gr.edge_model_for(g.model, e), e.length, lam)
                   for e in g.edges}
-        want = cp.pairing(gb, coup, blocks) / np.outer(norms, norms)
+        fresh = cp._CompiledPairing(gb, coup)
+        want = fresh.dense(fresh(blocks)) / np.outer(norms, norms)
         assert np.array_equal(sp.krein_matrix(g, coup, lam), want)
         assert np.array_equal(sp.krein_matrix(g, coup, lam, _pairing=compiled), want)
 
