@@ -10,8 +10,8 @@ block alpha(v)/deg(v).
 
 Basis vectors are stored unnormalized: the weighted measures downstream
 depend on the raw vectors, so normalization happens only inside matrix
-assembly.  ``_CompiledPairing`` is that assembly: the one place where the
-sparse boundary form <(L - M) b_j, b_i> is evaluated.
+assembly.  ``_CompiledPairing`` is that assembly, over the sparse matrix B
+of ``global_basis``: the one place where <(L - M) b_j, b_i> is evaluated.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .graphs import MetricGraph, incidence_sets, boundary_coordinates
 __all__ = [
     "VertexBlock",
     "VertexCoupling",
-    "GlobalBasisElement",
     "GlobalBasis",
     "delta_coupling",
     "custom_coupling",
@@ -145,23 +144,18 @@ def _gram_schmidt(basis: np.ndarray, vertex: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GlobalBasisElement:
-    label: str
-    vertex: str
-    positions: tuple            # indices into the global coordinate list
-    values: np.ndarray          # raw (unnormalized) vector entries
-    norm: float
-
-    def embed(self, size: int) -> np.ndarray:
-        out = np.zeros(size, dtype=complex)
-        out[list(self.positions)] = self.values
-        return out
-
-
-@dataclass(frozen=True)
 class GlobalBasis:
+    """The raw basis {b_i} as one sparse matrix B over the boundary
+    coordinates: nonzero entries B[coord[k], element[k]] = value[k], sorted
+    by coordinate and by element within one coordinate."""
+
     coords: tuple               # global boundary coordinates (edge id, t)
-    elements: tuple             # GlobalBasisElement in deterministic order
+    labels: tuple               # per element i, as are vertices and norms
+    vertices: tuple             # the vertex that owns b_i
+    norms: np.ndarray           # ||b_i||
+    coord: np.ndarray
+    element: np.ndarray
+    value: np.ndarray           # raw (unnormalized) entries
 
     @property
     def size(self) -> int:
@@ -180,8 +174,8 @@ def _by_size(owned):
 
 class _CompiledPairing:
     """The boundary pairing P[i, j] = <(L - M) b_j, b_i> over the raw global
-    basis, compiled once per (basis, coupling); calling it with the edge
-    blocks M gives P.
+    basis B = ``global_basis(g, coupling)``, kept as ``basis``; compiled once
+    per (graph, coupling), and calling it with the edge blocks M gives P.
 
     L is the coupling operator (+)_v L_v, M the direct sum of the edge
     blocks ``edge_blocks[edge id]`` at their boundary coordinates (1x1 on a
@@ -192,40 +186,31 @@ class _CompiledPairing:
     only at a vertex or across an edge): ``rows`` and ``cols`` in row-major
     order, ``mirror`` the position of each entry's transpose.  The vertex
     term P0 = B^H L B is stored there; the edge term B^H M B is one triplet
-    per pair of coordinates (p, q) on an edge and basis elements i, j with
-    b_i[p] != 0 != b_j[q]: the weight conj(b_i[p]) b_j[q], the position of
-    M[p, q] in the blocks stacked in ``edge_ids`` order, sorted by pattern
-    entry.  So each M costs a gather, a product and one segment sum: O(nnz)
-    work, with nnz = 4E for delta couplings.
+    per pair of nonzero entries B[p, i], B[q, j] with coordinates (p, q) on
+    one edge: the weight conj(b_i[p]) b_j[q], the position of M[p, q] in
+    the blocks stacked in ``edge_ids`` order, sorted by pattern entry.  So
+    each M costs a gather, a product and one segment sum: O(nnz) work, with
+    nnz = 4E for delta couplings.
     """
 
-    def __init__(self, gb: GlobalBasis, coupling: VertexCoupling):
-        n = len(gb.elements)
-        norms = np.array([el.norm for el in gb.elements])
-        owned = {}
-        for i, el in enumerate(gb.elements):
-            owned.setdefault(el.vertex, []).append(i)
-        shapes = {}  # vertex blocks grouped by basis shape (degree, dimension)
-        for v in owned:
+    def __init__(self, g: MetricGraph, coupling: VertexCoupling):
+        self.basis = gb = global_basis(g, coupling)
+        n = len(gb.labels)
+        shapes = {}  # (first element, block) grouped by basis shape (degree, dimension)
+        start = 0
+        for v in dict.fromkeys(gb.vertices):
             block = coupling.block(v)
-            shapes.setdefault(block.basis.shape, []).append(block)
+            shapes.setdefault(block.basis.shape, []).append((start, block))
+            start += block.dim
         p0_at, p0 = [], []
-        for same in shapes.values():
-            idx = np.array([owned[block.vertex] for block in same])
-            basis = np.array([block.basis for block in same])
-            ops = np.array([block.operator() for block in same])
+        for (_, dim), same in shapes.items():
+            idx = np.array([i for i, _ in same])[:, None] + np.arange(dim)
+            basis = np.array([block.basis for _, block in same])
+            ops = np.array([block.operator() for _, block in same])
             p0_at.append((idx[:, :, None] * n + idx[:, None, :]).ravel())
             p0.append((basis.conj().transpose(0, 2, 1) @ ops @ basis).ravel())
 
-        # Sparse B: its nonzero entries sorted by coordinate.
-        counts = [len(el.positions) for el in gb.elements]
-        rows = np.concatenate([el.positions for el in gb.elements])
-        cols = np.repeat(np.arange(n), counts)
-        vals = np.concatenate([el.values for el in gb.elements])
-        keep = np.flatnonzero(vals)
-        order = keep[np.argsort(rows[keep], kind="stable")]
-        cols, vals = cols[order], vals[order]
-        per_coord = np.bincount(rows[order], minlength=gb.size)
+        per_coord = np.bincount(gb.coord, minlength=gb.size)
         first = np.cumsum(per_coord) - per_coord
 
         # Coordinate pairs (p, q) of each edge and the position of M[p, q].
@@ -250,11 +235,11 @@ class _CompiledPairing:
         local = np.arange(pair.size) - np.repeat(np.cumsum(total) - total, total)
         ea = first[pa][pair] + local // nb[pair]
         eb = first[pb][pair] + local % nb[pair]
-        target = cols[ea] * n + cols[eb]
+        target = gb.element[ea] * n + gb.element[eb]
         order = np.argsort(target, kind="stable")
         target = target[order]
         self.src = src[pair][order]
-        self.weights = (vals[ea].conj() * vals[eb])[order]
+        self.weights = (gb.value[ea].conj() * gb.value[eb])[order]
         self.starts = np.flatnonzero(np.diff(target, prepend=-1))
 
         # The pattern: flat indices i*n + j of both terms, sorted, once each.
@@ -265,7 +250,7 @@ class _CompiledPairing:
         self.p0 = np.zeros(flat.size, dtype=complex)
         self.p0[np.searchsorted(flat, np.concatenate(p0_at))] = np.concatenate(p0)
         self.segments = np.searchsorted(flat, target[self.starts])
-        self.norm_products = norms[self.rows] * norms[self.cols]  # ||b_i|| ||b_j||
+        self.norm_products = gb.norms[self.rows] * gb.norms[self.cols]  # ||b_i|| ||b_j||
         self.n = n
 
     def __call__(self, edge_blocks) -> np.ndarray:
@@ -284,7 +269,8 @@ class _CompiledPairing:
 
 
 def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:
-    """Orthogonal basis of the coupled subspace, one group of vectors per vertex.
+    """Orthogonal basis of the coupled subspace, one group of vectors per
+    vertex, as the sparse matrix B.
 
     Ordering is deterministic: vertices lexicographically, then basis column
     index; labels are the vertex id, suffixed ":k" when dim > 1.  Disjointness
@@ -293,22 +279,26 @@ def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:
     inc = incidence_sets(g)
     coords = boundary_coordinates(g)
     pos = {coord: i for i, coord in enumerate(coords)}
-    elements = []
-    claimed = {}
+    labels, vertices, triples = [], [], []  # triples: (coordinate, element, value)
+    claimed = set()
     for v in sorted(g.vertices):
         entries = inc[v]
         block = coupling.block(v)
         if block.basis.shape[0] != len(entries):
             raise ValueError(f"vertex {v}: coupling size mismatch")
-        positions = tuple(pos[e.coordinate] for e in entries)
-        for p in positions:
+        start = len(labels)
+        for e, row in zip(entries, block.basis.tolist()):
+            p = pos[e.coordinate]
             if p in claimed:
                 raise ValueError(f"coordinate {coords[p]} claimed twice")
-            claimed[p] = v
-        for k in range(block.dim):
-            vec = block.basis[:, k]
-            label = v if block.dim == 1 else f"{v}:{k}"
-            elements.append(GlobalBasisElement(
-                label, v, positions, vec.copy(), float(np.linalg.norm(vec))
-            ))
-    return GlobalBasis(coords, tuple(elements))
+            claimed.add(p)
+            for k, x in enumerate(row):
+                if x:
+                    triples.append((p, start + k, x))
+        labels.extend([v] if block.dim == 1 else [f"{v}:{k}" for k in range(block.dim)])
+        vertices.extend([v] * block.dim)
+    coord, element, value = (np.array(x) for x in zip(*triples))
+    order = np.argsort(coord, kind="stable")
+    coord, element, value = coord[order], element[order], value[order]
+    norms = np.sqrt(np.bincount(element, value.real ** 2 + value.imag ** 2, len(labels)))
+    return GlobalBasis(coords, tuple(labels), tuple(vertices), norms, coord, element, value)

@@ -35,7 +35,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import VertexCoupling, _CompiledPairing, global_basis
+from .coupling import VertexCoupling, _CompiledPairing
 from .graphs import MetricGraph
 from .regularize import Regularization
 
@@ -90,15 +90,13 @@ def _weights(dl: DiscreteLaplacian):
 
 def _regularized_pairing(g: MetricGraph, coupling: VertexCoupling,
                          reg: Regularization):
-    """Global basis, compiled pairing, the values of P at M0 and m = ||R b||^2."""
-    gb = global_basis(g, coupling)
-    m = np.array([
-        sum(reg.norm_prime[gb.coords[p][0]] * abs(val) ** 2
-            for p, val in zip(el.positions, el.values))
-        for el in gb.elements
-    ])
-    compiled = _CompiledPairing(gb, coupling)
-    return gb, compiled, compiled(reg.m_at_lambda0), m
+    """Compiled pairing, the values of P at M0 and m = ||R b||^2."""
+    compiled = _CompiledPairing(g, coupling)
+    gb = compiled.basis
+    r2 = np.array([reg.norm_prime[eid] for eid, _ in gb.coords])
+    m = np.bincount(gb.element, r2[gb.coord] * (gb.value.real ** 2 + gb.value.imag ** 2),
+                    len(gb.labels))
+    return compiled, compiled(reg.m_at_lambda0), m
 
 
 def build_discrete(g: MetricGraph, coupling: VertexCoupling,
@@ -109,8 +107,8 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     still assembled but tagged ``criteria_applicable=False`` (real parts are
     stored; the summability/positivity criteria then refuse to run).
     """
-    gb, compiled, vals, m = _regularized_pairing(g, coupling, reg)
-    n = len(gb.elements)
+    compiled, vals, m = _regularized_pairing(g, coupling, reg)
+    n = len(compiled.basis.labels)
     rows, cols = compiled.rows, compiled.cols
     herm_err = np.linalg.norm(vals - vals[compiled.mirror].conj())
     if herm_err > _HERM_TOL * max(1.0, np.linalg.norm(vals)):
@@ -129,7 +127,7 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     c = diagonal - row_sums
     model_tag = "dirac" if isinstance(g.model, em.Dirac) else "laplacian"
     return DiscreteLaplacian(
-        labels=tuple(el.label for el in gb.elements),
+        labels=compiled.basis.labels,
         m=m,
         c=c,
         b=b,
@@ -154,7 +152,7 @@ def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization):
 
     Dense ndarray below 64 indices, sparse CSR beyond.
     """
-    _, compiled, vals, m = _regularized_pairing(g, coupling, reg)
+    compiled, vals, m = _regularized_pairing(g, coupling, reg)
     rnorm = np.sqrt(m)
     rows, cols = compiled.rows, compiled.cols
     vals = vals / (rnorm[rows] * rnorm[cols])

@@ -6,14 +6,15 @@ Top-level keys: "model" ({"type": "laplacian"} or {"type": "dirac",
 ({"type": "delta"} or {"type": "custom", "vertices": {...}}), optional
 "lambda0" (number).  Lengths are positive numbers or the string "inf";
 an infinite edge must have "to": null since a half-line has no far
-endpoint.  Complex numbers anywhere are 2-arrays [re, im].  Unknown keys
-are rejected at every level.
+endpoint.  Complex numbers anywhere are 2-arrays [re, im].  Numbers must
+be finite (not NaN, Infinity or 1e400); unknown keys are rejected anywhere.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,14 +54,15 @@ def _reject_unknown(obj: dict, allowed, where: str):
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GraphFormatError(f"{where} must be a real number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:  # NaN, inf and 10**400 fail
+        raise GraphFormatError(f"{where} must be a finite real number, got {value!r}")
     return float(value)
 
 
 def _complex_scalar(value, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, where))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], where), _number(value[1], where))
     raise GraphFormatError(f"{where} must be a number or [re, im], got {value!r}")

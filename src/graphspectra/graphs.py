@@ -238,20 +238,17 @@ def chain(lengths: Sequence[float], model: EdgeModel = Laplacian(),
 
 
 def geometric_chain(first_length: float, ratio: float, depth: int,
-                    model: EdgeModel = Laplacian(),
-                    declared_infinite: bool = True) -> MetricGraph:
+                    model: EdgeModel = Laplacian()) -> MetricGraph:
     """Chain with lengths first_length * ratio**n, n = 0..depth-1.
 
-    With ``declared_infinite`` the result carries truncation metadata so the
-    criteria checks can use closed-form geometric sums for the full family.
+    The result carries truncation metadata so the criteria checks can use
+    closed-form geometric sums for the full family.
     """
     if not (first_length > 0 and 0 < ratio and depth >= 1):
         raise ValueError("need first_length > 0, ratio > 0, depth >= 1")
     lengths = [first_length * ratio ** n for n in range(depth)]
-    info = None
-    if declared_infinite:
-        info = TruncationInfo("geometric_chain", depth, first_length, ratio)
-    return chain(lengths, model, info)
+    return chain(lengths, model,
+                 TruncationInfo("geometric_chain", depth, first_length, ratio))
 
 
 def binary_tree(depth: int, length: float = 1.0, level_scale: float = 1.0,

@@ -25,16 +25,16 @@ __all__ = [
 _RANK_RCOND = 1e-12
 
 
-def orthonormal_columns(a: np.ndarray, rcond: float = _RANK_RCOND) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     """Rank-revealing orthonormal basis of the column space of ``a``.
 
-    Singular values below ``rcond * max singular value`` are treated as zero.
+    Singular values below ``_RANK_RCOND`` times the largest count as zero.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > rcond * s[0]))
+    rank = int(np.sum(s > _RANK_RCOND * s[0]))
     return u[:, :rank]
 
 

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import VertexCoupling, _CompiledPairing, _delta_phases, global_basis
+from .coupling import VertexCoupling, _CompiledPairing, _delta_phases
 from .graphs import MetricGraph, edge_model_for, incidence_sets
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
 
 _POLE_GUARD = 1e-8
 _KERNEL_CUTOFF = 1e-7
+_EXCLUSION_RADIUS = 1e-3   # match_spectra skips roots this close to an excluded point
 
 
 class OracleConvergenceError(RuntimeError):
@@ -126,7 +127,7 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
         blocks[e.id] = em.weyl(model, e.length, lam, _pole_tol=_POLE_GUARD)
     compiled = _pairing
     if compiled is None:
-        compiled = _CompiledPairing(global_basis(g, coupling), coupling)
+        compiled = _CompiledPairing(g, coupling)
     return compiled.dense(compiled(blocks) / compiled.norm_products)
 
 
@@ -220,15 +221,14 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise ValueError("window must satisfy a < b")
-    gb = global_basis(g, coupling)
-    poles = _decoupled_in_window(g, (a - 1.0, b + 1.0))
     if g.has_half_line and b > -_POLE_GUARD:
         raise ValueError("half-line graphs: window must stay below 0")
+    poles = _decoupled_in_window(g, (a - 1.0, b + 1.0))
 
     cuts = [a] + [p for p in poles if a < p < b] + [b]
     roots = []
-    compiled = _CompiledPairing(gb, coupling)
-    nbranch = len(gb.elements)
+    compiled = _CompiledPairing(g, coupling)
+    nbranch = len(compiled.basis.labels)
     usable_cells = 0
     for left, right in zip(cuts[:-1], cuts[1:]):
         pad = 10 * _POLE_GUARD * max(1.0, abs(left), abs(right))
@@ -614,7 +614,7 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     if isinstance(g.model, em.Dirac):
         return None
     ground = decoupled_ground_state(g)
-    compiled = _CompiledPairing(global_basis(g, coupling), coupling)
+    compiled = _CompiledPairing(g, coupling)
     top = ground - max(1e-6, 1e-9 * abs(ground))
     grid = [top - (2.0 ** k - 1.0) * 1e-3 for k in range(40)]
     grid = [x for x in grid if x > ground - 1e7]
@@ -652,17 +652,16 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     return best
 
 
-def match_spectra(a_vals, b_vals, exclude=(), rtol: float = 1e-6,
-                  exclusion_radius: float = 1e-3):
+def match_spectra(a_vals, b_vals, exclude=(), rtol: float = 1e-6):
     """Pair two sorted root lists; returns (pairs, only_a, only_b).
 
-    Roots within ``exclusion_radius`` of an excluded point are skipped on
+    Roots within ``_EXCLUSION_RADIUS`` of an excluded point are skipped on
     both sides (the matching criterion is silent there).
     """
     exclude = np.asarray(list(exclude), dtype=float)
 
     def keep(x):
-        return not (exclude.size and np.min(np.abs(exclude - x)) < exclusion_radius)
+        return not (exclude.size and np.min(np.abs(exclude - x)) < _EXCLUSION_RADIUS)
 
     a_vals = [x for x in a_vals if keep(x)]
     b_vals = [x for x in b_vals if keep(x)]

@@ -57,6 +57,12 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert main(["validate", path]) == 2
 
 
+def test_non_finite_number_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "nan.json", star3(alpha=(math.nan, 0.0, 0.0, 0.0)))
+    assert main(["criteria", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_flag_exits_64(tmp_path, capsys):
     path = write(tmp_path, "star.json", star3())
     assert main(["spectrum", path, "--min", "0", "--max", "1", "--frobnicate"]) == 64

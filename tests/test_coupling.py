@@ -99,14 +99,13 @@ def test_global_basis_ordering_and_supports():
     g = gr.star(3, lengths=1.0)
     coup = cp.delta_coupling(g, gr.alpha_map(g, 0.0))
     gb = cp.global_basis(g, coup)
-    assert [el.label for el in gb.elements] == sorted(g.vertices)
-    supports = [set(el.positions) for el in gb.elements]
+    assert list(gb.labels) == sorted(g.vertices)
+    supports = [set(gb.coord[gb.element == i].tolist()) for i in range(len(gb.labels))]
     for i in range(len(supports)):
         for j in range(i + 1, len(supports)):
             assert not (supports[i] & supports[j])
-    center = gb.elements[0]
-    assert center.vertex == "center"
-    assert abs(center.norm ** 2 - 3.0) < 1e-12  # ||1_v||^2 = deg v
+    assert gb.vertices[0] == "center"
+    assert abs(gb.norms[0] ** 2 - 3.0) < 1e-12  # ||1_v||^2 = deg v
 
 
 def test_global_basis_multidim_vertex():
@@ -114,5 +113,11 @@ def test_global_basis_multidim_vertex():
     vectors = [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]
     coup = cp.custom_coupling(g, {"center": (vectors, np.zeros((2, 2)))})
     gb = cp.global_basis(g, coup)
-    labels = [el.label for el in gb.elements if el.vertex == "center"]
+    labels = [label for label, v in zip(gb.labels, gb.vertices) if v == "center"]
     assert labels == ["center:0", "center:1"]
+
+
+def test_global_basis_rejects_a_coupling_of_another_graph():
+    coup = cp.delta_coupling(gr.star(3), gr.alpha_map(gr.star(3), 0.0))
+    with pytest.raises(ValueError, match="coupling size mismatch"):
+        cp.global_basis(gr.star(2), coup)

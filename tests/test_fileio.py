@@ -79,6 +79,26 @@ def test_bad_values_rejected():
         fio.parse_problem({"model": {"type": "laplacian"}, "vertices": [], "edges": []})
 
 
+NUMBER_FIELDS = {
+    "alpha": lambda data, x: data["vertices"][0].update(alpha=x),
+    "c": lambda data, x: data.update(model={"type": "dirac", "c": x}),
+    "lambda0": lambda data, x: data.update(lambda0=x),
+    "length": lambda data, x: data["edges"][0].update(length=x),
+    "basis": lambda data, x: data.update(coupling={
+        "type": "custom", "vertices": {"a": {"basis": [[x]], "matrix": [[0.0]]}}}),
+}
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e400", "10**400"])
+def test_non_finite_numbers_rejected(field, text):
+    data = minimal()
+    NUMBER_FIELDS[field](data, json.loads(text))
+    with pytest.raises(fio.GraphFormatError, match="finite real number"):
+        fio.parse_problem(data)
+
+
 def test_custom_coupling_with_complex_entries():
     data = minimal()
     data["coupling"] = {

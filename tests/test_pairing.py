@@ -56,40 +56,53 @@ PROBLEMS = [delta_random_tree, dirac_star_custom_centre, halfline_graph,
             loop_and_double_edge]
 
 
-def dense_pairing(gb, coupling, edge_blocks):
-    """Reference: form L and M as size x size matrices and B column by column."""
-    pos = {coord: p for p, coord in enumerate(gb.coords)}
-    lop = np.zeros((gb.size, gb.size), dtype=complex)
+def dense_basis(g, coupling):
+    """Reference: B column by column from the incidence sets and the vertex
+    blocks, and the coupling operator L, both over the boundary coordinates."""
+    pos = {coord: p for p, coord in enumerate(gr.boundary_coordinates(g))}
+    inc = gr.incidence_sets(g)
+    lop = np.zeros((len(pos), len(pos)), dtype=complex)
+    columns = []
+    for v in sorted(g.vertices):
+        block = coupling.block(v)
+        idx = [pos[e.coordinate] for e in inc[v]]
+        lop[np.ix_(idx, idx)] = block.operator()
+        for k in range(block.dim):
+            col = np.zeros(len(pos), dtype=complex)
+            col[idx] = block.basis[:, k]
+            columns.append(col)
+    return np.column_stack(columns), lop
+
+
+def dense_pairing(g, coupling, edge_blocks):
+    """Reference: form B, L and M as dense matrices and multiply."""
+    basis, lop = dense_basis(g, coupling)
+    coords = gr.boundary_coordinates(g)
     mop = np.zeros_like(lop)
-    for el in gb.elements:
-        idx = list(el.positions)
-        lop[np.ix_(idx, idx)] = coupling.block(el.vertex).operator()
     for eid, block in edge_blocks.items():
-        idx = [p for (e, _), p in pos.items() if e == eid]
+        idx = [p for p, (e, _) in enumerate(coords) if e == eid]
         mop[np.ix_(idx, idx)] = block
-    basis = np.column_stack([el.embed(gb.size) for el in gb.elements])
     return basis.conj().T @ (lop - mop) @ basis
 
 
 @pytest.mark.parametrize("make", PROBLEMS)
 def test_pairing_matches_dense_assembly(make):
     g, coup, _ = make()
-    gb = cp.global_basis(g, coup)
     rng = np.random.default_rng(5)
     blocks = {}
     for e in g.edges:
         k = len(e.endpoints())
         a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         blocks[e.id] = a + a.conj().T
-    compiled = cp._CompiledPairing(gb, coup)
+    compiled = cp._CompiledPairing(g, coup)
     got = compiled.dense(compiled(blocks))
-    want = dense_pairing(gb, coup, blocks)
+    want = dense_pairing(g, coup, blocks)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
     np.testing.assert_allclose(got, got.conj().T, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     # One symmetric pattern in row-major order; ``mirror`` maps each entry
     # to its transpose, and nothing outside it is nonzero.
-    rows, cols, n = compiled.rows, compiled.cols, len(gb.elements)
+    rows, cols, n = compiled.rows, compiled.cols, len(compiled.basis.labels)
     assert np.all(np.diff(rows * n + cols) > 0)
     assert np.array_equal(rows[compiled.mirror], cols)
     assert np.array_equal(cols[compiled.mirror], rows)
@@ -103,7 +116,7 @@ def test_krein_lmin_and_weights_share_one_pairing(make):
     g, coup, lam0 = make()
     reg = rg.build_regularization(g, lam0)
     dl = dc.build_discrete(g, coup, reg)
-    norms = np.array([el.norm for el in cp.global_basis(g, coup).elements])
+    norms = cp.global_basis(g, coup).norms
     kmat = sp.krein_matrix(g, coup, reg.lambda0)
 
     scale = norms / np.sqrt(dl.m)
@@ -121,16 +134,38 @@ def test_krein_lmin_and_weights_share_one_pairing(make):
 @pytest.mark.parametrize("make", PROBLEMS)
 def test_compiled_krein_matches_one_shot_pairing(make):
     g, coup, _ = make()
-    gb = cp.global_basis(g, coup)
-    norms = np.array([el.norm for el in gb.elements])
-    compiled = cp._CompiledPairing(gb, coup)
+    compiled = cp._CompiledPairing(g, coup)
+    norms = compiled.basis.norms
     for lam in (-0.7, 0.4 + 0.3j):
         blocks = {e.id: em.weyl(gr.edge_model_for(g.model, e), e.length, lam)
                   for e in g.edges}
-        fresh = cp._CompiledPairing(gb, coup)
+        fresh = cp._CompiledPairing(g, coup)
         want = fresh.dense(fresh(blocks)) / np.outer(norms, norms)
         assert np.array_equal(sp.krein_matrix(g, coup, lam), want)
         assert np.array_equal(sp.krein_matrix(g, coup, lam, _pairing=compiled), want)
+
+
+def test_basis_layout_and_measure():
+    g, coup, lam0 = loop_and_double_edge()
+    gb = cp.global_basis(g, coup)
+    dense, _ = dense_basis(g, coup)
+
+    # Entries sorted by coordinate, elements in order within one coordinate,
+    # and exactly the nonzero entries of B (the zeros of the identity blocks
+    # at a and c are absent).
+    assert np.all(np.diff(gb.coord) >= 0)
+    same = np.diff(gb.coord) == 0
+    assert np.all(np.diff(gb.element)[same] > 0)
+    assert sorted(zip(gb.coord.tolist(), gb.element.tolist())) == \
+        sorted(zip(*(x.tolist() for x in np.nonzero(dense))))
+    assert np.array_equal(gb.value, dense[gb.coord, gb.element])
+    np.testing.assert_allclose(gb.norms, np.linalg.norm(dense, axis=0), rtol=1e-15, atol=0)
+
+    reg = rg.build_regularization(g, lam0)
+    r2 = [reg.norm_prime[eid] for eid, _ in gb.coords]
+    want = [sum(r2[p] * abs(dense[p, i]) ** 2 for p in range(gb.size))
+            for i in range(dense.shape[1])]
+    np.testing.assert_allclose(dc.build_discrete(g, coup, reg).m, want, rtol=1e-15, atol=0)
 
 
 def test_full_subspace_star_stays_fast():
