@@ -1,12 +1,12 @@
 """Vertex couplings: per-vertex subspaces with Hermitian blocks.
 
-A coupling assigns to every vertex v a subspace of C^{deg v} (coordinates
-ordered like the vertex's incidence set) spanned by mutually orthogonal
-basis vectors, plus a Hermitian matrix acting on that subspace.  The
-delta constructors build the one-dimensional couplings used for point
+A coupling assigns to every vertex v a subspace of C^{deg v} spanned by
+mutually orthogonal basis vectors, plus a Hermitian matrix on it; its
+``VertexBlock`` also carries v's boundary coordinates (edge id, t), in
+incidence order, and its operator L_v, both fixed at construction.  The
+delta constructors build the one-dimensional couplings of point
 interactions: the all-ones vector for the Laplacian and the phase vector
-(1 at outgoing, i at incoming coordinates) for the Dirac model, with the
-block alpha(v)/deg(v).
+(1 at outgoing, i at incoming coordinates) for Dirac, block alpha(v)/deg(v).
 
 Basis vectors are stored unnormalized: the weighted measures downstream
 depend on the raw vectors, so normalization happens only inside matrix
@@ -16,13 +16,13 @@ of ``global_basis``: the one place where <(L - M) b_j, b_i> is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .edges import Dirac
-from .graphs import MetricGraph, incidence_sets, boundary_coordinates
+from .graphs import MetricGraph, boundary_coordinates, incidence_sets, validate_graph
 
 __all__ = [
     "VertexBlock",
@@ -36,12 +36,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VertexBlock:
-    """Subspace basis (columns, mutually orthogonal, raw scale) and the
-    Hermitian matrix of the block with respect to the normalized columns."""
+    """Subspace basis (orthogonal columns, raw scale; rows at ``coords``), its
+    Hermitian matrix on the normalized columns and the operator they give."""
 
     vertex: str
+    coords: tuple               # (edge id, t) of each basis row
     basis: np.ndarray
     matrix: np.ndarray
+    _operator: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        unit = self.basis / np.linalg.norm(self.basis, axis=0)
+        object.__setattr__(self, "_operator", unit @ self.matrix @ unit.conj().T)
 
     @property
     def dim(self) -> int:
@@ -49,9 +55,7 @@ class VertexBlock:
 
     def operator(self) -> np.ndarray:
         """The block as a Hermitian operator on C^{deg v} (zero on the complement)."""
-        norms = np.linalg.norm(self.basis, axis=0)
-        unit = self.basis / norms
-        return unit @ self.matrix @ unit.conj().T
+        return self._operator
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,24 @@ class VertexCoupling:
         return self.blocks[vertex]
 
 
-def _delta_phases(entries, dirac: bool) -> np.ndarray:
-    """Delta-coupling phases over ``entries``: i at incoming Dirac coordinates, else 1."""
+def _delta_phases(coords, dirac: bool) -> np.ndarray:
+    """Delta-coupling phases over ``coords``: i at incoming Dirac coordinates, else 1."""
     if dirac:
-        return np.array([1.0 if e.endpoint == 0 else 1.0j for e in entries])
-    return np.ones(len(entries), dtype=complex)
+        return np.array([1.0 if t == 0 else 1.0j for _, t in coords])
+    return np.ones(len(coords), dtype=complex)
+
+
+def _vertex_blocks(g: MetricGraph, coupling: VertexCoupling):
+    """``g``'s boundary coordinates and its vertices' blocks in sorted order;
+    raises unless ``g`` is valid and the blocks claim each coordinate once."""
+    report = validate_graph(g)
+    if not report.ok:
+        raise ValueError(f"invalid graph: {report}")
+    coords = boundary_coordinates(g)
+    blocks = [coupling.block(v) for v in sorted(g.vertices)]
+    if sorted(c for block in blocks for c in block.coords) != list(coords):
+        raise ValueError("coupling size mismatch: blocks and boundary coordinates differ")
+    return coords, blocks
 
 
 def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling:
@@ -77,15 +94,15 @@ def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling
     vector for the graph's edge model and the block alpha(v)/deg(v) on it.
     """
     dirac = isinstance(g.model, Dirac)
-    inc = incidence_sets(g)
+    inc = {v: tuple(e.coordinate for e in ent) for v, ent in incidence_sets(g).items()}
     missing = [v for v in g.vertices if v not in alpha]
     if missing:
         raise ValueError(f"alpha missing for vertices {sorted(missing)}")
     blocks = {}
-    for v, entries in inc.items():
-        vec = _delta_phases(entries, dirac)
-        mat = np.array([[alpha[v] / len(entries)]], dtype=complex)
-        blocks[v] = VertexBlock(v, vec[:, None], mat)
+    for v, coords in inc.items():
+        vec = _delta_phases(coords, dirac)
+        mat = np.array([[alpha[v] / len(coords)]], dtype=complex)
+        blocks[v] = VertexBlock(v, coords, vec[:, None], mat)
     return VertexCoupling("delta", blocks)
 
 
@@ -98,15 +115,15 @@ def custom_coupling(g: MetricGraph, per_vertex: Mapping) -> VertexCoupling:
     refers to the normalized basis.  Vertices absent from ``per_vertex``
     default to the full subspace C^{deg v} with zero matrix (Neumann-type).
     """
-    inc = incidence_sets(g)
+    inc = {v: tuple(e.coordinate for e in ent) for v, ent in incidence_sets(g).items()}
     unknown = [v for v in per_vertex if v not in inc]
     if unknown:
         raise ValueError(f"coupling given for undeclared vertices {sorted(unknown)}")
     blocks = {}
-    for v, entries in inc.items():
-        deg = len(entries)
+    for v, coords in inc.items():
+        deg = len(coords)
         if v not in per_vertex:
-            blocks[v] = VertexBlock(v, np.eye(deg, dtype=complex),
+            blocks[v] = VertexBlock(v, coords, np.eye(deg, dtype=complex),
                                     np.zeros((deg, deg), dtype=complex))
             continue
         vectors, matrix = per_vertex[v]
@@ -128,7 +145,7 @@ def custom_coupling(g: MetricGraph, per_vertex: Mapping) -> VertexCoupling:
             raise ValueError(f"vertex {v}: matrix must be {k}x{k}")
         if np.linalg.norm(matrix - matrix.conj().T) > 1e-12 * max(1.0, np.linalg.norm(matrix)):
             raise ValueError(f"vertex {v}: coupling matrix must be Hermitian")
-        blocks[v] = VertexBlock(v, basis, matrix)
+        blocks[v] = VertexBlock(v, coords, basis, matrix)
     return VertexCoupling("custom", blocks)
 
 
@@ -273,28 +290,16 @@ def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:
     vertex, as the sparse matrix B.
 
     Ordering is deterministic: vertices lexicographically, then basis column
-    index; labels are the vertex id, suffixed ":k" when dim > 1.  Disjointness
-    of supports across vertices is verified.
+    index; labels are the vertex id, suffixed ":k" when dim > 1.  The blocks
+    must claim each boundary coordinate once (``_vertex_blocks``).
     """
-    inc = incidence_sets(g)
-    coords = boundary_coordinates(g)
+    coords, blocks = _vertex_blocks(g, coupling)
     pos = {coord: i for i, coord in enumerate(coords)}
     labels, vertices, triples = [], [], []  # triples: (coordinate, element, value)
-    claimed = set()
-    for v in sorted(g.vertices):
-        entries = inc[v]
-        block = coupling.block(v)
-        if block.basis.shape[0] != len(entries):
-            raise ValueError(f"vertex {v}: coupling size mismatch")
-        start = len(labels)
-        for e, row in zip(entries, block.basis.tolist()):
-            p = pos[e.coordinate]
-            if p in claimed:
-                raise ValueError(f"coordinate {coords[p]} claimed twice")
-            claimed.add(p)
-            for k, x in enumerate(row):
-                if x:
-                    triples.append((p, start + k, x))
+    for block in blocks:
+        v, start = block.vertex, len(labels)
+        triples.extend((pos[c], start + k, x) for c, row in zip(block.coords, block.basis.tolist())
+                       for k, x in enumerate(row) if x)
         labels.extend([v] if block.dim == 1 else [f"{v}:{k}" for k in range(block.dim)])
         vertices.extend([v] * block.dim)
     coord, element, value = (np.array(x) for x in zip(*triples))

@@ -71,6 +71,8 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -331,7 +333,8 @@ def check_bounded_triplet_case(g: MetricGraph) -> CriterionResult:
 def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionResult:
     """Numerical evidence scan for the renormalized response matrices
     diverging to -infinity: max eigenvalue of each edge's renormalized
-    matrix at lambda = -10**k, k = 1, ..., 6, must be strictly decreasing.
+    matrix at lambda = -10**k, k = 1, ..., 6, must be strictly decreasing,
+    and no sample may sit on a pole of its edge (``samples_on_poles``).
 
     The hypothesis is about a limit, so the verdict is capped at
     INCONCLUSIVE; the witness says whether the sampled evidence supports it.
@@ -341,12 +344,17 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
     supports = True
     for e in g.edges:
         model = edge_model_for(g.model, e)
-        tops = []
+        samples, on_poles = [], []
         for k in range(1, 7):
-            m = regularized_weyl(model, e.length, -10.0 ** k, reg, edge_id=e.id)
-            tops.append(float(np.max(np.linalg.eigvalsh(m))))
-        decreasing = all(b < a for a, b in zip(tops, tops[1:]))
+            try:
+                samples.append(regularized_weyl(model, e.length, -10.0 ** k, reg, edge_id=e.id))
+            except em.PoleOfWeylError:
+                on_poles.append(-10.0 ** k)
+        tops = np.linalg.eigvalsh(np.array(samples))[:, -1].tolist() if samples else []
+        decreasing = not on_poles and all(b < a for a, b in zip(tops, tops[1:]))
         per_edge[e.id] = {"max_eigenvalues": tops, "strictly_decreasing": decreasing}
+        if on_poles:
+            per_edge[e.id]["samples_on_poles"] = on_poles
         supports = supports and decreasing and tops[-1] < 0
     return CriterionResult(crit, INCONCLUSIVE, "sb.mtilde-scan",
                            {"evidence_supports": supports, "per_edge": per_edge})

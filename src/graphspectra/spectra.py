@@ -47,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import VertexCoupling, _CompiledPairing, _delta_phases
-from .graphs import MetricGraph, edge_model_for, incidence_sets
+from .coupling import VertexCoupling, _CompiledPairing, _delta_phases, _vertex_blocks
+from .graphs import MetricGraph, edge_model_for
 
 __all__ = [
     "Root",
@@ -341,12 +341,9 @@ class _CompiledOracle:
         self.base = np.zeros((n, ne, 2), dtype=complex)
         self.u = np.zeros((n, ne), dtype=complex)
         self.v = np.zeros((n, ne), dtype=complex)
-        inc = incidence_sets(g)
         row = 0
-        for vertex in sorted(g.vertices):
-            entries = inc[vertex]
-            block = coupling.block(vertex)
-            basis = _delta_phases(entries, dirac).conj()[:, None] * block.basis
+        for block in _vertex_blocks(g, coupling)[1]:
+            basis = _delta_phases(block.coords, dirac).conj()[:, None] * block.basis
             # Rotate out each column's leading phase, the matrix to match (the
             # operator stays): a coupling real up to column phases gives a real A.
             phase = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
@@ -356,18 +353,18 @@ class _CompiledOracle:
             comp = np.linalg.svd(basis, full_matrices=True)[0][:, basis.shape[1]:]
             # Coefficients of each incidence's Gamma0 and Gamma1 in the vertex rows.
             gamma0 = np.vstack([comp.conj().T, -matrix @ unit.conj().T])
-            gamma1 = np.vstack([np.zeros((comp.shape[1], len(entries))), unit.conj().T])
-            rows = slice(row, row + len(entries))
-            for i, entry in enumerate(entries):
-                k = column[entry.edge]
-                s = (g.model.c if dirac else 1.0) * entry.sign
-                if entry.endpoint == 0:
+            gamma1 = np.vstack([np.zeros((comp.shape[1], len(block.coords))), unit.conj().T])
+            rows = slice(row, row + len(block.coords))
+            for i, (eid, t) in enumerate(block.coords):
+                k = column[eid]
+                s = (g.model.c if dirac else 1.0) * (1 - 2 * t)  # sign +1 at t = 0, -1 at t = 1
+                if t == 0:
                     self.base[rows, k, 0] += gamma0[:, i]
                     self.base[rows, k, 1] += s * gamma1[:, i]
                 else:
                     self.u[rows, k] = gamma0[:, i]
                     self.v[rows, k] = s * gamma1[:, i]
-            row += len(entries)
+            row += len(block.coords)
         # Real couplings give a real A(lambda) at real lambda: factorize it in
         # real arithmetic, with twice the matrices per block.
         self.real = not any(x.imag.any() for x in (self.base, self.u, self.v))

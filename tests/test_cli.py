@@ -224,3 +224,39 @@ def test_criteria_depth_non_chain_is_unknown_family(tmp_path, capsys, ends, leng
     by_name = {entry["criterion"]: entry for entry in json.loads(out)}
     assert by_name["self-adjointness"]["criterion_ref"] == "sa.unknown-family"
     assert '_closed_form"' not in out  # no chain-tail witness key anywhere
+
+
+def chain_json(lengths, model=None, alpha=0.0):
+    return {
+        "model": model or {"type": "laplacian"},
+        "vertices": [{"id": f"v{i:02d}", "alpha": alpha} for i in range(len(lengths) + 1)],
+        "edges": [{"id": f"e{i:02d}", "from": f"v{i:02d}", "to": f"v{i+1:02d}",
+                   "length": ell} for i, ell in enumerate(lengths)],
+    }
+
+
+def test_criteria_prints_booleans(tmp_path, capsys):
+    path = write(tmp_path, "chain.json", chain_json([0.5 * 0.5 ** n for n in range(40)],
+                                                    alpha=0.3))
+    assert main(["criteria", path]) == 0
+    out = capsys.readouterr().out
+    assert '"evidence_supports": false' in out
+    assert '"strictly_decreasing": true' in out
+    payload = json.loads(out)
+    scan = next(p for p in payload if p["criterion"] == "renormalized-divergence")
+    assert all(type(entry["strictly_decreasing"]) is bool
+               for entry in scan["witness"]["per_edge"].values())
+
+
+def test_criteria_survives_samples_on_dirac_poles(tmp_path, capsys):
+    # lambda = -1e5 and -1e6 both lie within the pole guard of this edge.
+    path = write(tmp_path, "edge.json", chain_json([1.000000357564292],
+                                                   model={"type": "dirac", "c": 1.0}))
+    assert main(["criteria", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    scan = next(p for p in payload if p["criterion"] == "renormalized-divergence")
+    entry = scan["witness"]["per_edge"]["e00"]
+    assert entry["samples_on_poles"] == [-1e5, -1e6]
+    assert len(entry["max_eigenvalues"]) == 4
+    assert entry["strictly_decreasing"] is False
+    assert scan["witness"]["evidence_supports"] is False

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,64 @@ def test_global_basis_rejects_a_coupling_of_another_graph():
     coup = cp.delta_coupling(gr.star(3), gr.alpha_map(gr.star(3), 0.0))
     with pytest.raises(ValueError, match="coupling size mismatch"):
         cp.global_basis(gr.star(2), coup)
+
+
+def test_blocks_carry_their_incidence_coordinates():
+    from test_pairing import loop_and_double_edge
+    star = gr.star(3, lengths=[1.0, 0.7, 1.3])
+    dirac = gr.star(3, lengths=[1.0, 0.7, 1.3], model=Dirac(1.5))
+    couplings = [
+        (star, cp.delta_coupling(star, gr.alpha_map(star, 0.4))),
+        (dirac, cp.delta_coupling(dirac, gr.alpha_map(dirac, 0.4))),
+        (star, cp.custom_coupling(star, {"center": ([[1.0, 1j, 0.5]], [[0.3]])})),
+        loop_and_double_edge()[:2],
+    ]
+    for g, coup in couplings:
+        for v, entries in gr.incidence_sets(g).items():
+            assert coup.block(v).coords == tuple(e.coordinate for e in entries)
+
+
+def test_block_operator_is_built_once():
+    g = gr.star(3, lengths=1.0)
+    vectors = [[1.0, 1j, 0.5], [0.3, -0.2j, 1.0]]
+    coup = cp.custom_coupling(g, {"center": (vectors, np.array([[0.7, 0.2j], [-0.2j, -0.4]]))})
+    block = coup.block("center")
+    assert block.operator() is block.operator()
+    unit = block.basis / np.linalg.norm(block.basis, axis=0)
+    assert np.array_equal(block.operator(), unit @ block.matrix @ unit.conj().T)
+
+
+def test_global_basis_rejects_coordinates_claimed_twice_or_not_at_all():
+    g = gr.star(3, lengths=1.0)
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.0))
+    leaf = coup.block("leaf00")  # owns ("e00", 1)
+    # ("e00", 0) is the centre's too; ("e99", 1) leaves ("e00", 1) unclaimed.
+    for coords in ((("e00", 0),), (("e99", 1),)):
+        blocks = {**coup.blocks, "leaf00": replace(leaf, coords=coords)}
+        with pytest.raises(ValueError, match="coupling size mismatch"):
+            cp.global_basis(g, cp.VertexCoupling("delta", blocks))
+
+
+def test_global_basis_and_oracle_reject_an_invalid_graph():
+    from graphspectra import spectra as sp
+    g = gr.star(3, lengths=1.0)
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.0))
+    bad = replace(g, edges=g.edges[:2] + (replace(g.edges[2], length=0.0),))
+    with pytest.raises(ValueError, match="invalid graph"):
+        cp.global_basis(bad, coup)
+    with pytest.raises(ValueError, match="invalid graph"):
+        sp._CompiledOracle(bad, coup)
+
+
+def test_compiles_read_the_blocks_not_the_incidence_sets(monkeypatch):
+    from graphspectra import spectra as sp
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3], model=Dirac(1.0))
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.5))
+
+    def rebuilt(_):
+        raise AssertionError("incidence sets rebuilt")
+    monkeypatch.setattr(cp, "incidence_sets", rebuilt)
+    monkeypatch.setattr(gr, "incidence_sets", rebuilt)
+    cp.global_basis(g, coup)
+    cp._CompiledPairing(g, coup)
+    sp._CompiledOracle(g, coup)

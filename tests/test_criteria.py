@@ -266,3 +266,28 @@ def test_results_serialize():
                 cr.check_bounded_triplet_case(g),
                 cr.check_mtilde_divergence(g, reg)]:
         json.dumps(res.to_json_dict())
+
+
+def test_mtilde_scan_reports_samples_on_poles():
+    # lambda = -1e6 lies within the pole guard of a decoupled eigenvalue of
+    # edge e060; the other edges and samples are reported as usual.
+    g = gr.random_graph(39, 60, model=Dirac(1.0))
+    res = cr.check_mtilde_divergence(g, rg.build_regularization(g))
+    assert res.witness["evidence_supports"] is False
+    on_poles = {eid: entry["samples_on_poles"]
+                for eid, entry in res.witness["per_edge"].items() if "samples_on_poles" in entry}
+    assert on_poles == {"e060": [-1e6]}
+    entry = res.witness["per_edge"]["e060"]
+    assert len(entry["max_eigenvalues"]) == 5
+    assert entry["strictly_decreasing"] is False
+
+
+def test_mtilde_scan_stacked_eigensolve_matches_per_sample_max():
+    g = gr.random_graph(2, 20, model=Dirac(1.0))
+    reg = rg.build_regularization(g)
+    res = cr.check_mtilde_divergence(g, reg)
+    for e in g.edges:
+        want = [float(np.max(np.linalg.eigvalsh(
+            rg.regularized_weyl(g.model, e.length, -10.0 ** k, reg, edge_id=e.id))))
+            for k in range(1, 7)]
+        assert res.witness["per_edge"][e.id]["max_eigenvalues"] == want
