@@ -581,6 +581,8 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
     _check_length(model, ell)
     if (window is None) == (count is None):
         raise EdgeModelError("specify exactly one of window or count")
+    if window is not None and not (math.isfinite(window[0]) and math.isfinite(window[1])):
+        raise EdgeModelError("window bounds must be finite")
     if boundary_dim(model) == 1:
         return np.array([])
     first, offset, extra = _pole_family(model, triplet)

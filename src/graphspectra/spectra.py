@@ -30,12 +30,15 @@ route is algorithmically independent of route 1 and is also valid at
 points embedded in the decoupled spectra, where the matching criterion
 is silent.  The vertex conditions are compiled once per call into a fixed
 linear map from the transfer matrices to the global matrix (real when the
-coupling data are real, so that LU runs in real arithmetic); all edges
-are stepped in one batched product, the sample grid is assembled in
-blocks, and sign changes of the determinant are polished by the same
-Brent zeroin as route 1.  The zeroin is a coroutine, so the oracle
-polishes all its candidates in lockstep rounds, with one stacked
-determinant or singular-value call per round and block.
+coupling data are real, so that LU runs in real arithmetic).  Both edge
+systems have zero diagonal, so each RK4 transfer matrix is a pair (x, y)
+of x I + y A, powered elementwise over all edges and one chunk of lambda
+values at a time; each block of matrices is a copy of the constant part
+and an O(nnz) scatter of the transfer entries, and sign changes of the
+determinant are polished by the same Brent zeroin as route 1.  The
+zeroin is a coroutine, so the oracle polishes all its candidates in
+lockstep rounds, with one stacked determinant or singular-value call per
+round and block.
 """
 
 from __future__ import annotations
@@ -103,6 +106,19 @@ def _decoupled_in_window(g: MetricGraph, window) -> np.ndarray:
         if not out or abs(v - out[-1]) > 1e-12 * max(1.0, abs(v)):
             out.append(float(v))
     return np.array(out)
+
+
+def _checked_request(window, tol) -> tuple:
+    """The bounds (a, b) of ``window``, checked to be finite with a < b,
+    after checking that ``tol`` is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and > 0")
+    a, b = float(window[0]), float(window[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("window bounds must be finite")
+    if not a < b:
+        raise ValueError("window must satisfy a < b")
+    return a, b
 
 
 def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
@@ -217,10 +233,11 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     eigensolve runs in real arithmetic when K is real.  Brent's zero is a
     point it evaluated, so each root's residual |det K| = |prod mu| is read
     off eigenvalues at hand.
+
+    Raises ValueError unless the window bounds are finite with a < b and
+    ``tol`` is finite and positive.
     """
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise ValueError("window must satisfy a < b")
+    a, b = _checked_request(window, tol)
     if g.has_half_line and b > -_POLE_GUARD:
         raise ValueError("half-line graphs: window must stay below 0")
     poles = _decoupled_in_window(g, (a - 1.0, b + 1.0))
@@ -272,40 +289,37 @@ _ORACLE_BLOCK_BYTES = 1 << 18
 _ORACLE_MESH = 2000
 
 
-def _rk4_step_matrix(a_mats: np.ndarray, h) -> np.ndarray:
-    """One classical RK4 step matrix for u' = A u, batched over the leading
-    axes; the step ``h`` broadcasts against them."""
-    eye = np.eye(a_mats.shape[-1])
-    k1 = a_mats
-    k2 = a_mats @ (eye + (h / 2) * k1)
-    k3 = a_mats @ (eye + (h / 2) * k2)
-    k4 = a_mats @ (eye + h * k3)
-    return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     """RK4 transfer matrices u(0) -> u(length), shape (E, n_lambda, 2, 2).
 
-    The per-edge systems use only the raw differential equations:
+    The per-edge systems u' = A u use only the raw differential equations:
     (psi, psi') for the Laplacian and the real form (psi1, i*psi2) for the
-    Dirac operator.  All edges step together, each with its own step
-    length; the step count is a power of two, so the RK4 step matrix of a
-    constant-coefficient system is composed by repeated squaring, which
-    reproduces sequential stepping.
+    Dirac operator.  Both have zero diagonal, so A^2 = w I with
+    w = A[0, 1] A[1, 0]: the RK4 step matrix, a polynomial in h A, and all
+    its powers lie in span{I, A} and are carried as the pair (x, y) of
+    x I + y A, elementwise over edges and lambda.  The step count is a power
+    of two, so the step matrix is composed by repeated squaring,
+    (x, y) -> (x^2 + w y^2, 2 x y), which reproduces sequential stepping;
+    no closed-form trigonometry enters.
     """
     lams = np.asarray(lams, dtype=float)
-    a = np.zeros((1, lams.shape[0], 2, 2))
     if isinstance(model, em.Dirac):
         c = model.c
-        a[..., 0, 1] = (lams + c * c / 2) / c
-        a[..., 1, 0] = -(lams - c * c / 2) / c
+        a01, a10 = (lams + c * c / 2) / c, -(lams - c * c / 2) / c
     else:
-        a[..., 0, 1] = 1.0
-        a[..., 1, 0] = -lams
+        a01, a10 = 1.0, -lams
+    w = a01 * a10
     doublings = max(1, int(math.ceil(math.log2(mesh))))
-    t = _rk4_step_matrix(a, lengths[:, None, None, None] / (1 << doublings))
+    h = lengths[:, None] / (1 << doublings)
+    hw = h * h * w
+    x = 1 + hw / 2 + hw * hw / 24
+    y = h * (1 + hw / 6)
     for _ in range(doublings):
-        t = t @ t
+        x, y = x * x + w * y * y, 2 * x * y
+    t = np.empty(x.shape + (2, 2))
+    t[..., 0, 0] = t[..., 1, 1] = x
+    t[..., 0, 1] = y * a01
+    t[..., 1, 0] = y * a10
     return t
 
 
@@ -326,7 +340,10 @@ class _CompiledOracle:
 
         A[:, 2e+j] = base[:, 2e+j] + U[:, e] T_e[0, j] + V[:, e] T_e[1, j].
 
-    Whether A(lambda) is real is decided here, once (``real``).
+    The constant part ``base`` is stored once as an n x n matrix, and U and V
+    only at their nonzeros (row, e), with the flat positions row n + 2e + j
+    of the entries they reach: A(lambda) is a copy of ``base`` and an O(nnz)
+    scatter.  Whether A(lambda) is real is decided here, once (``real``).
     """
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
@@ -338,9 +355,9 @@ class _CompiledOracle:
         self.lengths = np.array([e.length for e in edges])
         n, ne = 2 * len(edges), len(edges)
         dirac = isinstance(g.model, em.Dirac)
-        self.base = np.zeros((n, ne, 2), dtype=complex)
-        self.u = np.zeros((n, ne), dtype=complex)
-        self.v = np.zeros((n, ne), dtype=complex)
+        base = np.zeros((n, ne, 2), dtype=complex)
+        u = np.zeros((n, ne), dtype=complex)
+        v = np.zeros((n, ne), dtype=complex)
         row = 0
         for block in _vertex_blocks(g, coupling)[1]:
             basis = _delta_phases(block.coords, dirac).conj()[:, None] * block.basis
@@ -359,50 +376,58 @@ class _CompiledOracle:
                 k = column[eid]
                 s = (g.model.c if dirac else 1.0) * (1 - 2 * t)  # sign +1 at t = 0, -1 at t = 1
                 if t == 0:
-                    self.base[rows, k, 0] += gamma0[:, i]
-                    self.base[rows, k, 1] += s * gamma1[:, i]
+                    base[rows, k, 0] += gamma0[:, i]
+                    base[rows, k, 1] += s * gamma1[:, i]
                 else:
-                    self.u[rows, k] = gamma0[:, i]
-                    self.v[rows, k] = s * gamma1[:, i]
+                    u[rows, k] = gamma0[:, i]
+                    v[rows, k] = s * gamma1[:, i]
             row += len(block.coords)
         # Real couplings give a real A(lambda) at real lambda: factorize it in
         # real arithmetic, with twice the matrices per block.
-        self.real = not any(x.imag.any() for x in (self.base, self.u, self.v))
+        self.real = not any(x.imag.any() for x in (base, u, v))
         if self.real:
-            self.base, self.u, self.v = (x.real.copy() for x in (self.base, self.u, self.v))
-        dtype = self.u.dtype
-        block_len = max(1, _ORACLE_BLOCK_BYTES // (dtype.itemsize * n * n))
-        self._out = np.empty((block_len, n, n), dtype=dtype)
-        self._scratch = np.empty((block_len, n, ne), dtype=dtype)
+            base, u, v = (x.real.copy() for x in (base, u, v))
+        self.base = base.reshape(n, n)
+        nz_row, self._edge = np.nonzero((u != 0) | (v != 0))
+        self._u, self._v = u[nz_row, self._edge], v[nz_row, self._edge]
+        self._pos = nz_row * n + 2 * self._edge + np.arange(2)[:, None]
+        block_len = max(1, _ORACLE_BLOCK_BYTES // (u.dtype.itemsize * n * n))
+        self._out = np.empty((block_len, n, n), dtype=u.dtype)
+        # Transfers (32 bytes per edge and lambda) are computed per chunk of
+        # whole blocks, within the same budget.
+        self._chunk = block_len * max(1, _ORACLE_BLOCK_BYTES // (32 * ne * block_len))
+
+    def _assemble(self, t: np.ndarray) -> np.ndarray:
+        """A(lambda) in the shared buffer, from the transfer stack ``t`` of at
+        most one block of lambda values."""
+        out = self._out[:t.shape[1]]
+        out[...] = self.base
+        flat = out.reshape(len(out), -1)
+        t = t[self._edge]  # the transfers of each nonzero (row, e) of U and V
+        for j in (0, 1):
+            flat[:, self._pos[j]] += self._u * t[:, :, 0, j].T + self._v * t[:, :, 1, j].T
+        return out
 
     def matrices(self, lams, mesh: int) -> np.ndarray:
         """A(lambda) for at most one block of lambda values, in the shared buffer."""
-        t = _transfer_stack(self.model, self.lengths, lams, mesh)
-        nb, (n, ne) = t.shape[1], self.u.shape
-        out, tmp = self._out[:nb], self._scratch[:nb]
-        columns = out.reshape(nb, n, ne, 2)
-        for j in (0, 1):
-            col = columns[..., j]
-            np.multiply(self.u, t[:, :, 0, j].T[:, None, :], out=col)
-            np.multiply(self.v, t[:, :, 1, j].T[:, None, :], out=tmp)
-            col += tmp
-            col += self.base[..., j]
-        return out
+        return self._assemble(_transfer_stack(self.model, self.lengths, lams, mesh))
 
     def evaluate(self, kind: str, lams, mesh: int) -> list:
         """For each lambda in ``lams``: det A(lambda) for kind "det" (real
         when ``real``), or the pair (sigma_min / sigma_max, singular values)
-        of A(lambda) for kind "sigma".  One assembly and one stacked LAPACK
-        call per block of lambda values."""
+        of A(lambda) for kind "sigma".  One transfer pass per chunk of lambda
+        values, and one assembly and one stacked LAPACK call per block."""
         values = []
         step = self._out.shape[0]
-        for start in range(0, len(lams), step):
-            a = self.matrices(lams[start:start + step], mesh)
-            if kind == "det":
-                values.extend(np.linalg.det(a))
-            else:
-                sv = np.linalg.svd(a, compute_uv=False)
-                values.extend(zip(sv[:, -1] / np.maximum(sv[:, 0], 1e-300), sv))
+        for first in range(0, len(lams), self._chunk):
+            t = _transfer_stack(self.model, self.lengths, lams[first:first + self._chunk], mesh)
+            for start in range(0, t.shape[1], step):
+                a = self._assemble(t[:, start:start + step])
+                if kind == "det":
+                    values.extend(np.linalg.det(a))
+                else:
+                    sv = np.linalg.svd(a, compute_uv=False)
+                    values.extend(zip(sv[:, -1] / np.maximum(sv[:, 0], 1e-300), sv))
         return values
 
     def drive(self, tasks: list) -> list:
@@ -547,22 +572,26 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     """Eigenvalues in the window from the RK4 transfer-matrix determinant.
 
     The oracle matrix is compiled once per call (``_CompiledOracle``), so
-    each (lambda, mesh) pair costs one batched transfer product over all
-    edges and one broadcast assembly; when the coupling data are real, A
-    is real and is factorized in real arithmetic.  Sign changes of the
-    (real) determinant on the ``samples``-point grid, at ``_ORACLE_MESH``
-    RK4 steps per edge, are polished by Brent's method to a bracket width
-    of max(1e-3 tol, 4e-16 max(1, |lambda|)); local minima of |det| that
+    each (lambda, mesh) pair costs one x I + y A powering per edge, an
+    O(nnz) scatter onto the constant part of A and one LU; when the
+    coupling data are real, A is real and is factorized in real
+    arithmetic.  Sign changes of the (real) determinant on the
+    ``samples``-point grid, at ``_ORACLE_MESH`` RK4 steps per edge, are
+    polished by Brent's method to a bracket width of
+    max(1e-3 tol, 4e-16 max(1, |lambda|)); local minima of |det| that
     dip to a numerical kernel (even-multiplicity roots) are refined by
     golden-section search on the smallest singular value.  Each root is
     re-polished at twice the mesh; movement beyond 10 * tol raises
     OracleConvergenceError.  All candidates are polished in lockstep: each
     round evaluates the next lambda of every candidate with one stacked
     determinant or singular-value call per block.
+
+    Raises ValueError unless the window bounds are finite with a < b,
+    ``tol`` is finite and positive and ``samples`` is at least 2.
     """
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise ValueError("window must satisfy a < b")
+    a, b = _checked_request(window, tol)
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     oracle = _CompiledOracle(g, coupling)
     grid = np.linspace(a, b, samples)
     dets = np.array(oracle.evaluate("det", grid, _ORACLE_MESH))

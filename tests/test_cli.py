@@ -18,6 +18,13 @@ def write(tmp_path, name, data):
     return str(path)
 
 
+def package_env():
+    """The environment of a subprocess that imports this graphspectra."""
+    src = os.path.dirname(os.path.dirname(graphspectra.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def star3(alpha=(0.0, 0.0, 0.0, 0.0), model=None):
     return {
         "model": model or {"type": "laplacian"},
@@ -98,12 +105,22 @@ def test_oracle_spectrum_does_not_import_scipy_optimize(tmp_path):
               "    assert code == 0, (args, code)\n"
               "    assert 'scipy' not in sys.modules, args\n"
               "    assert 'numpy.ma' not in sys.modules, args\n")
-    src = os.path.dirname(os.path.dirname(graphspectra.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=package_env(),
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_spectrum_rejects_infinite_window(tmp_path):
+    # In a subprocess with a timeout: an unchecked infinite window hangs in
+    # the pole search with a growing pole list.
+    path = write(tmp_path, "star.json", star3())
+    result = subprocess.run(
+        [sys.executable, "-m", "graphspectra.cli", "spectrum", path,
+         "--min", "0", "--max", "inf", "--oracle"],
+        env=package_env(), capture_output=True, text=True, timeout=30)
+    assert result.returncode == 3
+    assert result.stderr.startswith("numeric failure: window bounds must be finite")
+    assert result.stdout == ""
 
 
 def test_spectrum_deterministic_bytes(tmp_path, capsys):

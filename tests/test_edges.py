@@ -216,6 +216,24 @@ def test_decoupled_window_excluding_all_poles_is_empty():
     assert em.decoupled_eigenvalues(HALF, math.inf, window=(-5.0, -1.0)).size == 0
 
 
+@pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_decoupled_eigenvalues_reject_non_finite_windows(window, monkeypatch):
+    # With a non-finite bound the pole loop never ends; past wavenumber 1e4
+    # it fails here instead of hanging.
+    def bounded(pole):
+        def call(*args):
+            if args[-1] > 1e4:
+                raise AssertionError("pole loop does not end")
+            return pole(*args)
+        return call
+
+    monkeypatch.setattr(em.Laplacian, "_pole", staticmethod(bounded(em.Laplacian._pole)))
+    monkeypatch.setattr(em.Dirac, "_pole", bounded(em.Dirac._pole))
+    for model, ell in ((LAP, 1.0), (em.Dirac(1.0), 1.0), (HALF, math.inf)):
+        with pytest.raises(em.EdgeModelError, match="finite"):
+            em.decoupled_eigenvalues(model, ell, window=window)
+
+
 def test_pole_errors_carry_nearest_pole():
     with pytest.raises(em.PoleOfWeylError) as err:
         em.weyl(LAP, 1.0, np.pi ** 2 + 1e-12)

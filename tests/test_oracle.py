@@ -1,10 +1,13 @@
 """The compiled RK4 oracle: its matrix A(lambda) against a per-incidence
 reference assembly, its realness and its one evaluator, the grid candidate
 scan against a loop over the grid, the lockstep polish against the same
-coroutines driven one at a time, and the number of determinant calls it
-takes per root."""
+coroutines driven one at a time, its RK4 transfer matrices against
+sequential stepping, and the number of determinant and transfer calls it
+takes."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from graphspectra import coupling as cp
 from graphspectra import graphs as gr
 from graphspectra import spectra as sp
-from graphspectra.edges import Dirac
+from graphspectra.edges import Dirac, Laplacian
 from graphspectra.graphs import Edge, MetricGraph
 
 
@@ -104,6 +107,72 @@ def test_compiled_matrix_matches_reference(make, mesh):
     block = oracle.matrices(np.array(lams), mesh).copy()
     for i, lam in enumerate(lams):
         np.testing.assert_array_equal(block[i], oracle.matrices([lam], mesh)[0])
+
+
+def rk4_sequential(a, lengths, mesh):
+    """u' = A u from u(0) = I, stepped 2^k times by the k1 ... k4 formulas of
+    classical RK4, with k = max(1, ceil(log2 mesh)); ``a`` holds one 2 x 2
+    matrix per lambda, the result one transfer matrix per (edge, lambda)."""
+    steps = 1 << max(1, math.ceil(math.log2(mesh)))
+    h = (np.asarray(lengths) / steps)[:, None, None, None]
+    u = np.broadcast_to(np.eye(2), (len(lengths),) + a.shape).copy()
+    for _ in range(steps):
+        k1 = a @ u
+        k2 = a @ (u + h / 2 * k1)
+        k3 = a @ (u + h / 2 * k2)
+        k4 = a @ (u + h * k3)
+        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u
+
+
+def edge_systems(model, lams):
+    """The first-order systems of the oracle: (psi, psi') for the Laplacian,
+    (psi1, i psi2) for the Dirac operator."""
+    lams = np.asarray(lams, dtype=float)
+    a = np.zeros(lams.shape + (2, 2))
+    if isinstance(model, Dirac):
+        c = model.c
+        a[:, 0, 1] = (lams + c * c / 2) / c
+        a[:, 1, 0] = -(lams - c * c / 2) / c
+    else:
+        a[:, 0, 1] = 1.0
+        a[:, 1, 0] = -lams
+    return a
+
+
+@pytest.mark.parametrize("model, lams", [
+    # below the threshold w = 0, exactly at it, and above it
+    (Laplacian(), [-30.0, -2.0, 0.0, 2.0, 30.0]),
+    (Dirac(1.0), [-6.5, -0.5, -0.25, 0.0, 0.5, 6.5]),
+    (Dirac(3.0), [-10.5, -4.5, -2.25, 0.0, 4.5, 10.5]),
+])
+@pytest.mark.parametrize("mesh", [1, 2000])
+def test_transfer_stack_matches_sequential_rk4(model, lams, mesh):
+    lengths = np.array([1e-6, 1e-3, 0.1, 0.7, 3.0])
+    want = rk4_sequential(edge_systems(model, lams), lengths, mesh)
+    got = sp._transfer_stack(model, lengths, lams, mesh)
+    assert got.shape == (len(lengths), len(lams), 2, 2)
+    scale = np.max(np.abs(want), axis=(2, 3), keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_grid_computes_transfers_once_per_chunk(monkeypatch):
+    # The depth-40 chain's 80 x 80 matrices fill a block every 5 samples; the
+    # transfers of a 600-point grid are computed in a few chunks, not once
+    # per block (120 times).
+    calls = []
+    stack = sp._transfer_stack
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return stack(*args)
+
+    monkeypatch.setattr(sp, "_transfer_stack", counted)
+    g = gr.geometric_chain(0.5, 0.5, 40)
+    oracle = sp._CompiledOracle(g, delta(g, 0.3))
+    dets = oracle.evaluate("det", np.linspace(-1.0, 60.0, 600), 2000)
+    assert len(dets) == 600 and sum(calls) == 600
+    assert len(calls) <= 10
 
 
 def custom_delta_dirac():

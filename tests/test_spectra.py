@@ -302,6 +302,41 @@ def test_scan_rejects_bad_window():
         sp.scan_spectrum(g2, coup2, (-1.0, 1.0))
 
 
+@pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 10.0), (0.0, math.nan)])
+def test_routes_reject_non_finite_windows(window, monkeypatch):
+    # Rejected up front: the pole search of an infinite window never ends.
+    def no_pole_search(g, window):
+        raise AssertionError("pole search reached")
+
+    monkeypatch.setattr(sp, "_decoupled_in_window", no_pole_search)
+    g = gr.star(3, lengths=1.0)
+    coup = delta_problem(g, 0.0)
+    for route in (sp.scan_spectrum, sp.oracle_eigenvalues):
+        with pytest.raises(ValueError, match="window bounds must be finite"):
+            route(g, coup, window)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_routes_reject_bad_tol(tol):
+    # tol = 0 made the oracle's mesh-doubling budget 0 (a spurious
+    # OracleConvergenceError), and tol = nan made the scan's merge test
+    # false, splitting the double roots of this star.
+    g = gr.star(3, lengths=1.0)
+    coup = delta_problem(g, 0.0)
+    for route in (sp.scan_spectrum, sp.oracle_eigenvalues):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            route(g, coup, (1.0, 12.0), tol=tol)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_oracle_rejects_fewer_than_two_samples(samples):
+    # A grid of fewer than two samples has no sign change, so the roots at
+    # pi^2 in this window went unreported.
+    g = gr.star(3, lengths=1.0)
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        sp.oracle_eigenvalues(g, delta_problem(g, 0.0), (1.0, 12.0), samples=samples)
+
+
 def test_scan_rejects_pole_only_window():
     g = gr.interval(1.0)
     coup = delta_problem(g, 0.0)
