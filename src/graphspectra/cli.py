@@ -158,6 +158,9 @@ def _declare_truncation(g, depth):
 
 
 def _cmd_criteria(args) -> int:
+    if args.depth is not None and args.depth < 1:
+        sys.stderr.write(f"error: --depth must be at least 1, got {args.depth}\n")
+        return EXIT_USAGE
     problem, report = _load(args.file)
     _require_valid(report)
     g = problem.graph

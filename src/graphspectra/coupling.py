@@ -5,8 +5,8 @@ mutually orthogonal basis vectors, plus a Hermitian matrix on it; its
 ``VertexBlock`` also carries v's boundary coordinates (edge id, t), in
 incidence order, and its operator L_v, both fixed at construction.  The
 delta constructors build the one-dimensional couplings of point
-interactions: the all-ones vector for the Laplacian and the phase vector
-(1 at outgoing, i at incoming coordinates) for Dirac, block alpha(v)/deg(v).
+interactions: the edge model's trace phases ``_phases`` (all ones for the
+Laplacian, i at incoming Dirac coordinates), block alpha(v)/deg(v).
 
 Basis vectors are stored unnormalized: the weighted measures downstream
 depend on the raw vectors, so normalization happens only inside matrix
@@ -21,8 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .edges import Dirac
-from .graphs import MetricGraph, boundary_coordinates, incidence_sets, validate_graph
+from .graphs import (MetricGraph, boundary_coordinates, edge_model_for, incidence_sets,
+                     validate_graph)
 
 __all__ = [
     "VertexBlock",
@@ -67,11 +67,9 @@ class VertexCoupling:
         return self.blocks[vertex]
 
 
-def _delta_phases(coords, dirac: bool) -> np.ndarray:
-    """Delta-coupling phases over ``coords``: i at incoming Dirac coordinates, else 1."""
-    if dirac:
-        return np.array([1.0 if t == 0 else 1.0j for _, t in coords])
-    return np.ones(len(coords), dtype=complex)
+def _delta_phases(coords, model) -> np.ndarray:
+    """Delta-coupling phases over ``coords``: the model's trace phase at each t."""
+    return np.array([model._phases[t] for _, t in coords])
 
 
 def _vertex_blocks(g: MetricGraph, coupling: VertexCoupling):
@@ -93,14 +91,13 @@ def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling
     Each vertex gets the one-dimensional subspace spanned by its phase
     vector for the graph's edge model and the block alpha(v)/deg(v) on it.
     """
-    dirac = isinstance(g.model, Dirac)
     inc = {v: tuple(e.coordinate for e in ent) for v, ent in incidence_sets(g).items()}
     missing = [v for v in g.vertices if v not in alpha]
     if missing:
         raise ValueError(f"alpha missing for vertices {sorted(missing)}")
     blocks = {}
     for v, coords in inc.items():
-        vec = _delta_phases(coords, dirac)
+        vec = _delta_phases(coords, g.model)
         mat = np.array([[alpha[v] / len(coords)]], dtype=complex)
         blocks[v] = VertexBlock(v, coords, vec[:, None], mat)
     return VertexCoupling("delta", blocks)
@@ -212,6 +209,8 @@ class _CompiledPairing:
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
         self.basis = gb = global_basis(g, coupling)
+        # (edge id, edge model, length) in graph order: what M(lambda) needs.
+        self.edges = [(e.id, edge_model_for(g.model, e), e.length) for e in g.edges]
         n = len(gb.labels)
         shapes = {}  # (first element, block) grouped by basis shape (degree, dimension)
         start = 0

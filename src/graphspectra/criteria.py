@@ -85,15 +85,11 @@ def _is_geometric_chain(dl_or_graph) -> bool:
     return info is not None and info.kind == "geometric_chain"
 
 
-def _at_point(lam0: float, point: float) -> bool:
-    """lambda0 sits at a model's canonical point, up to rounding."""
-    return abs(lam0 - point) <= 1e-12 * max(1.0, abs(point))
-
-
-def _dirac_gap_center(dl: DiscreteLaplacian) -> bool:
-    """Delta-coupled Dirac data regularized at the gap center c^2/2."""
-    return dl.model_tag == "dirac" and dl.flavor == "delta" \
-        and dl.dirac_c is not None and _at_point(dl.lambda0, dl.dirac_c ** 2 / 2)
+def _canonical(dl: DiscreteLaplacian) -> bool:
+    """Delta data regularized at ``default_lambda0`` of its model, up to
+    rounding: the gap center c^2/2 for Dirac, 0 for the Laplacian."""
+    point = em.default_lambda0(dl.model)
+    return dl.flavor == "delta" and abs(dl.lambda0 - point) <= 1e-12 * max(1.0, abs(point))
 
 
 def _geometric_tail(first: float, ratio: float, start_index: int) -> float:
@@ -114,10 +110,11 @@ def check_self_adjointness(dl: DiscreteLaplacian) -> CriterionResult:
     deg = weighted_degree(dl)
     sup_deg = float(np.max(deg)) if dl.size else 0.0
     witness = {"inf_c_over_m": inf_cm, "sup_deg_truncated": sup_deg}
-    if _dirac_gap_center(dl):
+    gap_center = _canonical(dl) and not dl.model.bounded_below  # Dirac at c^2/2
+    if gap_center:
         witness["bounded_degree"] = {
-            "verdict": HOLDS if sup_deg <= dl.dirac_c ** 2 + 1e-12 else FAILS,
-            "model_bound": dl.dirac_c ** 2,
+            "verdict": HOLDS if sup_deg <= dl.model.c ** 2 + 1e-12 else FAILS,
+            "model_bound": dl.model.c ** 2,
         }
 
     if dl.truncation is None:
@@ -134,14 +131,14 @@ def check_self_adjointness(dl: DiscreteLaplacian) -> CriterionResult:
     # (ii) with the model bound: for the delta-coupled Dirac family the
     # weighted degree is bounded by c^2 vertex by vertex, any lengths with
     # finite supremum.
-    if _dirac_gap_center(dl) and info.ratio <= 1.0:
-        witness["bound"] = dl.dirac_c ** 2
+    if gap_center and info.ratio <= 1.0:
+        witness["bound"] = dl.model.c ** 2
         witness["sup_length"] = info.first_length * max(1.0, info.ratio)
         return CriterionResult(crit, HOLDS, "sa.bounded-degree", witness, depth)
 
     # (i) for the canonical Laplacian chain at lambda0 = 0: the chain path
     # has m(v_n) = (l_{n-1} + l_n)/2, a geometric series.
-    if dl.model_tag == "laplacian" and dl.flavor == "delta" and _at_point(dl.lambda0, 0.0):
+    if _canonical(dl) and dl.model.bounded_below:
         partial = float(np.sum(dl.m))
         # At lambda0 = 0 every edge contributes length/2 to each endpoint, so
         # the family total of the measure equals the total length.
@@ -250,8 +247,7 @@ def check_discreteness(dl: DiscreteLaplacian, g: MetricGraph,
              "inf_c_over_m": inf_cm}
     if dl.truncation is None:
         entry["verdict"] = HOLDS
-    elif geometric and dl.model_tag == "laplacian" and dl.flavor == "delta" \
-            and _at_point(dl.lambda0, 0.0):
+    elif geometric and dl.model.bounded_below and _canonical(dl):
         m_tail = _geometric_tail(info.first_length, info.ratio, info.depth)
         inv_b_tail = _geometric_tail(info.first_length, info.ratio, info.depth)
         entry["m_tail_closed_form"] = m_tail
@@ -291,7 +287,7 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
     so the check is INCONCLUSIVE there.
     """
     crit = "semi-boundedness"
-    if isinstance(g.model, em.Dirac):
+    if not g.model.bounded_below:
         return CriterionResult(crit, INCONCLUSIVE, "sb.model",
                                {"reason": "Dirac edges are not semi-bounded; "
                                           "no soft-minimum decoupling available"})

@@ -34,8 +34,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import edges as em
 from .coupling import VertexCoupling, _CompiledPairing
+from .edges import EdgeModel
 from .graphs import MetricGraph
 from .regularize import Regularization
 
@@ -62,8 +62,7 @@ class DiscreteLaplacian:
     c: np.ndarray                 # real potential
     b: Mapping                    # {(i, j): weight}, i < j, symmetric closure implied
     criteria_applicable: bool     # all weights real and >= 0
-    model_tag: str                # "laplacian" | "dirac"
-    dirac_c: Optional[float]
+    model: EdgeModel              # the edge model of the underlying graph
     truncation: Optional[object]  # TruncationInfo of the underlying graph
     flavor: str = "custom"        # coupling flavor the data came from
     lambda0: float = 0.0
@@ -125,15 +124,13 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     row_sums = (np.bincount(rows, vals.real, minlength=n)
                 + np.bincount(cols, vals.real, minlength=n))
     c = diagonal - row_sums
-    model_tag = "dirac" if isinstance(g.model, em.Dirac) else "laplacian"
     return DiscreteLaplacian(
         labels=compiled.basis.labels,
         m=m,
         c=c,
         b=b,
         criteria_applicable=applicable,
-        model_tag=model_tag,
-        dirac_c=(g.model.c if isinstance(g.model, em.Dirac) else None),
+        model=g.model,
         truncation=g.truncation,
         flavor=coupling.flavor,
         lambda0=reg.lambda0,

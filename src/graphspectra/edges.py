@@ -23,10 +23,13 @@ rho(lambda) = c^2 / (lambda + c^2/2) and rephased by D = diag(1, -i):
 The Laplacian is the identity reduction k^2 = lambda, rho = 1, D = I.
 The poles of M are the k^2-preimages of the Dirichlet values (n pi/l)^2,
 n >= 1, plus, for Dirac, the pole of rho at -c^2/2.  Each interval
-model class states its reduction once: ``_reduce`` (k^2, rho and their
-derivatives), ``_pole`` (the preimages of a wavenumber), ``_wavenumber``
-(where to look for the nearest poles), ``_extra_poles`` and the default
-point ``_lambda0``; every function below reads it from there.
+model class states its conventions once, and the whole package reads
+them from there: ``_reduce`` (k^2, rho and their derivatives), ``_pole``
+(the preimages of a wavenumber), ``_wavenumber`` (where to look for the
+nearest poles), ``_extra_poles``, the default point ``_lambda0``, the
+phases ``_phases`` of psi1 in the trace at t = 0 and 1 (1 and i for Dirac:
+the delta-coupling vector), the scale ``_flux`` of the flux trace (c for
+Dirac), the raw first-order system ``_system`` and ``bounded_below``.
 
 Every interval evaluation is written with ratios of the entire functions
 
@@ -100,6 +103,9 @@ class Laplacian:
     kind = "laplacian"
     _lambda0 = 0.0
     _extra_poles = ()
+    _phases = (1 + 0j, 1 + 0j)
+    _flux = 1.0
+    bounded_below = True
 
     @staticmethod
     def _reduce(lam):
@@ -115,7 +121,12 @@ class Laplacian:
     def _wavenumber(x):
         """Wavenumber at the real point x, 0 where it is imaginary; the poles
         nearest to any lam with Re lam = x lie next to it."""
-        return math.sqrt(max(x, 0.0))
+        return math.sqrt(x) if x > 0 else 0.0
+
+    @staticmethod
+    def _system(lam):
+        """(A[0, 1], A[1, 0]) of u' = A u, u = (psi, psi'); (psi1, i psi2) for Dirac."""
+        return 1.0, -lam
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,8 @@ class Dirac:
 
     c: float
     kind = "dirac"
+    _phases = (1.0, 1j)
+    bounded_below = False
 
     def __post_init__(self):
         if not self.c > 0:
@@ -137,6 +150,10 @@ class Dirac:
     def _extra_poles(self):
         return (-self.c * self.c / 2,)
 
+    @property
+    def _flux(self):
+        return self.c
+
     def _reduce(self, lam):
         c2 = self.c * self.c
         shift = lam + c2 / 2
@@ -149,7 +166,12 @@ class Dirac:
 
     def _wavenumber(self, x):
         c = self.c
-        return math.sqrt(max(x * x - (c * c / 2) ** 2, 0.0)) / c
+        v = x * x - (c * c / 2) ** 2
+        return math.sqrt(v) / c if v > 0 else 0.0
+
+    def _system(self, lam):
+        c = self.c
+        return (lam + c * c / 2) / c, -(lam - c * c / 2) / c
 
 
 @dataclass(frozen=True)
@@ -263,25 +285,36 @@ def _pole_family(model: EdgeModel, triplet: str):
     return 1, 0, model._extra_poles
 
 
-def _nearest_pole(model: EdgeModel, ell: float, lam: complex, triplet: str):
-    """(distance, pole) from lam to the decoupled spectrum; inputs checked."""
-    if boundary_dim(model) == 1:
-        if lam.real <= 0:
-            return abs(lam), 0.0
-        return abs(lam.imag), lam.real
-    # All poles are real, so the nearest one brackets Re lam: its index is
-    # n0 or n0 + 1, with (n0 + offset) pi / l the last pole wavenumber at
-    # or below that of Re lam.
-    first, offset, candidates = _pole_family(model, triplet)
-    candidates = list(candidates)
-    n0 = math.floor(ell * model._wavenumber(lam.real) / math.pi - offset)
-    for n in range(max(first, n0), n0 + 2):
-        candidates.extend(model._pole((n + offset) * math.pi / ell))
-    dist = pole = None
-    for p in candidates:  # the first of equally near poles wins
-        d = abs(lam - p)
-        if dist is None or d < dist:
-            dist, pole = d, p
+def _guard(model, ell, lam, triplet="graph", tol=_POLE_TOL):
+    """(distance, pole) from lam to the decoupled spectrum, the one pole
+    computation of an edge evaluation: raises EdgeModelError for a lam that
+    is not finite or whose l^2 |k^2| overflows, and PoleOfWeylError within
+    ``tol * max(1, |pole|)`` of the nearest decoupled eigenvalue."""
+    _check_triplet(model, triplet)
+    _check_length(model, ell)
+    lam = complex(lam)
+    half_line = boundary_dim(model) == 1
+    lk = 0.0 if half_line else ell * model._wavenumber(abs(lam))
+    if not (cmath.isfinite(lam) and math.isfinite(lk * lk)):
+        raise EdgeModelError(f"lambda={lam} is not finite or overflows the edge evaluation")
+    if half_line:
+        dist, pole = (abs(lam), 0.0) if lam.real <= 0 else (abs(lam.imag), lam.real)
+    else:
+        # All poles are real, so the nearest one brackets Re lam: its index
+        # is n0 or n0 + 1, with (n0 + offset) pi / l the last pole wavenumber
+        # at or below that of Re lam.
+        first, offset, candidates = _pole_family(model, triplet)
+        candidates = list(candidates)
+        n0 = math.floor(ell * model._wavenumber(lam.real) / math.pi - offset)
+        for n in range(max(first, n0), n0 + 2):
+            candidates.extend(model._pole((n + offset) * math.pi / ell))
+        dist = pole = None
+        for p in candidates:  # the first of equally near poles wins
+            d = abs(lam - p)
+            if dist is None or d < dist:
+                dist, pole = d, p
+    if dist < tol * max(1.0, abs(pole)):
+        raise PoleOfWeylError(lam, pole)
     return dist, pole
 
 
@@ -291,9 +324,7 @@ def pole_distance(model: EdgeModel, ell: float, lam, triplet: str = "graph"):
     For interval models the decoupled spectrum is the closed-form pole set of
     the boundary response matrix; for the half-line it is the ray [0, inf).
     """
-    _check_triplet(model, triplet)
-    _check_length(model, ell)
-    return _nearest_pole(model, ell, complex(lam), triplet)
+    return _guard(model, ell, lam, triplet, tol=0.0)
 
 
 def _halfline_root(lam):
@@ -349,18 +380,6 @@ def _weyl_hat(c, ell, lam, derivative):
     d12 = sec * t * wp / 2
     d22 = (ell / (c * c)) * (t + (lam + half_gap) * dt)
     return m, np.array([[d11, d12], [d12, d22]], dtype=complex)
-
-
-def _guard(model, ell, lam, triplet="graph", tol=_POLE_TOL):
-    """(distance, pole) of one edge evaluation, the one pole computation:
-    raises PoleOfWeylError within ``tol * max(1, |pole|)`` of the nearest
-    decoupled eigenvalue."""
-    _check_triplet(model, triplet)
-    _check_length(model, ell)
-    dist, pole = _nearest_pole(model, ell, complex(lam), triplet)
-    if dist < tol * max(1.0, abs(pole)):
-        raise PoleOfWeylError(lam, pole)
-    return dist, pole
 
 
 def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False):
@@ -534,9 +553,7 @@ def defect_element(model: EdgeModel, ell: float, lam, gamma0,
     lam = complex(lam)
     if boundary_dim(model) == 1:
         return DefectElement(model, ell, lam, (gamma0[0],), (gamma0[0],), triplet)
-    far = gamma0[1]
-    if triplet == "graph" and isinstance(model, Dirac):
-        far = -1j * far
+    far = gamma0[1] / model._phases[1] if triplet == "graph" else gamma0[1]
     return DefectElement(model, ell, lam, tuple(gamma0), (gamma0[0], far), triplet)
 
 
@@ -572,7 +589,8 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
     """Spectrum of the decoupled edge operator (poles of the response matrix).
 
     Exactly one of ``window=(a, b)`` or ``count`` must be given.  ``count``
-    means the first ``count`` wavenumber indices; for the Dirac model each
+    (an integer >= 0) means the first ``count`` wavenumber indices, and a
+    window the poles of as many indices, in it; for the Dirac model each
     index yields a +/- pair and the graph triplet additionally contains the
     gap edge -c^2/2.  Half-line edges have no eigenvalues (their decoupled
     spectrum is the continuous ray), so the result is empty.
@@ -583,21 +601,18 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
         raise EdgeModelError("specify exactly one of window or count")
     if window is not None and not (math.isfinite(window[0]) and math.isfinite(window[1])):
         raise EdgeModelError("window bounds must be finite")
+    if count is not None and not (isinstance(count, (int, np.integer)) and count >= 0):
+        raise EdgeModelError(f"count must be an integer >= 0, got {count!r}")
     if boundary_dim(model) == 1:
         return np.array([])
     first, offset, extra = _pole_family(model, triplet)
-    if count is not None:
-        vals = list(extra) + [p for n in range(first, first + count)
-                              for p in model._pole((n + offset) * math.pi / ell)]
-    else:
+    if window is not None:
+        # No pole in [a, b] has a larger wavenumber than a or b: index <= n0 + 1.
         a, b = window
-        vals = [v for v in extra if a <= v <= b]
-        n = first
-        while True:
-            poles = model._pole((n + offset) * math.pi / ell)
-            vals.extend(p for p in poles if a <= p <= b)
-            # Positive poles only grow with n and negative ones only fall.
-            if all(p > b if p > 0 else p < a for p in poles):
-                break
-            n += 1
+        n0 = math.floor(ell * max(model._wavenumber(a), model._wavenumber(b)) / math.pi - offset)
+        count = max(0, n0 + 2 - first)
+    vals = list(extra) + [p for n in range(first, first + count)
+                          for p in model._pole((n + offset) * math.pi / ell)]
+    if window is not None:
+        vals = [v for v in vals if a <= v <= b]
     return np.array(sorted(vals))

@@ -137,13 +137,9 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
     for the eigensolve.  Callers that evaluate many lambda hand their compiled
     pairing in ``_pairing``; otherwise the call compiles its own.
     """
-    blocks = {}
-    for e in g.edges:
-        model = edge_model_for(g.model, e)
-        blocks[e.id] = em.weyl(model, e.length, lam, _pole_tol=_POLE_GUARD)
-    compiled = _pairing
-    if compiled is None:
-        compiled = _CompiledPairing(g, coupling)
+    compiled = _pairing or _CompiledPairing(g, coupling)
+    blocks = {eid: em.weyl(model, ell, lam, _pole_tol=_POLE_GUARD)
+              for eid, model, ell in compiled.edges}
     return compiled.dense(compiled(blocks) / compiled.norm_products)
 
 
@@ -302,12 +298,7 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     (x, y) -> (x^2 + w y^2, 2 x y), which reproduces sequential stepping;
     no closed-form trigonometry enters.
     """
-    lams = np.asarray(lams, dtype=float)
-    if isinstance(model, em.Dirac):
-        c = model.c
-        a01, a10 = (lams + c * c / 2) / c, -(lams - c * c / 2) / c
-    else:
-        a01, a10 = 1.0, -lams
+    a01, a10 = model._system(np.asarray(lams, dtype=float))
     w = a01 * a10
     doublings = max(1, int(math.ceil(math.log2(mesh))))
     h = lengths[:, None] / (1 << doublings)
@@ -329,14 +320,14 @@ class _CompiledOracle:
 
     The unknowns are the states u_e(0) at the edge sources, in columns
     2e, 2e+1 (edges in id order).  Each incidence coordinate is rotated by
-    conj(phase), with the phases of the delta couplings (i^t for the Dirac
-    model, 1 otherwise), which makes the delta-type conditions real: traces
-    become psi1 values and fluxes c * sign * (i psi2) values.  Per vertex,
+    conj(phase), with the model's trace phases ``_phases`` (the delta
+    couplings), which makes the delta-type conditions real: traces become
+    psi1 values and fluxes _flux * sign * u_2 values.  Per vertex,
     the rows say that Gamma0 lies in the rotated coupling subspace
     (comp^H Gamma0 = 0) and that the block condition holds
     (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint has the
     constant traces (u_1, s u_2), a target endpoint (T[0] u, s T[1] u),
-    with s = sign (times c for Dirac), so
+    with s = sign times ``_flux``, so
 
         A[:, 2e+j] = base[:, 2e+j] + U[:, e] T_e[0, j] + V[:, e] T_e[1, j].
 
@@ -354,13 +345,12 @@ class _CompiledOracle:
         self.model = g.model
         self.lengths = np.array([e.length for e in edges])
         n, ne = 2 * len(edges), len(edges)
-        dirac = isinstance(g.model, em.Dirac)
         base = np.zeros((n, ne, 2), dtype=complex)
         u = np.zeros((n, ne), dtype=complex)
         v = np.zeros((n, ne), dtype=complex)
         row = 0
         for block in _vertex_blocks(g, coupling)[1]:
-            basis = _delta_phases(block.coords, dirac).conj()[:, None] * block.basis
+            basis = _delta_phases(block.coords, g.model).conj()[:, None] * block.basis
             # Rotate out each column's leading phase, the matrix to match (the
             # operator stays): a coupling real up to column phases gives a real A.
             phase = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
@@ -374,7 +364,7 @@ class _CompiledOracle:
             rows = slice(row, row + len(block.coords))
             for i, (eid, t) in enumerate(block.coords):
                 k = column[eid]
-                s = (g.model.c if dirac else 1.0) * (1 - 2 * t)  # sign +1 at t = 0, -1 at t = 1
+                s = g.model._flux * (1 - 2 * t)  # sign +1 at t = 0, -1 at t = 1
                 if t == 0:
                     base[rows, k, 0] += gamma0[:, i]
                     base[rows, k, 1] += s * gamma1[:, i]
@@ -632,12 +622,12 @@ def _psd(evs: np.ndarray) -> bool:
 def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optional[float]:
     """Largest lambda0 below the decoupled ground state where
     L - P M(lambda0) P is positive semi-definite; None when no point
-    qualifies.  Laplacian model only (the decoupled operator is the
+    qualifies.  Models ``bounded_below`` only (the decoupled operator is the
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
     lower bound for the whole spectrum.  The first PSD point of a fixed
     descending grid is tightened by bisection against the last non-PSD one.
     """
-    if isinstance(g.model, em.Dirac):
+    if not g.model.bounded_below:
         return None
     ground = decoupled_ground_state(g)
     compiled = _CompiledPairing(g, coupling)

@@ -277,3 +277,29 @@ def test_criteria_survives_samples_on_dirac_poles(tmp_path, capsys):
     assert len(entry["max_eigenvalues"]) == 4
     assert entry["strictly_decreasing"] is False
     assert scan["witness"]["evidence_supports"] is False
+
+
+@pytest.mark.parametrize("argv,model", [
+    (["weyl", "--edge", "e00", "--lambda", "inf"], None),
+    (["weyl", "--edge", "e00", "--lambda", "1,inf"], None),
+    (["weyl", "--edge", "e00", "--lambda", "1,nan"], None),
+    (["weyl", "--edge", "e00", "--lambda", "nan"], None),
+    (["discrete", "--lambda0", "inf"], None),
+    (["discrete", "--lambda0", "1e300"], {"type": "dirac", "c": 1.0}),
+])
+def test_non_finite_or_overflowing_lambda_is_a_numeric_failure(tmp_path, capsys, argv, model):
+    path = write(tmp_path, "star.json", star3(model=model))
+    assert main(argv[:1] + [path] + argv[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: ")
+    assert "not finite or overflows" in captured.err
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_criteria_depth_below_one_is_a_usage_error(tmp_path, capsys, depth):
+    path = write(tmp_path, "chain.json", chain_json([0.5 * 0.5 ** n for n in range(4)]))
+    assert main(["criteria", path, "--depth", depth]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth must be at least 1" in captured.err

@@ -11,7 +11,7 @@ from graphspectra import coupling as cp
 from graphspectra import discrete as dc
 from graphspectra import graphs as gr
 from graphspectra import regularize as rg
-from graphspectra.edges import Dirac
+from graphspectra.edges import Dirac, Laplacian
 from graphspectra.graphs import Edge, MetricGraph
 
 
@@ -239,3 +239,11 @@ def test_array_operations_match_the_loops():
     lm = dc.lmin_matrix(g, coup, reg)
     assert scipy.sparse.issparse(lm)
     assert dc.unitary_equivalence_residual(dl, lm) < 1e-12
+
+
+@pytest.mark.parametrize("model", [Laplacian(), Dirac(1.7)])
+def test_discrete_data_carry_the_graph_model(model):
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3], model=model)
+    reg = rg.build_regularization(g)
+    dl = dc.build_discrete(g, cp.delta_coupling(g, gr.alpha_map(g, 0.5)), reg)
+    assert dl.model is g.model

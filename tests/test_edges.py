@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from graphspectra import edges as em
+from graphspectra.graphs import star
+from graphspectra.regularize import build_regularization
 from graphspectra.spectra import _transfer_stack
 
 
@@ -478,3 +480,61 @@ def test_weyl_matches_rk4_transfer_matrix():
         gamma0 = np.array([[1.0, 0.0], [1j * t[0, 0], 1j * t[0, 1]]])
         gamma1 = np.array([[0.0, c], [-1j * c * t[1, 0], -1j * c * t[1, 1]]])
         assert np.max(np.abs(gamma1 - m @ gamma0)) < 1e-8
+
+
+@pytest.mark.parametrize("model,triplet", [
+    (LAP, "graph"), (em.Dirac(1.0), "graph"), (em.Dirac(3.3), "graph"),
+    (em.Dirac(1.0), "hat"), (em.Dirac(3.3), "hat"),
+])
+def test_decoupled_window_is_count_filtered_to_the_window(model, triplet):
+    # Window mode takes its index range from the wavenumber of the window
+    # ends; it must list exactly the poles of count mode that lie inside.
+    rng = np.random.default_rng(11)
+    for ell in [1e-3, 9.0] + rng.uniform(1e-3, 9.0, 6).tolist():
+        # Poles of 40 indices: all those in [-top, top], top the largest.
+        poles = em.decoupled_eigenvalues(model, ell, count=40, triplet=triplet)
+        top = poles[-1]
+        windows = [tuple(sorted(rng.uniform(-top, top, 2))) for _ in range(30)]
+        for _ in range(30):
+            i, j = sorted(rng.integers(0, len(poles), 2))
+            windows += [(poles[i], poles[j]), (np.nextafter(poles[i], math.inf), poles[j])]
+        for a, b in windows:
+            got = em.decoupled_eigenvalues(model, ell, window=(a, b), triplet=triplet)
+            want = poles[(a <= poles) & (poles <= b)]
+            assert got.tolist() == want.tolist(), (ell, a, b)
+
+
+@pytest.mark.parametrize("count", [-2, -1, 1.5, "3"])
+def test_decoupled_count_must_be_a_nonnegative_integer(count):
+    with pytest.raises(em.EdgeModelError, match="count must be an integer"):
+        em.decoupled_eigenvalues(em.Dirac(1.0), 1.0, count=count)
+
+
+def test_decoupled_count_zero_keeps_the_extra_pole():
+    assert em.decoupled_eigenvalues(em.Dirac(1.0), 1.0, count=0).tolist() == [-0.5]
+    assert em.decoupled_eigenvalues(LAP, 1.0, count=np.int64(1)).size == 1
+
+
+@pytest.mark.parametrize("model,lam", [
+    (LAP, math.inf), (LAP, -math.inf), (LAP, math.nan), (LAP, complex(1.0, math.inf)),
+    (LAP, complex(1.0, math.nan)), (em.Dirac(1.0), math.inf), (em.Dirac(1.0), 1e300),
+    (em.Dirac(1.0), -1e300), (LAP, 1e308 * 1.5),
+])
+def test_edge_guard_rejects_non_finite_or_overflowing_lambda(model, lam):
+    calls = [
+        lambda: em.weyl(model, 1.5, lam),
+        lambda: em.weyl_derivative(model, 1.5, lam),
+        lambda: em.pole_distance(model, 1.5, lam),
+        lambda: em.defect_element(model, 1.5, lam, [1.0, 0.0]),
+    ]
+    if not isinstance(lam, complex):
+        calls.append(lambda: build_regularization(star(3, lengths=1.5, model=model), lam))
+    for call in calls:
+        with pytest.raises(em.EdgeModelError, match="not finite or overflows"):
+            call()
+
+
+def test_half_line_guard_rejects_non_finite_lambda():
+    for lam in (math.nan, complex(-1.0, math.inf)):
+        with pytest.raises(em.EdgeModelError, match="not finite or overflows"):
+            em.weyl(HALF, math.inf, lam)
