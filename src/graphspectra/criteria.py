@@ -201,7 +201,7 @@ def check_discreteness(dl: DiscreteLaplacian, g: MetricGraph,
         sub["connectivity"] = {"verdict": HOLDS, "components": count}
 
     # (ii) trace-class decoupled resolvent
-    if isinstance(g.model, em.Dirac):
+    if not g.model.bounded_below:
         c = g.model.c
         partials = {}
         for e in g.edges:

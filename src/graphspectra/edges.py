@@ -66,7 +66,6 @@ __all__ = [
     "PoleOfWeylError",
     "DefectElement",
     "DIRAC_GRAPH_FROM_HAT",
-    "boundary_dim",
     "weyl",
     "weyl_derivative",
     "weyl_norm_prime",
@@ -97,10 +96,24 @@ class PoleOfWeylError(EdgeModelError):
 
 
 @dataclass(frozen=True)
+class HalfLineLaplacian:
+    """Free Laplacian on a half-line edge (one boundary point, d = 1)."""
+
+    kind = "half_line_laplacian"
+    _lambda0 = None
+    dim = 1
+    _triplets = ("graph",)
+    _half_line = None
+
+
+@dataclass(frozen=True)
 class Laplacian:
     """Free Laplacian -d^2/dx^2 on finite interval edges."""
 
     kind = "laplacian"
+    dim = 2
+    _triplets = ("graph",)
+    _half_line = HalfLineLaplacian()
     _lambda0 = 0.0
     _extra_poles = ()
     _phases = (1 + 0j, 1 + 0j)
@@ -135,6 +148,9 @@ class Dirac:
 
     c: float
     kind = "dirac"
+    dim = 2
+    _triplets = ("graph", "hat")
+    _half_line = None
     _phases = (1.0, 1j)
     bounded_below = False
 
@@ -172,14 +188,6 @@ class Dirac:
     def _system(self, lam):
         c = self.c
         return (lam + c * c / 2) / c, -(lam - c * c / 2) / c
-
-
-@dataclass(frozen=True)
-class HalfLineLaplacian:
-    """Free Laplacian on a half-line edge (one boundary point, d = 1)."""
-
-    kind = "half_line_laplacian"
-    _lambda0 = None
 
 
 EdgeModel = Union[Laplacian, Dirac, HalfLineLaplacian]
@@ -253,20 +261,15 @@ def _trig(w):
     return (1 + u) / 2, (u - 1) / (2j * z), 1j * z
 
 
-def boundary_dim(model: EdgeModel) -> int:
-    """Dimension of the per-edge boundary space (2 on intervals, 1 on a half-line)."""
-    return 1 if isinstance(model, HalfLineLaplacian) else 2
-
-
 def _check_triplet(model: EdgeModel, triplet: str):
     if triplet not in ("graph", "hat"):
         raise EdgeModelError(f"unknown triplet {triplet!r}")
-    if triplet == "hat" and not isinstance(model, Dirac):
+    if triplet not in model._triplets:
         raise EdgeModelError("the 'hat' trace maps exist only for the Dirac model")
 
 
 def _check_length(model: EdgeModel, ell: float):
-    if boundary_dim(model) == 1:
+    if model.dim == 1:
         if not math.isinf(ell):
             raise EdgeModelError("half-line model requires length = inf")
         return
@@ -293,7 +296,7 @@ def _guard(model, ell, lam, triplet="graph", tol=_POLE_TOL):
     _check_triplet(model, triplet)
     _check_length(model, ell)
     lam = complex(lam)
-    half_line = boundary_dim(model) == 1
+    half_line = model.dim == 1
     lk = 0.0 if half_line else ell * model._wavenumber(abs(lam))
     if not (cmath.isfinite(lam) and math.isfinite(lk * lk)):
         raise EdgeModelError(f"lambda={lam} is not finite or overflows the edge evaluation")
@@ -386,7 +389,7 @@ def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False)
     """(distance, pole, M(lam), M'(lam) or None) of one edge, guarded by
     ``_guard``."""
     dist, pole = _guard(model, ell, lam, triplet, tol)
-    if boundary_dim(model) == 1:
+    if model.dim == 1:
         z = _halfline_root(lam)
         return (dist, pole, np.array([[1j * z]], dtype=complex),
                 np.array([[1j / (2 * z)]], dtype=complex))
@@ -500,7 +503,7 @@ class DefectElement:
     def values(self, x):
         """Solution values at points ``x``: shape (n,) scalar or (2, n) spinor."""
         x = np.asarray(x, dtype=float)
-        if boundary_dim(self.model) == 1:
+        if self.model.dim == 1:
             return self.ends[0] * np.exp(1j * _halfline_root(self.lam) * x)
         near, far = self.ends
         ell, lam = self.ell, complex(self.lam)
@@ -546,12 +549,12 @@ def defect_element(model: EdgeModel, ell: float, lam, gamma0,
     """
     _guard(model, ell, lam, triplet)
     gamma0 = np.asarray(gamma0, dtype=complex)
-    if gamma0.shape != (boundary_dim(model),):
+    if gamma0.shape != (model.dim,):
         raise EdgeModelError(
-            f"gamma0 must have shape ({boundary_dim(model)},), got {gamma0.shape}"
+            f"gamma0 must have shape ({model.dim},), got {gamma0.shape}"
         )
     lam = complex(lam)
-    if boundary_dim(model) == 1:
+    if model.dim == 1:
         return DefectElement(model, ell, lam, (gamma0[0],), (gamma0[0],), triplet)
     far = gamma0[1] / model._phases[1] if triplet == "graph" else gamma0[1]
     return DefectElement(model, ell, lam, tuple(gamma0), (gamma0[0], far), triplet)
@@ -569,7 +572,7 @@ def green_identity_residual(f: DefectElement, g: DefectElement) -> complex:
     """
     if (f.model, f.ell, f.triplet) != (g.model, g.ell, g.triplet):
         raise EdgeModelError("defect elements must live on the same edge")
-    if boundary_dim(f.model) == 1:
+    if f.model.dim == 1:
         raise EdgeModelError("Green identity check is for finite edges")
     x = 0.5 * f.ell * (_GAUSS_NODES + 1.0)
     wq = 0.5 * f.ell * _GAUSS_WEIGHTS
@@ -603,7 +606,7 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
         raise EdgeModelError("window bounds must be finite")
     if count is not None and not (isinstance(count, (int, np.integer)) and count >= 0):
         raise EdgeModelError(f"count must be an integer >= 0, got {count!r}")
-    if boundary_dim(model) == 1:
+    if model.dim == 1:
         return np.array([])
     first, offset, extra = _pole_family(model, triplet)
     if window is not None:

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .edges import Dirac, EdgeModel, HalfLineLaplacian, Laplacian
+from .edges import EdgeModel, Laplacian
 
 __all__ = [
     "Edge",
@@ -148,7 +148,7 @@ def validate_graph(g: MetricGraph) -> ValidationReport:
         for _, v in e.endpoints():
             if v not in seen_v:
                 bad.append(("dangling endpoint", f"edge {e.id} touches undeclared vertex {v}"))
-        if e.is_half_line and isinstance(g.model, Dirac):
+        if e.is_half_line and g.model._half_line is None:
             bad.append(("unsupported half-line",
                         f"edge {e.id}: half-line edges require the Laplacian model"))
     # Partition check: the multiset of all incidences must equal the set of
@@ -198,9 +198,9 @@ def degree(g: MetricGraph) -> dict:
 def edge_model_for(model: EdgeModel, edge: Edge) -> EdgeModel:
     """Per-edge operator: half-line edges of a Laplacian graph use the d=1 model."""
     if edge.is_half_line:
-        if not isinstance(model, Laplacian):
+        if model._half_line is None:
             raise ValueError("half-line edges require the Laplacian model")
-        return HalfLineLaplacian()
+        return model._half_line
     return model
 
 
