@@ -612,7 +612,10 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
     if window is not None:
         # No pole in [a, b] has a larger wavenumber than a or b: index <= n0 + 1.
         a, b = window
-        n0 = math.floor(ell * max(model._wavenumber(a), model._wavenumber(b)) / math.pi - offset)
+        bound = ell * max(model._wavenumber(a), model._wavenumber(b)) / math.pi - offset
+        if not math.isfinite(bound):
+            raise EdgeModelError(f"the pole index bound of window {window} overflows")
+        n0 = math.floor(bound)
         count = max(0, n0 + 2 - first)
     vals = list(extra) + [p for n in range(first, first + count)
                           for p in model._pole((n + offset) * math.pi / ell)]

@@ -128,6 +128,8 @@ class ValidationReport:
 def validate_graph(g: MetricGraph) -> ValidationReport:
     """Report-valued structural validation; never raises."""
     bad = []
+    if g.model.dim != 2:
+        bad.append(("unsupported model", f"graph model {g.model.kind} is not an interval model"))
     seen_v = set()
     for v in g.vertices:
         if v in seen_v:

@@ -538,3 +538,48 @@ def test_half_line_guard_rejects_non_finite_lambda():
     for lam in (math.nan, complex(-1.0, math.inf)):
         with pytest.raises(em.EdgeModelError, match="not finite or overflows"):
             em.weyl(HALF, math.inf, lam)
+
+
+def test_huge_dirac_window_overflows_the_pole_index_bound():
+    # The Dirac wavenumber squares the window end, which overflows to inf.
+    with pytest.raises(em.EdgeModelError, match="pole index bound"):
+        em.decoupled_eigenvalues(em.Dirac(1.0), 1.0, window=(0.0, 1e300))
+
+
+@pytest.mark.parametrize("model,ell,gamma0", [(LAP, 1.0, [1.0, 0.0]), (HALF, math.inf, [1.0])])
+@pytest.mark.parametrize("triplet,message", [
+    ("hat", "the 'hat' trace maps exist only for the Dirac model"),
+    ("bogus", "unknown triplet 'bogus'"),
+])
+def test_triplets_the_model_lacks_are_rejected(model, ell, gamma0, triplet, message):
+    calls = [
+        lambda: em.weyl(model, ell, -1.0, triplet),
+        lambda: em.weyl_derivative(model, ell, -1.0, triplet),
+        lambda: em.pole_distance(model, ell, -1.0, triplet),
+        lambda: em.decoupled_eigenvalues(model, ell, count=3, triplet=triplet),
+        lambda: em.defect_element(model, ell, -1.0, gamma0, triplet),
+    ]
+    for call in calls:
+        with pytest.raises(em.EdgeModelError, match=message):
+            call()
+
+
+def test_no_code_tests_the_class_of_an_edge_model():
+    # Each model answers for itself through its class data; a type test on
+    # a model class would be a second place that knows about the model.
+    import ast
+    import pathlib
+
+    classes = {"Laplacian", "Dirac", "HalfLineLaplacian"}
+    sites = []
+    for path in sorted(pathlib.Path(em.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & classes:
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []

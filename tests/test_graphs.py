@@ -147,3 +147,22 @@ def test_boundary_coordinates_deterministic_order():
     g = gr.star(3, lengths=1.0)
     coords = gr.boundary_coordinates(g)
     assert coords == tuple(sorted(coords))
+
+
+def test_edge_model_for_half_line_under_dirac_raises():
+    with pytest.raises(ValueError, match="half-line edges require the Laplacian model"):
+        gr.edge_model_for(Dirac(1.0), Edge("h", "a", None, math.inf))
+
+
+@pytest.mark.parametrize("edges", [
+    (Edge("h", "a", None, math.inf),),
+    (Edge("e", "a", "b", 1.0),),
+])
+def test_only_an_interval_model_can_be_a_graph_model(edges):
+    from graphspectra.coupling import delta_coupling
+    vertices = tuple(sorted({v for e in edges for _, v in e.endpoints()}))
+    g = MetricGraph(vertices, edges, HalfLineLaplacian())
+    codes = {c for c, _ in gr.validate_graph(g).violations}
+    assert "unsupported model" in codes
+    with pytest.raises(ValueError, match="invalid graph"):
+        delta_coupling(g, {v: 0.0 for v in vertices})
