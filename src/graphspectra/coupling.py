@@ -68,8 +68,9 @@ class VertexCoupling:
 
 
 def _delta_phases(coords, model) -> np.ndarray:
-    """Delta-coupling phases over ``coords``: the model's trace phase at each t."""
-    return np.array([model._phases[t] for _, t in coords])
+    """Delta-coupling phases over ``coords``: the model's trace phase at each t,
+    complex for every model, so the oracle's complement SVD is always complex."""
+    return np.array([model._phases[t] for _, t in coords], dtype=complex)
 
 
 def _vertex_blocks(g: MetricGraph, coupling: VertexCoupling):

@@ -7,7 +7,7 @@ import pytest
 
 from graphspectra import coupling as cp
 from graphspectra import graphs as gr
-from graphspectra.edges import Dirac
+from graphspectra.edges import Dirac, Laplacian
 from graphspectra.graphs import Edge, MetricGraph
 
 
@@ -184,3 +184,14 @@ def test_compiles_read_the_blocks_not_the_incidence_sets(monkeypatch):
     cp.global_basis(g, coup)
     cp._CompiledPairing(g, coup)
     sp._CompiledOracle(g, coup)
+
+
+@pytest.mark.parametrize("model", [Laplacian(), Dirac(1.0)])
+def test_delta_blocks_have_a_complex_basis(model):
+    # The oracle's complement SVD runs complex LAPACK for every vertex,
+    # including a Dirac star's centre, whose phases at t = 0 are all real.
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3], model=model)
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.5))
+    assert coup.block("center").coords == (("e00", 0), ("e01", 0), ("e02", 0))
+    for v in g.vertices:
+        assert coup.block(v).basis.dtype == complex, v
