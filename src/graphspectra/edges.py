@@ -22,14 +22,18 @@ rho(lambda) = c^2 / (lambda + c^2/2) and rephased by D = diag(1, -i):
 
 The Laplacian is the identity reduction k^2 = lambda, rho = 1, D = I.
 The poles of M are the k^2-preimages of the Dirichlet values (n pi/l)^2,
-n >= 1, plus, for Dirac, the pole of rho at -c^2/2.  Each interval
-model class states its conventions once, and the whole package reads
-them from there: ``_reduce`` (k^2, rho and their derivatives), ``_pole``
-(the preimages of a wavenumber), ``_wavenumber`` (where to look for the
-nearest poles), ``_extra_poles``, the default point ``_lambda0``, the
-phases ``_phases`` of psi1 in the trace at t = 0 and 1 (1 and i for Dirac:
-the delta-coupling vector), the scale ``_flux`` of the flux trace (c for
-Dirac), the raw first-order system ``_system`` and ``bounded_below``.
+n >= 1, plus, for Dirac, the pole of rho at -c^2/2.  Each model class
+states its conventions once, and the whole package reads them from there
+instead of testing the class: the boundary dimension ``dim`` (2, or 1 on
+a half-line), the trace maps ``_triplets`` it admits, the model
+``_half_line`` of a half-line edge on its graphs (or None), the default
+point ``_lambda0`` and, on the interval models (the only graph models),
+``_reduce`` (k^2, rho and their derivatives), ``_pole`` (the preimages of
+a wavenumber), ``_wavenumber`` (where to look for the nearest poles),
+``_extra_poles``, the phases ``_phases`` of psi1 in the trace at t = 0
+and 1 (1 and i for Dirac: the delta-coupling vector), the scale ``_flux``
+of the flux trace (c for Dirac), the raw first-order system ``_system``
+and ``bounded_below``.
 
 Every interval evaluation is written with ratios of the entire functions
 
