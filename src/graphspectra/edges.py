@@ -618,7 +618,7 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
         a, b = window
         bound = ell * max(model._wavenumber(a), model._wavenumber(b)) / math.pi - offset
         if not math.isfinite(bound):
-            raise EdgeModelError(f"the pole index bound of window {window} overflows")
+            raise EdgeModelError(f"window={window} is not finite or overflows the pole index")
         n0 = math.floor(bound)
         count = max(0, n0 + 2 - first)
     vals = list(extra) + [p for n in range(first, first + count)
