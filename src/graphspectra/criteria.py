@@ -86,9 +86,10 @@ def _is_geometric_chain(dl_or_graph) -> bool:
 
 
 def _canonical(dl: DiscreteLaplacian) -> bool:
-    """Delta data regularized at ``default_lambda0`` of its model, up to
-    rounding: the gap center c^2/2 for Dirac, 0 for the Laplacian."""
-    point = em.default_lambda0(dl.model)
+    """Delta data regularized at the default point ``_lambda0`` of its
+    model, up to rounding: the gap center c^2/2 for Dirac, 0 for the
+    Laplacian."""
+    point = dl.model._lambda0
     return dl.flavor == "delta" and abs(dl.lambda0 - point) <= 1e-12 * max(1.0, abs(point))
 
 

@@ -25,15 +25,18 @@ The poles of M are the k^2-preimages of the Dirichlet values (n pi/l)^2,
 n >= 1, plus, for Dirac, the pole of rho at -c^2/2.  Each model class
 states its conventions once, and the whole package reads them from there
 instead of testing the class: the boundary dimension ``dim`` (2, or 1 on
-a half-line), the trace maps ``_triplets`` it admits, the model
-``_half_line`` of a half-line edge on its graphs (or None), the default
-point ``_lambda0`` and, on the interval models (the only graph models),
-``_reduce`` (k^2, rho and their derivatives), ``_pole`` (the preimages of
-a wavenumber), ``_wavenumber`` (where to look for the nearest poles),
-``_extra_poles``, the phases ``_phases`` of psi1 in the trace at t = 0
-and 1 (1 and i for Dirac: the delta-coupling vector), the scale ``_flux``
-of the flux trace (c for Dirac), the raw first-order system ``_system``
-and ``bounded_below``.
+a half-line), the mapping ``_poles`` from each trace map it admits to that
+map's pole family (first index, index offset and extra poles: the poles
+sit where the wavenumber is (n + offset) pi / l, n >= first; None on the
+half-line, whose decoupled spectrum is the ray), the model ``_half_line``
+of a half-line edge on its graphs (or None), the default point
+``_lambda0`` (None on the half-line) and, on the interval models (the only
+graph models), ``_reduce`` (k^2, rho and their derivatives), ``_pole``
+(the preimages of a wavenumber), ``_wavenumber`` (where to look for the
+nearest poles), the phases ``_phases`` of psi1 in the trace at t = 0 and
+1 (1 and i for Dirac: the delta-coupling vector), the scale ``_flux`` of
+the flux trace (c for Dirac), the raw first-order system ``_system`` and
+``bounded_below``.
 
 Every interval evaluation is written with ratios of the entire functions
 
@@ -73,7 +76,6 @@ __all__ = [
     "weyl",
     "weyl_derivative",
     "weyl_norm_prime",
-    "default_lambda0",
     "transform_triplet",
     "defect_element",
     "green_identity_residual",
@@ -82,6 +84,8 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-9
+# Most wavenumber indices one edge may list in decoupled_eigenvalues.
+_MAX_POLE_INDICES = 10 ** 6
 
 
 class EdgeModelError(ValueError):
@@ -106,7 +110,7 @@ class HalfLineLaplacian:
     kind = "half_line_laplacian"
     _lambda0 = None
     dim = 1
-    _triplets = ("graph",)
+    _poles = {"graph": None}
     _half_line = None
 
 
@@ -116,10 +120,9 @@ class Laplacian:
 
     kind = "laplacian"
     dim = 2
-    _triplets = ("graph",)
+    _poles = {"graph": (1, 0, ())}
     _half_line = HalfLineLaplacian()
     _lambda0 = 0.0
-    _extra_poles = ()
     _phases = (1 + 0j, 1 + 0j)
     _flux = 1.0
     bounded_below = True
@@ -153,7 +156,6 @@ class Dirac:
     c: float
     kind = "dirac"
     dim = 2
-    _triplets = ("graph", "hat")
     _half_line = None
     _phases = (1.0, 1j)
     bounded_below = False
@@ -161,14 +163,14 @@ class Dirac:
     def __post_init__(self):
         if not self.c > 0:
             raise EdgeModelError(f"Dirac speed of light must be positive, got {self.c}")
+        # Not a field: repr, == and hash see c only.  The hat maps have
+        # their poles at cos(l k) = 0, the graph maps also at rho's -c^2/2.
+        object.__setattr__(self, "_poles", {"graph": (1, 0, (-self.c * self.c / 2,)),
+                                            "hat": (0, 0.5, ())})
 
     @property
     def _lambda0(self):
         return self.c ** 2 / 2
-
-    @property
-    def _extra_poles(self):
-        return (-self.c * self.c / 2,)
 
     @property
     def _flux(self):
@@ -268,7 +270,7 @@ def _trig(w):
 def _check_triplet(model: EdgeModel, triplet: str):
     if triplet not in ("graph", "hat"):
         raise EdgeModelError(f"unknown triplet {triplet!r}")
-    if triplet not in model._triplets:
+    if triplet not in model._poles:
         raise EdgeModelError("the 'hat' trace maps exist only for the Dirac model")
 
 
@@ -279,17 +281,6 @@ def _check_length(model: EdgeModel, ell: float):
         return
     if not (ell > 0 and math.isfinite(ell)):
         raise EdgeModelError(f"interval edge needs finite positive length, got {ell}")
-
-
-def _pole_family(model: EdgeModel, triplet: str):
-    """First index, index offset and extra poles of an interval edge.
-
-    The poles sit where the wavenumber is (n + offset) pi / l: sin(l k) = 0
-    for the graph trace maps, cos(l k) = 0 for the Dirac hat maps.
-    """
-    if triplet == "hat":
-        return 0, 0.5, ()
-    return 1, 0, model._extra_poles
 
 
 def _guard(model, ell, lam, triplet="graph", tol=_POLE_TOL):
@@ -310,7 +301,7 @@ def _guard(model, ell, lam, triplet="graph", tol=_POLE_TOL):
         # All poles are real, so the nearest one brackets Re lam: its index
         # is n0 or n0 + 1, with (n0 + offset) pi / l the last pole wavenumber
         # at or below that of Re lam.
-        first, offset, candidates = _pole_family(model, triplet)
+        first, offset, candidates = model._poles[triplet]
         candidates = list(candidates)
         n0 = math.floor(ell * model._wavenumber(lam.real) / math.pi - offset)
         for n in range(max(first, n0), n0 + 2):
@@ -433,17 +424,6 @@ def weyl_derivative(model: EdgeModel, ell: float, lam, triplet: str = "graph") -
     return _response(model, ell, lam, triplet, derivative=True)[3]
 
 
-def default_lambda0(model: EdgeModel):
-    """Canonical real regularization point, or None when the user must choose.
-
-    Dirac edges use the gap center c^2/2; finite Laplacian edges use 0 (the
-    decoupled ground states sit at (pi/length)^2 > 0).  Half-line edges have
-    decoupled spectrum [0, inf), so no default exists and a negative value
-    has to be supplied.
-    """
-    return model._lambda0
-
-
 def _special_values(model: EdgeModel, ell: float, lam0):
     """(distance to the nearest pole, M(lambda0), ||M'(lambda0)||) at a real
     point, from one pole computation."""
@@ -454,9 +434,11 @@ def _special_values(model: EdgeModel, ell: float, lam0):
 
 
 def weyl_norm_prime(model: EdgeModel, ell: float, lam0=None) -> float:
-    """Spectral norm of the Hermitian matrix M'(lambda0) at a real point."""
+    """Spectral norm of the Hermitian matrix M'(lambda0) at a real point,
+    by default the model's ``_lambda0``: the gap center c^2/2 for Dirac, 0
+    for the Laplacian (its decoupled ground states sit at (pi/l)^2 > 0)."""
     if lam0 is None:
-        lam0 = default_lambda0(model)
+        lam0 = model._lambda0
         if lam0 is None:
             raise EdgeModelError("half-line edges need an explicit lambda0 < 0")
     return _special_values(model, ell, lam0)[2]
@@ -597,10 +579,11 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
 
     Exactly one of ``window=(a, b)`` or ``count`` must be given.  ``count``
     (an integer >= 0) means the first ``count`` wavenumber indices, and a
-    window the poles of as many indices, in it; for the Dirac model each
-    index yields a +/- pair and the graph triplet additionally contains the
-    gap edge -c^2/2.  Half-line edges have no eigenvalues (their decoupled
-    spectrum is the continuous ray), so the result is empty.
+    window the poles in it of the indices between the wavenumbers of its
+    ends; for the Dirac model each index yields a +/- pair and the graph
+    triplet additionally contains the gap edge -c^2/2.  Either range may
+    span at most 10**6 indices.  Half-line edges have no eigenvalues (their
+    decoupled spectrum is the continuous ray), so the result is empty.
     """
     _check_triplet(model, triplet)
     _check_length(model, ell)
@@ -612,16 +595,25 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
         raise EdgeModelError(f"count must be an integer >= 0, got {count!r}")
     if model.dim == 1:
         return np.array([])
-    first, offset, extra = _pole_family(model, triplet)
+    first, offset, extra = model._poles[triplet]
+    start = first
     if window is not None:
-        # No pole in [a, b] has a larger wavenumber than a or b: index <= n0 + 1.
+        # The poles in [a, b] have wavenumbers from 0 (if the window holds
+        # 0) or the smaller one of its ends to the larger one, so indices
+        # from floor(lo) to floor(hi) + 1.
         a, b = window
-        bound = ell * max(model._wavenumber(a), model._wavenumber(b)) / math.pi - offset
-        if not math.isfinite(bound):
-            raise EdgeModelError(f"window={window} is not finite or overflows the pole index")
-        n0 = math.floor(bound)
-        count = max(0, n0 + 2 - first)
-    vals = list(extra) + [p for n in range(first, first + count)
+        ends = (model._wavenumber(a), model._wavenumber(b))
+        lo, hi = (ell * k / math.pi - offset
+                  for k in (0.0 if a <= 0 <= b else min(ends), max(ends)))
+        if not hi - lo <= _MAX_POLE_INDICES:
+            raise EdgeModelError(f"window={window} is not finite or overflows the pole "
+                                 f"index cap of {_MAX_POLE_INDICES} per edge")
+        start = max(first, math.floor(lo))
+        count = max(0, math.floor(hi) + 2 - start)
+    elif count > _MAX_POLE_INDICES:
+        raise EdgeModelError(f"count={count} overflows the pole index cap of "
+                             f"{_MAX_POLE_INDICES} per edge")
+    vals = list(extra) + [p for n in range(start, start + count)
                           for p in model._pole((n + offset) * math.pi / ell)]
     if window is not None:
         vals = [v for v in vals if a <= v <= b]

@@ -37,19 +37,20 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
     """Squared weights r_e^2 and special values M_e at the real point lambda0.
 
     Raises when lambda0 sits within 1e-9 of a decoupled edge eigenvalue.
-    For graphs carrying geometric-chain truncation metadata the certified
-    distance accounts for the whole infinite family via the closed-form
-    pole locations (the Dirichlet ground states grow as lengths decay, so
-    the truncated part is binding).  lambda0 defaults to the model's
-    canonical point (c^2/2 for Dirac, 0 for finite Laplacian graphs);
-    graphs with half-line edges need an explicit negative value.
+    ``epsilon`` is the distance from lambda0 to the decoupled spectra of
+    the stored edges only, truncation metadata or not.  For a geometric
+    chain with ratio > 1 the Dirichlet values (pi / l)^2 of the edges left
+    out pile up at 0, so ``geometric_chain(1, 2, 5)`` certifies
+    epsilon = (pi/16)^2 at lambda0 = 0.  lambda0 defaults to the model's
+    ``_lambda0`` (c^2/2 for Dirac, 0 for finite Laplacian graphs); graphs
+    with half-line edges need an explicit negative value.
     """
     if lam0 is None:
-        lam0 = None if g.has_half_line else em.default_lambda0(g.model)
-        if lam0 is None:
+        if g.has_half_line:
             raise em.EdgeModelError(
                 "graphs with half-line edges need an explicit lambda0 < 0"
             )
+        lam0 = g.model._lambda0
     lam0 = float(lam0)
     special, norms = {}, {}
     eps = math.inf

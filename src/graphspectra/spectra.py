@@ -231,12 +231,13 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     off eigenvalues at hand.
 
     Raises ValueError unless the window bounds are finite with a < b and
-    ``tol`` is finite and positive.
+    ``tol`` is finite and positive, and EdgeModelError, before any
+    evaluation, when an edge has more than 10**6 pole indices in the window.
     """
     a, b = _checked_request(window, tol)
     if g.has_half_line and b > -_POLE_GUARD:
         raise ValueError("half-line graphs: window must stay below 0")
-    poles = _decoupled_in_window(g, (a - 1.0, b + 1.0))
+    poles = _decoupled_in_window(g, (a, b))
 
     cuts = [a] + [p for p in poles if a < p < b] + [b]
     roots = []
@@ -273,7 +274,7 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
             roots.append(Root(r, float(np.prod(np.abs(seen[r]))), mult, "krein"))
     if usable_cells == 0:
         raise ValueError("window consists of pole neighborhoods only")
-    excluded = tuple(float(p) for p in poles if a <= p <= b)
+    excluded = tuple(float(p) for p in poles)
     return SpectrumResult(tuple(roots), excluded, "krein", (a, b))
 
 
@@ -577,11 +578,14 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     determinant or singular-value call per block.
 
     Raises ValueError unless the window bounds are finite with a < b,
-    ``tol`` is finite and positive and ``samples`` is at least 2.
+    ``tol`` is finite and positive and ``samples`` is at least 2, and
+    EdgeModelError, before any evaluation, when an edge has more than 10**6
+    pole indices in the window.
     """
     a, b = _checked_request(window, tol)
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    poles = _decoupled_in_window(g, (a, b))
     oracle = _CompiledOracle(g, coupling)
     grid = np.linspace(a, b, samples)
     dets = np.array(oracle.evaluate("det", grid, _ORACLE_MESH))
@@ -596,7 +600,6 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
                 merged[-1] = r
             continue
         merged.append(r)
-    poles = _decoupled_in_window(g, (a, b))
     flagged = []
     for r in merged:
         near_pole = poles.size and np.min(np.abs(poles - r.lam)) < 1e-6 * max(1.0, abs(r.lam))

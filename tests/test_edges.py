@@ -502,6 +502,21 @@ def test_decoupled_window_is_count_filtered_to_the_window(model, triplet):
             got = em.decoupled_eigenvalues(model, ell, window=(a, b), triplet=triplet)
             want = poles[(a <= poles) & (poles <= b)]
             assert got.tolist() == want.tolist(), (ell, a, b)
+        # Far windows, whose indices start past the index cap: the range
+        # starts at the smaller end's wavenumber and still misses no pole.
+        _, offset, _ = model._poles[triplet]
+        for n in (10 ** 7, 3 * 10 ** 8):
+            near = [model._pole((m + offset) * math.pi / ell) for m in range(n - 3, n + 4)]
+            for side in (max, min) if len(near[0]) == 2 else (max,):
+                far = np.array(sorted(side(pair) for pair in near))
+                for i, j in [(0, 6), (1, 4), (2, 2), (3, 5)]:
+                    a, b = far[i], far[j]
+                    for window in [(a, b), (np.nextafter(a, math.inf), b),
+                                   (np.nextafter(a, -math.inf), np.nextafter(b, -math.inf))]:
+                        got = em.decoupled_eigenvalues(model, ell, window=window,
+                                                       triplet=triplet)
+                        want = far[(window[0] <= far) & (far <= window[1])]
+                        assert got.tolist() == want.tolist(), (ell, n, window)
 
 
 @pytest.mark.parametrize("count", [-2, -1, 1.5, "3"])
@@ -540,10 +555,24 @@ def test_half_line_guard_rejects_non_finite_lambda():
             em.weyl(HALF, math.inf, lam)
 
 
-def test_huge_dirac_window_overflows_the_pole_index_bound():
+def test_huge_dirac_window_overflows_the_pole_index_bound(monkeypatch):
     # The Dirac wavenumber squares the window end, which overflows to inf.
     with pytest.raises(em.EdgeModelError, match="overflows the pole index"):
         em.decoupled_eigenvalues(em.Dirac(1.0), 1.0, window=(0.0, 1e300))
+    # The Laplacian index range is finite (about 3e149 and 3e9 indices) but
+    # over the cap of 10**6 per edge, in window and in count mode alike.
+    for window in [(0.0, 1e300), (0.0, 1e20), (-1e20, 1e20)]:
+        with pytest.raises(em.EdgeModelError, match="overflows the pole index cap"):
+            em.decoupled_eigenvalues(LAP, 1.0, window=window)
+    with pytest.raises(em.EdgeModelError, match="overflows the pole index cap"):
+        em.decoupled_eigenvalues(LAP, 1.0, count=10 ** 6 + 1)
+    # A far window lists only the indices between its ends, not the 318,309
+    # poles below (1e12, 1e12 + 1).
+    calls = []
+    pole = em.Laplacian._pole
+    monkeypatch.setattr(em.Laplacian, "_pole", staticmethod(lambda k: calls.append(k) or pole(k)))
+    assert em.decoupled_eigenvalues(LAP, 1.0, window=(1e12, 1e12 + 1)).size == 0
+    assert len(calls) <= 3
 
 
 @pytest.mark.parametrize("model,ell,gamma0", [(LAP, 1.0, [1.0, 0.0]), (HALF, math.inf, [1.0])])
