@@ -71,6 +71,11 @@ def _complex_scalar(value, where: str) -> complex:
 def _complex_matrix(value, where: str):
     if not isinstance(value, list) or not value:
         raise GraphFormatError(f"{where} must be a non-empty array of rows")
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise GraphFormatError(f"{where}[{i}] must be an array, got {row!r}")
+        if len(row) != len(value[0]):
+            raise GraphFormatError(f"{where} rows must have equal lengths")
     return [
         [_complex_scalar(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(value)
@@ -143,8 +148,11 @@ def parse_problem(data: dict) -> LoadedProblem:
         _reject_unknown(coupling_spec, {"type"}, "coupling")
     elif coupling_spec["type"] == "custom":
         _reject_unknown(coupling_spec, {"type", "vertices"}, "coupling")
+        per_vertex = coupling_spec.get("vertices", {})
+        if not isinstance(per_vertex, dict):
+            raise GraphFormatError('"coupling.vertices" must be an object')
         parsed = {}
-        for v, entry in coupling_spec.get("vertices", {}).items():
+        for v, entry in per_vertex.items():
             if not isinstance(entry, dict):
                 raise GraphFormatError(f"coupling.vertices[{v}] must be an object")
             _reject_unknown(entry, {"basis", "matrix"}, f"coupling.vertices[{v}]")

@@ -64,6 +64,19 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert main(["validate", path]) == 2
 
 
+@pytest.mark.parametrize("command", [["validate"], ["spectrum", "--min", "0", "--max", "5"],
+                                     ["discrete"], ["criteria"]])
+def test_malformed_coupling_exit_code(tmp_path, capsys, command):
+    bad = star3()
+    bad["coupling"] = {"type": "custom",
+                       "vertices": {"center": {"basis": [[1.0], [1.0, 0.0]], "matrix": [[0.0]]}}}
+    path = write(tmp_path, "bad.json", bad)
+    assert main(command[:1] + [path] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "basis rows must have equal lengths" in captured.err
+
+
 def test_non_finite_number_exit_code(tmp_path, capsys):
     path = write(tmp_path, "nan.json", star3(alpha=(math.nan, 0.0, 0.0, 0.0)))
     assert main(["criteria", path]) == 2
@@ -287,6 +300,10 @@ def test_criteria_survives_samples_on_dirac_poles(tmp_path, capsys):
     (["discrete", "--lambda0", "inf"], None),
     (["discrete", "--lambda0", "1e300"], {"type": "dirac", "c": 1.0}),
     (["spectrum", "--min", "0", "--max", "1e300"], {"type": "dirac", "c": 1.0}),
+    # Laplacian windows over the pole index cap: refused before any evaluation.
+    (["spectrum", "--min", "0", "--max", "1e300"], None),
+    (["spectrum", "--min", "0", "--max", "1e20"], None),
+    (["spectrum", "--min", "0", "--max", "1e20", "--oracle"], None),
 ])
 def test_non_finite_or_overflowing_lambda_is_a_numeric_failure(tmp_path, capsys, argv, model):
     path = write(tmp_path, "star.json", star3(model=model))

@@ -125,6 +125,22 @@ def test_custom_coupling_rejects_malformed_complex():
         fio.parse_problem(data)
 
 
+@pytest.mark.parametrize("vertices,message", [
+    (None, "coupling.vertices\" must be an object"),
+    ([{"basis": [[1.0]], "matrix": [[0.0]]}], "coupling.vertices\" must be an object"),
+    ({"a": {"basis": [1], "matrix": [[0.0]]}}, r"basis\[0\] must be an array"),
+    ({"a": {"basis": [[1.0]], "matrix": [1]}}, r"matrix\[0\] must be an array"),
+    ({"a": {"basis": [[1.0], 2.0], "matrix": [[0.0]]}}, r"basis\[1\] must be an array"),
+    ({"a": {"basis": [[1.0], [1.0, 2.0]], "matrix": [[0.0]]}}, "basis rows must have equal"),
+    ({"a": {"basis": [[1.0]], "matrix": [[0.0, 1.0], [0.0]]}}, "matrix rows must have equal"),
+], ids=["null", "list", "basis-row", "matrix-row", "second-row", "ragged-basis",
+        "ragged-matrix"])
+def test_custom_coupling_rejects_malformed_vertex_data(vertices, message):
+    data = minimal(coupling={"type": "custom", "vertices": vertices})
+    with pytest.raises(fio.GraphFormatError, match=message):
+        fio.parse_problem(data)
+
+
 def test_load_problem_from_file(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(minimal()), encoding="utf-8")
