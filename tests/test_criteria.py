@@ -291,3 +291,18 @@ def test_mtilde_scan_stacked_eigensolve_matches_per_sample_max():
             rg.regularized_weyl(g.model, e.length, -10.0 ** k, reg, edge_id=e.id))))
             for k in range(1, 7)]
         assert res.witness["per_edge"][e.id]["max_eigenvalues"] == want
+
+
+def test_complex_weights_fail_both_preconditions():
+    # A custom coupling with a complex basis gives complex weights b(v, w),
+    # outside both criteria: each reports its precondition.
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3])
+    coup = cp.custom_coupling(g, {"center": ([[1.0, 1j, 0.5]], [[0.3]])})
+    reg = rg.build_regularization(g)
+    dl = dc.build_discrete(g, coup, reg)
+    assert not dl.criteria_applicable
+    results = [cr.check_self_adjointness(dl), cr.check_discreteness(dl, g, reg)]
+    assert [(r.verdict, r.ref) for r in results] == [(cr.FAILS, "sa.precondition"),
+                                                     (cr.FAILS, "disc.precondition")]
+    for r in results:
+        assert r.witness == {"reason": "weights b(v,w) must be real and >= 0"}

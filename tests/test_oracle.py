@@ -333,3 +333,27 @@ def test_drive_raises_the_error_of_the_first_failing_task():
     # The second task fails in round 5, the third in round 1: the second wins.
     with pytest.raises(sp.OracleConvergenceError, match="second"):
         oracle.drive([task("first", 2), task("second", 5, True), task("third", 1, True)])
+
+
+def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
+    # A bracket without a sign change is widened (each side by its width,
+    # inside the window) until the sign changes, then polished.
+    refine = sp._oracle_refine(0.4, 0.5, "sign", (0.0, 1.0), 2000, 1e-8)
+    lams = []
+    try:
+        request = next(refine)
+        while True:
+            lams.append(request[1])
+            request = refine.send(request[1] - 0.25)
+    except StopIteration as stop:
+        root = stop.value
+    assert lams[:6] == pytest.approx([0.4, 0.5, 0.3, 0.6, 0.0, 0.9], abs=1e-12)
+    assert root == pytest.approx(0.25, abs=1e-11)
+    # On a 200-long interval the root near 0.41477 moves by 1.013e-7 under
+    # mesh doubling, past the 1e-7 bracket of the second polish: that
+    # bracket is widened, and the move is refused.
+    g = gr.interval(200.0)
+    coupling = cp.delta_coupling(g, gr.alpha_map(g, 0.0))
+    with pytest.raises(sp.OracleConvergenceError,
+                       match=r"root at 0\.41477023296384 moved by 1\.013e-07"):
+        sp.oracle_eigenvalues(g, coupling, (-1.0, 1.0))
