@@ -163,8 +163,9 @@ class Dirac:
     def __post_init__(self):
         if not self.c > 0:
             raise EdgeModelError(f"Dirac speed of light must be positive, got {self.c}")
-        # Not a field: repr, == and hash see c only.  The hat maps have
-        # their poles at cos(l k) = 0, the graph maps also at rho's -c^2/2.
+        # Not a field: repr, == and hash see c only.  The graph maps have
+        # their poles at sin(l k) = 0 and at rho's pole -c^2/2, the hat maps
+        # at cos(l k) = 0.
         object.__setattr__(self, "_poles", {"graph": (1, 0, (-self.c * self.c / 2,)),
                                             "hat": (0, 0.5, ())})
 
