@@ -99,6 +99,11 @@ def _cmd_validate(args) -> int:
     problem, report = _load(args.file)
     g = problem.graph
     if report.ok:
+        try:
+            problem.coupling()
+        except ValueError as exc:
+            print(f"violation: coupling: {exc}")
+            return EXIT_INVALID
         n_half = sum(1 for e in g.edges if e.is_half_line)
         print(f"valid: {len(g.vertices)} vertices, {len(g.edges)} edges"
               f" ({n_half} half-line), model {g.model.kind}")

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import edges as em
 from .discrete import DiscreteLaplacian, _weights, weighted_degree
-from .graphs import MetricGraph, edge_model_for
-from .regularize import Regularization, regularized_weyl
+from .graphs import MetricGraph
+from .regularize import Regularization, _by_model
 from .spectra import _eigvalsh, _psd, decoupled_ground_state, krein_matrix
 
 __all__ = [
@@ -337,17 +337,18 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
     INCONCLUSIVE; the witness says whether the sampled evidence supports it.
     """
     crit = "renormalized-divergence"
-    per_edge = {}
-    supports = True
-    for e in g.edges:
-        model = edge_model_for(g.model, e)
-        samples, on_poles = [], []
-        for k in range(1, 7):
-            try:
-                samples.append(regularized_weyl(model, e.length, -10.0 ** k, reg, edge_id=e.id))
-            except em.PoleOfWeylError:
-                on_poles.append(-10.0 ** k)
-        tops = np.linalg.eigvalsh(np.array(samples))[:, -1].tolist() if samples else []
+    lams = np.array([-10.0 ** k for k in range(1, 7)])
+    rows = [None] * len(g.edges)  # (max eigenvalues, samples on poles) per edge
+    for model, at, lengths in _by_model(g):
+        _, _, hit, m, _ = em._responses(model, lengths[:, None], lams)
+        row = np.nonzero(~hit)[0]  # the edge of each sample off the poles
+        m0 = np.array([reg.m_at_lambda0[g.edges[i].id] for i in at])[row]
+        norm = np.array([reg.norm_prime[g.edges[i].id] for i in at])[row, None, None]
+        top = np.linalg.eigvalsh((m[~hit] - m0) / norm)[:, -1]
+        for i, evs, on in zip(at, np.split(top, np.cumsum((~hit).sum(axis=1))[:-1]), hit):
+            rows[i] = evs.tolist(), lams[on].tolist()
+    per_edge, supports = {}, True
+    for e, (tops, on_poles) in zip(g.edges, rows):
         decreasing = not on_poles and all(b < a for a, b in zip(tops, tops[1:]))
         per_edge[e.id] = {"max_eigenvalues": tops, "strictly_decreasing": decreasing}
         if on_poles:

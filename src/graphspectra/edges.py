@@ -53,6 +53,13 @@ cos(l k) = 0) and the defect solutions (ratios at two points, which
 bring in e(l)/e(x), of modulus at most 1) are all ratios of its output,
 so none of them overflows.  The half-line (boundary dimension d = 1)
 has the Herglotz branch of i sqrt(lambda) as its response.
+
+``_responses`` is the graph-map evaluation of one model over arrays of
+lengths and real lambda, equal bit for bit to the scalar one: regimes as
+masks, and ``_kernel``'s complex operations on real parts.
+``build_regularization`` and ``check_mtilde_divergence`` call it once per
+edge model.  ``krein_matrix`` keeps one scalar call per edge: the
+benchmark's tracer pins three ``weyl`` calls per secular evaluation.
 """
 
 from __future__ import annotations
@@ -84,7 +91,8 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-9
-# Most wavenumber indices one edge may list in decoupled_eigenvalues.
+# Most wavenumber indices one edge may list in decoupled_eigenvalues, and
+# all edges of a graph together in a spectral window.
 _MAX_POLE_INDICES = 10 ** 6
 
 
@@ -400,6 +408,76 @@ def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False)
     return dist, pole, m, dm
 
 
+def _each(f, x):
+    """The scalar function f at each element of the array x, called once per
+    distinct value (np.unique merges -0.0 and 0.0, which no caller's f tells
+    apart at the points it gets); a tuple result adds a last axis."""
+    values, inverse = np.unique(x.ravel(), return_inverse=True)
+    out = np.array([f(v) for v in values.tolist()], dtype=float)
+    return out[inverse.ravel()].reshape(x.shape + out.shape[1:])
+
+
+def _responses(model, ell, lam, derivative=False):
+    """``_response`` over arrays: (dist, pole, on_pole, M, M' or None) of the
+    graph trace maps on the broadcast shape of ``ell`` and real ``lam``, bit
+    for bit where on_pole is False (M is undefined where it is True).  The
+    first invalid length or lam, in C order, raises the error of ``_guard``."""
+    ell, lam = np.asarray(ell, dtype=float), np.asarray(lam, dtype=float)
+    half_line = model.dim == 1
+    with np.errstate(all="ignore"):
+        lk = 0.0 if half_line else ell * _each(model._wavenumber, np.abs(lam))
+        ell, lam, lk = np.broadcast_arrays(ell, lam, lk)
+        bad = ~(np.isfinite(lam) & np.isfinite(lk * lk)
+                & (np.isinf(ell) if half_line else (ell > 0) & np.isfinite(ell)))
+        if bad.any():  # _guard raises the error of the first
+            _guard(model, float(ell.flat[np.argmax(bad)]), float(lam.flat[np.argmax(bad)]))
+        if half_line:
+            dist, pole = np.where(lam <= 0, np.abs(lam), 0.0), np.where(lam <= 0, 0.0, lam)
+        else:  # extra poles, then those of the indices max(first, n0) ... n0 + 1
+            first, offset, extra = model._poles["graph"]
+            n0 = np.floor(ell * _each(model._wavenumber, lam) / math.pi - offset)
+            cands = np.concatenate([np.broadcast_to(extra, lam.shape + (len(extra),))] + [
+                np.where((n >= first)[..., None], _each(model._pole, (n + offset) * math.pi / ell),
+                         np.inf) for n in (n0, n0 + 1)], axis=-1)
+            gaps = np.abs(lam[..., None] - cands)
+            j = np.argmin(gaps, axis=-1)[..., None]  # the first of equally near poles
+            dist, pole = (np.take_along_axis(a, j, -1)[..., 0] for a in (gaps, cands))
+        on_pole = dist < _POLE_TOL * np.maximum(1.0, np.abs(pole))
+        if half_line:
+            z = np.sqrt(lam.astype(complex))[..., None, None]
+            return dist, pole, on_pole, 1j * z, 1j / (2 * z) if derivative else None
+        # _trig's three real regimes, math's exp and expm1 (numpy's round
+        # differently on some machines), and the complex operations of
+        # _kernel on real parts, signed zeros included: r = e/S is (e/S, 0/S).
+        k2, dk2, rho, drho = model._reduce(lam)
+        w = ell * ell * k2
+        series, above = np.abs(w) < _SERIES_CUTOFF, w > 0
+        z, y = np.sqrt(w), np.sqrt(-w)
+        v = _each(math.expm1, -2.0 * y)
+        c = np.where(series, _poly(_C_COEF, w), np.where(above, _each(math.cos, z), 1.0 + v / 2))
+        s = np.where(series, _poly(_S_COEF, w),
+                     np.where(above, _each(math.sin, z) / z, -v / (2 * y)))
+        q, r = c / s, np.where(series | above, 1.0, _each(math.exp, -y)) / s
+        m = np.stack([-q / ell, r / ell], -1).astype(complex)[..., [[0, 1], [1, 0]]]
+        dm = None
+        if derivative:  # ell (r^2 - q) / 2w and (-ell r)(q - 1) / 2w, w the real divisor
+            p, t, ratio = -ell * r, q - 1, 0.0 / (2 * w)
+            im12 = p * 0.0 + t * 0.0
+            re = np.stack([np.where(series, ell * _poly(_D1_COEF, w), ell * (r * r - q) / (2 * w)),
+                           np.where(series, ell * _poly(_E1_COEF, w),
+                                    (p * t + im12 * ratio) / (2 * w))], -1)
+            dm = re.astype(complex)
+            dm.imag = np.where(series[..., None], 0.0,
+                               np.stack([ratio, (im12 - p * t * ratio) / (2 * w)], -1))
+            dm = dm[..., [[0, 1], [1, 0]]]
+        if rho is not None:
+            rho, drho, rdk2 = (x[..., None, None] for x in (rho, drho, rho * dk2))
+            if derivative:
+                dm = _DIRAC_PHASE * (drho * m + rdk2 * dm)
+            m = rho * _DIRAC_PHASE * m
+    return dist, pole, on_pole, m, dm
+
+
 def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph",
          *, _pole_tol: float = _POLE_TOL) -> np.ndarray:
     """Boundary response matrix M(lambda) of one edge.
@@ -574,6 +652,18 @@ def green_identity_residual(f: DefectElement, g: DefectElement) -> complex:
     return (complex(f.lam) - np.conj(complex(g.lam))) * inner - boundary
 
 
+def _index_span(model: EdgeModel, ell: float, window, triplet: str = "graph"):
+    """(lo, hi): the poles in a finite window [a, b] on an interval edge have
+    the indices floor(lo) ... floor(hi) + 1, as their wavenumbers run from 0
+    (if [a, b] holds 0) or the smaller end's to the larger end's.  hi - lo is
+    linear in ell."""
+    offset = model._poles[triplet][1]
+    a, b = window
+    ends = (model._wavenumber(a), model._wavenumber(b))
+    return tuple(ell * k / math.pi - offset
+                 for k in (0.0 if a <= 0 <= b else min(ends), max(ends)))
+
+
 def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
                           triplet: str = "graph") -> np.ndarray:
     """Spectrum of the decoupled edge operator (poles of the response matrix).
@@ -599,13 +689,7 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
     first, offset, extra = model._poles[triplet]
     start = first
     if window is not None:
-        # The poles in [a, b] have wavenumbers from 0 (if the window holds
-        # 0) or the smaller one of its ends to the larger one, so indices
-        # from floor(lo) to floor(hi) + 1.
-        a, b = window
-        ends = (model._wavenumber(a), model._wavenumber(b))
-        lo, hi = (ell * k / math.pi - offset
-                  for k in (0.0 if a <= 0 <= b else min(ends), max(ends)))
+        lo, hi = _index_span(model, ell, window, triplet)
         if not hi - lo <= _MAX_POLE_INDICES:
             raise EdgeModelError(f"window={window} is not finite or overflows the pole "
                                  f"index cap of {_MAX_POLE_INDICES} per edge")
@@ -617,5 +701,5 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
     vals = list(extra) + [p for n in range(start, start + count)
                           for p in model._pole((n + offset) * math.pi / ell)]
     if window is not None:
-        vals = [v for v in vals if a <= v <= b]
+        vals = [v for v in vals if window[0] <= v <= window[1]]
     return np.array(sorted(vals))

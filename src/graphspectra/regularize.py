@@ -36,7 +36,8 @@ class Regularization:
 def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regularization:
     """Squared weights r_e^2 and special values M_e at the real point lambda0.
 
-    Raises when lambda0 sits within 1e-9 of a decoupled edge eigenvalue.
+    Raises when lambda0 sits within 1e-9 of a decoupled edge eigenvalue,
+    naming the first such edge's.  One array evaluation per edge model.
     ``epsilon`` is the distance from lambda0 to the decoupled spectra of
     the stored edges only, truncation metadata or not.  For a geometric
     chain with ratio > 1 the Dirichlet values (pi / l)^2 of the edges left
@@ -52,13 +53,28 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
             )
         lam0 = g.model._lambda0
     lam0 = float(lam0)
-    special, norms = {}, {}
-    eps = math.inf
-    for e in g.edges:
-        model = edge_model_for(g.model, e)
-        dist, special[e.id], norms[e.id] = em._special_values(model, e.length, lam0)
-        eps = min(eps, dist)
+    groups = [(at, em._responses(model, lengths, lam0, derivative=True))
+              for model, at, lengths in _by_model(g)]
+    hits = [(at[j], pole[j]) for at, (_, pole, hit, _, _) in groups for j in np.flatnonzero(hit)]
+    if hits:
+        raise em.PoleOfWeylError(complex(lam0), float(min(hits)[1]))
+    ids = [e.id for e in g.edges]
+    special, norms = dict.fromkeys(ids), dict.fromkeys(ids)  # in graph order
+    for at, (_, _, _, m, dm) in groups:
+        for i, mi, norm in zip(at, m, np.abs(np.linalg.eigvalsh(dm)).max(axis=-1).tolist()):
+            special[ids[i]], norms[ids[i]] = mi, norm
+    eps = min([math.inf] + [float(out[0].min()) for _, out in groups])
     return Regularization(lam0, special, norms, eps, eps > _CERT_TOL)
+
+
+def _by_model(g: MetricGraph):
+    """The edges of ``g`` grouped by edge model: [(model, positions in
+    g.edges, lengths)], in the order of each model's first edge."""
+    groups = {}
+    for i, e in enumerate(g.edges):
+        groups.setdefault(edge_model_for(g.model, e), []).append(i)
+    return [(model, at, np.array([g.edges[i].length for i in at]))
+            for model, at in groups.items()]
 
 
 def regularized_weyl(model, ell: float, lam, reg: Regularization,

@@ -96,7 +96,14 @@ class SpectrumResult:
 
 
 def _decoupled_in_window(g: MetricGraph, window) -> np.ndarray:
+    """The distinct decoupled eigenvalues in a finite window of at most
+    10**6 pole indices on all edges together: as many as one edge of their
+    total length spans, the span being linear in the length."""
     a, b = window
+    lo, hi = em._index_span(g.model, sum(g.finite_lengths), (a, b))
+    if not hi - lo <= em._MAX_POLE_INDICES:
+        raise em.EdgeModelError(f"window={window} is not finite or overflows the "
+                                f"graph-wide pole index cap of {em._MAX_POLE_INDICES}")
     vals = []
     for e in g.edges:
         model = edge_model_for(g.model, e)

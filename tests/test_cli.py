@@ -321,3 +321,31 @@ def test_criteria_depth_below_one_is_a_usage_error(tmp_path, capsys, depth):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--depth must be at least 1" in captured.err
+
+
+def one_edge_custom(basis):
+    return {"model": {"type": "laplacian"},
+            "vertices": [{"id": "a", "alpha": 0.0}, {"id": "b", "alpha": 0.0}],
+            "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0}],
+            "coupling": {"type": "custom",
+                         "vertices": {"a": {"basis": basis, "matrix": [[0.0]]}}}}
+
+
+@pytest.mark.parametrize("basis,message", [
+    ([[1.0], [1.0]], "vertex a: basis vectors are linearly dependent"),
+    ([[]], "vertex a: coupling subspace must have dim >= 1"),
+], ids=["dependent", "dimension-0"])
+def test_validate_builds_the_coupling(tmp_path, capsys, basis, message):
+    # Coupling data that the other commands refuse is not valid either.
+    path = write(tmp_path, "custom.json", one_edge_custom(basis))
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().out == f"violation: coupling: {message}\n"
+    assert main(["spectrum", path, "--min", "0", "--max", "5"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_window_over_the_graph_wide_pole_budget_exits_3(tmp_path, capsys):
+    path = write(tmp_path, "star.json", star3())
+    assert main(["spectrum", path, "--min", "0", "--max", "3.6e12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "graph-wide pole index cap" in captured.err

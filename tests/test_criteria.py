@@ -8,6 +8,7 @@ import pytest
 from graphspectra import coupling as cp
 from graphspectra import criteria as cr
 from graphspectra import discrete as dc
+from graphspectra import edges as em
 from graphspectra import graphs as gr
 from graphspectra import regularize as rg
 from graphspectra.edges import Dirac
@@ -306,3 +307,38 @@ def test_complex_weights_fail_both_preconditions():
                                                      (cr.FAILS, "disc.precondition")]
     for r in results:
         assert r.witness == {"reason": "weights b(v,w) must be real and >= 0"}
+
+
+def _mtilde_reference(g, reg):
+    """The renormalized-divergence witness from one scalar evaluation and
+    one eigensolve per edge and sample."""
+    per_edge, supports = {}, True
+    for e in g.edges:
+        model = gr.edge_model_for(g.model, e)
+        tops, on_poles = [], []
+        for k in range(1, 7):
+            try:
+                mt = rg.regularized_weyl(model, e.length, -10.0 ** k, reg, edge_id=e.id)
+            except em.PoleOfWeylError:
+                on_poles.append(-10.0 ** k)
+                continue
+            tops.append(float(np.linalg.eigvalsh(mt)[-1]))
+        decreasing = not on_poles and all(b < a for a, b in zip(tops, tops[1:]))
+        per_edge[e.id] = {"max_eigenvalues": tops, "strictly_decreasing": decreasing}
+        if on_poles:
+            per_edge[e.id]["samples_on_poles"] = on_poles
+        supports = supports and decreasing and tops[-1] < 0
+    return {"evidence_supports": supports, "per_edge": per_edge}
+
+
+@pytest.mark.parametrize("g,lam0", [
+    (gr.random_graph(4, 40), None),
+    (gr.geometric_chain(0.5, 0.5, 40), None),
+    (gr.random_graph(39, 60, model=Dirac(1.0)), None),  # e060 has a sample on a pole
+    (gr.random_graph(5, 12, model=Dirac(2.5)), 1.0),
+    (MetricGraph(("a", "b"), (Edge("h", "a", None, math.inf), Edge("e", "a", "b", 0.7))), -2.5),
+], ids=["laplacian", "chain", "dirac", "dirac-off-center", "half-line"])
+def test_mtilde_witness_equals_the_per_edge_scalar_reference(g, lam0):
+    reg = rg.build_regularization(g, lam0)
+    res = cr.check_mtilde_divergence(g, reg)
+    assert repr(res.witness) == repr(_mtilde_reference(g, reg))  # -0.0 counts

@@ -612,3 +612,84 @@ def test_no_code_tests_the_class_of_an_edge_model():
             if names & classes:
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def _regime_points(preimages, ell):
+    """Real lambda on an edge of length ell in every regime of w = l^2 k^2:
+    the series |w| < 1e-3, w > 0 away from and next to the poles (some of
+    them within the pole guard), and w < 0 down to -1e6 l^2 where the
+    model reaches it; ``preimages`` maps k^2 to its real lambda."""
+    ws = [0.0, 1e-5, -1e-5, 9.9e-4, -9.9e-4, 1.01e-3, -1.01e-3, 0.7, 5.3, 61.0, 2e3,
+          4.1e5, 1.7e7, -0.5, -3.0, -80.0, -5e3, -1e6 * ell ** 2]
+    for n in (1, 2, 7, 40):
+        ws += [(n * math.pi) ** 2 * (1 + d) for d in (1e-7, -1e-7, 1e-12, -3e-10, 0.0)]
+    return [lam for w in ws for lam in preimages(w / ell ** 2)]
+
+
+def _dirac_preimages(c):
+    def preimages(k2):
+        # k^2 = (lambda^2 - c^4/4) / c^2, plus the rho pole, the gap center
+        # and a far negative point.
+        r = c * c * k2 + c ** 4 / 4
+        return ([math.sqrt(r), -math.sqrt(r)] if r >= 0 else []) + [-c * c / 2, c * c / 2, -1e6]
+    return preimages
+
+
+@pytest.mark.parametrize("model,preimages,lengths", [
+    (LAP, lambda k2: [k2], np.geomspace(1e-3, 50.0, 11).tolist() + [1.0, 0.3]),
+    (em.Dirac(1.0), _dirac_preimages(1.0), np.geomspace(1e-3, 50.0, 11).tolist() + [1.0]),
+    (em.Dirac(137.0), _dirac_preimages(137.0), np.geomspace(1e-3, 50.0, 7).tolist()),
+    (HALF, lambda k2: [k2, -k2, -0.0], [math.inf]),
+], ids=["laplacian", "dirac-1", "dirac-137", "half-line"])
+def test_array_kernel_equals_the_scalar_path_bit_for_bit(model, preimages, lengths):
+    # Compared on the bytes, so signed zeros count too.  The scalar path
+    # runs Python's complex arithmetic, which the kernel spells out.
+    lams = sorted({lam for ell in lengths
+                   for lam in _regime_points(preimages, ell if math.isfinite(ell) else 1.0)})
+    dist, pole, on_pole, m, dm = em._responses(
+        model, np.array(lengths)[:, None], np.array(lams), derivative=True)
+    assert m.shape == dm.shape == (len(lengths), len(lams), model.dim, model.dim)
+    hits = 0
+    for i, ell in enumerate(lengths):
+        for j, lam in enumerate(lams):
+            try:
+                d, p, mm, dd = em._response(model, ell, lam, derivative=True)
+            except em.PoleOfWeylError as err:
+                hits += 1
+                assert on_pole[i, j] and pole[i, j] == err.nearest_pole, (ell, lam)
+                continue
+            assert not on_pole[i, j], (ell, lam)
+            assert (dist[i, j], pole[i, j]) == (d, p), (ell, lam)
+            assert m[i, j].tobytes() == mm.tobytes(), (ell, lam)
+            assert dm[i, j].tobytes() == dd.tobytes(), (ell, lam)
+    assert hits > 0
+    without = em._responses(model, np.array(lengths)[:, None], np.array(lams))
+    assert without[4] is None and without[3].tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("model,ell,lam", [
+    (LAP, 1.5, math.nan), (LAP, 1.5, math.inf), (LAP, 1.5, -math.inf), (LAP, 50.0, 1e308),
+    (em.Dirac(1.0), 1.5, 1e300), (em.Dirac(1.0), 1.5, -math.inf), (HALF, math.inf, math.nan),
+    (LAP, -1.0, 2.0), (LAP, math.inf, 2.0), (HALF, 3.0, -1.0),
+])
+def test_array_kernel_raises_the_errors_of_the_scalar_guard(model, ell, lam):
+    # The first invalid element in C order raises, with the scalar message.
+    with pytest.raises(em.EdgeModelError) as want:
+        em.weyl(model, ell, lam)
+    assert type(want.value) is em.EdgeModelError
+    good = -1.0 if model.dim == 1 else 0.5
+    for ells, lams in [(ell, [good, lam, math.nan]), ([ell, 1.0 if model.dim == 2 else ell], lam)]:
+        with pytest.raises(em.EdgeModelError) as got:
+            em._responses(model, np.array(ells), np.array(lams))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_array_kernel_reports_the_scalar_nearest_pole_on_poles():
+    for model, ell, lam in [(LAP, 1.0, math.pi ** 2), (LAP, 0.7, (2 * math.pi / 0.7) ** 2),
+                            (em.Dirac(1.0), 1.0, -0.5), (HALF, math.inf, 0.0),
+                            (HALF, math.inf, 4.0)]:
+        with pytest.raises(em.PoleOfWeylError) as err:
+            em.weyl(model, ell, lam)
+        dist, pole, on_pole, _, _ = em._responses(model, ell, np.array([lam]))
+        assert on_pole[0] and (dist[0], pole[0]) == em.pole_distance(model, ell, lam)
+        assert pole[0] == err.value.nearest_pole

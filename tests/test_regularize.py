@@ -92,3 +92,50 @@ def test_dirac_weights_increase_as_length_shrinks():
     assert vals[0] < vals[1] < vals[2]
     for ell, val in zip([1.0, 0.1, 0.01], vals):
         assert val >= 1.0 / ell  # c = 1 lower bound
+
+
+def _half_line_graph(first_half=True):
+    edges = [Edge("h", "a", None, math.inf), Edge("e", "a", "b", 0.7)]
+    return MetricGraph(("a", "b"), tuple(edges if first_half else edges[::-1]))
+
+
+@pytest.mark.parametrize("g,lam0", [
+    (gr.random_graph(3, 40), None),
+    (gr.random_graph(3, 40), -3.0),
+    (gr.random_graph(2, 20, model=Dirac(1.3)), None),
+    (gr.random_graph(2, 20, model=Dirac(1.3)), 0.4),
+    (gr.geometric_chain(0.5, 0.5, 40), None),
+    (_half_line_graph(), -2.5),
+], ids=["laplacian", "laplacian-negative", "dirac", "dirac-off-center", "chain", "half-line"])
+def test_regularization_equals_the_per_edge_scalar_reference(g, lam0):
+    # One kernel call per edge model and one stacked eigensolve give the
+    # fields that one scalar evaluation per edge gives, bit for bit.
+    reg = rg.build_regularization(g, lam0)
+    eps = math.inf
+    for e in g.edges:
+        dist, m, norm = em._special_values(gr.edge_model_for(g.model, e), e.length, reg.lambda0)
+        assert reg.m_at_lambda0[e.id].tobytes() == m.tobytes()
+        assert type(reg.norm_prime[e.id]) is float and reg.norm_prime[e.id] == norm
+        eps = min(eps, dist)
+    assert list(reg.m_at_lambda0) == list(reg.norm_prime) == [e.id for e in g.edges]
+    assert type(reg.epsilon) is float and reg.epsilon == eps
+    assert reg.certified == (eps > 1e-6)
+
+
+@pytest.mark.parametrize("g,lam0", [
+    # pi^2 is within the pole guard of the last two edges, whose nearest
+    # poles differ; (pi/0.7)^2 (1 + 1e-10) is within it on both edges of
+    # the half-line graph, in either order, and 0 on the half-line alone.
+    (gr.star(3, lengths=[0.5, 1.0 + 2e-10, 1.0]), math.pi ** 2),
+    (_half_line_graph(), (math.pi / 0.7) ** 2 * (1 + 1e-10)),
+    (_half_line_graph(first_half=False), (math.pi / 0.7) ** 2 * (1 + 1e-10)),
+    (_half_line_graph(first_half=False), 0.0),
+])
+def test_lambda0_on_poles_reports_the_first_edge_in_graph_order(g, lam0):
+    with pytest.raises(em.PoleOfWeylError) as want:
+        for e in g.edges:
+            em._special_values(gr.edge_model_for(g.model, e), e.length, lam0)
+    with pytest.raises(em.PoleOfWeylError) as got:
+        rg.build_regularization(g, lam0)
+    assert str(got.value) == str(want.value)
+    assert (got.value.lam, got.value.nearest_pole) == (want.value.lam, want.value.nearest_pole)

@@ -370,3 +370,21 @@ def test_short_edge_chain_roots_are_simple():
         res = sp.scan_spectrum(g, cp.delta_coupling(g, gr.alpha_map(g, 0.3)), (-1.0, 60.0))
         assert len(res.roots) == 3
         assert [r.multiplicity for r in res.roots] == [1, 1, 1]
+
+
+def test_graph_wide_pole_budget_raises_before_listing_any_pole(monkeypatch):
+    # Each unit edge spans about 604,000 pole indices of the window, under
+    # the cap of 10**6 per edge; the three edges of the star together are
+    # over it, and both routes refuse the window before any pole is listed.
+    g = gr.star(3, lengths=1.0)
+    coupling = cp.delta_coupling(g, gr.alpha_map(g, 0.0))
+    window = (0.0, 3.6e12)
+    lo, hi = em._index_span(em.Laplacian(), 1.0, window)
+    assert 6 * 10 ** 5 < hi - lo < em._MAX_POLE_INDICES
+    calls = []
+    pole = em.Laplacian._pole
+    monkeypatch.setattr(em.Laplacian, "_pole", staticmethod(lambda k: calls.append(k) or pole(k)))
+    for route in (sp.scan_spectrum, sp.oracle_eigenvalues):
+        with pytest.raises(em.EdgeModelError, match="graph-wide pole index cap of 1000000"):
+            route(g, coupling, window)
+    assert calls == []
