@@ -45,12 +45,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Edge:
-    """Directed edge; ``target=None`` together with infinite length is a half-line."""
+    """Directed edge; ``target=None`` together with infinite length is a half-line.
+
+    The length is stored as a Python float, so that every edge evaluation
+    rounds the same whatever real type it was given (an ``np.float64``
+    length would turn Python's complex arithmetic into numpy's).
+    """
 
     id: str
     source: str
     target: Optional[str]
     length: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "length", float(self.length))
 
     @property
     def is_half_line(self) -> bool:

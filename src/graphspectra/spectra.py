@@ -246,7 +246,7 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
         raise ValueError("half-line graphs: window must stay below 0")
     poles = _decoupled_in_window(g, (a, b))
 
-    cuts = [a] + [p for p in poles if a < p < b] + [b]
+    cuts = [a] + [p for p in poles.tolist() if a < p < b] + [b]
     roots = []
     compiled = _CompiledPairing(g, coupling)
     nbranch = len(compiled.basis.labels)
@@ -260,8 +260,9 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
         seen = {}  # lambda -> eigenvalues of K(lambda), descending
 
         def fun(lam):
-            if lam not in seen:
-                seen[lam] = _eigvalsh(krein_matrix(g, coupling, lam, _pairing=compiled))[::-1]
+            if lam not in seen:  # Python floats, so that Brent's steps are float arithmetic
+                k = krein_matrix(g, coupling, lam, _pairing=compiled)
+                seen[lam] = _eigvalsh(k)[::-1].tolist()
             return seen[lam]
 
         flo, fhi = fun(lo), fun(hi)

@@ -652,16 +652,17 @@ def test_array_kernel_equals_the_scalar_path_bit_for_bit(model, preimages, lengt
     hits = 0
     for i, ell in enumerate(lengths):
         for j, lam in enumerate(lams):
-            try:
-                d, p, mm, dd = em._response(model, ell, lam, derivative=True)
-            except em.PoleOfWeylError as err:
-                hits += 1
-                assert on_pole[i, j] and pole[i, j] == err.nearest_pole, (ell, lam)
-                continue
-            assert not on_pole[i, j], (ell, lam)
-            assert (dist[i, j], pole[i, j]) == (d, p), (ell, lam)
-            assert m[i, j].tobytes() == mm.tobytes(), (ell, lam)
-            assert dm[i, j].tobytes() == dd.tobytes(), (ell, lam)
+            for scalar in (lam, np.float64(lam)):  # as numpy's arrays and eigenvalues give it
+                try:
+                    d, p, mm, dd = em._response(model, ell, scalar, derivative=True)
+                except em.PoleOfWeylError as err:
+                    hits += 1
+                    assert on_pole[i, j] and pole[i, j] == err.nearest_pole, (ell, lam)
+                    continue
+                assert not on_pole[i, j], (ell, lam)
+                assert (dist[i, j], pole[i, j]) == (d, p), (ell, lam)
+                assert m[i, j].tobytes() == mm.tobytes(), (ell, lam)
+                assert dm[i, j].tobytes() == dd.tobytes(), (ell, lam)
     assert hits > 0
     without = em._responses(model, np.array(lengths)[:, None], np.array(lams))
     assert without[4] is None and without[3].tobytes() == m.tobytes()
@@ -693,3 +694,32 @@ def test_array_kernel_reports_the_scalar_nearest_pole_on_poles():
         dist, pole, on_pole, _, _ = em._responses(model, ell, np.array([lam]))
         assert on_pole[0] and (dist[0], pole[0]) == em.pole_distance(model, ell, lam)
         assert pole[0] == err.value.nearest_pole
+
+
+def _outcome(f, *args):
+    """The bytes and types of f(*args), or its error's type, message and data."""
+    try:
+        out = f(*args)
+    except em.EdgeModelError as err:
+        return type(err), str(err), getattr(err, "lam", None), getattr(err, "nearest_pole", None)
+    if isinstance(out, tuple):
+        return tuple((type(x), np.float64(x).tobytes()) for x in out)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("model,ell,triplet", [
+    (LAP, 1.3, "graph"), (LAP, 0.02, "graph"), (em.Dirac(1.0), 0.7, "graph"),
+    (em.Dirac(1.0), 0.7, "hat"), (em.Dirac(137.0), 0.05, "graph"), (HALF, math.inf, "graph"),
+])
+def test_real_lambda_gives_the_same_bytes_as_float_numpy_float_or_int(model, ell, triplet):
+    # Every scalar entry point evaluates a real lambda as a Python float, so
+    # the type it comes in changes no bit of M, M', the nearest pole or an
+    # error, signed zeros and the sign of the zeros of M' included.
+    ints = [-10 ** 6, -2000, -37, -3, -1, 0, 1, 2, 5, 9, 10, 40, 137, 9000, 10 ** 5]
+    values = ints + [x + 0.37 for x in ints] + [-0.0, 1e-7, -1e-7, math.pi ** 2, 0.5]
+    for lam in values:
+        forms = [float(lam), np.float64(lam)] + ([int(lam)] if isinstance(lam, int) else [])
+        for f in (em.weyl, em.weyl_derivative, em.pole_distance):
+            want = _outcome(f, model, ell, forms[0], triplet)
+            for form in forms[1:]:
+                assert _outcome(f, model, ell, form, triplet) == want, (f.__name__, lam, form)

@@ -388,3 +388,41 @@ def test_graph_wide_pole_budget_raises_before_listing_any_pole(monkeypatch):
         with pytest.raises(em.EdgeModelError, match="graph-wide pole index cap of 1000000"):
             route(g, coupling, window)
     assert calls == []
+
+
+@pytest.mark.parametrize("model", [em.Laplacian(), Dirac(1.0)], ids=["laplacian", "dirac"])
+def test_numpy_lengths_give_the_bytes_of_float_lengths(model):
+    # Edge stores its length as a Python float: with an np.float64 length,
+    # M'(lambda) would divide np.complex128 values the numpy way and differ
+    # in its last bits.
+    lengths = np.geomspace(0.05, 3.0, 9)
+    names = [f"v{i}" for i in range(len(lengths) + 1)]
+
+    def tree(ells):
+        return MetricGraph(tuple(names), tuple(
+            Edge(f"e{i}", names[i // 2], names[i + 1], ell) for i, ell in enumerate(ells)), model)
+
+    g64, g = tree(list(lengths)), tree(lengths.tolist())
+    assert all(type(e.length) is float for e in g64.edges)
+    alpha = gr.alpha_map(g, np.linspace(-1.0, 1.0, len(names)).tolist())
+    for lam in (-3.0, 0.37, 2.5, 0.4 + 0.3j):
+        want = sp.krein_matrix(g, cp.delta_coupling(g, alpha), lam)
+        assert sp.krein_matrix(g64, cp.delta_coupling(g64, alpha), lam).tobytes() == want.tobytes()
+        for e64, e in zip(g64.edges, g.edges):
+            m = gr.edge_model_for(model, e)
+            want = em.weyl_derivative(m, e.length, lam).tobytes()
+            assert em.weyl_derivative(m, e64.length, lam).tobytes() == want
+
+
+def test_scan_roots_are_python_floats_for_numpy_window_ends():
+    # The cells and Brent's steps run on Python floats whatever the type of
+    # the window ends, and the roots are the same to the bit.
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3])
+    coupling = delta_problem(g, 0.4)
+    want = sp.scan_spectrum(g, coupling, (-3.0, 30.0))
+    got = sp.scan_spectrum(g, coupling, (np.float64(-3.0), np.float64(30.0)))
+    assert len(want.roots) >= 4
+    for res in (want, got):
+        assert all(type(r.lam) is float and type(r.residual) is float for r in res.roots)
+        assert all(type(p) is float for p in res.excluded)
+    assert got.roots == want.roots and got.excluded == want.excluded
