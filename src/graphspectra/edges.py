@@ -58,8 +58,8 @@ Every scalar entry point reads ``_response``, which takes real lambda as a
 Python float; ``_responses`` is its graph-map form over arrays of lengths
 and real lambda, bit for bit, called once per edge model by
 ``build_regularization`` and ``check_mtilde_divergence``.  ``krein_matrix``
-makes one scalar call per edge, about 2.8 us for a Laplacian edge at real
-lambda on an Intel Xeon; ``_responses`` takes 4.6 us per edge at one lambda.
+makes one scalar call per edge; the scan's counts on delta trees read
+``_delta_weights``, numpy's ufuncs over all edges at one real lambda.
 """
 
 from __future__ import annotations
@@ -231,9 +231,10 @@ _SERIES_CUTOFF = 1e-3
 
 # Taylor coefficients around w = 0 (w = z^2):
 #   S(w) = sin(z)/z, C(w) = cos(z),
-#   D1(w) = -d/dw (C/S), E1(w) = d/dw (1/S).
+#   D1(w) = -d/dw (C/S), E1(w) = d/dw (1/S), T(w) = z tan(z/2) / w.
 _S_COEF = [1.0, -1 / 6, 1 / 120, -1 / 5040, 1 / 362880, -1 / 39916800]
 _C_COEF = [1.0, -1 / 2, 1 / 24, -1 / 720, 1 / 40320, -1 / 3628800]
+_T_COEF = [1 / 2, 1 / 24, 1 / 240, 17 / 40320, 31 / 725760]
 _D1_COEF = [1 / 3, 2 / 45, 2 / 315, 4 / 4725, 10 / 93555]
 _E1_COEF = [1 / 6, 7 / 180, 31 / 5040, 127 / 151200]
 
@@ -479,6 +480,30 @@ def _responses(model, ell, lam, derivative=False):
                 dm = _DIRAC_PHASE * (drho * m + rdk2 * dm)
             m = rho * _DIRAC_PHASE * m
     return dist, pole, on_pole, m, dm
+
+
+def _delta_weights(model, ell, lam):
+    """(b, t) = (rho k csc(k l), rho k tan(k l / 2)) over the array ``ell`` of
+    interval lengths at a real lam: a delta coupling's secular matrix has
+    -b off its diagonal and b - t on it (r = z csc z, q = r - z tan(z/2)).
+    _trig's real regimes as ufuncs, without overflow (y / sinh y =
+    -2y e^-y / expm1(-2y)) or pole guard."""
+    k2, _, rho, _ = model._reduce(lam)
+    w = ell * ell * k2
+    size = np.abs(w)
+    if not math.isfinite(size.max(initial=0.0)):
+        raise EdgeModelError(f"lambda={lam} overflows the edge evaluation")
+    series = size < _SERIES_CUTOFF
+    near = series.any()
+    x = np.sqrt(np.where(series, 1.0, size) if near else size)  # |z|
+    if k2 > 0:
+        r, u = x / np.sin(x), x * np.tan(x / 2)
+    else:
+        r, u = -2 * x * np.exp(-x) / np.expm1(-2 * x), -x * np.tanh(x / 2)
+    if near:
+        w = w[series]
+        r[series], u[series] = 1 / _poly(_S_COEF, w), w * _poly(_T_COEF, w)
+    return (r / ell, u / ell) if rho is None else (rho * r / ell, rho * u / ell)
 
 
 def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph",

@@ -8,18 +8,16 @@ when the Hermitian matrix
 
 over the orthonormalized global basis is singular.  Since every edge
 response matrix has positive-definite derivative on real gaps, K is
-strictly decreasing in lambda between consecutive poles, so each sorted
-eigenvalue branch of K crosses zero at most once per pole-free cell and
-Brent's method on the branches finds every root, with the number of
-branches crossing there as its multiplicity - in particular
-even-multiplicity roots that a bare determinant sign scan cannot see.
-Only the edge term M(lambda) depends on lambda, so a scan compiles the
-rest of K once and repeats only the per-lambda step: one
-edge response per edge, an O(nnz) scatter-add of their entries and one
-eigensolve, in real arithmetic when K is real (delta couplings in both
-edge models).  Brent's zero is a point it evaluated, so each root's
-residual |det K| is read off the eigenvalues kept there, and no lambda is
-evaluated twice.
+strictly decreasing in lambda between consecutive poles, so the number
+n_minus of its negative eigenvalues rises by the multiplicity of each
+root: count bisection isolates the roots of a pole-free cell and Brent's
+method on det K polishes them, even-multiplicity roots, which a bare
+determinant sign scan cannot see, included.  Under a delta coupling on a
+tree the counts are O(V) pivots of the unnormalized K, a weighted
+Laplacian plus a potential eliminated leaf to root; elsewhere a scan
+compiles all of K but its edge term once, and each lambda costs one edge
+response per edge, an O(nnz) scatter-add and one eigensolve, in real
+arithmetic when K is real (delta couplings in both edge models).
 
 Route 2 (oracle): per edge, the raw first-order ODE system is integrated
 by classical RK4 to build transfer matrices; the vertex conditions
@@ -66,6 +64,7 @@ __all__ = [
 ]
 
 _POLE_GUARD = 1e-8
+_TINY = float(np.finfo(float).tiny)
 _KERNEL_CUTOFF = 1e-7
 _EXCLUSION_RADIUS = 1e-3   # match_spectra skips roots this close to an excluded point
 
@@ -215,27 +214,140 @@ def _brent_zero(f, a, b, fa, fb):
         value = f(lam)
 
 
+def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPairing):
+    """The pivots at real lambda of a delta coupling's P = N K N (N the basis
+    norms) if the finite edges form a tree (or forest), else None.  P is the
+    Laplacian of the weights b_e of ``edges._delta_weights`` plus the
+    potential c_v = alpha_v - sum_e t_e (+ sqrt(-lambda), -M, per half-line);
+    leaf-to-root elimination gives d_v = b_parent + s_v, with s_v = c_v +
+    sum over children of b s / (b + s) (Grassmann-Taksar-Heyman 1985): O(V),
+    without K's cancellation of entries of order 1/l_min.  An exact 0 pivot
+    becomes tiny max(1, |b|)^2, so a root at lambda counts as lying above it."""
+    if coupling.flavor != "delta":
+        return None
+    index = {v: i for i, v in enumerate(compiled.basis.vertices)}
+    finite = [e for e in g.edges if not e.is_half_line]
+    n = len(index)
+    src, dst = (np.array([index[getattr(e, end)] for e in finite], dtype=int)
+                for end in ("source", "target"))
+    links = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+        links[u].append((v, k))
+        links[v].append((u, k))
+    degree = [len(out) for out in links] + [0]
+    queue, gone, steps = [v for v in range(n) if degree[v] <= 1], [False] * n, []
+    for v in queue:  # grows while it is read; a root has parent n, edge len(finite)
+        gone[v] = True
+        p, k = next((link for link in links[v] if not gone[link[0]]), (n, len(finite)))
+        steps.append((v, p, k))
+        degree[p] -= 1
+        if degree[p] == 1:
+            queue.append(p)
+    if len(steps) < n:
+        return None
+    lengths = np.array([e.length for e in finite])
+    half = np.bincount([index[e.source] for e in g.edges if e.is_half_line], minlength=n)
+    alpha = compiled.p0[compiled.rows == compiled.cols].real  # P's vertex term
+
+    def pivots(lam: float) -> np.ndarray:
+        b, t = em._delta_weights(g.model, lengths, lam)
+        c = alpha + half * math.sqrt(max(0.0, -lam))
+        c -= np.bincount(src, t, n) + np.bincount(dst, t, n)
+        weight, s, out = b.tolist() + [0.0], c.tolist() + [0.0], []
+        for v, p, k in steps:
+            bv = weight[k]
+            d = bv + s[v]
+            if d == 0.0:
+                d = _TINY * max(1.0, float(np.max(np.abs(b), initial=0.0))) ** 2
+            out.append(d)
+            s[p] += bv * s[v] / d
+        return np.array(out)
+    return pivots
+
+
+class _Inertia:
+    """(n_minus, sign det, log |det|) of K at real lambda: from ``_tree_pivots``
+    if any, else from K's eigenvalues, an exact 0 counting as positive.  K
+    decreases between poles: n_minus(hi) - n_minus(lo) roots lie in [lo, hi).
+    ``eigenvalues`` at a root give its residual: those at hand on the dense
+    path (``seen``, kept per bracket), one ``krein_matrix`` on the tree path."""
+
+    def __init__(self, g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPairing):
+        self.problem = g, coupling, compiled
+        self.tree = _tree_pivots(g, coupling, compiled)
+        self.seen = {}
+
+    def eigenvalues(self, lam: float) -> np.ndarray:
+        if lam in self.seen:
+            return self.seen[lam]
+        g, coupling, compiled = self.problem
+        return _eigvalsh(krein_matrix(g, coupling, lam, _pairing=compiled))
+
+    def __call__(self, lam: float) -> tuple:
+        if self.tree is None:
+            mu = self.seen[lam] = self.eigenvalues(lam)
+            pivots = np.where(mu == 0.0, _TINY, mu)
+        else:
+            pivots = self.tree(lam)
+        neg = int(np.count_nonzero(pivots < 0))
+        return neg, -1.0 if neg % 2 else 1.0, float(np.log(np.abs(pivots)).sum())
+
+
+def _brackets(inertia, lo, hi, flo, fhi, tol):
+    """(lo, hi, inertia at lo, at hi) of the root brackets in [lo, hi): count
+    bisection splits one with more than one root down to the merge radius,
+    a count off the monotone order clamped between its neighbours'."""
+    if fhi[0] - flo[0] == 1 or (fhi[0] > flo[0] and
+                                hi - lo <= max(100 * tol, 1e-9 * max(1.0, abs(hi)))):
+        yield lo, hi, flo, fhi
+    elif fhi[0] > flo[0]:
+        mid = 0.5 * (lo + hi)
+        fmid = inertia(mid)
+        fmid = (min(max(fmid[0], flo[0]), fhi[0]),) + fmid[1:]
+        yield from _brackets(inertia, lo, mid, flo, fmid, tol)
+        yield from _brackets(inertia, mid, hi, fmid, fhi, tol)
+
+
+def _polish(inertia, lo, hi, flo, fhi) -> float:
+    """The root of one bracket: Brent on det / |det(lo)| (its log clamped to
+    +-700) if the count jumps by an odd number, else, det keeping its sign,
+    count bisection to Brent's width or until the roots part."""
+    if (fhi[0] - flo[0]) % 2:
+        def scaled(f):
+            return f[1] * math.exp(max(-700.0, min(700.0, f[2] - flo[2])))
+        return _brent_zero(lambda lam: scaled(inertia(lam)), lo, hi, flo[1], scaled(fhi))
+    while hi - lo > 4e-16 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        n = inertia(mid)[0]
+        if flo[0] < n < fhi[0]:
+            break
+        lo, hi = (mid, hi) if n <= flo[0] else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
                   tol: float = 1e-8) -> SpectrumResult:
-    """All eigenvalues in the window that are visible to the matching criterion.
+    """All eigenvalues in [a, b) that are visible to the matching criterion.
 
     The window is subdivided at the decoupled edge eigenvalues; those points
     are reported in ``excluded`` with the flag "undetermined-by-matching"
     since the criterion does not apply there (the oracle route resolves
-    them).  Within each pole-free cell the sorted eigenvalue branches of
-    K(lambda) are strictly decreasing, so Brent's method finds the zero of
-    each independently, to about two ulps.  ``tol`` is the merge radius
-    only: branch zeros closer than max(100 tol, 1e-9 max(1, |lambda|))
-    merge into one root, whose multiplicity is the number of branches that
-    cross zero there (each kernel dimension of K at a root is one such
-    crossing; a count of small |mu| would add false ones where K has
-    entries of order 1/l_min).
+    them).  A neighbourhood of 1e-7 max(1, |p|) is left out around each
+    pole p, in the window or next to an end; an end without a pole nearby
+    is scanned up to itself.  A pole-free cell holds the n_minus(hi) -
+    n_minus(lo) roots in [lo, hi) (``_Inertia``), so adjacent windows never
+    report one root twice.  Count bisection isolates them down to the merge
+    radius max(100 tol, 1e-9 max(1, |lambda|)), which is all that ``tol``
+    sets: closer roots are one root.  A bracket whose count jumps by an odd
+    number is polished by Brent on det K, one whose count jumps by an even
+    number by count bisection, both to about two ulps; the jump, the
+    number of kernel dimensions of K there, is the multiplicity.
 
-    K is compiled once per call, each lambda is evaluated at most once (the
-    eigenvalues of every evaluated lambda are kept per cell), and the
-    eigensolve runs in real arithmetic when K is real.  Brent's zero is a
-    point it evaluated, so each root's residual |det K| = |prod mu| is read
-    off eigenvalues at hand.
+    K is compiled once per call.  On a delta coupling whose finite edges
+    form a tree the counts are O(V) pivots, and each root costs one
+    ``krein_matrix`` and eigensolve for its residual |det K| = |prod mu|;
+    elsewhere every count is an eigensolve of K, in real arithmetic when K
+    is real, and the residual is read off the eigenvalues at hand.
 
     Raises ValueError unless the window bounds are finite with a < b and
     ``tol`` is finite and positive, and EdgeModelError, before any
@@ -244,46 +356,29 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     a, b = _checked_request(window, tol)
     if g.has_half_line and b > -_POLE_GUARD:
         raise ValueError("half-line graphs: window must stay below 0")
-    poles = _decoupled_in_window(g, (a, b))
 
+    def pad(x):  # half-width of the pole neighbourhood left out at x
+        return 10 * _POLE_GUARD * max(1.0, abs(x))
+
+    near = _decoupled_in_window(g, (a - pad(a), b + pad(b)))  # with the poles next to it
+    poles = near[(a <= near) & (near <= b)]
     cuts = [a] + [p for p in poles.tolist() if a < p < b] + [b]
-    roots = []
-    compiled = _CompiledPairing(g, coupling)
-    nbranch = len(compiled.basis.labels)
-    usable_cells = 0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        pad = 10 * _POLE_GUARD * max(1.0, abs(left), abs(right))
-        lo, hi = left + pad, right - pad
+    pads = [pad(x) if near.size and np.min(np.abs(near - x)) <= pad(x) else 0.0 for x in cuts]
+    inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
+    roots, usable_cells = [], 0
+    for left, right, left_pad, right_pad in zip(cuts, cuts[1:], pads, pads[1:]):
+        lo, hi = left + left_pad, right - right_pad
         if hi <= lo:
             continue
         usable_cells += 1
-        seen = {}  # lambda -> eigenvalues of K(lambda), descending
-
-        def fun(lam):
-            if lam not in seen:  # Python floats, so that Brent's steps are float arithmetic
-                k = krein_matrix(g, coupling, lam, _pairing=compiled)
-                seen[lam] = _eigvalsh(k)[::-1].tolist()
-            return seen[lam]
-
-        flo, fhi = fun(lo), fun(hi)
-        cell_roots = []
-        for j in range(nbranch):
-            if flo[j] > 0 >= fhi[j]:
-                r = _brent_zero(lambda lam: fun(lam)[j], lo, hi, flo[j], fhi[j])
-                cell_roots.append(r)
-        cell_roots.sort()
-        merged = []
-        for r in cell_roots:
-            if merged and abs(r - merged[-1][0]) < max(100 * tol, 1e-9 * max(1.0, abs(r))):
-                merged[-1][1] += 1
-            else:
-                merged.append([r, 1])
-        for r, mult in merged:
-            roots.append(Root(r, float(np.prod(np.abs(seen[r]))), mult, "krein"))
+        for bracket in list(_brackets(inertia, lo, hi, inertia(lo), inertia(hi), tol)):
+            inertia.seen.clear()
+            r = _polish(inertia, *bracket)
+            mult = bracket[3][0] - bracket[2][0]
+            roots.append(Root(r, float(np.prod(np.abs(inertia.eigenvalues(r)))), mult, "krein"))
     if usable_cells == 0:
         raise ValueError("window consists of pole neighborhoods only")
-    excluded = tuple(float(p) for p in poles)
-    return SpectrumResult(tuple(roots), excluded, "krein", (a, b))
+    return SpectrumResult(tuple(roots), tuple(poles.tolist()), "krein", (a, b))
 
 
 # ----------------------------------------------------------------- oracle

@@ -1,0 +1,240 @@
+"""The scan's inertia counts: the O(V) tree pivots against the dense
+eigensolve, the two kernels against each other on the same problem, and
+the count-based cell solver at the window ends."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from graphspectra import coupling as cp
+from graphspectra import edges as em
+from graphspectra import graphs as gr
+from graphspectra import spectra as sp
+from graphspectra.graphs import Edge, MetricGraph
+from test_pairing import loop_and_double_edge
+
+
+def delta_problem(g, alpha):
+    return cp.delta_coupling(g, gr.alpha_map(g, alpha))
+
+
+def as_custom(g, coupling):
+    """The same coupling data given as a custom coupling: the dense path."""
+    return cp.custom_coupling(g, {v: (b.basis.T, b.matrix) for v, b in coupling.blocks.items()})
+
+
+def dense_count(g, coupling, compiled, lam):
+    """n_minus(K(lambda)) from the eigenvalues of the dense K, or None on a pole."""
+    try:
+        k = sp.krein_matrix(g, coupling, lam, _pairing=compiled)
+    except em.PoleOfWeylError:
+        return None
+    return int(np.count_nonzero(sp._eigvalsh(k) < 0))
+
+
+def dirac_tree(c, seed):
+    g = gr.random_graph(seed, 8, model=em.Dirac(c))
+    return g, delta_problem(g, np.random.default_rng(seed).uniform(-1, 1, 9).tolist())
+
+
+def halfline_tree():
+    g = MetricGraph(("c", "b", "d"), (Edge("e", "c", "b", 1.0), Edge("f", "d", "c", 0.4),
+                                      Edge("h", "c", None, math.inf),
+                                      Edge("k", "d", None, math.inf)))
+    return g, cp.delta_coupling(g, {"c": -3.0, "b": 0.5, "d": -1.0})
+
+
+def laplacian_tree(seed):
+    g = gr.random_graph(seed, 20)
+    return g, delta_problem(g, np.random.default_rng(seed).uniform(-1, 1, 21).tolist())
+
+
+CASES = [
+    ("laplacian-tree-1", lambda: laplacian_tree(1), np.linspace(-3.0, 25.0, 401)),
+    ("laplacian-tree-2", lambda: laplacian_tree(2), np.linspace(-3.0, 25.0, 401)),
+    ("dirac-1", lambda: dirac_tree(1.0, 3), np.r_[np.linspace(-15.0, 15.0, 401), 0.0, 0.5, -0.5]),
+    ("dirac-2.5", lambda: dirac_tree(2.5, 4),
+     np.r_[np.linspace(-15.0, 15.0, 401), 0.0, 3.125, -3.125]),
+    ("chain-40", lambda: (gr.geometric_chain(0.5, 0.5, 40),
+                          delta_problem(gr.geometric_chain(0.5, 0.5, 40), 0.3)),
+     np.linspace(-1.0, 60.0, 301)),
+    ("half-lines", halfline_tree, np.linspace(-12.0, -1e-3, 301)),
+    # l sqrt(-lambda) up to 1,300, where sinh overflows.
+    ("long-edges", lambda: (gr.chain([30.0, 45.0, 0.5]),
+                            delta_problem(gr.chain([30.0, 45.0, 0.5]), [-2.0, 0.5, -1.0, 0.0])),
+     np.r_[np.linspace(-900.0, -1.0, 61), np.linspace(-1.0, 2.0, 61)]),
+]
+
+
+@pytest.mark.parametrize("build, grid", [case[1:] for case in CASES], ids=[c[0] for c in CASES])
+def test_tree_counts_equal_dense_counts(build, grid):
+    g, coupling = build()
+    compiled = cp._CompiledPairing(g, coupling)
+    inertia = sp._Inertia(g, coupling, compiled)
+    assert inertia.tree is not None
+    checked = 0
+    for lam in grid.tolist():
+        want = dense_count(g, coupling, compiled, lam)
+        if want is None:
+            continue
+        neg, sign, _ = inertia(lam)
+        assert (neg, sign) == (want, (-1.0) ** want), lam
+        checked += 1
+    assert checked > 0.9 * len(grid)
+
+
+def test_tree_log_det_is_the_dense_one_rescaled():
+    # P = N K N with N the diagonal of basis norms sqrt(deg v).
+    g, coupling = laplacian_tree(1)
+    compiled = cp._CompiledPairing(g, coupling)
+    inertia = sp._Inertia(g, coupling, compiled)
+    shift = float(np.sum(np.log(np.array(list(gr.degree(g).values()), dtype=float))))
+    for lam in (-2.5, 0.3, 7.7, 19.1):
+        mu = sp._eigvalsh(sp.krein_matrix(g, coupling, lam, _pairing=compiled))
+        want = float(np.sum(np.log(np.abs(mu)))) + shift
+        assert abs(inertia(lam)[2] - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_only_delta_trees_take_the_tree_kernel():
+    tree, coupling = laplacian_tree(1)
+    g, custom, _ = loop_and_double_edge()
+    triangle = gr.star(2, lengths=[1.0, 0.5])  # made a cycle below
+    triangle = MetricGraph(triangle.vertices, triangle.edges + (
+        Edge("e02", "leaf00", "leaf01", 0.7),))
+    for g_, c_, tree_path in [(tree, coupling, True), (tree, as_custom(tree, coupling), False),
+                              (g, custom, False), (g, delta_problem(g, 0.1), False),
+                              (triangle, delta_problem(triangle, 0.1), False)]:
+        inertia = sp._Inertia(g_, c_, cp._CompiledPairing(g_, c_))
+        assert (inertia.tree is not None) == tree_path
+
+
+def test_the_tree_kernel_never_evaluates_the_scalar_edge_path(monkeypatch):
+    g, coupling = laplacian_tree(2)
+    inertia = sp._Inertia(g, coupling, cp._CompiledPairing(g, coupling))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar edge path reached")
+
+    for name in ("weyl", "pole_distance", "_response", "_guard"):
+        monkeypatch.setattr(em, name, forbidden)
+    for name in ("det", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for lam in (-2.0, 0.0, 1e-12, 3.3, 17.0):
+        inertia(lam)
+
+
+@pytest.mark.parametrize("depth, want", [
+    (30, [3.011335349456]),
+    (40, [3.11791135211205, 20.66890546677179, 55.19413333738711]),
+])
+def test_short_edge_chain_roots_match_the_references(depth, want):
+    # References from a 60-digit transfer-matrix computation.  K has entries
+    # of order 1/l_min = 2^depth here, and its eigensolve put the lowest root
+    # 4.7e-9 (depth 30) and 3.3e-7 (depth 40) off.
+    g = gr.geometric_chain(0.5, 0.5, depth)
+    res = sp.scan_spectrum(g, delta_problem(g, 0.3), (-1.0, 60.0))
+    got = {r.lam: r.multiplicity for r in res.roots}
+    for ref in want:
+        lam = min(got, key=lambda x: abs(x - ref))
+        assert abs(lam - ref) <= 1e-12 * ref
+        assert got[lam] == 1
+
+
+def route_pairs():
+    tree = gr.random_graph(7, 15)
+    equal = gr.star(3, lengths=1.0)
+    dstar = gr.star(3, lengths=[1.0, 0.7, 1.3], model=em.Dirac(1.0))
+    return [
+        pytest.param(tree, delta_problem(tree, 0.0), (-1.0, 20.0), None, id="random-7-15"),
+        pytest.param(equal, delta_problem(equal, 0.0), (-5.0, 60.0), [1, 2, 2],
+                     id="star-doubles"),
+        pytest.param(dstar, delta_problem(dstar, 0.5), (-15.0, 15.0), None, id="dirac-star"),
+    ]
+
+
+@pytest.mark.parametrize("g, coupling, window, multiplicities", route_pairs())
+def test_tree_and_dense_kernels_give_the_same_roots(g, coupling, window, multiplicities):
+    tree = sp.scan_spectrum(g, coupling, window)
+    dense = sp.scan_spectrum(g, as_custom(g, coupling), window)
+    assert len(tree.roots) == len(dense.roots) > 0
+    for r, s in zip(tree.roots, dense.roots):
+        assert abs(r.lam - s.lam) <= 1e-12 * max(1.0, abs(r.lam))
+        assert r.multiplicity == s.multiplicity
+    if multiplicities is not None:
+        assert [r.multiplicity for r in tree.roots] == multiplicities
+
+
+def triangle():
+    g = MetricGraph(("a", "b", "c"), (Edge("e1", "a", "b", 1.0), Edge("e2", "b", "c", 0.7),
+                                      Edge("e3", "c", "a", 1.3)))
+    return g, cp.delta_coupling(g, {"a": 0.2, "b": -0.3, "c": 0.5})
+
+
+def loop_and_double_edge_delta():
+    g = loop_and_double_edge()[0]
+    return g, cp.delta_coupling(g, {"a": 0.4, "b": -0.2, "c": 0.0})
+
+
+@pytest.mark.parametrize("build, window, want", [
+    (triangle, (-2.0, 12.0), [0.10468860715723627, 4.2116071299854605, 4.814013814217738]),
+    (lambda: loop_and_double_edge()[:2], (-2.0, 8.0),
+     [-1.7835871685013331, -5.5469978766776997e-17, 0.6264265848599445, 2.3447131798816856,
+      6.1802953793643525]),
+    (loop_and_double_edge_delta, (-2.0, 8.0),
+     [0.02819841574632852, 2.3023319485116187, 3.371317585796886, 6.64481233938498]),
+], ids=["3-cycle", "loop-and-double-edge", "loop-and-double-edge-delta"])
+def test_non_tree_roots_are_those_of_the_branch_scan(build, window, want):
+    # The roots the scan gave when it ran Brent on each eigenvalue branch of K.
+    g, coupling = build()
+    res = sp.scan_spectrum(g, coupling, window)
+    np.testing.assert_allclose(res.values, want, rtol=0, atol=1e-12 * max(map(abs, want)))
+    assert [r.multiplicity for r in res.roots] == [1] * len(want)
+
+
+R0 = 1.802368011163211  # a root of the Kirchhoff star(3) with lengths 1, 0.7, 1.3
+
+
+def neumann_leaf_star():
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3])
+    return g, delta_problem(g, 0.0)
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["tree", "dense"])
+def test_roots_next_to_a_window_end_are_reported(custom):
+    # The window ends are not poles, so they are scanned up to themselves:
+    # a root 1e-8 inside either end used to fall into a pole pad and vanish.
+    g, coupling = neumann_leaf_star()
+    if custom:
+        coupling = as_custom(g, coupling)
+    for window in [(R0 - 1e-8, 3.0), (0.5, R0 + 1e-8)]:
+        res = sp.scan_spectrum(g, coupling, window)
+        assert len(res.roots) == 1 and abs(res.roots[0].lam - R0) <= 1e-14 * R0
+    assert sp.scan_spectrum(g, coupling, (1.0, 1.0 + 1e-7)).roots == ()
+
+
+def test_adjacent_windows_report_a_root_once():
+    # Roots are reported in [a, b): the window that starts at a root has it.
+    g, coupling = neumann_leaf_star()
+    for cut in (R0, math.nextafter(R0, 0.0), math.nextafter(R0, 3.0), R0 - 1e-13, R0 + 1e-13):
+        parts = [sp.scan_spectrum(g, coupling, w) for w in [(0.5, cut), (cut, 3.0)]]
+        assert sum(len(p.roots) for p in parts) == 1
+    iv = gr.interval(1.0)
+    kirchhoff = delta_problem(iv, 0.0)  # eigenvalue 0, where K is exactly singular
+    for coupling in (kirchhoff, as_custom(iv, kirchhoff)):
+        assert sp.scan_spectrum(iv, coupling, (-1.0, 0.0)).roots == ()
+        assert [r.lam for r in sp.scan_spectrum(iv, coupling, (0.0, 1.0)).roots] == [0.0]
+
+
+def test_a_window_end_next_to_a_pole_keeps_its_pad():
+    # pi^2 lies just past the window's end: the end is padded like a pole,
+    # and K is never evaluated within the pole guard.
+    g = gr.interval(1.0)
+    coupling = delta_problem(g, 0.0)
+    p = math.pi ** 2
+    for window in [(p + 1e-9, 20.0), (1.0, p - 1e-9)]:
+        assert sp.scan_spectrum(g, coupling, window).excluded == ()
+    with pytest.raises(ValueError, match="pole neighborhoods only"):
+        sp.scan_spectrum(g, coupling, (p + 1e-9, p + 2e-9))
