@@ -337,16 +337,18 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
     INCONCLUSIVE; the witness says whether the sampled evidence supports it.
     """
     crit = "renormalized-divergence"
-    lams = np.array([-10.0 ** k for k in range(1, 7)])
+    lams = [-10.0 ** k for k in range(1, 7)]
     rows = [None] * len(g.edges)  # (max eigenvalues, samples on poles) per edge
     for model, at, lengths in _by_model(g):
-        _, _, hit, m, _ = em._responses(model, lengths[:, None], lams)
-        row = np.nonzero(~hit)[0]  # the edge of each sample off the poles
-        m0 = np.array([reg.m_at_lambda0[g.edges[i].id] for i in at])[row]
-        norm = np.array([reg.norm_prime[g.edges[i].id] for i in at])[row, None, None]
-        top = np.linalg.eigvalsh((m[~hit] - m0) / norm)[:, -1]
-        for i, evs, on in zip(at, np.split(top, np.cumsum((~hit).sum(axis=1))[:-1]), hit):
-            rows[i] = evs.tolist(), lams[on].tolist()
+        m0 = np.array([reg.m_at_lambda0[g.edges[i].id] for i in at])
+        norm = np.array([reg.norm_prime[g.edges[i].id] for i in at])[:, None, None]
+        hits, tops = [], []
+        for lam in lams:
+            _, _, hit, m, _ = em._responses(model, lengths, lam)
+            hits.append(hit)
+            tops.append(np.linalg.eigvalsh(np.where(hit[:, None, None], 0.0, m - m0) / norm)[:, -1])
+        for i, on, top in zip(at, np.transpose(hits).tolist(), np.transpose(tops).tolist()):
+            rows[i] = ([t for t, o in zip(top, on) if not o], [x for x, o in zip(lams, on) if o])
     per_edge, supports = {}, True
     for e, (tops, on_poles) in zip(g.edges, rows):
         decreasing = not on_poles and all(b < a for a, b in zip(tops, tops[1:]))

@@ -54,12 +54,14 @@ bring in e(l)/e(x), of modulus at most 1) are all ratios of its output,
 so none of them overflows.  The half-line (boundary dimension d = 1)
 has the Herglotz branch of i sqrt(lambda) as its response.
 
-Every scalar entry point reads ``_response``, which takes real lambda as a
-Python float; ``_responses`` is its graph-map form over arrays of lengths
-and real lambda, bit for bit, called once per edge model by
-``build_regularization`` and ``check_mtilde_divergence``.  ``krein_matrix``
-makes one scalar call per edge; the scan's counts on delta trees read
-``_delta_weights``, numpy's ufuncs over all edges at one real lambda.
+Every scalar entry point reads ``_response``, which takes the length and a
+real lambda as Python floats.  ``_delta_weights`` is the one array form of
+``_trig``'s real regimes, numpy's ufuncs over all edges at one real lambda:
+the scan's counts on delta trees read it, and so does ``_responses``, the
+pole guard plus the graph-map M and M' over an array of lengths, called
+by ``build_regularization`` and ``check_mtilde_divergence``.  The two
+paths agree to rounding, and exactly in the series at w = 0.
+``krein_matrix`` makes one scalar call per edge.
 """
 
 from __future__ import annotations
@@ -385,6 +387,8 @@ def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False)
     and -l r (q - 1)/2w.  At real w, r is the float e/S: Python's complex e/S
     only adds an imaginary zero that M drops, but whose sign M' keeps.
     """
+    if type(ell) is not float:  # an np.float64 length would round M' the numpy way
+        ell = float(ell)
     dist, pole, lam = _guard(model, ell, lam, triplet, tol)
     if model.dim == 1:
         z = _halfline_root(lam)
@@ -422,72 +426,55 @@ def _each(f, x):
 
 
 def _responses(model, ell, lam, derivative=False):
-    """``_response`` over arrays: (dist, pole, on_pole, M, M' or None) of the
-    graph trace maps on the broadcast shape of ``ell`` and real ``lam``, bit
-    for bit where on_pole is False (M is undefined where it is True).  The
-    first invalid length or lam, in C order, raises the error of ``_guard``."""
-    ell, lam = np.asarray(ell, dtype=float), np.asarray(lam, dtype=float)
+    """``_response`` of the graph trace maps over the 1-d array ``ell`` of
+    lengths at one real ``lam``: (dist, pole, on_pole, M, M' or None), the
+    distance and nearest pole exactly as ``_guard`` gives them, M and M'
+    assembled from ``_delta_weights`` (undefined where on_pole).  The first
+    invalid length, or an invalid lam, raises the error of ``_guard``."""
+    ell, lam = np.asarray(ell, dtype=float), np.float64(lam)  # rho's pole gives inf
     half_line = model.dim == 1
     with np.errstate(all="ignore"):
-        lk = 0.0 if half_line else ell * _each(model._wavenumber, np.abs(lam))
-        ell, lam, lk = np.broadcast_arrays(ell, lam, lk)
+        lk = 0.0 if half_line else ell * model._wavenumber(abs(lam))
         bad = ~(np.isfinite(lam) & np.isfinite(lk * lk)
                 & (np.isinf(ell) if half_line else (ell > 0) & np.isfinite(ell)))
         if bad.any():  # _guard raises the error of the first
-            _guard(model, float(ell.flat[np.argmax(bad)]), float(lam.flat[np.argmax(bad)]))
-        if half_line:
-            dist, pole = np.where(lam <= 0, np.abs(lam), 0.0), np.where(lam <= 0, 0.0, lam)
+            _guard(model, float(ell[np.argmax(bad)]), lam)
+        if half_line:  # every length is inf
+            dist, pole = (np.full(ell.shape, x) for x in pole_distance(model, math.inf, lam))
         else:  # extra poles, then those of the indices max(first, n0) ... n0 + 1
             first, offset, extra = model._poles["graph"]
-            n0 = np.floor(ell * _each(model._wavenumber, lam) / math.pi - offset)
-            cands = np.concatenate([np.broadcast_to(extra, lam.shape + (len(extra),))] + [
-                np.where((n >= first)[..., None], _each(model._pole, (n + offset) * math.pi / ell),
+            n0 = np.floor(ell * model._wavenumber(lam) / math.pi - offset)
+            cands = np.concatenate([np.broadcast_to(extra, ell.shape + (len(extra),))] + [
+                np.where((n >= first)[:, None], _each(model._pole, (n + offset) * math.pi / ell),
                          np.inf) for n in (n0, n0 + 1)], axis=-1)
-            gaps = np.abs(lam[..., None] - cands)
-            j = np.argmin(gaps, axis=-1)[..., None]  # the first of equally near poles
-            dist, pole = (np.take_along_axis(a, j, -1)[..., 0] for a in (gaps, cands))
+            gaps = np.abs(lam - cands)
+            j = np.argmin(gaps, axis=-1)[:, None]  # the first of equally near poles
+            dist, pole = (np.take_along_axis(a, j, -1)[:, 0] for a in (gaps, cands))
         on_pole = dist < _POLE_TOL * np.maximum(1.0, np.abs(pole))
         if half_line:
-            z = np.sqrt(lam.astype(complex))[..., None, None]
-            return dist, pole, on_pole, 1j * z, 1j / (2 * z) if derivative else None
-        # _trig's three real regimes, math's exp and expm1 (numpy's round
-        # differently on some machines), and the complex operations of
-        # _response on real parts, signed zeros included: r = e/S is (e/S, 0/S).
-        k2, dk2, rho, drho = model._reduce(lam)
-        w = ell * ell * k2
-        series, above = np.abs(w) < _SERIES_CUTOFF, w > 0
-        z, y = np.sqrt(w), np.sqrt(-w)
-        v = _each(math.expm1, -2.0 * y)
-        c = np.where(series, _poly(_C_COEF, w), np.where(above, _each(math.cos, z), 1.0 + v / 2))
-        s = np.where(series, _poly(_S_COEF, w),
-                     np.where(above, _each(math.sin, z) / z, -v / (2 * y)))
-        q, r = c / s, np.where(series | above, 1.0, _each(math.exp, -y)) / s
-        m = np.stack([-q / ell, r / ell], -1).astype(complex)[..., [[0, 1], [1, 0]]]
-        dm = None
-        if derivative:  # ell (r^2 - q) / 2w and (-ell r)(q - 1) / 2w, w the real divisor
-            p, t, ratio = -ell * r, q - 1, 0.0 / (2 * w)
-            im12 = p * 0.0 + t * 0.0
-            re = np.stack([np.where(series, ell * _poly(_D1_COEF, w), ell * (r * r - q) / (2 * w)),
-                           np.where(series, ell * _poly(_E1_COEF, w),
-                                    (p * t + im12 * ratio) / (2 * w))], -1)
-            dm = re.astype(complex)
-            dm.imag = np.where(series[..., None], 0.0,
-                               np.stack([ratio, (im12 - p * t * ratio) / (2 * w)], -1))
-            dm = dm[..., [[0, 1], [1, 0]]]
+            z = _halfline_root(lam)
+            m, dm = (np.full(ell.shape + (1, 1), x) for x in (1j * z, 1j / (2 * z)))
+            return dist, pole, on_pole, m, dm if derivative else None
+        # M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) = l [[d, e], [e, d]].
+        r, q, d, e = _delta_weights(model, ell, lam, derivative=True)
+        m, dm = (np.stack([a, b], -1).astype(complex)[:, [[0, 1], [1, 0]]]
+                 for a, b in ((-q / ell, r / ell), (ell * d, ell * e)))
+        _, dk2, rho, drho = model._reduce(lam)
         if rho is not None:
-            rho, drho, rdk2 = (x[..., None, None] for x in (rho, drho, rho * dk2))
-            if derivative:
-                dm = _DIRAC_PHASE * (drho * m + rdk2 * dm)
+            dm = _DIRAC_PHASE * (drho * m + (rho * dk2) * dm)
             m = rho * _DIRAC_PHASE * m
-    return dist, pole, on_pole, m, dm
+    return dist, pole, on_pole, m, dm if derivative else None
 
 
-def _delta_weights(model, ell, lam):
+def _delta_weights(model, ell, lam, derivative=False):
     """(b, t) = (rho k csc(k l), rho k tan(k l / 2)) over the array ``ell`` of
     interval lengths at a real lam: a delta coupling's secular matrix has
     -b off its diagonal and b - t on it (r = z csc z, q = r - z tan(z/2)).
     _trig's real regimes as ufuncs, without overflow (y / sinh y =
-    -2y e^-y / expm1(-2y)) or pole guard."""
+    -2y e^-y / expm1(-2y)) or pole guard.  With ``derivative``, (r, q, d, e)
+    instead, for M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) =
+    l [[d, e], [e, d]]: d = (r^2 - q) / 2w and e = -r (q - 1) / 2w by
+    r^2 = q^2 + w, or the series D1(w) and E1(w)."""
     k2, _, rho, _ = model._reduce(lam)
     w = ell * ell * k2
     size = np.abs(w)
@@ -501,9 +488,16 @@ def _delta_weights(model, ell, lam):
     else:
         r, u = -2 * x * np.exp(-x) / np.expm1(-2 * x), -x * np.tanh(x / 2)
     if near:
-        w = w[series]
-        r[series], u[series] = 1 / _poly(_S_COEF, w), w * _poly(_T_COEF, w)
-    return (r / ell, u / ell) if rho is None else (rho * r / ell, rho * u / ell)
+        ws = w[series]
+        r[series], u[series] = 1 / _poly(_S_COEF, ws), ws * _poly(_T_COEF, ws)
+    if not derivative:
+        return (r / ell, u / ell) if rho is None else (rho * r / ell, rho * u / ell)
+    q = r - u
+    two_w = 2 * np.where(series, 1.0, w)
+    d, e = (r * r - q) / two_w, -r * (q - 1) / two_w
+    if near:
+        d[series], e[series] = _poly(_D1_COEF, ws), _poly(_E1_COEF, ws)
+    return r, q, d, e
 
 
 def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph",

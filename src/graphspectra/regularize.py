@@ -82,7 +82,9 @@ def regularized_weyl(model, ell: float, lam, reg: Regularization,
     """(M(lambda) - M(lambda0)) / ||M'(lambda0)|| for the edge ``edge_id``,
     with M(lambda0) and ||M'(lambda0)|| read from ``reg``.
 
-    By construction the result vanishes at lambda0 and has unit derivative
-    norm there.
+    By construction the result has unit derivative norm at lambda0 and
+    vanishes there: exactly at the model's default lambda0, where ``reg``'s
+    array kernel and the scalar ``weyl`` give the same bytes, and to
+    rounding at any other lambda0.
     """
     return (em.weyl(model, ell, lam) - reg.m_at_lambda0[edge_id]) / reg.norm_prime[edge_id]

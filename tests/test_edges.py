@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import importlib.util
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -614,58 +617,98 @@ def test_no_code_tests_the_class_of_an_edge_model():
     assert sites == []
 
 
-def _regime_points(preimages, ell):
-    """Real lambda on an edge of length ell in every regime of w = l^2 k^2:
-    the series |w| < 1e-3, w > 0 away from and next to the poles (some of
-    them within the pole guard), and w < 0 down to -1e6 l^2 where the
-    model reaches it; ``preimages`` maps k^2 to its real lambda."""
-    ws = [0.0, 1e-5, -1e-5, 9.9e-4, -9.9e-4, 1.01e-3, -1.01e-3, 0.7, 5.3, 61.0, 2e3,
-          4.1e5, 1.7e7, -0.5, -3.0, -80.0, -5e3, -1e6 * ell ** 2]
-    for n in (1, 2, 7, 40):
-        ws += [(n * math.pi) ** 2 * (1 + d) for d in (1e-7, -1e-7, 1e-12, -3e-10, 0.0)]
-    return [lam for w in ws for lam in preimages(w / ell ** 2)]
+_TABLE = pathlib.Path(__file__).parent / "data" / "edge_reference.csv"
+_DIRAC_PHASE = np.array([[1, -1j], [1j, 1]])
+_TABLE_MODELS = {"laplacian": (LAP, 1.0), "dirac-1": (em.Dirac(1.0), _DIRAC_PHASE),
+                 "dirac-137": (em.Dirac(137.0), _DIRAC_PHASE), "half-line": (HALF, None)}
+_EPS = np.finfo(float).eps
+# (M, M') bounds per regime of w, in units of eps * cond: four times the
+# scalar path's worst error on the table (x86-64, glibc, numpy 2.4), at
+# least 1, for libms and numpy builds a few ulps less exact.  That worst
+# was 0.97 and 1.92 in the series, 1.01 and 1.98 at w > 0, 0.92 and 1.08
+# at w < 0, 0 and 0.65 on the half-line; the array kernel's within 0.01.
+_BOUNDS = {"series": (4, 8), "w > 0": (4, 8), "w < 0": (4, 5), "half-line": (1, 3)}
 
 
-def _dirac_preimages(c):
-    def preimages(k2):
-        # k^2 = (lambda^2 - c^4/4) / c^2, plus the rho pole, the gap center
-        # and a far negative point.
-        r = c * c * k2 + c ** 4 / 4
-        return ([math.sqrt(r), -math.sqrt(r)] if r >= 0 else []) + [-c * c / 2, c * c / 2, -1e6]
-    return preimages
+def kernel_bounds(model, ell, lam, m, dm):
+    """(bound on M, bound on M'), in the max-entry norm, that each edge
+    kernel meets against the exact values at a real (ell, lam) off the
+    poles, given M and M' there: the regime's bounds times eps, the norm and
+    the condition 1 + |lam| ||M'|| / ||M|| of the rounded inputs; the bound
+    on M' also times 1 + 1/|w| outside the series, where (r^2 - q)/2w and
+    -r(q - 1)/2w lose -log10 |w| digits to cancellation."""
+    size, dsize = np.abs(m).max(), np.abs(dm).max()
+    scale = _EPS * (1 + abs(lam) * dsize / size)
+    if model.dim == 1:
+        regime, loss = "half-line", 1.0
+    else:
+        w = ell * ell * model._reduce(lam)[0]
+        regime = "series" if abs(w) < 1e-3 else "w > 0" if w > 0 else "w < 0"
+        loss = 1.0 if regime == "series" else 1 + 1 / abs(w)
+    bound_m, bound_dm = _BOUNDS[regime]
+    return bound_m * scale * size, bound_dm * scale * loss * dsize
 
 
-@pytest.mark.parametrize("model,preimages,lengths", [
-    (LAP, lambda k2: [k2], np.geomspace(1e-3, 50.0, 11).tolist() + [1.0, 0.3]),
-    (em.Dirac(1.0), _dirac_preimages(1.0), np.geomspace(1e-3, 50.0, 11).tolist() + [1.0]),
-    (em.Dirac(137.0), _dirac_preimages(137.0), np.geomspace(1e-3, 50.0, 7).tolist()),
-    (HALF, lambda k2: [k2, -k2, -0.0], [math.inf]),
-], ids=["laplacian", "dirac-1", "dirac-137", "half-line"])
-def test_array_kernel_equals_the_scalar_path_bit_for_bit(model, preimages, lengths):
-    # Compared on the bytes, so signed zeros count too.  The scalar path
-    # runs Python's complex arithmetic, which the kernel spells out.
-    lams = sorted({lam for ell in lengths
-                   for lam in _regime_points(preimages, ell if math.isfinite(ell) else 1.0)})
-    dist, pole, on_pole, m, dm = em._responses(
-        model, np.array(lengths)[:, None], np.array(lams), derivative=True)
-    assert m.shape == dm.shape == (len(lengths), len(lams), model.dim, model.dim)
+def _reference(name):
+    """[(ell, lam, M, M')] of the table's rows for the model ``name``; M and
+    M' are NaN at an exact pole."""
+    _, phase = _TABLE_MODELS[name]
+    out = []
+    with _TABLE.open(encoding="ascii") as f:
+        for row in csv.DictReader(f):
+            if row["model"] == name:
+                a, b, da, db = (float(row[k]) for k in ("a", "b", "da", "db"))
+                if phase is None:
+                    m, dm = np.array([[a + 1j * b]]), np.array([[da + 1j * db]])
+                else:
+                    m, dm = (phase * np.array([[x, y], [y, x]]) for x, y in ((a, b), (da, db)))
+                out.append((float(row["ell"]), float(row["lam"]), m, dm))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_TABLE_MODELS))
+def test_both_edge_kernels_meet_the_reference_table_bound(name):
+    # The 40-digit table holds every regime of w (series, w > 0 away from
+    # and next to the poles, w < 0) on each length.  The array kernel runs
+    # over all lengths at each lambda, so its regimes mix within one call;
+    # its pole decisions, distances and nearest poles are the scalar
+    # guard's exactly.
+    model, _ = _TABLE_MODELS[name]
+    rows = _reference(name)
+    lengths = np.array(sorted({ell for ell, _, _, _ in rows}))
     hits = 0
-    for i, ell in enumerate(lengths):
-        for j, lam in enumerate(lams):
-            for scalar in (lam, np.float64(lam)):  # as numpy's arrays and eigenvalues give it
-                try:
-                    d, p, mm, dd = em._response(model, ell, scalar, derivative=True)
-                except em.PoleOfWeylError as err:
-                    hits += 1
-                    assert on_pole[i, j] and pole[i, j] == err.nearest_pole, (ell, lam)
-                    continue
-                assert not on_pole[i, j], (ell, lam)
-                assert (dist[i, j], pole[i, j]) == (d, p), (ell, lam)
-                assert m[i, j].tobytes() == mm.tobytes(), (ell, lam)
-                assert dm[i, j].tobytes() == dd.tobytes(), (ell, lam)
+    for ell, lam, m_ref, dm_ref in rows:
+        i = int(np.searchsorted(lengths, ell))
+        dist, pole, on_pole, m, dm = em._responses(model, lengths, lam, derivative=True)
+        assert m.shape == dm.shape == (len(lengths), model.dim, model.dim)
+        without = em._responses(model, lengths, lam)
+        assert without[4] is None and without[3][i].tobytes() == m[i].tobytes()
+        try:
+            d, p, *scalar = em._response(model, ell, lam, derivative=True)
+        except em.PoleOfWeylError as err:
+            hits += 1
+            assert on_pole[i] and pole[i] == err.nearest_pole, (ell, lam)
+            continue
+        assert not on_pole[i] and (dist[i], pole[i]) == (d, p), (ell, lam)
+        bound_m, bound_dm = kernel_bounds(model, ell, lam, m_ref, dm_ref)
+        for got_m, got_dm in ((m[i], dm[i]), scalar):
+            assert np.abs(got_m - m_ref).max() <= bound_m, (ell, lam)
+            assert np.abs(got_dm - dm_ref).max() <= bound_dm, (ell, lam)
     assert hits > 0
-    without = em._responses(model, np.array(lengths)[:, None], np.array(lams))
-    assert without[4] is None and without[3].tobytes() == m.tobytes()
+
+
+def test_reference_table_matches_its_generator():
+    # Regenerates every 37th row at 40 digits; CI installs no mpmath.
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("edge_reference", _TABLE.with_suffix(".py"))
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    lines = _TABLE.read_text(encoding="ascii").splitlines()
+    assert lines[0] == ",".join(generator.COLUMNS)
+    assert len(lines) == 1 + len(generator.points())
+    for line in lines[1::37]:
+        name, ell, lam = line.split(",")[:3]
+        assert ",".join(generator.row(name, float(ell), float(lam))) == line
 
 
 @pytest.mark.parametrize("model,ell,lam", [
@@ -674,14 +717,14 @@ def test_array_kernel_equals_the_scalar_path_bit_for_bit(model, preimages, lengt
     (LAP, -1.0, 2.0), (LAP, math.inf, 2.0), (HALF, 3.0, -1.0),
 ])
 def test_array_kernel_raises_the_errors_of_the_scalar_guard(model, ell, lam):
-    # The first invalid element in C order raises, with the scalar message.
+    # The first invalid length, or an invalid lambda, raises the scalar message.
     with pytest.raises(em.EdgeModelError) as want:
         em.weyl(model, ell, lam)
     assert type(want.value) is em.EdgeModelError
-    good = -1.0 if model.dim == 1 else 0.5
-    for ells, lams in [(ell, [good, lam, math.nan]), ([ell, 1.0 if model.dim == 2 else ell], lam)]:
+    good = math.inf if model.dim == 1 else 1.0
+    for ells in ([ell], [good, ell, math.nan]):
         with pytest.raises(em.EdgeModelError) as got:
-            em._responses(model, np.array(ells), np.array(lams))
+            em._responses(model, np.array(ells), lam)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
@@ -691,7 +734,7 @@ def test_array_kernel_reports_the_scalar_nearest_pole_on_poles():
                             (HALF, math.inf, 4.0)]:
         with pytest.raises(em.PoleOfWeylError) as err:
             em.weyl(model, ell, lam)
-        dist, pole, on_pole, _, _ = em._responses(model, ell, np.array([lam]))
+        dist, pole, on_pole, _, _ = em._responses(model, np.array([ell]), lam)
         assert on_pole[0] and (dist[0], pole[0]) == em.pole_distance(model, ell, lam)
         assert pole[0] == err.value.nearest_pole
 
@@ -723,3 +766,16 @@ def test_real_lambda_gives_the_same_bytes_as_float_numpy_float_or_int(model, ell
             want = _outcome(f, model, ell, forms[0], triplet)
             for form in forms[1:]:
                 assert _outcome(f, model, ell, form, triplet) == want, (f.__name__, lam, form)
+
+
+@pytest.mark.parametrize("model,triplet", [
+    (LAP, "graph"), (em.Dirac(1.0), "graph"), (em.Dirac(1.0), "hat"), (em.Dirac(137.0), "graph"),
+])
+def test_a_numpy_float_length_gives_the_bytes_of_a_float_length(model, triplet):
+    # The scalar path reads a length as a Python float, so an np.float64
+    # length changes no bit of M or M' at real or complex lambda.
+    for ell in (0.02, 0.7, 1.3, 11.0):
+        for lam in (-37.0, -0.5, 0.3, 2.0, 40.37, 9000.0, 2.0 + 0.5j, -3.0 - 1j, 40.0 + 1e-3j):
+            for f in (em.weyl, em.weyl_derivative):
+                want = _outcome(f, model, ell, lam, triplet)
+                assert _outcome(f, model, np.float64(ell), lam, triplet) == want, (ell, lam)

@@ -10,6 +10,9 @@ from graphspectra import graphs as gr
 from graphspectra import regularize as rg
 from graphspectra.edges import Dirac, Laplacian
 from graphspectra.graphs import Edge, MetricGraph
+from test_edges import kernel_bounds
+
+_EPS = np.finfo(float).eps
 
 
 def test_dirac_star_weights():
@@ -109,17 +112,39 @@ def _half_line_graph(first_half=True):
 ], ids=["laplacian", "laplacian-negative", "dirac", "dirac-off-center", "chain", "half-line"])
 def test_regularization_equals_the_per_edge_scalar_reference(g, lam0):
     # One kernel call per edge model and one stacked eigensolve give the
-    # fields that one scalar evaluation per edge gives, bit for bit.
+    # fields of one scalar evaluation per edge: the layout, the distances
+    # and so epsilon and certified exactly; M(lambda0) within the two
+    # kernels' bounds, and ||M'(lambda0)|| within twice theirs (a max-entry
+    # change moves a 2x2 spectral norm by at most twice it) plus rounding.
     reg = rg.build_regularization(g, lam0)
     eps = math.inf
     for e in g.edges:
-        dist, m, norm = em._special_values(gr.edge_model_for(g.model, e), e.length, reg.lambda0)
-        assert reg.m_at_lambda0[e.id].tobytes() == m.tobytes()
-        assert type(reg.norm_prime[e.id]) is float and reg.norm_prime[e.id] == norm
+        model = gr.edge_model_for(g.model, e)
+        dist, m, norm = em._special_values(model, e.length, reg.lambda0)
+        bound_m, bound_dm = kernel_bounds(model, e.length, reg.lambda0, m,
+                                          em.weyl_derivative(model, e.length, reg.lambda0))
+        assert np.abs(reg.m_at_lambda0[e.id] - m).max() <= 2 * bound_m
+        assert type(reg.norm_prime[e.id]) is float
+        assert abs(reg.norm_prime[e.id] - norm) <= 4 * bound_dm + 8 * _EPS * norm
         eps = min(eps, dist)
     assert list(reg.m_at_lambda0) == list(reg.norm_prime) == [e.id for e in g.edges]
     assert type(reg.epsilon) is float and reg.epsilon == eps
     assert reg.certified == (eps > 1e-6)
+
+
+@pytest.mark.parametrize("model", [Laplacian(), Dirac(1.0), Dirac(2.5), Dirac(137.0)],
+                         ids=["laplacian", "dirac-1", "dirac-2.5", "dirac-137"])
+def test_regularization_at_the_default_lambda0_has_the_scalar_bytes(model):
+    # At the default lambda0, w = 0 on every edge, and the array kernel's
+    # series gives the scalar path's M, M' and norms bit for bit.
+    lengths = np.geomspace(1e-4, 50.0, 304)
+    reg = rg.build_regularization(gr.star(304, lengths=lengths.tolist(), model=model))
+    _, _, _, m, dm = em._responses(model, lengths, model._lambda0, derivative=True)
+    for i, e in enumerate(reg.m_at_lambda0):
+        _, _, want_m, want_dm = em._response(model, lengths[i], model._lambda0, derivative=True)
+        assert m[i].tobytes() == reg.m_at_lambda0[e].tobytes() == want_m.tobytes()
+        assert dm[i].tobytes() == want_dm.tobytes()
+        assert reg.norm_prime[e] == em._special_values(model, lengths[i], model._lambda0)[2]
 
 
 @pytest.mark.parametrize("g,lam0", [
