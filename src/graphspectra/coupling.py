@@ -16,13 +16,12 @@ of ``global_basis``: the one place where <(L - M) b_j, b_i> is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import InitVar, dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .graphs import (MetricGraph, boundary_coordinates, edge_model_for, incidence_sets,
-                     validate_graph)
+from .graphs import MetricGraph, edge_model_for
 
 __all__ = [
     "VertexBlock",
@@ -37,17 +36,21 @@ __all__ = [
 @dataclass(frozen=True)
 class VertexBlock:
     """Subspace basis (orthogonal columns, raw scale; rows at ``coords``), its
-    Hermitian matrix on the normalized columns and the operator they give."""
+    Hermitian matrix on the normalized columns and the operator they give,
+    built here unless the constructor passes it in ``built``."""
 
     vertex: str
     coords: tuple               # (edge id, t) of each basis row
     basis: np.ndarray
     matrix: np.ndarray
+    built: InitVar[Optional[np.ndarray]] = None
     _operator: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        unit = self.basis / np.linalg.norm(self.basis, axis=0)
-        object.__setattr__(self, "_operator", unit @ self.matrix @ unit.conj().T)
+    def __post_init__(self, built):
+        if built is None:
+            unit = self.basis / np.linalg.norm(self.basis, axis=0)
+            built = unit @ self.matrix @ unit.conj().T
+        object.__setattr__(self, "_operator", built)
 
     @property
     def dim(self) -> int:
@@ -75,15 +78,14 @@ def _delta_phases(coords, model) -> np.ndarray:
 
 def _vertex_blocks(g: MetricGraph, coupling: VertexCoupling):
     """``g``'s boundary coordinates and its vertices' blocks in sorted order;
-    raises unless ``g`` is valid and the blocks claim each coordinate once."""
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report}")
-    coords = boundary_coordinates(g)
-    blocks = [coupling.block(v) for v in sorted(g.vertices)]
-    if sorted(c for block in blocks for c in block.coords) != list(coords):
+    raises unless ``g`` is valid and the blocks claim each coordinate once
+    (as they do when each claims its vertex's incidence coordinates)."""
+    index = g._index
+    blocks = [coupling.block(v) for v in index.vertices]
+    if (any(block.coords != index.incidence[v] for v, block in zip(index.vertices, blocks))
+            and sorted(c for block in blocks for c in block.coords) != list(index.coords)):
         raise ValueError("coupling size mismatch: blocks and boundary coordinates differ")
-    return coords, blocks
+    return index.coords, blocks
 
 
 def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling:
@@ -91,16 +93,25 @@ def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling
 
     Each vertex gets the one-dimensional subspace spanned by its phase
     vector for the graph's edge model and the block alpha(v)/deg(v) on it.
+    The vertices of one degree share one stacked product for their
+    operators, the expression ``VertexBlock`` evaluates for one.
     """
-    inc = {v: tuple(e.coordinate for e in ent) for v, ent in incidence_sets(g).items()}
+    inc = g._index.incidence
     missing = [v for v in g.vertices if v not in alpha]
     if missing:
         raise ValueError(f"alpha missing for vertices {sorted(missing)}")
-    blocks = {}
+    phases = np.array(g.model._phases, dtype=complex)
+    by_degree = {}
     for v, coords in inc.items():
-        vec = _delta_phases(coords, g.model)
-        mat = np.array([[alpha[v] / len(coords)]], dtype=complex)
-        blocks[v] = VertexBlock(v, coords, vec[:, None], mat)
+        by_degree.setdefault(len(coords), []).append(v)
+    blocks = dict.fromkeys(inc)
+    for deg, same in by_degree.items():
+        basis = phases[[[t for _, t in inc[v]] for v in same]][:, :, None]
+        matrix = np.array([alpha[v] / deg for v in same], dtype=complex)[:, None, None]
+        unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+        ops = unit @ matrix @ unit.conj().transpose(0, 2, 1)
+        for v, vec, mat, op in zip(same, basis, matrix, ops):
+            blocks[v] = VertexBlock(v, inc[v], vec, mat, op)
     return VertexCoupling("delta", blocks)
 
 
@@ -113,7 +124,7 @@ def custom_coupling(g: MetricGraph, per_vertex: Mapping) -> VertexCoupling:
     refers to the normalized basis.  Vertices absent from ``per_vertex``
     default to the full subspace C^{deg v} with zero matrix (Neumann-type).
     """
-    inc = {v: tuple(e.coordinate for e in ent) for v, ent in incidence_sets(g).items()}
+    inc = g._index.incidence
     unknown = [v for v in per_vertex if v not in inc]
     if unknown:
         raise ValueError(f"coupling given for undeclared vertices {sorted(unknown)}")
@@ -177,14 +188,17 @@ class GlobalBasis:
         return len(self.coords)
 
 
-def _by_size(owned):
-    """Group {key: index sequence} by length: [(keys, indices)], one entry
-    per length, so that each group is handled by one batched operation."""
-    groups = {}
-    for key, idx in owned.items():
-        groups.setdefault(len(idx), []).append((key, idx))
-    return [([key for key, _ in same], np.array([idx for _, idx in same]))
-            for same in groups.values()]
+def _by_shape(blocks):
+    """[(first element of each block, blocks)], one entry per basis shape
+    (degree, dimension), so that each group is handled by one batched
+    operation; elements are numbered over ``blocks`` in order."""
+    shapes, start = {}, 0
+    for block in blocks:
+        shape = block.basis.shape
+        shapes.setdefault(shape, []).append((start, block))
+        start += shape[1]
+    return [(np.array([i for i, _ in same]), [block for _, block in same])
+            for same in shapes.values()]
 
 
 class _CompiledPairing:
@@ -213,36 +227,32 @@ class _CompiledPairing:
         # (edge id, edge model, length) in graph order: what M(lambda) needs.
         self.edges = [(e.id, edge_model_for(g.model, e), e.length) for e in g.edges]
         n = len(gb.labels)
-        shapes = {}  # (first element, block) grouped by basis shape (degree, dimension)
-        start = 0
-        for v in dict.fromkeys(gb.vertices):
-            block = coupling.block(v)
-            shapes.setdefault(block.basis.shape, []).append((start, block))
-            start += block.dim
         p0_at, p0 = [], []
-        for (_, dim), same in shapes.items():
-            idx = np.array([i for i, _ in same])[:, None] + np.arange(dim)
-            basis = np.array([block.basis for _, block in same])
-            ops = np.array([block.operator() for _, block in same])
+        for starts, same in _by_shape(coupling.block(v) for v in dict.fromkeys(gb.vertices)):
+            basis = np.array([block.basis for block in same])
+            ops = np.array([block.operator() for block in same])
+            idx = starts[:, None] + np.arange(basis.shape[2])
             p0_at.append((idx[:, :, None] * n + idx[:, None, :]).ravel())
             p0.append((basis.conj().transpose(0, 2, 1) @ ops @ basis).ravel())
 
         per_coord = np.bincount(gb.coord, minlength=gb.size)
         first = np.cumsum(per_coord) - per_coord
 
-        # Coordinate pairs (p, q) of each edge and the position of M[p, q].
-        by_edge = {}
-        for p, (eid, _) in enumerate(gb.coords):
-            by_edge.setdefault(eid, []).append(p)
+        # Coordinate pairs (p, q) of each edge and the position of M[p, q]; an
+        # edge's coordinates are consecutive, (id, 0) first.  Edges with as
+        # many coordinates are one group, in order of first appearance.
+        firsts = np.flatnonzero(np.array([t for _, t in gb.coords]) == 0)
+        sizes = np.diff(firsts, append=gb.size)
         self.edge_ids, pa, pb, src = [], [], [], []
         offset = 0
-        for eids, pos in _by_size(by_edge):
-            k, d = pos.shape
-            self.edge_ids.extend(eids)
+        for d in dict.fromkeys(sizes.tolist()):
+            at = firsts[sizes == d]
+            pos = at[:, None] + np.arange(d)
+            self.edge_ids.extend(gb.coords[p][0] for p in at.tolist())
             pa.append(np.repeat(pos, d, axis=1).ravel())
             pb.append(np.tile(pos, d).ravel())
-            src.append(offset + np.arange(k * d * d))
-            offset += k * d * d
+            src.append(offset + np.arange(at.size * d * d))
+            offset += at.size * d * d
         pa, pb, src = (np.concatenate(x) for x in (pa, pb, src))
 
         # One triplet per pair of nonzero entries in rows p and q of B.
@@ -291,19 +301,31 @@ def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:
 
     Ordering is deterministic: vertices lexicographically, then basis column
     index; labels are the vertex id, suffixed ":k" when dim > 1.  The blocks
-    must claim each boundary coordinate once (``_vertex_blocks``).
+    must claim each boundary coordinate once (``_vertex_blocks``).  The
+    blocks of one basis shape give their entries in one stacked pass.
     """
     coords, blocks = _vertex_blocks(g, coupling)
     pos = {coord: i for i, coord in enumerate(coords)}
-    labels, vertices, triples = [], [], []  # triples: (coordinate, element, value)
+    labels, vertices = [], []
+    by_dim = {}  # basis dimension -> (coordinate positions, first elements, degrees, bases)
     for block in blocks:
-        v, start = block.vertex, len(labels)
-        triples.extend((pos[c], start + k, x) for c, row in zip(block.coords, block.basis.tolist())
-                       for k, x in enumerate(row) if x)
-        labels.extend([v] if block.dim == 1 else [f"{v}:{k}" for k in range(block.dim)])
-        vertices.extend([v] * block.dim)
-    coord, element, value = (np.array(x) for x in zip(*triples))
-    order = np.argsort(coord, kind="stable")
+        v, (deg, dim) = block.vertex, block.basis.shape
+        rows, firsts, degrees, bases = by_dim.setdefault(dim, ([], [], [], []))
+        rows.extend([pos[c] for c in block.coords])
+        firsts.append(len(labels))
+        degrees.append(deg)
+        bases.append(block.basis)
+        labels.extend([v] if dim == 1 else [f"{v}:{k}" for k in range(dim)])
+        vertices.extend([v] * dim)
+    coord, element, value = [], [], []
+    for rows, firsts, degrees, bases in by_dim.values():
+        basis = np.concatenate(bases)  # one row per coordinate
+        row, k = np.nonzero(basis)
+        coord.append(np.array(rows)[row])
+        element.append(np.repeat(firsts, degrees)[row] + k)
+        value.append(basis[row, k])
+    coord, element, value = (np.concatenate(x) for x in (coord, element, value))
+    order = np.lexsort((element, coord))  # by coordinate, then element
     coord, element, value = coord[order], element[order], value[order]
     norms = np.sqrt(np.bincount(element, value.real ** 2 + value.imag ** 2, len(labels)))
     return GlobalBasis(coords, tuple(labels), tuple(vertices), norms, coord, element, value)

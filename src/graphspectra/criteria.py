@@ -340,13 +340,12 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
     lams = [-10.0 ** k for k in range(1, 7)]
     rows = [None] * len(g.edges)  # (max eigenvalues, samples on poles) per edge
     for model, at, lengths in _by_model(g):
-        m0 = np.array([reg.m_at_lambda0[g.edges[i].id] for i in at])
         norm = np.array([reg.norm_prime[g.edges[i].id] for i in at])[:, None, None]
         hits, tops = [], []
         for lam in lams:
-            _, _, hit, m, _ = em._responses(model, lengths, lam)
+            _, _, hit, change, _ = em._responses(model, lengths, lam, since=reg.lambda0)
             hits.append(hit)
-            tops.append(np.linalg.eigvalsh(np.where(hit[:, None, None], 0.0, m - m0) / norm)[:, -1])
+            tops.append(np.linalg.eigvalsh(np.where(hit[:, None, None], 0.0, change) / norm)[:, -1])
         for i, on, top in zip(at, np.transpose(hits).tolist(), np.transpose(tops).tolist()):
             rows[i] = ([t for t, o in zip(top, on) if not o], [x for x, o in zip(lams, on) if o])
     per_edge, supports = {}, True

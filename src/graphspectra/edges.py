@@ -58,15 +58,19 @@ Every scalar entry point reads ``_response``, which takes the length and a
 real lambda as Python floats.  ``_delta_weights`` is the one array form of
 ``_trig``'s real regimes, numpy's ufuncs over all edges at one real lambda:
 the scan's counts on delta trees read it, and so does ``_responses``, the
-pole guard plus the graph-map M and M' over an array of lengths, called
-by ``build_regularization`` and ``check_mtilde_divergence``.  The two
-paths agree to rounding, and exactly in the series at w = 0.
-``krein_matrix`` makes one scalar call per edge.
+pole guard plus the graph-map M and M' (or M(lambda) - M(lambda0),
+``_change``) over an array of lengths, called by ``build_regularization``,
+``check_mtilde_divergence`` and ``regularized_weyl``.  The two paths agree
+to rounding, and exactly in the series at w = 0.  ``krein_matrix`` makes
+one scalar call per edge.  ``_pole`` takes a float or an array, with the
+same bytes; ``_window_poles`` lists the poles of all edges in a window in
+one array pass, and ``decoupled_eigenvalues`` is its one-edge case.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -143,8 +147,10 @@ class Laplacian:
 
     @staticmethod
     def _pole(k):
-        """Spectral points at which the wavenumber is the real number k."""
-        return (k ** 2,)
+        """Spectral points at which the wavenumber is the real number k (or
+        each element of the array k)."""
+        # A float, the scalar guard's hot case, skips the isinstance test.
+        return (k ** 2 if type(k) is float or not isinstance(k, np.ndarray) else _squares(k),)
 
     @staticmethod
     def _wavenumber(x):
@@ -193,7 +199,10 @@ class Dirac:
         return (lam * lam - (c2 / 2) ** 2) / c2, 2 * lam / c2, rho, -rho / shift
 
     def _pole(self, k):
-        root = math.sqrt((self.c * k) ** 2 + self.c ** 4 / 4)
+        if type(k) is float or not isinstance(k, np.ndarray):
+            root = math.sqrt((self.c * k) ** 2 + self.c ** 4 / 4)
+        else:
+            root = np.sqrt(_squares(self.c * k) + self.c ** 4 / 4)
         return root, -root
 
     def _wavenumber(self, x):
@@ -207,6 +216,15 @@ class Dirac:
 
 
 EdgeModel = Union[Laplacian, Dirac, HalfLineLaplacian]
+
+
+def _squares(k: np.ndarray) -> np.ndarray:
+    """Each element of the array k squared as Python squares a float, by C's
+    pow, which can differ from k * k (numpy's k ** 2) in the last bit: the
+    array poles are the bytes of the scalar ones."""
+    return np.fromiter(map(pow, k.ravel().tolist(), itertools.repeat(2)),
+                       float, k.size).reshape(k.shape)
+
 
 #: Unitary turning the Dirac "hat" trace maps into the graph trace maps
 #: (first-component values / scaled second-component values), written as a
@@ -416,21 +434,15 @@ def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False)
     return dist, pole, m, dm
 
 
-def _each(f, x):
-    """The scalar function f at each element of the array x, called once per
-    distinct value (np.unique merges -0.0 and 0.0, which no caller's f tells
-    apart at the points it gets); a tuple result adds a last axis."""
-    values, inverse = np.unique(x.ravel(), return_inverse=True)
-    out = np.array([f(v) for v in values.tolist()], dtype=float)
-    return out[inverse.ravel()].reshape(x.shape + out.shape[1:])
-
-
-def _responses(model, ell, lam, derivative=False):
+def _responses(model, ell, lam, derivative=False, since=None):
     """``_response`` of the graph trace maps over the 1-d array ``ell`` of
     lengths at one real ``lam``: (dist, pole, on_pole, M, M' or None), the
-    distance and nearest pole exactly as ``_guard`` gives them, M and M'
-    assembled from ``_delta_weights`` (undefined where on_pole).  The first
-    invalid length, or an invalid lam, raises the error of ``_guard``."""
+    distance and nearest pole exactly as ``_guard`` gives them (one
+    ``_pole`` call for both candidate indices of every edge), M and M'
+    assembled from ``_delta_weights`` (undefined where on_pole).  With a
+    real ``since``, M(lam) - M(since) (``_change``) takes the place of M.
+    The first invalid length, or an invalid lam, raises the error of
+    ``_guard``."""
     ell, lam = np.asarray(ell, dtype=float), np.float64(lam)  # rho's pole gives inf
     half_line = model.dim == 1
     with np.errstate(all="ignore"):
@@ -443,10 +455,11 @@ def _responses(model, ell, lam, derivative=False):
             dist, pole = (np.full(ell.shape, x) for x in pole_distance(model, math.inf, lam))
         else:  # extra poles, then those of the indices max(first, n0) ... n0 + 1
             first, offset, extra = model._poles["graph"]
-            n0 = np.floor(ell * model._wavenumber(lam) / math.pi - offset)
-            cands = np.concatenate([np.broadcast_to(extra, ell.shape + (len(extra),))] + [
-                np.where((n >= first)[:, None], _each(model._pole, (n + offset) * math.pi / ell),
-                         np.inf) for n in (n0, n0 + 1)], axis=-1)
+            n = np.floor(ell * model._wavenumber(lam) / math.pi - offset)[:, None] + [0.0, 1.0]
+            poles = np.stack(model._pole((n + offset) * math.pi / ell[:, None]), -1)
+            cands = np.concatenate([np.broadcast_to(extra, ell.shape + (len(extra),)),
+                                    np.where((n >= first)[:, :, None], poles, np.inf)
+                                    .reshape(len(ell), -1)], axis=-1)
             gaps = np.abs(lam - cands)
             j = np.argmin(gaps, axis=-1)[:, None]  # the first of equally near poles
             dist, pole = (np.take_along_axis(a, j, -1)[:, 0] for a in (gaps, cands))
@@ -454,16 +467,58 @@ def _responses(model, ell, lam, derivative=False):
         if half_line:
             z = _halfline_root(lam)
             m, dm = (np.full(ell.shape + (1, 1), x) for x in (1j * z, 1j / (2 * z)))
+            if since is not None:
+                m = m - 1j * _halfline_root(since)
             return dist, pole, on_pole, m, dm if derivative else None
         # M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) = l [[d, e], [e, d]].
         r, q, d, e = _delta_weights(model, ell, lam, derivative=True)
-        m, dm = (np.stack([a, b], -1).astype(complex)[:, [[0, 1], [1, 0]]]
-                 for a, b in ((-q / ell, r / ell), (ell * d, ell * e)))
+        m, dm = _pair(-q / ell, r / ell), _pair(ell * d, ell * e)
         _, dk2, rho, drho = model._reduce(lam)
         if rho is not None:
             dm = _DIRAC_PHASE * (drho * m + (rho * dk2) * dm)
             m = rho * _DIRAC_PHASE * m
+        if since is not None:
+            m = _change(model, ell, lam, float(since), r, q)
     return dist, pole, on_pole, m, dm if derivative else None
+
+
+def _pair(a, b):
+    """The complex matrices [[a, b], [b, a]] over the arrays a and b."""
+    return np.stack([a, b], -1).astype(complex)[:, [[0, 1], [1, 0]]]
+
+
+def _divided(dcoef, w, w0):
+    """(p(w) - p(w0)) / (w - w0) for the series p with p' = _poly(dcoef, .):
+    the quotient of p by w - w0 (synthetic division), at w."""
+    acc, quotient = 0.0, []
+    for j in range(len(dcoef), 0, -1):  # p's coefficient of w^j is dcoef[j - 1] / j
+        acc = acc * w0 + dcoef[j - 1] / j
+        quotient.append(acc)
+    return _poly(quotient[::-1], w)
+
+
+def _change(model, ell, lam, lam0, r, q):
+    """M(lam) - M(lam0) of the graph trace maps over the array ``ell`` of
+    interval lengths, given r and q at lam, without subtracting two
+    matrices of size 1/l: where |w| and |w0| are in the series, r and q
+    change by w - w0 = l^2 (lam - lam0) (dk^2(lam) + dk^2(lam0)) / 2 (exact
+    for k^2, a quadratic in lambda) times their divided differences (E1
+    and -D1 integrated), elsewhere by r(w) - r(w0) and q(w) - q(w0); a
+    Dirac M changes by rho (M_L - M_L0) + (rho - rho0) M_L0."""
+    r0, q0 = _delta_weights(model, ell, lam0, derivative=True)[:2]
+    (k2, dk2, rho, _), (k20, dk20, rho0, _) = model._reduce(lam), model._reduce(lam0)
+    w, w0 = ell * ell * k2, ell * ell * k20
+    dr, dq = r - r0, q - q0
+    series = (np.abs(w) < _SERIES_CUTOFF) & (np.abs(w0) < _SERIES_CUTOFF)
+    if series.any():
+        dw = (ell * ell * ((lam - lam0) * (dk2 + dk20) / 2))[series]
+        ws, w0s = w[series], w0[series]
+        dr[series] = dw * _divided(_E1_COEF, ws, w0s)
+        dq[series] = -dw * _divided(_D1_COEF, ws, w0s)
+    m = _pair(-dq / ell, dr / ell)
+    if rho is None:
+        return m
+    return _DIRAC_PHASE * (rho * m + (rho - rho0) * _pair(-q0 / ell, r0 / ell))
 
 
 def _delta_weights(model, ell, lam, derivative=False):
@@ -670,16 +725,44 @@ def green_identity_residual(f: DefectElement, g: DefectElement) -> complex:
     return (complex(f.lam) - np.conj(complex(g.lam))) * inner - boundary
 
 
-def _index_span(model: EdgeModel, ell: float, window, triplet: str = "graph"):
+def _index_span(model: EdgeModel, ell, window, triplet: str = "graph"):
     """(lo, hi): the poles in a finite window [a, b] on an interval edge have
     the indices floor(lo) ... floor(hi) + 1, as their wavenumbers run from 0
     (if [a, b] holds 0) or the smaller end's to the larger end's.  hi - lo is
-    linear in ell."""
+    linear in ell, a length or an array of lengths."""
     offset = model._poles[triplet][1]
     a, b = window
     ends = (model._wavenumber(a), model._wavenumber(b))
     return tuple(ell * k / math.pi - offset
                  for k in (0.0 if a <= 0 <= b else min(ends), max(ends)))
+
+
+def _listed_poles(model: EdgeModel, ell, start, count, triplet: str = "graph"):
+    """The poles of the indices start ... start + count - 1 on each interval
+    edge of the lengths ``ell`` (1-d arrays; ``start`` integer-valued
+    floats), unsorted, and the family's extra poles once if there is an
+    edge: one ``_pole`` call over all wavenumbers (n + offset) pi / l,
+    which float64 rounds as Python does from the integer n."""
+    _, offset, extra = model._poles[triplet]
+    count = np.maximum(count, 0).astype(np.intp)
+    ends = np.cumsum(count)
+    n = np.repeat(start, count) + (np.arange(ends[-1] if ends.size else 0)
+                                   - np.repeat(ends - count, count))
+    k = (n + offset) * math.pi / np.repeat(ell, count)
+    return np.concatenate([np.array(extra if ell.size else (), dtype=float), *model._pole(k)])
+
+
+def _window_poles(model: EdgeModel, ell, window, triplet: str = "graph") -> np.ndarray:
+    """The poles in the finite window [a, b] of the interval edges of the
+    lengths ``ell`` (a 1-d array), sorted, one per edge and pole (extra
+    poles once): those of each edge's indices max(first, floor(lo)) ...
+    floor(hi) + 1 (``_index_span``).  The callers cap the span; under the
+    cap, floor(hi) - start is exact in float64."""
+    first = model._poles[triplet][0]
+    lo, hi = _index_span(model, ell, window, triplet)
+    start = np.maximum(first, np.floor(lo))
+    poles = _listed_poles(model, ell, start, np.floor(hi) - start + 2, triplet)
+    return np.sort(poles[(window[0] <= poles) & (poles <= window[1])])
 
 
 def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
@@ -693,6 +776,7 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
     triplet additionally contains the gap edge -c^2/2.  Either range may
     span at most 10**6 indices.  Half-line edges have no eigenvalues (their
     decoupled spectrum is the continuous ray), so the result is empty.
+    This is the one-edge case of the graph's pole list.
     """
     family = _family(model, ell, triplet)
     if (window is None) == (count is None):
@@ -703,20 +787,15 @@ def decoupled_eigenvalues(model: EdgeModel, ell: float, window=None, count=None,
         raise EdgeModelError(f"count must be an integer >= 0, got {count!r}")
     if family is None:
         return np.array([])
-    first, offset, extra = family
-    start = first
+    lengths = np.array([ell], dtype=float)
     if window is not None:
         lo, hi = _index_span(model, ell, window, triplet)
         if not hi - lo <= _MAX_POLE_INDICES:
             raise EdgeModelError(f"window={window} is not finite or overflows the pole "
                                  f"index cap of {_MAX_POLE_INDICES} per edge")
-        start = max(first, math.floor(lo))
-        count = max(0, math.floor(hi) + 2 - start)
-    elif count > _MAX_POLE_INDICES:
+        return _window_poles(model, lengths, window, triplet)
+    if count > _MAX_POLE_INDICES:
         raise EdgeModelError(f"count={count} overflows the pole index cap of "
                              f"{_MAX_POLE_INDICES} per edge")
-    vals = list(extra) + [p for n in range(start, start + count)
-                          for p in model._pole((n + offset) * math.pi / ell)]
-    if window is not None:
-        vals = [v for v in vals if window[0] <= v <= window[1]]
-    return np.array(sorted(vals))
+    return np.sort(_listed_poles(model, lengths, np.array([float(family[0])]),
+                                 np.array([count]), triplet))

@@ -13,6 +13,7 @@ lexicographically, coordinates sort by (edge id, t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -99,10 +100,17 @@ class TruncationInfo:
 
 @dataclass(frozen=True)
 class MetricGraph:
+    """Vertex ids and edges, both kept as tuples, so that what is computed
+    from them once per graph object (``_report``, ``_index``) stays true."""
+
     vertices: tuple
     edges: tuple
     model: EdgeModel = field(default_factory=Laplacian)
     truncation: Optional[TruncationInfo] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
 
     def edge(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -117,6 +125,19 @@ class MetricGraph:
     @property
     def has_half_line(self) -> bool:
         return any(e.is_half_line for e in self.edges)
+
+    # cached_property writes the instance __dict__, which a frozen dataclass allows.
+    @functools.cached_property
+    def _report(self) -> ValidationReport:
+        return _validate(self)
+
+    @functools.cached_property
+    def _index(self) -> _GraphIndex:
+        """The graph's index; raises ValueError unless the graph is valid."""
+        report = validate_graph(self)
+        if not report.ok:
+            raise ValueError(f"invalid graph: {report}")
+        return _GraphIndex.of(self, report)
 
 
 @dataclass(frozen=True)
@@ -133,8 +154,8 @@ class ValidationReport:
         return "; ".join(f"{code}: {detail}" for code, detail in self.violations)
 
 
-def validate_graph(g: MetricGraph) -> ValidationReport:
-    """Report-valued structural validation; never raises."""
+def _validate(g: MetricGraph) -> ValidationReport:
+    """The structural checks of ``validate_graph``, run once per graph object."""
     bad = []
     if g.model.dim != 2:
         bad.append(("unsupported model", f"graph model {g.model.kind} is not an interval model"))
@@ -144,29 +165,28 @@ def validate_graph(g: MetricGraph) -> ValidationReport:
             bad.append(("duplicate vertex id", v))
         seen_v.add(v)
     seen_e = set()
+    # Partition check: the multiset of all incidences must equal the set of
+    # finite edge endpoints, each exactly once.
+    touched = {}
     for e in g.edges:
+        half = math.isinf(e.length)
         if e.id in seen_e:
             bad.append(("duplicate edge id", e.id))
         seen_e.add(e.id)
         if not e.length > 0:
             bad.append(("nonpositive length", f"edge {e.id} has length {e.length}"))
-        if e.is_half_line and e.target is not None:
+        if half and e.target is not None:
             bad.append(("half-line edge with target",
                         f"edge {e.id} is infinite but declares target {e.target}"))
-        if not e.is_half_line and e.target is None:
+        if not half and e.target is None:
             bad.append(("missing target", f"finite edge {e.id} has no target"))
-        for _, v in e.endpoints():
+        for t, v in ((0, e.source),) if half else ((0, e.source), (1, e.target)):
             if v not in seen_v:
                 bad.append(("dangling endpoint", f"edge {e.id} touches undeclared vertex {v}"))
-        if e.is_half_line and g.model._half_line is None:
+            touched.setdefault((e.id, t), []).append(v)
+        if half and g.model._half_line is None:
             bad.append(("unsupported half-line",
                         f"edge {e.id}: half-line edges require the Laplacian model"))
-    # Partition check: the multiset of all incidences must equal the set of
-    # finite edge endpoints, each exactly once.
-    touched = {}
-    for e in g.edges:
-        for t, v in e.endpoints():
-            touched.setdefault((e.id, t), []).append(v)
     for coord, owners in touched.items():
         if len(owners) != 1:
             bad.append(("unpartitioned boundary index", f"{coord} claimed by {owners}"))
@@ -177,28 +197,89 @@ def validate_graph(g: MetricGraph) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def validate_graph(g: MetricGraph) -> ValidationReport:
+    """Report-valued structural validation; never raises.  The checks run
+    once per graph object, which keeps the report."""
+    return g._report
+
+
+def _coordinates(edges):
+    """[(edge id, t), ...] of ``edges`` sorted by (edge id, t), and the
+    vertex at each."""
+    coords, owners = [], []
+    for e in sorted(edges, key=lambda e: e.id):
+        for t, v in e.endpoints():
+            coords.append((e.id, t))
+            owners.append(v)
+    return tuple(coords), owners
+
+
+@dataclass(frozen=True)
+class _GraphIndex:
+    """What the coupling constructors, the compiles and the pole list read
+    of a valid graph, built once per graph object (``MetricGraph._index``).
+
+    Vertex positions refer to ``vertices``, the ids in sorted order (the
+    order of the global basis).  ``source``, ``target`` and ``lengths``
+    list the finite edges in graph order, ``half`` the source of each
+    half-line."""
+
+    report: ValidationReport
+    vertices: tuple             # vertex ids, sorted
+    coords: tuple               # boundary coordinates (edge id, t), sorted
+    incidence: dict             # vertex id -> its coordinates, sorted; in g.vertices order
+    source: np.ndarray
+    target: np.ndarray
+    lengths: np.ndarray
+    half: np.ndarray
+
+    @classmethod
+    def of(cls, g: MetricGraph, report: ValidationReport) -> _GraphIndex:
+        coords, owners = _coordinates(g.edges)
+        incidence = {v: [] for v in g.vertices}
+        for c, v in zip(coords, owners):
+            incidence[v].append(c)
+        vertices = tuple(sorted(g.vertices))
+        at = {v: i for i, v in enumerate(vertices)}
+        finite = [e for e in g.edges if e.target is not None]
+        return cls(report, vertices, coords, {v: tuple(c) for v, c in incidence.items()},
+                   np.array([at[e.source] for e in finite], dtype=np.intp),
+                   np.array([at[e.target] for e in finite], dtype=np.intp),
+                   np.array([e.length for e in finite], dtype=float),
+                   np.array([at[e.source] for e in g.edges if e.target is None], dtype=np.intp))
+
+    @functools.cached_property
+    def peeling(self):
+        """The leaf-to-root elimination order of the finite edges if they form
+        a forest, else None: (vertex, parent, edge) per vertex position, the
+        edge by its place in ``source``; a root has parent len(vertices) and
+        edge len(source)."""
+        n, root_edge = len(self.vertices), len(self.source)
+        links = [[] for _ in range(n)]
+        for k, (u, v) in enumerate(zip(self.source.tolist(), self.target.tolist())):
+            links[u].append((v, k))
+            links[v].append((u, k))
+        degree = [len(out) for out in links] + [0]
+        queue, gone, steps = [v for v in range(n) if degree[v] <= 1], [False] * n, []
+        for v in queue:  # grows while it is read
+            gone[v] = True
+            p, k = next((link for link in links[v] if not gone[link[0]]), (n, root_edge))
+            steps.append((v, p, k))
+            degree[p] -= 1
+            if degree[p] == 1:
+                queue.append(p)
+        return steps if len(steps) == n else None
+
+
 def incidence_sets(g: MetricGraph) -> dict:
     """Ordered incidence set per vertex; raises on invalid graphs."""
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report}")
-    out = {v: [] for v in g.vertices}
-    for e in g.edges:
-        for t, v in e.endpoints():
-            out[v].append(IncidenceEntry(e.id, t, 1 if t == 0 else -1))
-    return {
-        v: tuple(sorted(entries, key=lambda i: (i.edge, i.endpoint)))
-        for v, entries in out.items()
-    }
+    return {v: tuple(IncidenceEntry(eid, t, 1 if t == 0 else -1) for eid, t in coords)
+            for v, coords in g._index.incidence.items()}
 
 
 def boundary_coordinates(g: MetricGraph):
     """Global coordinate list [(edge id, t), ...] sorted by (edge id, t)."""
-    coords = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        for t, _ in e.endpoints():
-            coords.append((e.id, t))
-    return tuple(coords)
+    return g._index.coords if g._report.ok else _coordinates(g.edges)[0]
 
 
 def degree(g: MetricGraph) -> dict:

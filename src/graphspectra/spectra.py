@@ -49,7 +49,7 @@ import numpy as np
 
 from . import edges as em
 from .coupling import VertexCoupling, _CompiledPairing, _delta_phases, _vertex_blocks
-from .graphs import MetricGraph, edge_model_for
+from .graphs import MetricGraph
 
 __all__ = [
     "Root",
@@ -96,22 +96,26 @@ class SpectrumResult:
 
 def _decoupled_in_window(g: MetricGraph, window) -> np.ndarray:
     """The distinct decoupled eigenvalues in a finite window of at most
-    10**6 pole indices on all edges together: as many as one edge of their
-    total length spans, the span being linear in the length."""
-    a, b = window
-    lo, hi = em._index_span(g.model, sum(g.finite_lengths), (a, b))
+    10**6 pole indices on all edges together (as many as one edge of their
+    total length spans, the span being linear in the length), listed in one
+    pass over the finite edges (``edges._window_poles``).  A pole within
+    1e-12 max(1, |p|) of the last one kept is merged into it."""
+    lengths = g._index.lengths
+    lo, hi = em._index_span(g.model, sum(lengths.tolist()), window)
     if not hi - lo <= em._MAX_POLE_INDICES:
         raise em.EdgeModelError(f"window={window} is not finite or overflows the "
                                 f"graph-wide pole index cap of {em._MAX_POLE_INDICES}")
-    vals = []
-    for e in g.edges:
-        model = edge_model_for(g.model, e)
-        vals.extend(em.decoupled_eigenvalues(model, e.length, window=(a, b)))
-    out = []
-    for v in sorted(vals):
-        if not out or abs(v - out[-1]) > 1e-12 * max(1.0, abs(v)):
-            out.append(float(v))
-    return np.array(out)
+    poles = em._window_poles(g.model, lengths, window)
+    tol = 1e-12 * np.maximum(1.0, np.abs(poles))
+    keep = np.ones(poles.size, dtype=bool)
+    last = None
+    # A pole further than tol from the one before it is kept; the others are
+    # compared with the last pole kept, in order.
+    for i in (np.flatnonzero(np.diff(poles) <= tol[1:]) + 1).tolist():
+        if keep[i - 1]:
+            last = poles[i - 1]
+        keep[i] = abs(poles[i] - last) > tol[i]
+    return poles[keep]
 
 
 def _checked_request(window, tol) -> tuple:
@@ -225,28 +229,13 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
     becomes tiny max(1, |b|)^2, so a root at lambda counts as lying above it."""
     if coupling.flavor != "delta":
         return None
-    index = {v: i for i, v in enumerate(compiled.basis.vertices)}
-    finite = [e for e in g.edges if not e.is_half_line]
-    n = len(index)
-    src, dst = (np.array([index[getattr(e, end)] for e in finite], dtype=int)
-                for end in ("source", "target"))
-    links = [[] for _ in range(n)]
-    for k, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
-        links[u].append((v, k))
-        links[v].append((u, k))
-    degree = [len(out) for out in links] + [0]
-    queue, gone, steps = [v for v in range(n) if degree[v] <= 1], [False] * n, []
-    for v in queue:  # grows while it is read; a root has parent n, edge len(finite)
-        gone[v] = True
-        p, k = next((link for link in links[v] if not gone[link[0]]), (n, len(finite)))
-        steps.append((v, p, k))
-        degree[p] -= 1
-        if degree[p] == 1:
-            queue.append(p)
-    if len(steps) < n:
+    index = g._index  # vertex positions: those of the delta basis
+    steps = index.peeling
+    if steps is None:
         return None
-    lengths = np.array([e.length for e in finite])
-    half = np.bincount([index[e.source] for e in g.edges if e.is_half_line], minlength=n)
+    src, dst, n = index.source, index.target, len(index.vertices)
+    lengths = index.lengths
+    half = np.bincount(index.half, minlength=n)
     alpha = compiled.p0[compiled.rows == compiled.cols].real  # P's vertex term
 
     def pivots(lam: float) -> np.ndarray:

@@ -179,8 +179,7 @@ def test_compiles_read_the_blocks_not_the_incidence_sets(monkeypatch):
 
     def rebuilt(_):
         raise AssertionError("incidence sets rebuilt")
-    monkeypatch.setattr(cp, "incidence_sets", rebuilt)
-    monkeypatch.setattr(gr, "incidence_sets", rebuilt)
+    monkeypatch.setattr(gr, "incidence_sets", rebuilt)  # coupling no longer imports it
     cp.global_basis(g, coup)
     cp._CompiledPairing(g, coup)
     sp._CompiledOracle(g, coup)
@@ -195,3 +194,55 @@ def test_delta_blocks_have_a_complex_basis(model):
     assert coup.block("center").coords == (("e00", 0), ("e01", 0), ("e02", 0))
     for v in g.vertices:
         assert coup.block(v).basis.dtype == complex, v
+
+
+def test_a_graph_is_validated_once(monkeypatch):
+    from graphspectra import spectra as sp
+    runs = []
+    validate = gr._validate
+    monkeypatch.setattr(gr, "_validate", lambda g: runs.append(g) or validate(g))
+    g = gr.random_graph(3, 12)
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.5))
+    sp.scan_spectrum(g, coup, (0.0, 5.0))
+    cp.global_basis(g, coup)
+    assert gr.validate_graph(g).ok and gr.incidence_sets(g) and gr.boundary_coordinates(g)
+    assert runs == [g]
+
+
+@pytest.mark.parametrize("as_lists", [False, True], ids=["tuples", "lists"])
+def test_every_constructor_rejects_an_invalid_graph(as_lists):
+    from graphspectra import spectra as sp
+    g = gr.star(3, lengths=1.0)
+    coup = cp.delta_coupling(g, gr.alpha_map(g, 0.0))
+    edges = g.edges[:2] + (replace(g.edges[2], length=0.0),)
+    bad = MetricGraph(list(g.vertices) if as_lists else g.vertices,
+                      list(edges) if as_lists else edges)
+    assert isinstance(bad.vertices, tuple) and isinstance(bad.edges, tuple)
+    assert [c for c, _ in gr.validate_graph(bad).violations] == ["nonpositive length"]
+    for build in (lambda: cp.delta_coupling(bad, gr.alpha_map(bad, 0.0)),
+                  lambda: cp.custom_coupling(bad, {}),
+                  lambda: cp.global_basis(bad, coup),
+                  lambda: cp._CompiledPairing(bad, coup),
+                  lambda: sp._CompiledOracle(bad, coup),
+                  lambda: gr.incidence_sets(bad)):
+        with pytest.raises(ValueError, match="invalid graph: nonpositive length"):
+            build()
+    assert gr.boundary_coordinates(bad) == gr.boundary_coordinates(g)
+
+
+@pytest.mark.parametrize("model", [Laplacian(), Dirac(1.0)], ids=["laplacian", "dirac"])
+def test_delta_blocks_are_the_bytes_of_single_blocks(model):
+    # The per-degree stacked operators equal VertexBlock's own expression,
+    # signed zeros included, for degrees 1 to 9 and alphas of both signs.
+    g = gr.star(9, lengths=1.0, model=model)
+    edges = g.edges + tuple(Edge(f"x{i}{j}", f"leaf0{i}", f"y{i}{j}", 0.5)
+                            for i in range(1, 9) for j in range(i))
+    g = MetricGraph(g.vertices + tuple(e.target for e in edges[9:]), edges, model)
+    rng = np.random.default_rng(5)
+    alpha = dict(zip(g.vertices, rng.uniform(-2.0, 2.0, len(g.vertices)).tolist()))
+    alpha[g.vertices[3]] = 0.0
+    coup = cp.delta_coupling(g, alpha)
+    assert {len(b.coords) for b in coup.blocks.values()} == set(range(1, 10))
+    for v, block in coup.blocks.items():
+        alone = cp.VertexBlock(v, block.coords, block.basis.copy(), block.matrix.copy())
+        assert block.operator().tobytes() == alone.operator().tobytes(), v

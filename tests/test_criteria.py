@@ -363,3 +363,24 @@ def test_mtilde_witness_equals_the_per_edge_scalar_reference(g, lam0):
     assert repr(got) == repr(want)
     for eid, (a, b) in tops.items():
         assert len(a) == len(b) and all(abs(x - y) <= t for x, y, t in zip(a, b, bounds[eid]))
+
+
+def test_mtilde_witness_keeps_its_digits_on_short_edges():
+    # Edge e26 has length 2**-27: M(lambda) and M(lambda0) are of order
+    # 1/l = 1.3e8 and their difference of order l |lambda|, so subtracting
+    # them left rounding noise (-8, -32, -328, -3328 here).  The values are
+    # 2 (2 - y coth(y / 2)) / l^2, y = l sqrt(-lambda), at 40 digits.
+    want = [-3.333333333333333302493804871523429840281,
+            -33.33333333333333024938048715234335087191,
+            -333.3333333333330249380487152347019309900,
+            -3333.333333333302493804871523837036897932]
+    g = gr.geometric_chain(0.5, 0.5, 40)
+    reg = rg.build_regularization(g)
+    res = cr.check_mtilde_divergence(g, reg)
+    got = res.witness["per_edge"]["e26"]["max_eigenvalues"][:4]
+    assert all(abs(x - y) <= 1e-6 * abs(y) for x, y in zip(got, want))
+    assert res.verdict == cr.INCONCLUSIVE and res.witness["evidence_supports"]
+    for k, y in enumerate(want, start=1):
+        top = np.linalg.eigvalsh(rg.regularized_weyl(g.model, 2.0 ** -27, -10.0 ** k, reg,
+                                                     edge_id="e26"))[-1]
+        assert abs(top - y) <= 1e-6 * abs(y)

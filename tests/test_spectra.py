@@ -426,3 +426,93 @@ def test_scan_roots_are_python_floats_for_numpy_window_ends():
         assert all(type(r.lam) is float and type(r.residual) is float for r in res.roots)
         assert all(type(p) is float for p in res.excluded)
     assert got.roots == want.roots and got.excluded == want.excluded
+
+
+def _reference_poles(g, window):
+    """The decoupled eigenvalues in ``window`` from a plain loop over the
+    edges and their wavenumber indices (scalar ``_pole``), merged as the
+    scan merges them: a pole within 1e-12 max(1, |p|) of the last one kept
+    is dropped."""
+    a, b = window
+    first, offset, extra = g.model._poles["graph"]
+    ends = [g.model._wavenumber(abs(x)) for x in window]
+    vals = []
+    for e in g.edges:
+        if e.is_half_line:
+            continue
+        vals.extend(x for x in extra if a <= x <= b)
+        k_lo = 0.0 if a <= 0 <= b else min(ends)
+        n_lo = max(first, math.floor(e.length * k_lo / math.pi - offset) - 3)
+        n_hi = math.ceil(e.length * max(ends) / math.pi - offset) + 3
+        for n in range(n_lo, n_hi + 1):
+            vals.extend(p for p in g.model._pole((n + offset) * math.pi / e.length)
+                        if a <= p <= b)
+    out = []
+    for v in sorted(vals):
+        if not out or abs(v - out[-1]) > 1e-12 * max(1.0, abs(v)):
+            out.append(v)
+    return out
+
+
+def _pole_graphs():
+    tree = gr.random_graph(7, 15)
+    dirac = gr.random_graph(8, 12, model=Dirac(1.0))
+    # Lengths 1 + 4e-13 j: poles (n pi / l)^2 about 8e-13 j apart (relative),
+    # so the second merges into the first and the third, 1.6e-12 from the
+    # first, is kept although it lies within 1e-12 of the second.
+    close = gr.star(4, lengths=[1.0, 1.0 + 4e-13, 1.0 + 8e-13, 1.0])
+    return {"laplacian": tree, "dirac": dirac, "close": close}
+
+
+@pytest.mark.parametrize("name", ["laplacian", "dirac", "close"])
+def test_pole_list_equals_a_per_edge_reference_loop(name):
+    g = _pole_graphs()[name]
+    poles = sp._decoupled_in_window(g, (-60.0, 60.0))
+    windows = [(-60.0, 60.0), (-3.0, 40.0), (-0.5, 0.5), (2.0, 7.0), (-45.0, -2.0),
+               (poles[1], poles[-2]),                     # both ends on a pole
+               (np.nextafter(poles[1], math.inf), poles[-1]),
+               (1e12, 1e12 + 1.0), (-1e12 - 1.0, -1e12)]  # far windows
+    for window in windows:
+        got = sp._decoupled_in_window(g, window)
+        assert got.tolist() == _reference_poles(g, window), window
+    if name == "dirac":
+        assert -0.5 in poles.tolist()  # the gap pole -c^2/2, once
+    if name == "close":
+        ground = [p for p in poles.tolist() if p < 12.0]
+        assert len(ground) == 2 and ground[1] > ground[0] * (1 + 1e-12)
+
+
+def test_pole_list_of_a_half_line_graph_is_empty():
+    g, _ = two_halflines(-2.0)
+    assert sp._decoupled_in_window(g, (-50.0, -1.0)).size == 0
+    mixed = MetricGraph(("a", "b"), (Edge("h", "a", None, math.inf),
+                                     Edge("e", "a", "b", 1.0)))
+    assert sp._decoupled_in_window(mixed, (-5.0, 50.0)).tolist() == [math.pi ** 2, 4 * math.pi ** 2]
+
+
+@pytest.mark.parametrize("model", [em.Laplacian(), Dirac(1.0), Dirac(3.7)],
+                         ids=["laplacian", "dirac1", "dirac3.7"])
+def test_array_poles_are_the_bytes_of_scalar_poles(model):
+    # Python's k ** 2 is C's pow, which with glibc rounds k * k differently
+    # for about one k in a thousand; the array poles keep the scalar bytes.
+    k = np.arange(1, 20001) * math.pi / 0.37
+    got = np.stack(model._pole(k), -1)
+    want = np.array([model._pole(x) for x in k.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pole_guard_calls_the_pole_once_per_sample(monkeypatch):
+    # One array _pole call per sample lambda covers both candidate indices
+    # of every edge; the distances and nearest poles keep the scalar bytes.
+    g = gr.binary_tree(7)
+    reg = build_regularization(g)
+    calls = []
+    pole = em.Laplacian._pole
+    monkeypatch.setattr(em.Laplacian, "_pole", staticmethod(lambda k: calls.append(k) or pole(k)))
+    cr.check_mtilde_divergence(g, reg)
+    assert len(calls) == 6 and all(k.shape == (len(g.edges), 2) for k in calls)
+    lengths = np.array([e.length for e in g.edges])
+    for lam in (-10.0, 3.0, 50.0):
+        dist, near, _, _, _ = em._responses(g.model, lengths, lam)
+        want = [em.pole_distance(g.model, e.length, lam) for e in g.edges]
+        assert (dist.tolist(), near.tolist()) == tuple(map(list, zip(*want)))
