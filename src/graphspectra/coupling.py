@@ -70,10 +70,11 @@ class VertexCoupling:
         return self.blocks[vertex]
 
 
-def _delta_phases(coords, model) -> np.ndarray:
-    """Delta-coupling phases over ``coords``: the model's trace phase at each t,
-    complex for every model, so the oracle's complement SVD is always complex."""
-    return np.array([model._phases[t] for _, t in coords], dtype=complex)
+def _delta_phases(t, model) -> np.ndarray:
+    """Delta-coupling phases at the endpoints ``t`` (0 or 1, an array of any
+    shape): the model's trace phase at each, complex for every model, so
+    the oracle's complement SVD is always complex."""
+    return np.array(model._phases, dtype=complex)[t]
 
 
 def _vertex_blocks(g: MetricGraph, coupling: VertexCoupling):
@@ -100,13 +101,12 @@ def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling
     missing = [v for v in g.vertices if v not in alpha]
     if missing:
         raise ValueError(f"alpha missing for vertices {sorted(missing)}")
-    phases = np.array(g.model._phases, dtype=complex)
     by_degree = {}
     for v, coords in inc.items():
         by_degree.setdefault(len(coords), []).append(v)
     blocks = dict.fromkeys(inc)
     for deg, same in by_degree.items():
-        basis = phases[[[t for _, t in inc[v]] for v in same]][:, :, None]
+        basis = _delta_phases([[t for _, t in inc[v]] for v in same], g.model)[:, :, None]
         matrix = np.array([alpha[v] / deg for v in same], dtype=complex)[:, None, None]
         unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
         ops = unit @ matrix @ unit.conj().transpose(0, 2, 1)

@@ -137,7 +137,7 @@ class MetricGraph:
         report = validate_graph(self)
         if not report.ok:
             raise ValueError(f"invalid graph: {report}")
-        return _GraphIndex.of(self, report)
+        return _GraphIndex.of(self)
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,14 @@ def _coordinates(edges):
 @dataclass(frozen=True)
 class _GraphIndex:
     """What the coupling constructors, the compiles and the pole list read
-    of a valid graph, built once per graph object (``MetricGraph._index``).
+    of a valid graph, built once per graph object (``MetricGraph._index``,
+    next to its validation report ``_report``).
 
     Vertex positions refer to ``vertices``, the ids in sorted order (the
     order of the global basis).  ``source``, ``target`` and ``lengths``
     list the finite edges in graph order, ``half`` the source of each
     half-line."""
 
-    report: ValidationReport
     vertices: tuple             # vertex ids, sorted
     coords: tuple               # boundary coordinates (edge id, t), sorted
     incidence: dict             # vertex id -> its coordinates, sorted; in g.vertices order
@@ -234,7 +234,7 @@ class _GraphIndex:
     half: np.ndarray
 
     @classmethod
-    def of(cls, g: MetricGraph, report: ValidationReport) -> _GraphIndex:
+    def of(cls, g: MetricGraph) -> _GraphIndex:
         coords, owners = _coordinates(g.edges)
         incidence = {v: [] for v in g.vertices}
         for c, v in zip(coords, owners):
@@ -242,7 +242,7 @@ class _GraphIndex:
         vertices = tuple(sorted(g.vertices))
         at = {v: i for i, v in enumerate(vertices)}
         finite = [e for e in g.edges if e.target is not None]
-        return cls(report, vertices, coords, {v: tuple(c) for v, c in incidence.items()},
+        return cls(vertices, coords, {v: tuple(c) for v, c in incidence.items()},
                    np.array([at[e.source] for e in finite], dtype=np.intp),
                    np.array([at[e.target] for e in finite], dtype=np.intp),
                    np.array([e.length for e in finite], dtype=float),

@@ -443,7 +443,7 @@ class _CompiledOracle:
         v = np.zeros((n, ne), dtype=complex)
         row = 0
         for block in _vertex_blocks(g, coupling)[1]:
-            basis = _delta_phases(block.coords, g.model).conj()[:, None] * block.basis
+            basis = _delta_phases([t for _, t in block.coords], g.model).conj()[:, None] * block.basis
             # Rotate out each column's leading phase, the matrix to match (the
             # operator stays): a coupling real up to column phases gives a real A.
             phase = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
