@@ -164,10 +164,7 @@ def _validate(g: MetricGraph) -> ValidationReport:
         if v in seen_v:
             bad.append(("duplicate vertex id", v))
         seen_v.add(v)
-    seen_e = set()
-    # Partition check: the multiset of all incidences must equal the set of
-    # finite edge endpoints, each exactly once.
-    touched = {}
+    seen_e, incident = set(), set()
     for e in g.edges:
         half = math.isinf(e.length)
         if e.id in seen_e:
@@ -180,20 +177,25 @@ def _validate(g: MetricGraph) -> ValidationReport:
                         f"edge {e.id} is infinite but declares target {e.target}"))
         if not half and e.target is None:
             bad.append(("missing target", f"finite edge {e.id} has no target"))
-        for t, v in ((0, e.source),) if half else ((0, e.source), (1, e.target)):
+        ends = (e.source,) if half else (e.source, e.target)
+        for v in ends:
             if v not in seen_v:
                 bad.append(("dangling endpoint", f"edge {e.id} touches undeclared vertex {v}"))
-            touched.setdefault((e.id, t), []).append(v)
+        incident.update(ends)
         if half and g.model._half_line is None:
             bad.append(("unsupported half-line",
                         f"edge {e.id}: half-line edges require the Laplacian model"))
-    for coord, owners in touched.items():
-        if len(owners) != 1:
-            bad.append(("unpartitioned boundary index", f"{coord} claimed by {owners}"))
-    incident = {v for owners in touched.values() for v in owners}
-    for v in g.vertices:
-        if v not in incident:
-            bad.append(("isolated vertex", v))
+    # Partition check: the multiset of all incidences must equal the set of
+    # finite edge endpoints, each exactly once, which only a repeated edge
+    # id can break.
+    if len(seen_e) < len(g.edges):
+        touched = {}
+        for e in g.edges:
+            for t, v in e.endpoints():
+                touched.setdefault((e.id, t), []).append(v)
+        bad.extend(("unpartitioned boundary index", f"{coord} claimed by {owners}")
+                   for coord, owners in touched.items() if len(owners) != 1)
+    bad.extend(("isolated vertex", v) for v in g.vertices if v not in incident)
     return ValidationReport(tuple(bad))
 
 

@@ -166,3 +166,25 @@ def test_only_an_interval_model_can_be_a_graph_model(edges):
     assert "unsupported model" in codes
     with pytest.raises(ValueError, match="invalid graph"):
         delta_coupling(g, {v: 0.0 for v in vertices})
+
+
+def test_validation_reports_every_violation_in_order():
+    # The partition check runs only when an edge id repeats; the report and
+    # its order are those of one full pass.
+    g = MetricGraph(("a", "b", "a", "z"),
+                    (Edge("e", "a", "b", 1.0), Edge("e", "a", "x", 0.0), Edge("f", "b", None, 2.0),
+                     Edge("h", "a", "b", math.inf), Edge("h", "b", None, math.inf)))
+    assert gr.validate_graph(g).violations == (
+        ("duplicate vertex id", "a"),
+        ("duplicate edge id", "e"),
+        ("nonpositive length", "edge e has length 0.0"),
+        ("dangling endpoint", "edge e touches undeclared vertex x"),
+        ("missing target", "finite edge f has no target"),
+        ("dangling endpoint", "edge f touches undeclared vertex None"),
+        ("half-line edge with target", "edge h is infinite but declares target b"),
+        ("duplicate edge id", "h"),
+        ("unpartitioned boundary index", "('e', 0) claimed by ['a', 'a']"),
+        ("unpartitioned boundary index", "('e', 1) claimed by ['b', 'x']"),
+        ("unpartitioned boundary index", "('h', 0) claimed by ['a', 'b']"),
+        ("isolated vertex", "z"),
+    )
