@@ -216,7 +216,7 @@ def _coordinates(edges):
     return tuple(coords), owners
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _GraphIndex:
     """What the coupling constructors, the compiles and the pole list read
     of a valid graph, built once per graph object (``MetricGraph._index``,
