@@ -79,12 +79,10 @@ def _delta_phases(t, model) -> np.ndarray:
 
 def _vertex_blocks(g: MetricGraph, coupling: VertexCoupling):
     """``g``'s boundary coordinates and its vertices' blocks in sorted order;
-    raises unless ``g`` is valid and the blocks claim each coordinate once
-    (as they do when each claims its vertex's incidence coordinates)."""
+    raises unless ``g`` is valid and the blocks claim each coordinate once."""
     index = g._index
     blocks = [coupling.block(v) for v in index.vertices]
-    if (any(block.coords != index.incidence[v] for v, block in zip(index.vertices, blocks))
-            and sorted(c for block in blocks for c in block.coords) != list(index.coords)):
+    if sorted(c for block in blocks for c in block.coords) != list(index.coords):
         raise ValueError("coupling size mismatch: blocks and boundary coordinates differ")
     return index.coords, blocks
 

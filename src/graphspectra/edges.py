@@ -59,8 +59,8 @@ real lambda as Python floats.  ``_delta_weights`` is the one array form of
 ``_trig``'s real regimes, numpy's ufuncs over all edges at one real lambda:
 the scan's counts on delta trees read it, and so does ``_responses``, the
 pole guard plus the graph-map M and M' (or M(lambda) - M(lambda0),
-``_change``) over an array of lengths, called by ``build_regularization``,
-``check_mtilde_divergence`` and ``regularized_weyl``.  The two paths agree
+``_change``) over an array of lengths, called by ``build_regularization``
+and ``check_mtilde_divergence``.  The two paths agree
 to rounding, and exactly in the series at w = 0.  ``krein_matrix`` makes
 one scalar call per edge.  ``_pole`` takes a float or an array, with the
 same bytes; ``_window_poles`` lists the poles of all edges in a window in
@@ -149,8 +149,7 @@ class Laplacian:
     def _pole(k):
         """Spectral points at which the wavenumber is the real number k (or
         each element of the array k)."""
-        # A float, the scalar guard's hot case, skips the isinstance test.
-        return (k ** 2 if type(k) is float or not isinstance(k, np.ndarray) else _squares(k),)
+        return (_squares(k) if isinstance(k, np.ndarray) else k ** 2,)
 
     @staticmethod
     def _wavenumber(x):
@@ -199,10 +198,10 @@ class Dirac:
         return (lam * lam - (c2 / 2) ** 2) / c2, 2 * lam / c2, rho, -rho / shift
 
     def _pole(self, k):
-        if type(k) is float or not isinstance(k, np.ndarray):
-            root = math.sqrt((self.c * k) ** 2 + self.c ** 4 / 4)
-        else:
+        if isinstance(k, np.ndarray):
             root = np.sqrt(_squares(self.c * k) + self.c ** 4 / 4)
+        else:
+            root = math.sqrt((self.c * k) ** 2 + self.c ** 4 / 4)
         return root, -root
 
     def _wavenumber(self, x):

@@ -281,7 +281,7 @@ def incidence_sets(g: MetricGraph) -> dict:
 
 def boundary_coordinates(g: MetricGraph):
     """Global coordinate list [(edge id, t), ...] sorted by (edge id, t)."""
-    return g._index.coords if g._report.ok else _coordinates(g.edges)[0]
+    return _coordinates(g.edges)[0]
 
 
 def degree(g: MetricGraph) -> dict:

@@ -11,7 +11,6 @@ distance from lambda0 to the decoupled edge spectra.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -81,18 +80,11 @@ def _by_model(g: MetricGraph):
 def regularized_weyl(model, ell: float, lam, reg: Regularization,
                      edge_id: str) -> np.ndarray:
     """(M(lambda) - M(lambda0)) / ||M'(lambda0)|| for the edge ``edge_id``,
-    with lambda0 and ||M'(lambda0)|| read from ``reg``.
+    with M(lambda0) and ||M'(lambda0)|| read from ``reg``.
 
     By construction the result has unit derivative norm at lambda0 and
-    vanishes there.  At a real lambda the difference is formed without
-    subtracting two matrices of size 1/l (``edges._change``, which the
-    divergence scan of ``check_mtilde_divergence`` also reads), so it
-    keeps its digits on short edges; a complex lambda subtracts
-    ``reg.m_at_lambda0`` from ``weyl``.  Raises as ``weyl`` does.
+    vanishes there: exactly at the model's default lambda0, where ``reg``'s
+    array kernel and the scalar ``weyl`` give the same bytes, and to
+    rounding at any other lambda0.
     """
-    if isinstance(lam, numbers.Real):
-        em._guard(model, float(ell), lam)
-        change = em._responses(model, [ell], lam, since=reg.lambda0)[3][0]
-    else:
-        change = em.weyl(model, ell, lam) - reg.m_at_lambda0[edge_id]
-    return change / reg.norm_prime[edge_id]
+    return (em.weyl(model, ell, lam) - reg.m_at_lambda0[edge_id]) / reg.norm_prime[edge_id]
