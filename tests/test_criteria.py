@@ -11,7 +11,7 @@ from graphspectra import discrete as dc
 from graphspectra import edges as em
 from graphspectra import graphs as gr
 from graphspectra import regularize as rg
-from graphspectra.edges import Dirac
+from graphspectra.edges import Dirac, Laplacian
 from graphspectra.graphs import Edge, MetricGraph
 from test_edges import kernel_bounds
 
@@ -376,39 +376,34 @@ def test_mtilde_witness_equals_the_per_edge_scalar_reference(g, lam0, noisy):
         assert len(a) == len(b) and all(abs(x - y) <= t for x, y, t in zip(a, b, bounds[eid]))
 
 
-def test_mtilde_witness_keeps_its_digits_on_short_edges():
-    # Edge e26 has length 2**-27: M(lambda) and M(lambda0) are of order
-    # 1/l = 1.3e8 and their difference of order l |lambda|, so subtracting
-    # them left rounding noise (-8, -32, -328, -3328 here).  The values are
-    # 2 (2 - y coth(y / 2)) / l^2, y = l sqrt(-lambda), at 40 digits.
-    want = [-3.333333333333333302493804871523429840281,
-            -33.33333333333333024938048715234335087191,
-            -333.3333333333330249380487152347019309900,
-            -3333.333333333302493804871523837036897932]
-    g = gr.geometric_chain(0.5, 0.5, 40)
-    reg = rg.build_regularization(g)
-    res = cr.check_mtilde_divergence(g, reg)
-    got = res.witness["per_edge"]["e26"]["max_eigenvalues"][:4]
-    assert all(abs(x - y) <= 1e-6 * abs(y) for x, y in zip(got, want))
-    assert res.verdict == cr.INCONCLUSIVE and res.witness["evidence_supports"]
-
-
-def test_dirac_mtilde_witness_on_a_short_edge():
-    # Dirac(1) at lambda0 = 1/2, where rho0 = 1, q0 = r0 = 1: M is
+@pytest.mark.parametrize("model,want,rtol", [
+    # M(lambda) and M(lambda0) are of order 1/l = 1.3e8 and their
+    # difference of order l |lambda|, so subtracting them left rounding
+    # noise (-8, -32, -328, -3328 here).  The values are
+    # 2 (2 - y coth(y / 2)) / l^2, y = l sqrt(-lambda).
+    (Laplacian(), [-3.333333333333333302493804871523429840281,
+                   -33.33333333333333024938048715234335087191,
+                   -333.3333333333330249380487152347019309900,
+                   -3333.333333333302493804871523837036897932], 1e-6),
+    # At lambda0 = 1/2, rho0 = 1 and q0 = r0 = 1: M is
     # rho [[-q, -i r], [i r, -q]] / l, so M(lambda) - M(lambda0) has the
     # largest eigenvalue (2 - rho (q + r)) / l (rho = 2 / (2 lambda + 1) < 0
-    # here), and ||M'(lambda0)|| = 2 / l + l / 2.  With q = z cot z,
-    # r = z / sin z, z = l k, k^2 = lambda^2 - 1/4 and l = 2**-27, at 40
-    # digits.  Both terms of edges._change count: rho's change gives about
-    # 1 - rho, the change of M_L the digits past 1e-12 at the far samples.
-    want = [1.105263157894736788420136638191439370257,
-            1.010050251256280937456863296886934394106,
-            1.001000500250120429658474209750666017731,
-            1.000100005000203746268571516372664262971,
-            1.000010000049537650131102828485900781169,
-            1.000000999995874059761977992160370516470]
-    g = gr.geometric_chain(0.5, 0.5, 40, model=Dirac(1.0))
+    # here), and ||M'(lambda0)|| = 2 / l + l / 2, with q = z cot z,
+    # r = z / sin z, z = l k, k^2 = lambda^2 - 1/4.  Both terms of the Dirac
+    # branch of edges._change count: rho's change gives about 1 - rho, the
+    # change of M_L the digits past 1e-12 at the far samples.
+    (Dirac(1.0), [1.105263157894736788420136638191439370257,
+                  1.010050251256280937456863296886934394106,
+                  1.001000500250120429658474209750666017731,
+                  1.000100005000203746268571516372664262971,
+                  1.000010000049537650131102828485900781169,
+                  1.000000999995874059761977992160370516470], 1e-12),
+], ids=["laplacian", "dirac"])
+def test_mtilde_witness_keeps_its_digits_on_short_edges(model, want, rtol):
+    # Edge e26 of the depth-40 chain has length 2**-27; the values are
+    # closed forms at 40 digits.
+    g = gr.geometric_chain(0.5, 0.5, 40, model=model)
     res = cr.check_mtilde_divergence(g, rg.build_regularization(g))
     got = res.witness["per_edge"]["e26"]
-    assert got["strictly_decreasing"] and len(got["max_eigenvalues"]) == len(want)
-    assert all(abs(x - y) <= 1e-12 * y for x, y in zip(got["max_eigenvalues"], want))
+    assert res.verdict == cr.INCONCLUSIVE and got["strictly_decreasing"]
+    assert all(abs(x - y) <= rtol * abs(y) for x, y in zip(got["max_eigenvalues"], want))
