@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 validation failure, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -43,7 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and its messages go to the streams current at each call."""
     parser = _Parser(prog="graphspectra",
                      description="spectra of point interactions on metric graphs")
     sub = parser.add_subparsers(dest="command", required=True)

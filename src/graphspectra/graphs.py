@@ -310,9 +310,9 @@ def star(n: int, lengths=1.0, model: EdgeModel = Laplacian()) -> MetricGraph:
         lengths = [float(lengths)] * n
     if len(lengths) != n:
         raise ValueError("need one length per star edge")
-    leaves = _ids("leaf", n)
+    leaves, ids = _ids("leaf", n), _ids("e", n)
     edges = tuple(
-        Edge(f"e{i:02d}", "center", leaves[i], float(lengths[i])) for i in range(n)
+        Edge(ids[i], "center", leaves[i], float(lengths[i])) for i in range(n)
     )
     return MetricGraph(("center", *leaves), edges, model)
 
@@ -323,9 +323,9 @@ def chain(lengths: Sequence[float], model: EdgeModel = Laplacian(),
     lengths = [float(x) for x in lengths]
     if not lengths:
         raise ValueError("chain needs at least one edge")
-    vs = _ids("v", len(lengths) + 1)
+    vs, ids = _ids("v", len(lengths) + 1), _ids("e", len(lengths))
     edges = tuple(
-        Edge(f"e{i:02d}", vs[i], vs[i + 1], lengths[i]) for i in range(len(lengths))
+        Edge(ids[i], vs[i], vs[i + 1], lengths[i]) for i in range(len(lengths))
     )
     return MetricGraph(tuple(vs), edges, model, truncation)
 

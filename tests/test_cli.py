@@ -92,6 +92,29 @@ def test_missing_subcommand_args_exit_64(tmp_path):
     assert main(["spectrum"]) == 64
 
 
+def test_repeated_calls_in_one_process_match_lone_runs(tmp_path, capsys):
+    # The parser is built once per process; each call must still print and
+    # exit as it does in a process of its own.
+    path = write(tmp_path, "star.json", star3())
+    commands = {
+        "usage": ["spectrum", path, "--min", "0", "--max", "1", "--frobnicate"],
+        "validate": ["validate", path],
+        "spectrum": ["spectrum", path, "--min", "0", "--max", "10"],
+        "discrete": ["discrete", path],
+    }
+    alone = {}
+    for name, argv in commands.items():
+        proc = subprocess.run([sys.executable, "-m", "graphspectra.cli", *argv],
+                              capture_output=True, text=True, env=package_env())
+        alone[name] = (proc.returncode, proc.stdout, proc.stderr)
+    assert alone["usage"][0] == 64 and "unrecognized arguments" in alone["usage"][2]
+    for name in ["usage", "validate", "spectrum", "usage", "discrete", "validate",
+                 "spectrum", "discrete", "usage"]:
+        code = main(commands[name])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == alone[name], name
+
+
 def test_spectrum_csv_output(tmp_path, capsys):
     path = write(tmp_path, "star.json", star3())
     assert main(["spectrum", path, "--min", "-1", "--max", "25", "--oracle"]) == 0

@@ -86,6 +86,19 @@ def test_star_combinatorics():
     assert len(g.edges) == 3
 
 
+def test_generated_edge_ids_sort_in_graph_order():
+    # Edge ids are as wide as the count needs, so from 100 edges on sorting
+    # by id still follows the path, or the star's list of edges.
+    path = gr.chain([1.0] * 150)
+    assert [e.id for e in path.edges][:2] == ["e000", "e001"]
+    assert sorted(path.edges, key=lambda e: e.id) == list(path.edges)
+    assert all(a.target == b.source for a, b in zip(path.edges, path.edges[1:]))
+    assert sorted(gr.star(120).edges, key=lambda e: e.id) == list(gr.star(120).edges)
+    # Up to 99 edges the ids keep two digits.
+    assert [e.id for e in gr.chain([1.0] * 99).edges][-1] == "e98"
+    assert [e.id for e in gr.star(3).edges] == ["e00", "e01", "e02"]
+
+
 def test_chain_decaying_lengths():
     g = gr.chain([2.0 ** -n for n in range(1, 11)])
     assert len(g.vertices) == 11

@@ -357,3 +357,153 @@ def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
     with pytest.raises(sp.OracleConvergenceError,
                        match=r"root at 0\.41477023296384 moved by 1\.013e-07"):
         sp.oracle_eigenvalues(g, coupling, (-1.0, 1.0))
+
+
+# ------------------------------------------------------------ banded grid
+
+def depth40_chain():
+    g = gr.geometric_chain(0.5, 0.5, 40)
+    return g, delta(g, 0.3), (-1.0, 60.0)
+
+
+def depth40_dirac_chain():
+    g = gr.geometric_chain(0.5, 0.5, 40, model=Dirac(1.0))
+    return g, delta(g, 0.3), (-1.0, 60.0)
+
+
+def twisted_chain():
+    """A chain whose inner vertices couple through complex vectors (1, e^{i theta}):
+    A(lambda) is complex, and pivots are chosen by |re| + |im|."""
+    g = gr.geometric_chain(0.5, 0.8, 20)
+    inner = g.vertices[1:-1]
+    spec = {v: ([1.0, np.exp(0.4j + 0.1j * k)], [[0.3 - 0.05 * k]]) for k, v in enumerate(inner)}
+    return g, cp.custom_coupling(g, spec), (-1.0, 60.0)
+
+
+def shuffled_chain():
+    """``depth40_chain`` with its vertex and edge ids, and its edge list,
+    shuffled: in id order its matrix is not banded."""
+    g, _, window = depth40_chain()
+    rng = np.random.default_rng(5)
+    vertex = dict(zip(g.vertices, (f"x{k}" for k in rng.permutation(len(g.vertices)))))
+    edge = dict(zip((e.id for e in g.edges), (f"b{k}" for k in rng.permutation(len(g.edges)))))
+    edges = [Edge(edge[e.id], vertex[e.source], vertex[e.target], e.length) for e in g.edges]
+    shuffled = MetricGraph(tuple(vertex[v] for v in g.vertices),
+                           tuple(edges[k] for k in rng.permutation(len(edges))), g.model)
+    return shuffled, delta(shuffled, 0.3), window
+
+
+def dense_dets(oracle, lams, mesh):
+    """np.linalg.det of the assembled matrices, one block at a time."""
+    step = oracle._out.shape[0]
+    return np.concatenate([np.linalg.det(oracle.matrices(lams[k:k + step], mesh))
+                           for k in range(0, len(lams), step)])
+
+
+@pytest.mark.parametrize("make", [depth40_chain, depth40_dirac_chain, twisted_chain,
+                                  shuffled_chain])
+def test_banded_grid_matches_lapack(make):
+    g, coupling, window = make()
+    oracle = sp._CompiledOracle(g, coupling)
+    assert oracle.band == (2, 1) and oracle._band_pays(600)
+    grid = np.linspace(*window, 600)
+    got, want = oracle.grid(grid, 2000), dense_dets(oracle, grid, 2000)
+    assert np.iscomplexobj(got) == (not oracle.real)
+    # Relative agreement wherever |det| stands above rounding.
+    clear = np.abs(want) >= 1e-8 * np.max(np.abs(want))
+    assert np.all(np.abs(got - want)[clear] <= 1e-10 * np.abs(want)[clear])
+    assert sp._grid_candidates(grid, got, oracle.real) == \
+        sp._grid_candidates(grid, want, oracle.real)
+    # A lambda's value does not depend on the others in its chunk.
+    for i in (0, 311, 599):
+        assert oracle._band_dets(sp._transfer_stack(g.model, oracle.lengths, grid[i:i + 1],
+                                                    2000))[0] == got[i]
+
+
+def test_band_order_ignores_ids():
+    g, coupling, window = depth40_chain()
+    h, shuffled, _ = shuffled_chain()
+    grid = np.linspace(*window, 600)
+    ordered = sp._CompiledOracle(g, coupling).grid(grid, 2000)
+    np.testing.assert_array_equal(np.abs(sp._CompiledOracle(h, shuffled).grid(grid, 2000)),
+                                  np.abs(ordered))
+
+
+def test_band_kernel_zero_column_gives_zero():
+    # With alpha = 0 at its leaf source, column 0 of A is U[:, 0] T_0[0, 0] +
+    # V[:, 0] T_0[1, 0]: zero where the crafted stack zeroes T_0[:, 0].
+    g = gr.chain([0.5, 0.3, 0.2])
+    oracle = sp._CompiledOracle(g, delta(g, 0.0))
+    lams = np.array([-1.0, 0.5, 2.0, 7.0])
+    t = sp._transfer_stack(g.model, oracle.lengths, lams, 2000)
+    t[0, 1:3, :, 0] = 0.0
+    assert not np.any(oracle._assemble(t)[1:3, :, 0])
+    got = oracle._band_dets(t)
+    assert got[1] == 0.0 and got[2] == 0.0
+    want = np.linalg.det(oracle._assemble(t)[[0, 3]])
+    np.testing.assert_allclose(got[[0, 3]], want, rtol=1e-12, atol=0)
+
+
+def test_band_kernel_scales_its_running_product():
+    # Rows scaled by 1e150 at one end of the path and 1e-150 at the other
+    # leave det A as it was, but the running product of the pivots passes
+    # 1e450 on the way.
+    g = gr.chain([0.5, 0.3, 0.2, 0.4, 0.6, 0.1, 0.3, 0.5])
+    oracle = sp._CompiledOracle(g, delta(g, 0.3))
+    lams = np.array([-1.0, 2.0, 9.0, 30.0])
+    t = sp._transfer_stack(g.model, oracle.lengths, lams, 2000)
+    want = np.linalg.det(oracle._assemble(t))
+    scale = np.ones(len(oracle.base))
+    rows = oracle._order[0]
+    scale[rows[:4]], scale[rows[-4:]] = 1e150, 1e-150
+    oracle.base *= scale[:, None]
+    oracle._u *= scale[oracle._pos[0] // len(scale)]
+    oracle._v *= scale[oracle._pos[0] // len(scale)]
+    np.testing.assert_allclose(oracle._band_dets(t), want, rtol=1e-12, atol=0)
+
+
+def count_dets(monkeypatch):
+    calls = []
+    det = np.linalg.det
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    return calls
+
+
+def test_grid_goes_banded_only_where_it_pays(monkeypatch):
+    calls = count_dets(monkeypatch)
+    g, coupling, window = depth40_chain()
+    grid = np.linspace(*window, 600)
+    sp._CompiledOracle(g, coupling).grid(grid, 2000)
+    assert calls == []
+    # The polish stays on LAPACK.
+    assert len(sp.oracle_eigenvalues(g, coupling, window).roots) > 0
+    assert calls != []
+    for make in (laplacian_star, random_tree):
+        g, coupling, lams = make()
+        oracle = sp._CompiledOracle(g, coupling)
+        assert not oracle._band_pays(600)
+        del calls[:]
+        grid = np.linspace(min(lams), max(lams), 600)
+        want = oracle.grid(grid, 2000)
+        assert sum(shape[0] for shape in calls) == 600
+        # The banded pass is right on a wide band too, only slower; the
+        # star's order is an odd permutation of its rows.
+        got = oracle._band_dets(sp._transfer_stack(g.model, oracle.lengths, grid, 2000))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+    assert sp._CompiledOracle(*laplacian_star()[:2])._sign == -1
+
+
+def test_oracle_matches_the_scan_on_a_150_edge_path():
+    g = gr.geometric_chain(0.5, 0.97, 150)
+    coupling = delta(g, 0.3)
+    assert sp._CompiledOracle(g, coupling).band == (2, 1)
+    scan = sp.scan_spectrum(g, coupling, (-1.0, 20.0))
+    oracle = sp.oracle_eigenvalues(g, coupling, (-1.0, 20.0))
+    pairs, only_scan, only_oracle = sp.match_spectra(scan.values, oracle.values, scan.excluded)
+    assert len(scan.roots) == len(pairs) == 22
+    assert only_scan == only_oracle == []
