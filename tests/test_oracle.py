@@ -2,8 +2,8 @@
 reference assembly, its realness and its one evaluator, the grid candidate
 scan against a loop over the grid, the lockstep polish against the same
 coroutines driven one at a time, its RK4 transfer matrices against
-sequential stepping, and the number of determinant and transfer calls it
-takes."""
+sequential stepping, the number of determinant and transfer calls it
+takes, and its banded grid pass against LAPACK's determinants."""
 
 from __future__ import annotations
 
