@@ -622,7 +622,7 @@ class _CompiledOracle:
         front = np.zeros((kl + 1, kl + ku + 1, size), dtype=coef.dtype)
         spare = np.zeros_like(front)
         mant = np.ones(size, dtype=coef.dtype)
-        expo = np.zeros(size, dtype=np.int64)
+        expo = np.zeros(size, dtype=np.intc)  # as np.frexp gives them
         swaps = np.zeros(size, dtype=bool)
         each = np.arange(size)
         for i in range(n + kl):
