@@ -205,10 +205,10 @@ def _cmd_spectrum(args) -> int:
         pairs, only_scan, _ = sp.match_spectra(
             scan.values, oracle.values, scan.excluded
         )
-        matched = {round(x, 12) for x, _ in pairs}
+        matched = {x for x, _ in pairs}
         tagged = []
         for r in scan.roots:
-            flag = "agrees-oracle" if round(r.lam, 12) in matched else (
+            flag = "agrees-oracle" if r.lam in matched else (
                 "no-oracle-match" if r.lam in only_scan else r.flag)
             tagged.append(sp.Root(r.lam, r.residual, r.multiplicity, r.method, flag))
         scan = sp.SpectrumResult(tuple(tagged), scan.excluded, scan.method,

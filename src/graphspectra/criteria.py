@@ -280,7 +280,7 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
                       lam0_cert: float) -> CriterionResult:
     """Lower bound lam0_cert for the coupled operator: positive
     semi-definiteness of L - P M(lam0_cert) P below the decoupled ground state,
-    by the eigensolve and threshold of ``lower_bound_certificate``.
+    by an eigensolve and the threshold of ``spectra._psd``.
 
     Only meaningful when the decoupled edge operators form the semi-bounded
     soft-minimum extension, which holds for the Laplacian with its

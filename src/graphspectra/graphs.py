@@ -352,11 +352,12 @@ def binary_tree(depth: int, length: float = 1.0, level_scale: float = 1.0,
         raise ValueError("tree depth must be >= 1")
     vertices = ["n1"]
     edges = []
+    width = max(4, len(str(2 ** (depth + 1) - 1)))  # edge ids sort in generation order
     for level in range(depth):
         for j in range(2 ** level, 2 ** (level + 1)):
             for child in (2 * j, 2 * j + 1):
                 vertices.append(f"n{child}")
-                edges.append(Edge(f"e{child:04d}", f"n{j}", f"n{child}",
+                edges.append(Edge(f"e{child:0{width}d}", f"n{j}", f"n{child}",
                                   length * level_scale ** level))
     return MetricGraph(tuple(vertices), tuple(edges), model)
 
@@ -368,11 +369,12 @@ def random_graph(seed: int, n_edges: int, model: EdgeModel = Laplacian(),
         raise ValueError("need at least one edge")
     rng = np.random.default_rng(seed)
     vs = _ids("v", n_edges + 1)
+    width = max(3, len(str(n_edges)))  # edge ids sort in generation order
     lo, hi = length_range
     edges = []
     for i in range(1, n_edges + 1):
         parent = int(rng.integers(0, i))
-        edges.append(Edge(f"e{i:03d}", vs[parent], vs[i],
+        edges.append(Edge(f"e{i:0{width}d}", vs[parent], vs[i],
                           float(rng.uniform(lo, hi))))
     return MetricGraph(tuple(vs), tuple(edges), model)
 

@@ -28,9 +28,9 @@ route is algorithmically independent of route 1 and is also valid at
 points embedded in the decoupled spectra, where the matching criterion
 is silent.  The vertex conditions are compiled once per call into a fixed
 linear map from the transfer matrices to the global matrix (real when the
-coupling data are real, so that LU runs in real arithmetic), with its
-rows and columns also ordered breadth-first along the graph, which makes
-the matrix of a path banded.  Both edge systems have zero diagonal, so
+coupling data are real, so that LU runs in real arithmetic), its rows and
+columns in one order, breadth-first along the graph, which makes the
+matrix of a path banded.  Both edge systems have zero diagonal, so
 each RK4 transfer matrix is a pair (x, y) of x I + y A, powered
 elementwise over all edges and one chunk of lambda values at a time.  On
 the sample grid, a narrow band is eliminated by banded Gaussian
@@ -412,49 +412,32 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     return t
 
 
-def _band_order(blocks, column: dict) -> tuple:
-    """Rows and columns of the oracle matrix in breadth-first order along the
-    graph, as (old row, old column) lists by new position.  Each component
-    starts at its vertex of least degree (the first in sorted order on a
-    tie); a vertex keeps its rows together, and an edge's two columns go to
-    the first of its endpoints reached.  A path is then banded whatever its
-    ids: lower bandwidth 2 and upper 1 under a delta coupling."""
-    first_row = np.cumsum([0] + [len(b.coords) for b in blocks]).tolist()
+def _band_order(blocks) -> tuple:
+    """The vertex blocks in breadth-first order along the graph, and each
+    edge id's position in the order in which those blocks first reach the
+    edges.  Each component starts at its vertex of least degree (the first
+    in sorted order on a tie).  With a vertex's rows together and an edge's
+    two columns at its position, a path is banded whatever its ids: lower
+    bandwidth 2 and upper 1 under a delta coupling."""
     ends = {}
     for p, block in enumerate(blocks):
         for eid, _ in block.coords:
-            ends.setdefault(column[eid], []).append(p)
-    seen, placed, rows, cols = [False] * len(blocks), set(), [], []
+            ends.setdefault(eid, []).append(p)
+    seen, order, position = [False] * len(blocks), [], {}
     for start in sorted(range(len(blocks)), key=lambda p: len(blocks[p].coords)):
         if seen[start]:
             continue
         seen[start] = True
         queue = [start]
         for p in queue:  # grows while it is read
-            rows.extend(range(first_row[p], first_row[p + 1]))
             for eid, _ in blocks[p].coords:
-                k = column[eid]
-                if k not in placed:
-                    placed.add(k)
-                    cols += [2 * k, 2 * k + 1]
-                for q in ends[k]:
+                position.setdefault(eid, len(position))
+                for q in ends[eid]:
                     if not seen[q]:
                         seen[q] = True
                         queue.append(q)
-    return rows, cols
-
-
-def _parity(order: list) -> int:
-    """The sign of the permutation ``order`` of range(len(order))."""
-    sign, seen = 1, [False] * len(order)
-    for start in range(len(order)):
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            if k != start:
-                sign = -sign
-    return sign
+        order += queue
+    return [blocks[p] for p in order], position
 
 
 def _normalized(mant: np.ndarray, expo: np.ndarray) -> np.ndarray:
@@ -474,8 +457,13 @@ class _CompiledOracle:
     """The oracle matrix A(lambda) of one problem as a fixed linear map of the
     edge transfer matrices T_e(lambda), compiled once per oracle call.
 
-    The unknowns are the states u_e(0) at the edge sources, in columns
-    2e, 2e+1 (edges in id order).  Each incidence coordinate is rotated by
+    Rows and columns are in breadth-first order along the graph
+    (``_band_order``): the vertices' rows in that order, and the unknowns,
+    the states u_e(0) at the edge sources, in columns 2e, 2e+1 for the
+    edge at position e (``lengths`` follows it).  A path's A is then
+    banded, and ``band`` holds its lower and upper bandwidths (kl, ku),
+    with which ``grid`` can eliminate a narrow band without forming A
+    (``_band_dets``).  Each incidence coordinate is rotated by
     conj(phase), with the model's trace phases ``_phases`` (the delta
     couplings), which makes the delta-type conditions real: traces become
     psi1 values and fluxes _flux * sign * u_2 values.  Per vertex,
@@ -491,26 +479,20 @@ class _CompiledOracle:
     only at their nonzeros (row, e), with the flat positions row n + 2e + j
     of the entries they reach: A(lambda) is a copy of ``base`` and an O(nnz)
     scatter.  Whether A(lambda) is real is decided here, once (``real``).
-
-    The compile also orders rows and columns breadth-first along the graph
-    (``_band_order``) and records the band (kl, ku) of A in that order and
-    the sign of the two permutations, so that ``grid`` can eliminate a
-    narrow band without forming A (``_band_dets``).
     """
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
         if g.has_half_line:
             raise ValueError("oracle handles finite lengths only")
-        edges = sorted(g.edges, key=lambda e: e.id)
-        column = {e.id: k for k, e in enumerate(edges)}
+        blocks, column = _band_order(_vertex_blocks(g, coupling)[1])
         self.model = g.model
-        self.lengths = np.array([e.length for e in edges])
-        n, ne = 2 * len(edges), len(edges)
+        length = {e.id: e.length for e in g.edges}
+        self.lengths = np.array([length[eid] for eid in column])
+        n, ne = 2 * len(column), len(column)
         base = np.zeros((n, ne, 2), dtype=complex)
         u = np.zeros((n, ne), dtype=complex)
         v = np.zeros((n, ne), dtype=complex)
         row = 0
-        blocks = _vertex_blocks(g, coupling)[1]
         for block in blocks:
             basis = _delta_phases([t for _, t in block.coords], g.model).conj()[:, None] * block.basis
             # Rotate out each column's leading phase, the matrix to match (the
@@ -543,22 +525,16 @@ class _CompiledOracle:
         nz_row, self._edge = np.nonzero((u != 0) | (v != 0))
         self._u, self._v = u[nz_row, self._edge], v[nz_row, self._edge]
         self._pos = nz_row * n + 2 * self._edge + np.arange(2)[:, None]
-        # The band of A in breadth-first order, from its pattern: lower and
-        # upper bandwidths (kl, ku), and the sign of the two permutations.
-        rows, cols = self._order = _band_order(blocks, column)
+        # The lower and upper bandwidths (kl, ku) of A, from its pattern.
         pattern = self.base != 0
         pattern.reshape(-1)[self._pos] = True
         r, c = np.nonzero(pattern)
-        offset = np.argsort(rows)[r] - np.argsort(cols)[c]
-        self.band = (int(offset.max(initial=0)), -int(offset.min(initial=0)))
-        self._sign = _parity(rows) * _parity(cols)
+        self.band = (int((r - c).max(initial=0)), int((c - r).max(initial=0)))
         block_len = max(1, _ORACLE_BLOCK_BYTES // (u.dtype.itemsize * n * n))
         self._out = np.empty((block_len, n, n), dtype=u.dtype)
         # Transfers (32 bytes per edge and lambda) are computed per chunk of
         # whole blocks, within the same budget.
         self._chunk = block_len * max(1, _ORACLE_BLOCK_BYTES // (32 * ne * block_len))
-        # The banded pass computes them per chunk of the whole budget.
-        self._band_chunk = max(1, _ORACLE_BLOCK_BYTES // (32 * ne))
 
     def _assemble(self, t: np.ndarray) -> np.ndarray:
         """A(lambda) in the shared buffer, from the transfer stack ``t`` of at
@@ -577,23 +553,21 @@ class _CompiledOracle:
 
     @functools.cached_property
     def _band_rows(self) -> tuple:
-        """The rows of A in band order as maps from the flat transfer stack
-        of ``_band_dets``, which holds T_e[a, b] in row 4e + 2a + b and ones
+        """The rows of A as maps from the flat transfer stack of
+        ``_band_dets``, which holds T_e[a, b] in row 4e + 2a + b and ones
         in row 4E: entry (i, i - kl + b) of A is the sum over k of
         ``coef[i, k, b] * flat[sources[i, k, b]]``, its terms k = 0, 1, 2
         those of ``base``, U and V (a missing term reads the ones with
         coefficient 0)."""
         kl, ku = self.band
-        rows, cols = self._order
-        n, ne = len(rows), len(self.lengths)
-        at_row, at_col = np.argsort(rows), np.argsort(cols)
+        n, ne = len(self.base), len(self.lengths)
         sources = np.full((n, 3, kl + ku + 1), 4 * ne)
         coef = np.zeros(sources.shape, dtype=self.base.dtype)
         r, c = np.nonzero(self.base)
-        coef[at_row[r], 0, at_col[c] - at_row[r] + kl] = self.base[r, c]
-        r = at_row[self._pos[0] // n]
+        coef[r, 0, c - r + kl] = self.base[r, c]
+        r = self._pos[0] // n
         for j in (0, 1):
-            b = at_col[2 * self._edge + j] - r + kl
+            b = 2 * self._edge + j - r + kl
             sources[r, 1, b], coef[r, 1, b] = 4 * self._edge + j, self._u
             sources[r, 2, b], coef[r, 2, b] = 4 * self._edge + 2 + j, self._v
         return sources, coef
@@ -647,7 +621,7 @@ class _CompiledOracle:
             swaps ^= p != 0
             factor = front[1:, 0] / (pivot + (pivot == 0))
             front[1:, 1:] -= factor[:, None] * top.T[1:]
-        sign = np.where(swaps, -self._sign, self._sign)
+        sign = np.where(swaps, -1.0, 1.0)
         if self.real:
             return sign * np.ldexp(mant, expo)
         return sign * (mant * np.ldexp(1.0, expo))
@@ -665,7 +639,7 @@ class _CompiledOracle:
         against 0.18 ms for the three of a polish round."""
         kl, ku = self.band
         n = len(self.base)
-        chunks = -(-samples // self._band_chunk)
+        chunks = -(-samples // self._chunk)
         banded = n * (20.0 * chunks + 0.013 * samples * (kl + 1) * (kl + ku + 1))
         return banded < samples * (0.0085 * n * n + 9e-6 * n ** 3)
 
@@ -675,7 +649,7 @@ class _CompiledOracle:
         LAPACK (``_band_pays``), else by ``evaluate``."""
         if not self._band_pays(len(lams)):
             return np.array(self.evaluate("det", lams, mesh))
-        step = self._band_chunk
+        step = self._chunk
         return np.concatenate([
             self._band_dets(_transfer_stack(self.model, self.lengths, lams[first:first + step], mesh))
             for first in range(0, len(lams), step)])
@@ -907,20 +881,22 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     L - P M(lambda0) P is positive semi-definite; None when no point
     qualifies.  Models ``bounded_below`` only (the decoupled operator is the
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
-    lower bound for the whole spectrum.  The first PSD point of a fixed
+    lower bound for the whole spectrum.  A point is PSD when the matrix has
+    no negative eigenvalue, counted by ``_Inertia`` (O(V) pivots on a delta
+    tree, an exact 0 counting as positive).  The first PSD point of a fixed
     descending grid is tightened by bisection against the last non-PSD one.
     """
     if not g.model.bounded_below:
         return None
     ground = decoupled_ground_state(g)
-    compiled = _CompiledPairing(g, coupling)
+    inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
     top = ground - max(1e-6, 1e-9 * abs(ground))
     grid = [top - (2.0 ** k - 1.0) * 1e-3 for k in range(40)]
     grid = [x for x in grid if x > ground - 1e7]
 
     def psd_at(lam0):
         try:
-            return _psd(_eigvalsh(krein_matrix(g, coupling, lam0, _pairing=compiled)))
+            return inertia(lam0)[0] == 0
         except em.EdgeModelError:
             return None
 

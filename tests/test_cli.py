@@ -126,6 +126,25 @@ def test_spectrum_csv_output(tmp_path, capsys):
     assert any("undetermined-by-matching" in line for line in lines)
 
 
+def test_spectrum_tags_a_root_on_a_rounding_tie_as_agreeing(tmp_path, capsys, monkeypatch):
+    # 5.4914233729525 lies on a tie in its 13th decimal: numpy's round of the
+    # matched value gives 5.491423372952, Python's round of the root's
+    # 5.491423372953.  The tag must not depend on either.
+    from graphspectra import spectra as sp
+
+    def result(method, lam):
+        return sp.SpectrumResult((sp.Root(lam, 1e-15, 1, method),), (), method, (0.0, 10.0))
+
+    monkeypatch.setattr(sp, "scan_spectrum", lambda *args, **kw: result("krein", 5.4914233729525))
+    monkeypatch.setattr(sp, "oracle_eigenvalues",
+                        lambda *args, **kw: result("oracle", 5.491423372952564))
+    path = write(tmp_path, "star.json", star3())
+    assert main(["spectrum", path, "--min", "0", "--max", "10", "--oracle"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "krein,5.4914233729525,1e-15,1,agrees-oracle",
+        "oracle,5.491423372952564,1e-15,1,ok"]
+
+
 def test_oracle_spectrum_does_not_import_scipy_optimize(tmp_path):
     # scipy.optimize alone adds about 25 MB to the resident set of a CLI run,
     # scipy.sparse is most of the package's import time, and numpy.ma (which

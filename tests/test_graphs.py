@@ -99,6 +99,19 @@ def test_generated_edge_ids_sort_in_graph_order():
     assert [e.id for e in gr.star(3).edges] == ["e00", "e01", "e02"]
 
 
+def test_tree_and_random_edge_ids_sort_in_generation_order():
+    # binary_tree's ids widen past four digits from depth 13 on, and
+    # random_graph's past three from 1,000 edges on.
+    for g in (gr.binary_tree(13), gr.random_graph(1, 1200)):
+        ids = [e.id for e in g.edges]
+        assert sorted(ids) == ids
+    assert gr.binary_tree(13).edges[0].id == "e00002"
+    assert gr.random_graph(1, 1200).edges[0].id == "e0001"
+    # Smaller graphs keep their ids.
+    assert [e.id for e in gr.binary_tree(7).edges] == [f"e{k:04d}" for k in range(2, 256)]
+    assert [e.id for e in gr.random_graph(1, 60).edges] == [f"e{k:03d}" for k in range(1, 61)]
+
+
 def test_chain_decaying_lengths():
     g = gr.chain([2.0 ** -n for n in range(1, 11)])
     assert len(g.vertices) == 11

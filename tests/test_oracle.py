@@ -3,7 +3,9 @@ reference assembly, its realness and its one evaluator, the grid candidate
 scan against a loop over the grid, the lockstep polish against the same
 coroutines driven one at a time, its RK4 transfer matrices against
 sequential stepping, the number of determinant and transfer calls it
-takes, and its banded grid pass against LAPACK's determinants."""
+takes, its banded grid pass against LAPACK's determinants, and its roots
+on relabeled graphs, whose breadth-first layout differs, with Brent's steps
+on det and -det."""
 
 from __future__ import annotations
 
@@ -23,14 +25,15 @@ def reference_matrix(g, coupling, transfers, index):
     """Vertex-condition rows written out per incidence, in phase-rotated
     coordinates: comp^H Gamma0 = 0 and unit^H Gamma1 - mat unit^H Gamma0 = 0,
     with each basis column rotated by the conjugate phase of its first
-    nonzero entry and mat conjugated to match."""
-    edge_ids = sorted(e.id for e in g.edges)
-    col_of = {eid: 2 * i for i, eid in enumerate(edge_ids)}
-    n = 2 * len(edge_ids)
+    nonzero entry and mat conjugated to match.  Vertices and edges are laid
+    out in the compile's breadth-first order (``_band_order``)."""
+    blocks, position = sp._band_order(cp._vertex_blocks(g, coupling)[1])
+    col_of = {eid: 2 * k for eid, k in position.items()}
+    n = 2 * len(position)
     dirac = isinstance(g.model, Dirac)
     inc = gr.incidence_sets(g)
     rows = []
-    for v in sorted(g.vertices):
+    for v in [block.vertex for block in blocks]:
         entries = inc[v]
         phases = np.array([1.0 if (not dirac or e.endpoint == 0) else 1.0j
                            for e in entries])
@@ -380,17 +383,22 @@ def twisted_chain():
     return g, cp.custom_coupling(g, spec), (-1.0, 60.0)
 
 
-def shuffled_chain():
-    """``depth40_chain`` with its vertex and edge ids, and its edge list,
-    shuffled: in id order its matrix is not banded."""
-    g, _, window = depth40_chain()
-    rng = np.random.default_rng(5)
+def relabeled(g, alpha, rng):
+    """``g`` with its vertex and edge ids, and its edge list, shuffled by
+    ``rng``, and the delta coupling of strengths ``alpha`` (by vertex) on it."""
     vertex = dict(zip(g.vertices, (f"x{k}" for k in rng.permutation(len(g.vertices)))))
     edge = dict(zip((e.id for e in g.edges), (f"b{k}" for k in rng.permutation(len(g.edges)))))
     edges = [Edge(edge[e.id], vertex[e.source], vertex[e.target], e.length) for e in g.edges]
     shuffled = MetricGraph(tuple(vertex[v] for v in g.vertices),
                            tuple(edges[k] for k in rng.permutation(len(edges))), g.model)
-    return shuffled, delta(shuffled, 0.3), window
+    return shuffled, cp.delta_coupling(shuffled, {vertex[v]: a for v, a in alpha.items()})
+
+
+def shuffled_chain():
+    """``depth40_chain`` with its vertex and edge ids, and its edge list,
+    shuffled: in id order its matrix is not banded."""
+    g, _, window = depth40_chain()
+    return (*relabeled(g, gr.alpha_map(g, 0.3), np.random.default_rng(5)), window)
 
 
 def dense_dets(oracle, lams, mesh):
@@ -454,8 +462,7 @@ def test_band_kernel_scales_its_running_product():
     t = sp._transfer_stack(g.model, oracle.lengths, lams, 2000)
     want = np.linalg.det(oracle._assemble(t))
     scale = np.ones(len(oracle.base))
-    rows = oracle._order[0]
-    scale[rows[:4]], scale[rows[-4:]] = 1e150, 1e-150
+    scale[:4], scale[-4:] = 1e150, 1e-150
     oracle.base *= scale[:, None]
     oracle._u *= scale[oracle._pos[0] // len(scale)]
     oracle._v *= scale[oracle._pos[0] // len(scale)]
@@ -491,11 +498,9 @@ def test_grid_goes_banded_only_where_it_pays(monkeypatch):
         grid = np.linspace(min(lams), max(lams), 600)
         want = oracle.grid(grid, 2000)
         assert sum(shape[0] for shape in calls) == 600
-        # The banded pass is right on a wide band too, only slower; the
-        # star's order is an odd permutation of its rows.
+        # The banded pass is right on a wide band too, only slower.
         got = oracle._band_dets(sp._transfer_stack(g.model, oracle.lengths, grid, 2000))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
-    assert sp._CompiledOracle(*laplacian_star()[:2])._sign == -1
 
 
 def test_oracle_matches_the_scan_on_a_150_edge_path():
@@ -507,3 +512,58 @@ def test_oracle_matches_the_scan_on_a_150_edge_path():
     pairs, only_scan, only_oracle = sp.match_spectra(scan.values, oracle.values, scan.excluded)
     assert len(scan.roots) == len(pairs) == 22
     assert only_scan == only_oracle == []
+
+
+def random_tree_strengths():
+    g = gr.random_graph(7, 15)
+    return g, gr.alpha_map(g, 0.0), (-1.0, 20.0)
+
+
+def dirac_star_strengths():
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3], model=Dirac(1.0))
+    return g, gr.alpha_map(g, 0.5), (-6.0, 6.0)
+
+
+def dirac_random_tree_strengths():
+    g = gr.random_graph(3, 8, model=Dirac(1.0))
+    return g, gr.alpha_map(g, np.random.default_rng(3).uniform(-1.0, 1.0, 9).tolist()), (-6.0, 6.0)
+
+
+@pytest.mark.parametrize("make", [random_tree_strengths, dirac_star_strengths,
+                                  dirac_random_tree_strengths])
+def test_oracle_roots_do_not_depend_on_ids(make):
+    # Other ids give another breadth-first order, so LAPACK factorizes
+    # another permutation of A; the roots stay within rounding.
+    g, alpha, window = make()
+    h, shuffled = relabeled(g, alpha, np.random.default_rng(11))
+    coupling = cp.delta_coupling(g, alpha)
+    assert not np.array_equal(sp._CompiledOracle(g, coupling).lengths,
+                              sp._CompiledOracle(h, shuffled).lengths)
+    want = sp.oracle_eigenvalues(g, coupling, window).roots
+    got = sp.oracle_eigenvalues(h, shuffled, window).roots
+    assert len(want) > 0
+    assert [(r.multiplicity, r.flag) for r in got] == [(r.multiplicity, r.flag) for r in want]
+    for x, y in zip(got, want):
+        assert abs(x.lam - y.lam) <= 1e-12 * max(1.0, abs(y.lam))
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+    (lambda x: (x - 0.3) ** 3, -1.0, 2.0),
+])
+def test_brent_takes_the_same_steps_on_f_and_minus_f(f, a, b):
+    # The oracle's layout may flip the sign of det A; its polish must not
+    # depend on that sign.
+    steps = {1.0: [], -1.0: []}
+
+    def traced(sign):
+        def h(x):
+            steps[sign].append(x)
+            return sign * f(x)
+        return h
+
+    roots = [sp._brent_zero(traced(s), a, b, s * f(a), s * f(b)) for s in (1.0, -1.0)]
+    assert roots[0] == roots[1] and steps[1.0] == steps[-1.0]
+    assert len(steps[1.0]) > 3
