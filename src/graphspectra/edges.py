@@ -56,8 +56,9 @@ has the Herglotz branch of i sqrt(lambda) as its response.
 
 Every scalar entry point reads ``_response``, which takes the length and a
 real lambda as Python floats.  ``_delta_weights`` is the one array form of
-``_trig``'s real regimes, numpy's ufuncs over all edges at one real lambda:
-the scan's counts on delta trees read it, and so does ``_responses``, the
+``_trig``'s real regimes, numpy's ufuncs over all edges at one real lambda
+or a batch of them: the scan's counts on delta trees read it a round of
+lambda values at a time, and so does ``_responses``, the
 pole guard plus the graph-map M and M' (or M(lambda) - M(lambda0),
 ``_change``) over an array of lengths, called by ``build_regularization``
 and ``check_mtilde_divergence``.  The two paths agree
@@ -520,6 +521,16 @@ def _change(model, ell, lam, lam0, r, q):
     return _DIRAC_PHASE * (rho * m + (rho - rho0) * _pair(-q0 / ell, r0 / ell))
 
 
+def _above(x):
+    """(r, u) = (z csc z, z tan(z/2)) at the real z = x."""
+    return x / np.sin(x), x * np.tan(x / 2)
+
+
+def _below(x):
+    """(r, u) at z = ix: (x / sinh x, -x tanh(x/2)), without overflow."""
+    return -2 * x * np.exp(-x) / np.expm1(-2 * x), -x * np.tanh(x / 2)
+
+
 def _delta_weights(model, ell, lam, derivative=False):
     """(b, t) = (rho k csc(k l), rho k tan(k l / 2)) over the array ``ell`` of
     interval lengths at a real lam: a delta coupling's secular matrix has
@@ -528,19 +539,32 @@ def _delta_weights(model, ell, lam, derivative=False):
     -2y e^-y / expm1(-2y)) or pole guard.  With ``derivative``, (r, q, d, e)
     instead, for M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) =
     l [[d, e], [e, d]]: d = (r^2 - q) / 2w and e = -r (q - 1) / 2w by
-    r^2 = q^2 + w, or the series D1(w) and E1(w)."""
+    r^2 = q^2 + w, or the series D1(w) and E1(w).
+
+    A 1-d array lam gives arrays of shape (len(ell), len(lam)), each column
+    the bytes of its lambda alone: a batch of one sign of k^2 takes that
+    sign's ufuncs, a mixed one each on its own columns."""
     k2, _, rho, _ = model._reduce(lam)
+    count = len(lam) if getattr(lam, "ndim", 0) else 0  # lambda values in a batch
+    if count:
+        ell = ell[:, None]
     w = ell * ell * k2
     size = np.abs(w)
     if not math.isfinite(size.max(initial=0.0)):
-        raise EdgeModelError(f"lambda={lam} overflows the edge evaluation")
+        bad = lam[np.argmin(np.isfinite(size).all(axis=0))] if count else lam
+        raise EdgeModelError(f"lambda={float(bad)} overflows the edge evaluation")
     series = size < _SERIES_CUTOFF
-    near = series.any()
+    near = np.count_nonzero(series)
     x = np.sqrt(np.where(series, 1.0, size) if near else size)  # |z|
-    if k2 > 0:
-        r, u = x / np.sin(x), x * np.tan(x / 2)
+    ks = k2.tolist() if count else [k2]
+    if min(ks) > 0.0:
+        r, u = _above(x)
+    elif max(ks) <= 0.0:
+        r, u = _below(x)
     else:
-        r, u = -2 * x * np.exp(-x) / np.expm1(-2 * x), -x * np.tanh(x / 2)
+        r, u = np.empty_like(x), np.empty_like(x)
+        for cols, branch in ((k2 > 0.0, _above), (k2 <= 0.0, _below)):
+            r[:, cols], u[:, cols] = branch(x[:, cols])
     if near:
         ws = w[series]
         r[series], u[series] = 1 / _poly(_S_COEF, ws), ws * _poly(_T_COEF, ws)

@@ -12,12 +12,16 @@ strictly decreasing in lambda between consecutive poles, so the number
 n_minus of its negative eigenvalues rises by the multiplicity of each
 root: count bisection isolates the roots of a pole-free cell and Brent's
 method on det K polishes them, even-multiplicity roots, which a bare
-determinant sign scan cannot see, included.  Under a delta coupling on a
-tree the counts are O(V) pivots of the unnormalized K, a weighted
-Laplacian plus a potential eliminated leaf to root; elsewhere a scan
-compiles all of K but its edge term once, and each lambda costs one edge
-response per edge, an O(nnz) scatter-add and one eigensolve, in real
-arithmetic when K is real (delta couplings in both edge models).
+determinant sign scan cannot see, included.  A scan call runs in lockstep
+rounds, each counting the lambda values that all its cells or brackets
+need next in one batch: the cell ends, then one bisection level over all
+cells, then one step of every bracket's polish.  Under a delta coupling
+on a tree the counts are O(V) pivots of the unnormalized K, a weighted
+Laplacian plus a potential eliminated leaf to root, with one array pass
+of edge weights per round; elsewhere a scan compiles all of K but its
+edge term once, and each lambda costs one edge response per edge, an
+O(nnz) scatter-add and one eigensolve, in real arithmetic when K is real
+(delta couplings in both edge models).
 
 Route 2 (oracle): per edge, the raw first-order ODE system is integrated
 by classical RK4 to build transfer matrices; the vertex conditions
@@ -39,8 +43,9 @@ no n x n matrix formed; otherwise, and in every polish round, each block
 of matrices is a copy of the constant part and an O(nnz) scatter of the
 transfer entries, factorized by LAPACK.  Sign changes of the determinant
 are polished by the same Brent zeroin as route 1.  The zeroin is a
-coroutine, so the oracle polishes all its candidates in lockstep rounds,
-with one stacked determinant or singular-value call per round and block.
+coroutine, and the oracle polishes all its candidates in lockstep rounds
+on the scan's driver (``_lockstep``), with one stacked determinant or
+singular-value call per round, kind, mesh and block.
 """
 
 from __future__ import annotations
@@ -211,16 +216,48 @@ def _brent_steps(a, b, fa, fb, *, atol=0.0):
     return b
 
 
-def _brent_zero(f, a, b, fa, fb):
-    """``_brent_steps`` driven by calls of the scalar function f."""
-    steps = _brent_steps(a, b, fa, fb)
+def _relay(steps, ask, read):
+    """The coroutine ``steps`` with each lambda it yields turned into the
+    request ``ask(lambda)`` and each value sent back into ``read(value)``."""
     value = None
     while True:
         try:
             lam = steps.send(value)
         except StopIteration as stop:
             return stop.value
-        value = f(lam)
+        value = read((yield ask(lam)))
+
+
+def _lockstep(tasks: list, answer) -> list:
+    """Run the coroutines ``tasks`` in lockstep; returns their results.
+
+    Each round sends every running task the value of its last request (None
+    at first) and collects the next requests, which ``answer`` maps, as one
+    list in task order, to the list of their values; a round without
+    requests ends the run.  When tasks raise, the error of the first of
+    them is raised, as a loop over the tasks in order would raise it.
+    """
+    results = [None] * len(tasks)
+    errors = {}
+    answers = dict.fromkeys(range(len(tasks)))
+    while answers:
+        asked, requests = [], []
+        for i, value in answers.items():
+            if errors and i > min(errors):
+                continue  # a task before it has already failed
+            try:
+                request = tasks[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:
+                errors[i] = exc
+            else:
+                asked.append(i)
+                requests.append(request)
+        answers = dict(zip(asked, answer(requests))) if requests else {}
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPairing):
@@ -231,7 +268,12 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
     leaf-to-root elimination gives d_v = b_parent + s_v, with s_v = c_v +
     sum over children of b s / (b + s) (Grassmann-Taksar-Heyman 1985): O(V),
     without K's cancellation of entries of order 1/l_min.  An exact 0 pivot
-    becomes tiny max(1, |b|)^2, so a root at lambda counts as lying above it."""
+    becomes tiny max(1, |b|)^2, so a root at lambda counts as lying above it.
+
+    The pivots are a function from a list of m lambda values to an (m, V)
+    array: one ``_delta_weights`` call and one ``bincount`` per edge end
+    for all of them (each vertex's sum in edge order, as for one lambda),
+    then the elimination, in Python floats, one lambda at a time."""
     if coupling.flavor != "delta":
         return None
     index = g._index  # vertex positions: those of the delta basis
@@ -240,21 +282,38 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
         return None
     src, dst, n = index.source, index.target, len(index.vertices)
     lengths = index.lengths
-    half = np.bincount(index.half, minlength=n)
-    alpha = compiled.p0[compiled.rows == compiled.cols].real  # P's vertex term
+    half = np.bincount(index.half, minlength=n)[:, None]
+    alpha = compiled.p0[compiled.rows == compiled.cols].real[:, None]  # P's vertex term
+    if not index.half.size:
+        alpha = alpha + 0.0  # the half-line term, 0 * sqrt(max(0, -lambda)), added
 
-    def pivots(lam: float) -> np.ndarray:
-        b, t = em._delta_weights(g.model, lengths, lam)
-        c = alpha + half * math.sqrt(max(0.0, -lam))
-        c -= np.bincount(src, t, n) + np.bincount(dst, t, n)
-        weight, s, out = b.tolist() + [0.0], c.tolist() + [0.0], []
-        for v, p, k in steps:
-            bv = weight[k]
-            d = bv + s[v]
-            if d == 0.0:
-                d = _TINY * max(1.0, float(np.max(np.abs(b), initial=0.0))) ** 2
-            out.append(d)
-            s[p] += bv * s[v] / d
+    @functools.lru_cache(maxsize=None)
+    def flat(m):  # the (vertex, lambda) positions of each edge end's (edge, lambda)
+        return tuple((ends[:, None] * m + np.arange(m)).ravel() for ends in (src, dst))
+
+    def pivots(lams: list) -> np.ndarray:
+        m = len(lams)
+        b, t = em._delta_weights(g.model, lengths, np.array(lams, dtype=float))
+        c = alpha
+        if index.half.size:
+            c = c + half * np.array([math.sqrt(max(0.0, -lam)) for lam in lams])
+        at_src, at_dst = flat(m)
+        t = t.ravel()
+        c = c - (np.bincount(at_src, t, n * m) + np.bincount(at_dst, t, n * m)).reshape(n, m)
+        out = []
+        for weight, s in zip(b.T.tolist(), c.T.tolist()):
+            weight.append(0.0)
+            s.append(0.0)
+            row = []
+            append = row.append
+            for v, p, k in steps:
+                bv, sv = weight[k], s[v]
+                d = bv + sv
+                if d == 0.0:
+                    d = _TINY * max(1.0, max(map(abs, weight))) ** 2
+                append(d)
+                s[p] += bv * sv / d
+            out.append(row)
         return np.array(out)
     return pivots
 
@@ -263,8 +322,10 @@ class _Inertia:
     """(n_minus, sign det, log |det|) of K at real lambda: from ``_tree_pivots``
     if any, else from K's eigenvalues, an exact 0 counting as positive.  K
     decreases between poles: n_minus(hi) - n_minus(lo) roots lie in [lo, hi).
+    ``many`` counts a list of lambda values together, and a call counts one.
     ``eigenvalues`` at a root give its residual: those at hand on the dense
-    path (``seen``, kept per bracket), one ``krein_matrix`` on the tree path."""
+    path (``seen``, kept for the object's life: one scan call), one
+    ``krein_matrix`` on the tree path."""
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPairing):
         self.problem = g, coupling, compiled
@@ -277,42 +338,60 @@ class _Inertia:
         g, coupling, compiled = self.problem
         return _eigvalsh(krein_matrix(g, coupling, lam, _pairing=compiled))
 
-    def __call__(self, lam: float) -> tuple:
+    def many(self, lams: list) -> list:
         if self.tree is None:
-            mu = self.seen[lam] = self.eigenvalues(lam)
+            for lam in lams:
+                self.seen[lam] = self.eigenvalues(lam)
+            mu = np.array([self.seen[lam] for lam in lams])
             pivots = np.where(mu == 0.0, _TINY, mu)
         else:
-            pivots = self.tree(lam)
-        neg = int(np.count_nonzero(pivots < 0))
-        return neg, -1.0 if neg % 2 else 1.0, float(np.log(np.abs(pivots)).sum())
+            pivots = self.tree(lams)
+        negs = np.add.reduce(pivots < 0.0, 1, np.intp).tolist()
+        logs = np.add.reduce(np.log(np.abs(pivots)), axis=1).tolist()
+        return [(neg, -1.0 if neg % 2 else 1.0, log) for neg, log in zip(negs, logs)]
+
+    def __call__(self, lam: float) -> tuple:
+        return self.many([lam])[0]
 
 
-def _brackets(inertia, lo, hi, flo, fhi, tol):
-    """(lo, hi, inertia at lo, at hi) of the root brackets in [lo, hi): count
-    bisection splits one with more than one root down to the merge radius,
-    a count off the monotone order clamped between its neighbours'."""
-    if fhi[0] - flo[0] == 1 or (fhi[0] > flo[0] and
-                                hi - lo <= max(100 * tol, 1e-9 * max(1.0, abs(hi)))):
-        yield lo, hi, flo, fhi
-    elif fhi[0] > flo[0]:
-        mid = 0.5 * (lo + hi)
-        fmid = inertia(mid)
-        fmid = (min(max(fmid[0], flo[0]), fhi[0]),) + fmid[1:]
-        yield from _brackets(inertia, lo, mid, flo, fmid, tol)
-        yield from _brackets(inertia, mid, hi, fmid, fhi, tol)
+def _isolated(inertia, cells, tol) -> list:
+    """(lo, hi, inertia at lo, at hi) of the root brackets in the cells
+    [lo, hi), sorted by lo: count bisection, breadth first over all cells
+    with one ``inertia.many`` per level, splits a bracket with more than
+    one root down to the merge radius, a count off the monotone order
+    clamped between its neighbours'."""
+    ends = iter(inertia.many([x for cell in cells for x in cell]))
+    pending = [(lo, hi, next(ends), next(ends)) for lo, hi in cells]
+    brackets = []
+    while pending:
+        split = []
+        for lo, hi, flo, fhi in pending:
+            if fhi[0] - flo[0] == 1 or (fhi[0] > flo[0] and
+                                        hi - lo <= max(100 * tol, 1e-9 * max(1.0, abs(hi)))):
+                brackets.append((lo, hi, flo, fhi))
+            elif fhi[0] > flo[0]:
+                split.append((lo, hi, flo, fhi))
+        mids = [0.5 * (lo + hi) for lo, hi, _, _ in split]
+        pending = []
+        for (lo, hi, flo, fhi), mid, fmid in zip(split, mids, inertia.many(mids) if mids else []):
+            fmid = (min(max(fmid[0], flo[0]), fhi[0]),) + fmid[1:]
+            pending += [(lo, mid, flo, fmid), (mid, hi, fmid, fhi)]
+    return sorted(brackets, key=lambda bracket: bracket[0])
 
 
-def _polish(inertia, lo, hi, flo, fhi) -> float:
-    """The root of one bracket: Brent on det / |det(lo)| (its log clamped to
-    +-700) if the count jumps by an odd number, else, det keeping its sign,
-    count bisection to Brent's width or until the roots part."""
+def _bracket_root(lo, hi, flo, fhi):
+    """Coroutine: the root of one bracket, yielding each lambda where it needs
+    the inertia.  Brent on det / |det(lo)| (its log clamped to +-700) if the
+    count jumps by an odd number, else, det keeping its sign, count
+    bisection to Brent's width or until the roots part."""
     if (fhi[0] - flo[0]) % 2:
         def scaled(f):
             return f[1] * math.exp(max(-700.0, min(700.0, f[2] - flo[2])))
-        return _brent_zero(lambda lam: scaled(inertia(lam)), lo, hi, flo[1], scaled(fhi))
+        steps = _brent_steps(lo, hi, flo[1], scaled(fhi))
+        return (yield from _relay(steps, lambda lam: lam, scaled))
     while hi - lo > 4e-16 * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        n = inertia(mid)[0]
+        n = (yield mid)[0]
         if flo[0] < n < fhi[0]:
             break
         lo, hi = (mid, hi) if n <= flo[0] else (lo, mid)
@@ -337,11 +416,15 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     number by count bisection, both to about two ulps; the jump, the
     number of kernel dimensions of K there, is the multiplicity.
 
-    K is compiled once per call.  On a delta coupling whose finite edges
-    form a tree the counts are O(V) pivots, and each root costs one
+    K is compiled once per call.  The brackets of all cells are isolated
+    and polished together, in lockstep rounds that count every lambda the
+    round needs in one ``_Inertia.many`` call; each bracket takes the steps
+    it would take alone.  On a delta coupling whose finite edges form a
+    tree the counts are O(V) pivots, and each root costs one
     ``krein_matrix`` and eigensolve for its residual |det K| = |prod mu|;
     elsewhere every count is an eigensolve of K, in real arithmetic when K
-    is real, and the residual is read off the eigenvalues at hand.
+    is real, and the residual is read off the eigenvalues at hand, kept
+    for the call.
 
     Raises ValueError unless the window bounds are finite with a < b and
     ``tol`` is finite and positive, and EdgeModelError, before any
@@ -358,21 +441,17 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     poles = near[(a <= near) & (near <= b)]
     cuts = [a] + [p for p in poles.tolist() if a < p < b] + [b]
     pads = [pad(x) if near.size and np.min(np.abs(near - x)) <= pad(x) else 0.0 for x in cuts]
+    cells = [(left + left_pad, right - right_pad)
+             for left, right, left_pad, right_pad in zip(cuts, cuts[1:], pads, pads[1:])]
+    cells = [(lo, hi) for lo, hi in cells if lo < hi]
     inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
-    roots, usable_cells = [], 0
-    for left, right, left_pad, right_pad in zip(cuts, cuts[1:], pads, pads[1:]):
-        lo, hi = left + left_pad, right - right_pad
-        if hi <= lo:
-            continue
-        usable_cells += 1
-        for bracket in list(_brackets(inertia, lo, hi, inertia(lo), inertia(hi), tol)):
-            inertia.seen.clear()
-            r = _polish(inertia, *bracket)
-            mult = bracket[3][0] - bracket[2][0]
-            roots.append(Root(r, float(np.prod(np.abs(inertia.eigenvalues(r)))), mult, "krein"))
-    if usable_cells == 0:
+    if not cells:
         raise ValueError("window consists of pole neighborhoods only")
-    return SpectrumResult(tuple(roots), tuple(poles.tolist()), "krein", (a, b))
+    brackets = _isolated(inertia, cells, tol)
+    found = _lockstep([_bracket_root(*bracket) for bracket in brackets], inertia.many)
+    roots = tuple(Root(r, float(np.prod(np.abs(inertia.eigenvalues(r)))), fhi[0] - flo[0], "krein")
+                  for r, (_, _, flo, fhi) in zip(found, brackets))
+    return SpectrumResult(roots, tuple(poles.tolist()), "krein", (a, b))
 
 
 # ----------------------------------------------------------------- oracle
@@ -492,30 +571,37 @@ class _CompiledOracle:
         base = np.zeros((n, ne, 2), dtype=complex)
         u = np.zeros((n, ne), dtype=complex)
         v = np.zeros((n, ne), dtype=complex)
-        row = 0
-        for block in blocks:
-            basis = _delta_phases([t for _, t in block.coords], g.model).conj()[:, None] * block.basis
+        first_row = np.cumsum([0] + [len(block.coords) for block in blocks])
+        shapes = {}
+        for p, block in enumerate(blocks):
+            shapes.setdefault(block.basis.shape, []).append(p)
+        for (deg, dim), same in shapes.items():  # one stacked pass per basis shape
+            ends = np.array([[t for _, t in blocks[p].coords] for p in same])
+            cols = np.array([[column[eid] for eid, _ in blocks[p].coords] for p in same])
+            basis = (_delta_phases(ends, g.model).conj()[:, :, None]
+                     * np.array([blocks[p].basis for p in same]))
             # Rotate out each column's leading phase, the matrix to match (the
             # operator stays): a coupling real up to column phases gives a real A.
-            phase = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
+            phase = np.take_along_axis(basis, np.argmax(basis != 0, axis=1)[:, None], 1)
             phase = phase / np.abs(phase)
-            basis, matrix = basis * phase.conj(), phase[:, None] * block.matrix * phase.conj()
-            unit = basis / np.linalg.norm(basis, axis=0)
-            comp = np.linalg.svd(basis, full_matrices=True)[0][:, basis.shape[1]:]
+            matrix = np.array([blocks[p].matrix for p in same])
+            basis, matrix = basis * phase.conj(), phase.transpose(0, 2, 1) * matrix * phase.conj()
+            unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+            unit_h = unit.conj().transpose(0, 2, 1)
+            comp = np.linalg.svd(basis, full_matrices=True)[0][:, :, dim:]
             # Coefficients of each incidence's Gamma0 and Gamma1 in the vertex rows.
-            gamma0 = np.vstack([comp.conj().T, -matrix @ unit.conj().T])
-            gamma1 = np.vstack([np.zeros((comp.shape[1], len(block.coords))), unit.conj().T])
-            rows = slice(row, row + len(block.coords))
-            for i, (eid, t) in enumerate(block.coords):
-                k = column[eid]
-                s = g.model._flux * (1 - 2 * t)  # sign +1 at t = 0, -1 at t = 1
-                if t == 0:
-                    base[rows, k, 0] += gamma0[:, i]
-                    base[rows, k, 1] += s * gamma1[:, i]
-                else:
-                    u[rows, k] = gamma0[:, i]
-                    v[rows, k] = s * gamma1[:, i]
-            row += len(block.coords)
+            gamma0 = np.concatenate([comp.conj().transpose(0, 2, 1), -matrix @ unit_h], axis=1)
+            gamma1 = np.concatenate([np.zeros((len(same), deg - dim, deg)), unit_h], axis=1)
+            rows = first_row[same][:, None] + np.arange(deg)
+            flux = g.model._flux * (1 - 2 * ends)  # sign +1 at t = 0, -1 at t = 1
+            q, i = np.nonzero(ends == 0)
+            r, k = rows[q], cols[q, i][:, None]
+            base[r, k, 0] += gamma0[q, :, i]
+            base[r, k, 1] += flux[q, i][:, None] * gamma1[q, :, i]
+            q, i = np.nonzero(ends == 1)
+            r, k = rows[q], cols[q, i][:, None]
+            u[r, k] = gamma0[q, :, i]
+            v[r, k] = flux[q, i][:, None] * gamma1[q, :, i]
         # Real couplings give a real A(lambda) at real lambda: factorize it in
         # real arithmetic, with twice the matrices per block.
         self.real = not any(x.imag.any() for x in (base, u, v))
@@ -673,38 +759,24 @@ class _CompiledOracle:
         return values
 
     def drive(self, tasks: list) -> list:
-        """Run the coroutines ``tasks`` in lockstep; returns their results.
+        """Run the coroutines ``tasks`` in lockstep (``_lockstep``); returns
+        their results.
 
         A task yields requests ``(kind, lambda, mesh)`` and is sent the
         ``evaluate`` value of that kind at lambda; only sign brackets, which
         exist when A is real, ask for "det".  Each round answers all pending
-        requests with one ``evaluate`` call per kind and mesh.  When tasks
-        raise OracleConvergenceError, the error of the first of them is
-        raised, as a loop over the tasks in order would raise it.
+        requests with one ``evaluate`` call per kind and mesh.
         """
-        results = [None] * len(tasks)
-        errors = {}
-        answers = {i: None for i in range(len(tasks))}
-        while answers:
+        def answer(requests):
             groups = {}
-            for i, answer in answers.items():
-                if errors and i > min(errors):
-                    continue  # a task before it has already failed
-                try:
-                    kind, lam, mesh = tasks[i].send(answer)
-                except StopIteration as stop:
-                    results[i] = stop.value
-                except OracleConvergenceError as exc:
-                    errors[i] = exc
-                else:
-                    groups.setdefault((kind, mesh), []).append((i, lam))
-            answers = {}
-            for (kind, mesh), requests in groups.items():
-                values = self.evaluate(kind, [lam for _, lam in requests], mesh)
-                answers.update((i, v) for (i, _), v in zip(requests, values))
-        if errors:
-            raise errors[min(errors)]
-        return results
+            for j, (kind, lam, mesh) in enumerate(requests):
+                groups.setdefault((kind, mesh), []).append((j, lam))
+            values = [None] * len(requests)
+            for (kind, mesh), group in groups.items():
+                for (j, _), v in zip(group, self.evaluate(kind, [lam for _, lam in group], mesh)):
+                    values[j] = v
+            return values
+        return _lockstep(tasks, answer)
 
 
 def _grid_candidates(grid: np.ndarray, dets: np.ndarray, real: bool) -> list:
@@ -732,18 +804,6 @@ def _grid_candidates(grid: np.ndarray, dets: np.ndarray, real: bool) -> list:
             + [(grid[i - 1], grid[i + 1], "min") for i in minima[~covered]])
 
 
-def _as_requests(steps, kind: str, mesh: int):
-    """The coroutine ``steps``, which yields bare lambdas, with each of them
-    turned into the request (kind, lambda, mesh)."""
-    value = None
-    while True:
-        try:
-            lam = steps.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = yield kind, lam, mesh
-
-
 def _oracle_refine(lo, hi, kind, window, mesh, tol):
     """Coroutine: one polish of the candidate bracket [lo, hi] at ``mesh``.
 
@@ -766,7 +826,7 @@ def _oracle_refine(lo, hi, kind, window, mesh, tol):
             attempts += 1
         if np.sign(fa) != np.sign(fb):
             steps = _brent_steps(lo, hi, fa, fb, atol=0.5e-3 * tol)
-            return (yield from _as_requests(steps, "det", mesh))
+            return (yield from _relay(steps, lambda lam: ("det", lam, mesh), lambda v: v))
         # degenerate bracket: fall through to minimization
     # golden-section minimization of the smallest singular-value ratio
     phi = (math.sqrt(5) - 1) / 2

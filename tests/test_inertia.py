@@ -14,6 +14,7 @@ from graphspectra import edges as em
 from graphspectra import graphs as gr
 from graphspectra import spectra as sp
 from graphspectra.graphs import Edge, MetricGraph
+from test_oracle import brent_zero
 from test_pairing import loop_and_double_edge
 
 
@@ -84,6 +85,32 @@ def test_tree_counts_equal_dense_counts(build, grid):
         assert (neg, sign) == (want, (-1.0) ** want), lam
         checked += 1
     assert checked > 0.9 * len(grid)
+
+
+@pytest.mark.parametrize("build, grid", [case[1:] for case in CASES], ids=[c[0] for c in CASES])
+def test_batched_counts_are_the_one_lambda_counts(build, grid):
+    # One batch mixes k^2 < 0, k^2 > 0 and the series (lambda = 0 and, on
+    # Dirac, +-c^2/2) as the scan's rounds do; each lambda keeps its bytes.
+    g, coupling = build()
+    compiled = cp._CompiledPairing(g, coupling)
+    inertia = sp._Inertia(g, coupling, compiled)
+    lams = [lam for lam in np.r_[grid, 0.0].tolist()  # off the poles, as the scan's
+            if dense_count(g, coupling, compiled, lam) is not None]
+    assert inertia.many(lams) == [inertia(lam) for lam in lams]
+    alone = np.array([inertia.tree([lam])[0] for lam in lams])
+    assert inertia.tree(lams).tobytes() == alone.tobytes()
+    assert inertia.tree(lams[::-1]).tobytes() == alone[::-1].tobytes()
+
+
+def test_a_batch_names_its_first_overflowing_lambda():
+    g, coupling = CASES[-1][1]()
+    inertia = sp._Inertia(g, coupling, cp._CompiledPairing(g, coupling))
+    with np.errstate(over="ignore"):  # l^2 lambda overflows to inf
+        with pytest.raises(em.EdgeModelError) as alone:
+            inertia(-1e306)
+        with pytest.raises(em.EdgeModelError) as batch:
+            inertia.many([-1.0, -1e306, 1e307, 2.0])
+    assert str(batch.value) == str(alone.value) == "lambda=-1e+306 overflows the edge evaluation"
 
 
 def test_tree_log_det_is_the_dense_one_rescaled():
@@ -250,3 +277,74 @@ def test_a_window_end_next_to_a_pole_keeps_its_pad():
         assert sp.scan_spectrum(g, coupling, window).excluded == ()
     with pytest.raises(ValueError, match="pole neighborhoods only"):
         sp.scan_spectrum(g, coupling, (p + 1e-9, p + 2e-9))
+
+
+def sequential_scan(g, coupling, window, tol=1e-8):
+    """The scan one lambda at a time: per cell, recursive count bisection,
+    then per bracket Brent (odd count jumps) or count bisection (even ones),
+    the dense path's eigenvalues kept per bracket."""
+    a, b = window
+    inertia = sp._Inertia(g, coupling, cp._CompiledPairing(g, coupling))
+
+    def pad(x):
+        return 10 * sp._POLE_GUARD * max(1.0, abs(x))
+
+    near = sp._decoupled_in_window(g, (a - pad(a), b + pad(b)))
+    cuts = [a] + [p for p in near.tolist() if a < p < b] + [b]
+    pads = [pad(x) if near.size and np.min(np.abs(near - x)) <= pad(x) else 0.0 for x in cuts]
+
+    def brackets(lo, hi, flo, fhi):
+        if fhi[0] - flo[0] == 1 or (fhi[0] > flo[0] and
+                                    hi - lo <= max(100 * tol, 1e-9 * max(1.0, abs(hi)))):
+            yield lo, hi, flo, fhi
+        elif fhi[0] > flo[0]:
+            mid = 0.5 * (lo + hi)
+            fmid = inertia(mid)
+            fmid = (min(max(fmid[0], flo[0]), fhi[0]),) + fmid[1:]
+            yield from brackets(lo, mid, flo, fmid)
+            yield from brackets(mid, hi, fmid, fhi)
+
+    def polish(lo, hi, flo, fhi):
+        if (fhi[0] - flo[0]) % 2:
+            def scaled(f):
+                return f[1] * math.exp(max(-700.0, min(700.0, f[2] - flo[2])))
+            return brent_zero(lambda lam: scaled(inertia(lam)), lo, hi, flo[1], scaled(fhi))
+        while hi - lo > 4e-16 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            n = inertia(mid)[0]
+            if flo[0] < n < fhi[0]:
+                break
+            lo, hi = (mid, hi) if n <= flo[0] else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    roots = []
+    for left, right, left_pad, right_pad in zip(cuts, cuts[1:], pads, pads[1:]):
+        lo, hi = left + left_pad, right - right_pad
+        if hi <= lo:
+            continue
+        for bracket in list(brackets(lo, hi, inertia(lo), inertia(hi))):
+            inertia.seen.clear()
+            r = polish(*bracket)
+            residual = float(np.prod(np.abs(inertia.eigenvalues(r))))
+            roots.append(sp.Root(r, residual, bracket[3][0] - bracket[2][0], "krein"))
+    return tuple(roots)
+
+
+def lockstep_cases():
+    equal = gr.star(3, lengths=1.0)
+    dstar = gr.star(3, lengths=[1.0, 0.7, 1.3], model=em.Dirac(1.0))
+    chain = gr.geometric_chain(0.5, 0.5, 40)
+    g, custom, _ = loop_and_double_edge()
+    return [
+        pytest.param(equal, delta_problem(equal, 0.0), (-5.0, 60.0), id="star-doubles"),
+        pytest.param(dstar, delta_problem(dstar, 0.5), (-15.0, 15.0), id="dirac-star"),
+        pytest.param(chain, delta_problem(chain, 0.3), (-1.0, 60.0), id="chain-40"),
+        pytest.param(*dirac_tree(1.0, 3), (-15.0, 15.0), id="dirac-random-3-8"),
+        pytest.param(g, custom, (-2.0, 8.0), id="loop-and-double-edge"),
+    ]
+
+
+@pytest.mark.parametrize("g, coupling, window", lockstep_cases())
+def test_lockstep_scan_is_the_sequential_scan(g, coupling, window):
+    roots = sp.scan_spectrum(g, coupling, window).roots
+    assert len(roots) > 2 and roots == sequential_scan(g, coupling, window)

@@ -547,6 +547,17 @@ def test_oracle_roots_do_not_depend_on_ids(make):
         assert abs(x.lam - y.lam) <= 1e-12 * max(1.0, abs(y.lam))
 
 
+def brent_zero(f, a, b, fa, fb):
+    """``_brent_steps`` driven by calls of the scalar function f."""
+    steps, value = sp._brent_steps(a, b, fa, fb), None
+    while True:
+        try:
+            x = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = f(x)
+
+
 @pytest.mark.parametrize("f, a, b", [
     (lambda x: math.cos(x) - x, 0.0, 1.0),
     (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
@@ -564,6 +575,6 @@ def test_brent_takes_the_same_steps_on_f_and_minus_f(f, a, b):
             return sign * f(x)
         return h
 
-    roots = [sp._brent_zero(traced(s), a, b, s * f(a), s * f(b)) for s in (1.0, -1.0)]
+    roots = [brent_zero(traced(s), a, b, s * f(a), s * f(b)) for s in (1.0, -1.0)]
     assert roots[0] == roots[1] and steps[1.0] == steps[-1.0]
     assert len(steps[1.0]) > 3
