@@ -340,9 +340,8 @@ class _Inertia:
 
     def many(self, lams: list) -> list:
         if self.tree is None:
-            for lam in lams:
-                self.seen[lam] = self.eigenvalues(lam)
-            mu = np.array([self.seen[lam] for lam in lams])
+            mu = np.array([self.eigenvalues(lam) for lam in lams])
+            self.seen.update(zip(lams, mu))
             pivots = np.where(mu == 0.0, _TINY, mu)
         else:
             pivots = self.tree(lams)
