@@ -27,7 +27,7 @@ from . import edges as em
 from .discrete import DiscreteLaplacian, _weights, weighted_degree
 from .graphs import MetricGraph
 from .regularize import Regularization, _by_model
-from .spectra import _eigvalsh, _psd, decoupled_ground_state, krein_matrix
+from .spectra import _eigvalsh, decoupled_ground_state, krein_matrix
 
 __all__ = [
     "CriterionResult",
@@ -280,7 +280,8 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
                       lam0_cert: float) -> CriterionResult:
     """Lower bound lam0_cert for the coupled operator: positive
     semi-definiteness of L - P M(lam0_cert) P below the decoupled ground state,
-    by an eigensolve and the threshold of ``spectra._psd``.
+    by an eigensolve: HOLDS when the least eigenvalue exceeds the rounding
+    bound len(evs) eps max |evs| (~ 1 / l_min), FAILS below minus it, else INCONCLUSIVE.
 
     Only meaningful when the decoupled edge operators form the semi-bounded
     soft-minimum extension, which holds for the Laplacian with its
@@ -298,9 +299,11 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
             f"lam0_cert={lam0_cert} is not below the decoupled ground state {ground}"
         )
     evs = _eigvalsh(krein_matrix(g, coupling, lam0_cert))
+    bound = len(evs) * np.finfo(float).eps * float(np.max(np.abs(evs)))
+    verdict = HOLDS if evs[0] > bound else FAILS if evs[0] < -bound else INCONCLUSIVE
     witness = {"lambda0_cert": lam0_cert, "min_eigenvalue": float(evs[0]),
-               "decoupled_ground_state": ground}
-    return CriterionResult(crit, HOLDS if _psd(evs) else FAILS, "sb.shift-psd", witness)
+               "rounding_bound": bound, "decoupled_ground_state": ground}
+    return CriterionResult(crit, verdict, "sb.shift-psd", witness)
 
 
 def check_bounded_triplet_case(g: MetricGraph) -> CriterionResult:

@@ -33,12 +33,12 @@ points embedded in the decoupled spectra, where the matching criterion
 is silent.  The vertex conditions are compiled once per call into a fixed
 linear map from the transfer matrices to the global matrix (real when the
 coupling data are real, so that LU runs in real arithmetic), its rows and
-columns in one order, breadth-first along the graph, which makes the
-matrix of a path banded.  Both edge systems have zero diagonal, so
-each RK4 transfer matrix is a pair (x, y) of x I + y A, powered
-elementwise over all edges and one chunk of lambda values at a time.  On
-the sample grid, a narrow band is eliminated by banded Gaussian
-elimination vectorized over the chunk, O(n kl (kl + ku)) per lambda with
+columns in one order, breadth-first along the graph.  Both edge systems
+have zero diagonal, so each RK4 transfer matrix is a pair (x, y) of
+x I + y A, powered elementwise over all edges and one chunk of lambda
+values at a time.  On a forest the sample grid's determinants come from
+one leaf-to-root elimination, vectorized over the chunk and over the
+vertices of one height and front shape, O(sum of deg^3) per lambda with
 no n x n matrix formed; otherwise, and in every polish round, each block
 of matrices is a copy of the constant part and an O(nnz) scatter of the
 transfer entries, factorized by LAPACK.  Sign changes of the determinant
@@ -51,6 +51,7 @@ singular-value call per round, kind, mesh and block.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -483,7 +484,7 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     y = h * (1 + hw / 6)
     for _ in range(doublings):
         x, y = x * x + w * y * y, 2 * x * y
-    t = np.empty(x.shape + (2, 2))
+    t = np.empty((2, len(x), 2, x.shape[1])).transpose(1, 3, 0, 2)  # rows (a, e, j) in memory
     t[..., 0, 0] = t[..., 1, 1] = x
     t[..., 0, 1] = y * a01
     t[..., 1, 0] = y * a10
@@ -494,9 +495,7 @@ def _band_order(blocks) -> tuple:
     """The vertex blocks in breadth-first order along the graph, and each
     edge id's position in the order in which those blocks first reach the
     edges.  Each component starts at its vertex of least degree (the first
-    in sorted order on a tie).  With a vertex's rows together and an edge's
-    two columns at its position, a path is banded whatever its ids: lower
-    bandwidth 2 and upper 1 under a delta coupling."""
+    in sorted order on a tie)."""
     ends = {}
     for p, block in enumerate(blocks):
         for eid, _ in block.coords:
@@ -518,17 +517,31 @@ def _band_order(blocks) -> tuple:
     return [blocks[p] for p in order], position
 
 
-def _normalized(mant: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """``mant`` divided by the power of two 2**e that brings its largest part
-    into [0.5, 1), with e added to ``expo``: an exact scaling, so a running
-    product keeps its rounding but neither overflows nor underflows."""
-    if np.iscomplexobj(mant):
-        e = np.frexp(np.maximum(np.abs(mant.real), np.abs(mant.imag)))[1]
-        mant = mant * np.ldexp(1.0, -e)
-    else:
-        mant, e = np.frexp(mant)
-    expo += e
-    return mant
+def _product(x: np.ndarray) -> tuple:
+    """The product over the first axis of ``x`` as (mantissa, exponent):
+    neighbouring rows multiply in pairs (an odd last row joins the last
+    pair), and the pairs again.  Every eighth round each entry is scaled
+    by the power of two 2**e that brings its larger part into [0.5, 1), e
+    going to the exponent (exact)."""
+    expo = np.zeros(x.shape[1:], dtype=np.intc)  # as np.frexp gives them
+    for rounds in itertools.count():
+        if rounds % 8 == 0 or len(x) == 1:
+            if np.iscomplexobj(x):
+                e = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)))[1]
+                x = x * np.ldexp(1.0, -e)
+            else:
+                e = np.frexp(x, out=(x, np.empty(x.shape, dtype=np.intc)))[1]
+            expo += e.sum(axis=0, dtype=np.intc)
+        if len(x) == 1:
+            return x[0], expo
+        pairs = x[0:len(x) - 1:2] * x[1::2]
+        if len(x) % 2:
+            pairs[-1] = pairs[-1] * x[-1]  # out of place, as in _tree_dets
+        x = pairs
+
+
+# Bytes of fronts, transfers, fold weights and pivots per chunk of the tree pass.
+_GRID_BYTES = 1 << 20
 
 
 class _CompiledOracle:
@@ -538,16 +551,13 @@ class _CompiledOracle:
     Rows and columns are in breadth-first order along the graph
     (``_band_order``): the vertices' rows in that order, and the unknowns,
     the states u_e(0) at the edge sources, in columns 2e, 2e+1 for the
-    edge at position e (``lengths`` follows it).  A path's A is then
-    banded, and ``band`` holds its lower and upper bandwidths (kl, ku),
-    with which ``grid`` can eliminate a narrow band without forming A
-    (``_band_dets``).  Each incidence coordinate is rotated by
-    conj(phase), with the model's trace phases ``_phases`` (the delta
-    couplings), which makes the delta-type conditions real: traces become
-    psi1 values and fluxes _flux * sign * u_2 values.  Per vertex,
-    the rows say that Gamma0 lies in the rotated coupling subspace
-    (comp^H Gamma0 = 0) and that the block condition holds
-    (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint has the
+    edge at position e (``lengths`` follows it).  Each incidence
+    coordinate is rotated by conj(phase), with the model's trace phases
+    ``_phases`` (the delta couplings), which makes the delta-type
+    conditions real: traces become psi1 values and fluxes _flux * sign *
+    u_2 values.  Per vertex, the rows say that Gamma0 lies in the rotated
+    coupling subspace (comp^H Gamma0 = 0) and that the block condition
+    holds (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint has the
     constant traces (u_1, s u_2), a target endpoint (T[0] u, s T[1] u),
     with s = sign times ``_flux``, so
 
@@ -557,6 +567,9 @@ class _CompiledOracle:
     only at their nonzeros (row, e), with the flat positions row n + 2e + j
     of the entries they reach: A(lambda) is a copy of ``base`` and an O(nnz)
     scatter.  Whether A(lambda) is real is decided here, once (``real``).
+    On a forest, a vertex's rows touch only its edges' columns, and A
+    eliminates leaf to root without fill outside these vertex fronts
+    (Parter 1961; Liu 1992), which the compile lays out (``_plan_fronts``).
     """
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
@@ -606,20 +619,60 @@ class _CompiledOracle:
         self.real = not any(x.imag.any() for x in (base, u, v))
         if self.real:
             base, u, v = (x.real.copy() for x in (base, u, v))
+        self._plan = None
+        if g._index.peeling is not None:
+            self._plan_fronts(g, dict(zip((block.vertex for block in blocks), first_row)),
+                              [column[e.id] for e in g.edges], base, u, v)
         self.base = base.reshape(n, n)
         nz_row, self._edge = np.nonzero((u != 0) | (v != 0))
         self._u, self._v = u[nz_row, self._edge], v[nz_row, self._edge]
         self._pos = nz_row * n + 2 * self._edge + np.arange(2)[:, None]
-        # The lower and upper bandwidths (kl, ku) of A, from its pattern.
-        pattern = self.base != 0
-        pattern.reshape(-1)[self._pos] = True
-        r, c = np.nonzero(pattern)
-        self.band = (int((r - c).max(initial=0)), int((c - r).max(initial=0)))
         block_len = max(1, _ORACLE_BLOCK_BYTES // (u.dtype.itemsize * n * n))
         self._out = np.empty((block_len, n, n), dtype=u.dtype)
         # Transfers (32 bytes per edge and lambda) are computed per chunk of
         # whole blocks, within the same budget.
         self._chunk = block_len * max(1, _ORACLE_BLOCK_BYTES // (32 * ne * block_len))
+
+    def _plan_fronts(self, g, first_row: dict, edge: list, base, u, v):
+        """The tree pass's ``_plan``, by the leaf-to-root ``peeling`` (``edge``
+        maps its edges to columns): the groups of vertices of one height (1 +
+        the highest child's), child count c and rootness, lowest first, as
+        (c, root, size, child edges (c, size), parent edges, front).  A front
+        has c + 1 rows (c at a root) on the child edges', then the parent
+        edge's columns: per entry (row, edge, j, vertex) its coefficients of
+        1, T_e[0, j] and T_e[1, j], and per (edge, j, vertex) the row 2e + j
+        of a transfer stack (a, e, j).  ``_sign`` is that of the order without
+        swaps: row k takes child edge k's column 2e + 1, the last row 2e."""
+        index = g._index
+        count = len(index.vertices)
+        children, parent, height = [[] for _ in range(count)], [None] * count, [0] * count
+        for w, p, k in index.peeling:
+            if p < count:
+                children[p].append(edge[k])
+                parent[w] = edge[k]
+                height[p] = max(height[p], height[w] + 1)
+        groups = {}
+        for w in range(count):
+            groups.setdefault((height[w], len(children[w]), parent[w] is None), []).append(w)
+        reference, j = np.empty(len(base), dtype=np.intp), np.arange(2)[:, None]
+        self._plan, entries = [], 0
+        for (_, c, root), same in sorted(groups.items()):
+            rows = np.arange(c + 1 - root)[:, None] + [first_row[index.vertices[w]] for w in same]
+            kids = np.array([children[w] for w in same], dtype=np.intp).reshape(len(same), c).T
+            up = None if root else np.array([parent[w] for w in same])
+            r, e = rows[:, None, None], (kids if root else np.vstack([kids, up]))[:, None]
+            front = (base[r, e, j][..., None], u[r, e][..., None], v[r, e][..., None], 2 * e + j)
+            self._plan.append((c, root, len(same), kids, up, front))
+            entries += front[0].size
+            reference[rows[:c]] = 2 * kids + 1
+            if not root:
+                reference[rows[c]] = 2 * up
+        self._sign, reference = 1.0, reference.tolist()
+        for i in range(len(reference)):  # sort by transpositions
+            while reference[i] != i:
+                k = reference[i]
+                reference[i], reference[k], self._sign = reference[k], k, -self._sign
+        self._grid_chunk = max(1, _GRID_BYTES // (64 * len(edge) + base.itemsize * entries))
 
     def _assemble(self, t: np.ndarray) -> np.ndarray:
         """A(lambda) in the shared buffer, from the transfer stack ``t`` of at
@@ -636,107 +689,58 @@ class _CompiledOracle:
         """A(lambda) for at most one block of lambda values, in the shared buffer."""
         return self._assemble(_transfer_stack(self.model, self.lengths, lams, mesh))
 
-    @functools.cached_property
-    def _band_rows(self) -> tuple:
-        """The rows of A as maps from the flat transfer stack of
-        ``_band_dets``, which holds T_e[a, b] in row 4e + 2a + b and ones
-        in row 4E: entry (i, i - kl + b) of A is the sum over k of
-        ``coef[i, k, b] * flat[sources[i, k, b]]``, its terms k = 0, 1, 2
-        those of ``base``, U and V (a missing term reads the ones with
-        coefficient 0)."""
-        kl, ku = self.band
-        n, ne = len(self.base), len(self.lengths)
-        sources = np.full((n, 3, kl + ku + 1), 4 * ne)
-        coef = np.zeros(sources.shape, dtype=self.base.dtype)
-        r, c = np.nonzero(self.base)
-        coef[r, 0, c - r + kl] = self.base[r, c]
-        r = self._pos[0] // n
-        for j in (0, 1):
-            b = 2 * self._edge + j - r + kl
-            sources[r, 1, b], coef[r, 1, b] = 4 * self._edge + j, self._u
-            sources[r, 2, b], coef[r, 2, b] = 4 * self._edge + 2 + j, self._v
-        return sources, coef
-
-    def _band_dets(self, t: np.ndarray) -> np.ndarray:
-        """det A(lambda) for every lambda of the transfer stack ``t``, by
-        Gaussian elimination with partial pivoting on the band, vectorized
-        over lambda (LAPACK ``gbtrf``; Golub & Van Loan, Matrix
-        Computations, 4.3).
-
-        Step j works on a front of rows j ... j + kl and columns j ...
-        j + kl + ku per lambda: the rows are read in from ``t`` one at a
-        time, and the front holds every nonzero of column j and, under row
-        swaps, of the pivot row, since U keeps upper bandwidth kl + ku.  The
-        pivot is the first largest entry of the column (by |re| + |im| when
-        complex), as in ``getrf``.  det is the running product of the pivots
-        in step order, scaled by powers of two (``_normalized``) and negated
-        per swap, so a lambda's value depends on no other lambda.  A column
-        of zeros gives det 0 and no division."""
-        kl, ku = self.band
-        sources, coef = self._band_rows
-        n, ne, size = len(sources), t.shape[0], t.shape[1]
-        flat = np.empty((4 * ne + 1, size))
-        flat[:-1].reshape(ne, 2, 2, size)[...] = t.transpose(0, 2, 3, 1)
-        flat[-1] = 1.0
-        front = np.zeros((kl + 1, kl + ku + 1, size), dtype=coef.dtype)
-        spare = np.zeros_like(front)
-        mant = np.ones(size, dtype=coef.dtype)
-        expo = np.zeros(size, dtype=np.intc)  # as np.frexp gives them
-        swaps = np.zeros(size, dtype=bool)
-        each = np.arange(size)
-        for i in range(n + kl):
-            # Drop the last pivot row and column, and read row i in.
-            spare[:-1, :-1] = front[1:, 1:]
-            spare[:-1, -1] = 0.0
-            front, spare = spare, front
-            if i < n:  # base + (U T[0] + V T[1]), added as ``_assemble`` adds
-                terms = coef[i][:, :, None] * flat[sources[i]]
-                np.add(terms[1], terms[2], out=front[-1])
-                front[-1] += terms[0]
-            else:
-                front[-1] = 0.0
-            if i < kl:
-                continue
-            col = front[:, 0]
-            p = (np.abs(col) if self.real else np.abs(col.real) + np.abs(col.imag)).argmax(axis=0)
-            top = front[p, :, each]  # the pivot rows; row 0 takes their place
-            front[p, :, each] = front[0].T
-            pivot = top[:, 0]
-            mant = _normalized(mant * pivot, expo)
-            swaps ^= p != 0
-            factor = front[1:, 0] / (pivot + (pivot == 0))
-            front[1:, 1:] -= factor[:, None] * top.T[1:]
-        sign = np.where(swaps, -1.0, 1.0)
-        if self.real:
-            return sign * np.ldexp(mant, expo)
-        return sign * (mant * np.ldexp(1.0, expo))
-
-    def _band_pays(self, samples: int) -> bool:
-        """Whether ``_band_dets`` takes less time than ``evaluate`` for the
-        determinants of ``samples`` lambda values, by a model of each over
-        n, (kl, ku) and ``samples``, its coefficients measured on an Intel
-        Xeon core with one BLAS thread (numpy 2.4, OpenBLAS 0.3): per
-        lambda, ``evaluate`` takes about 0.0085 n^2 + 9e-6 n^3 microseconds
-        for assembly and LU; the banded pass 20 microseconds per
-        elimination step and transfer chunk, plus 0.013 per step, lambda
-        and entry of its front.  On the depth-40 chain (n = 80, band
-        (2, 1)) that is 12 ms against 35 ms for 600 samples, and 1.6 ms
-        against 0.18 ms for the three of a polish round."""
-        kl, ku = self.band
-        n = len(self.base)
-        chunks = -(-samples // self._chunk)
-        banded = n * (20.0 * chunks + 0.013 * samples * (kl + 1) * (kl + ku + 1))
-        return banded < samples * (0.0085 * n * n + 9e-6 * n ** 3)
+    def _tree_dets(self, t: np.ndarray) -> np.ndarray:
+        """det A(lambda) for every lambda of the transfer stack ``t``, by one
+        leaf-to-root pass over the groups of ``_plan``, vectorized over lambda
+        and a group's vertices.  A vertex eliminates its child edges' folded
+        columns by partial pivoting among its rows (the first largest entry,
+        by |re| + |im| when complex, as in ``getrf``; a swap negates the row
+        that moves down), then its last row (a, b) the larger of its parent
+        edge's columns, the pivot s, folding them into (a col 2 - b col 1) / s:
+        col 2 - (b / a) col 1, or -(col 1 - (a / b) col 2) for the swap.  det
+        is the pivots' product times ``_sign``; a zero pivot divides nothing."""
+        m = t.shape[1]
+        size = np.abs if self.real else (lambda x: np.abs(x.real) + np.abs(x.imag))
+        rows = t.transpose(2, 0, 3, 1).reshape(2, -1, m)  # T_e[a, j] in rows[a, 2e + j]
+        fold = np.empty((2, len(self.lengths), m), dtype=self.base.dtype)
+        pivots, done = np.empty((2 * len(self.lengths), m), dtype=self.base.dtype), 0
+        for c, root, group, kids, up, (coef, cu, cv, at) in self._plan:
+            d = len(coef)
+            front = (coef + (cu * rows[0, at] + cv * rows[1, at])).reshape(d, -1, 2, group * m)
+            out = pivots[done:done + d * group].reshape(d, -1)
+            done += d * group
+            weight = fold[:, kids].reshape(2, c, group * m)
+            # Child k's folded column (out of place: numpy then rounds alike for any m).
+            front[:, :c, 0] = front[:, :c, 0] * weight[0] + front[:, :c, 1] * weight[1]
+            work = front.reshape(d, -1, group * m)
+            for k in range(c):
+                rest = work[k:]
+                largest = size(rest[:, 2 * k])
+                for i in range(1, len(rest)):
+                    swap = largest[i] > largest[0]
+                    np.maximum(largest[0], largest[i], out=largest[0])
+                    moved = -rest[0]
+                    np.copyto(rest[0], rest[i], where=swap)
+                    np.copyto(rest[i], moved, where=swap)
+                pivot = out[k] = rest[0, 2 * k]
+                rest[1:, 2 * k + 1:] -= ((rest[1:, 2 * k] / (pivot + (pivot == 0)))[:, None]
+                                         * rest[0, 2 * k + 1:])
+            if not root:
+                a, b = work[c, 2 * c], work[c, 2 * c + 1]
+                pivot = out[c] = np.where(size(b) > size(a), b, a)
+                pivot = pivot + (pivot == 0)
+                fold[:, up] = np.stack([-b / pivot, a / pivot]).reshape(2, group, m)
+        mant, expo = _product(pivots)
+        return self._sign * (np.ldexp(mant, expo) if self.real else mant * np.ldexp(1.0, expo))
 
     def grid(self, lams, mesh: int) -> np.ndarray:
-        """det A(lambda) for every lambda of a sample grid: by ``_band_dets``,
-        one transfer chunk at a time, where the band makes it cheaper than
-        LAPACK (``_band_pays``), else by ``evaluate``."""
-        if not self._band_pays(len(lams)):
+        """det A(lambda) for every lambda of a sample grid: on a forest by
+        ``_tree_dets`` in chunks of ``_GRID_BYTES``, else by ``evaluate``."""
+        if self._plan is None:
             return np.array(self.evaluate("det", lams, mesh))
-        step = self._chunk
+        step = self._grid_chunk
         return np.concatenate([
-            self._band_dets(_transfer_stack(self.model, self.lengths, lams[first:first + step], mesh))
+            self._tree_dets(_transfer_stack(self.model, self.lengths, lams[first:first + step], mesh))
             for first in range(0, len(lams), step)])
 
     def evaluate(self, kind: str, lams, mesh: int) -> list:
@@ -876,9 +880,8 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     each (lambda, mesh) pair costs one x I + y A powering per edge, an
     O(nnz) scatter onto the constant part of A and one LU; when the
     coupling data are real, A is real and is factorized in real
-    arithmetic.  The grid's determinants come from a banded elimination
-    instead where A's band in breadth-first order makes that cheaper
-    (``_CompiledOracle.grid``: paths, but not stars or bushy trees).
+    arithmetic.  When the edges form a forest, the grid's determinants
+    come from one leaf-to-root elimination instead (``_CompiledOracle.grid``).
     Sign changes of the (real) determinant on the
     ``samples``-point grid, at ``_ORACLE_MESH`` RK4 steps per edge, are
     polished by Brent's method to a bracket width of
@@ -927,12 +930,6 @@ def decoupled_ground_state(g: MetricGraph) -> float:
     over finite edges, capped at 0 when half-lines are present."""
     ground = min([(math.pi / l) ** 2 for l in g.finite_lengths], default=math.inf)
     return min(ground, 0.0) if g.has_half_line else ground
-
-
-def _psd(evs: np.ndarray) -> bool:
-    """Ascending eigenvalues ``evs`` of a positive semi-definite matrix, up
-    to -1e-10 relative to the largest |eigenvalue|."""
-    return bool(evs[0] >= -1e-10 * max(1.0, float(np.max(np.abs(evs)))))
 
 
 def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optional[float]:

@@ -191,6 +191,39 @@ def test_semibounded_fails_above_bottom():
     assert res.verdict == cr.FAILS  # delta well pushes the bottom below -1e-3
 
 
+def test_semibounded_short_edges_do_not_hold():
+    # geometric_chain(0.5, 0.5, d) with alpha = -0.2 has an eigenvalue near
+    # -51.478, so -1 is no lower bound.  max |evs| grows like 1 / l_min,
+    # and with it the eigensolve's rounding: at depth 40 the least
+    # eigenvalue, -0.092, still lies below it, at depth 60 it does not.
+    verdicts = {}
+    for depth in (10, 20, 40, 60):
+        g = gr.geometric_chain(0.5, 0.5, depth)
+        coup, reg, _ = build(g, alpha=-0.2)
+        verdicts[depth] = cr.check_semibounded(g, coup, reg, -1.0)
+    assert [verdicts[d].verdict for d in (10, 20, 40)] == [cr.FAILS] * 3
+    assert verdicts[40].witness["min_eigenvalue"] == pytest.approx(-0.0920, abs=5e-5)
+    assert verdicts[60].verdict != cr.HOLDS
+
+
+def test_criteria_verdicts_on_a_random_binary_tree():
+    # The problem of the criteria benchmark: binary_tree(7), lengths in
+    # [0.1, 2] and alpha in [0, 1].
+    g = gr.binary_tree(7)
+    rng = np.random.default_rng([71, 20180611])
+    lengths = rng.uniform(0.1, 2.0, len(g.edges))
+    g = MetricGraph(g.vertices, tuple(Edge(e.id, e.source, e.target, float(ell))
+                                      for e, ell in zip(g.edges, lengths)))
+    alpha = dict(zip(sorted(g.vertices), rng.uniform(0.0, 1.0, len(g.vertices)).tolist()))
+    coup = cp.delta_coupling(g, alpha)
+    reg = rg.build_regularization(g, 0.0)
+    dl = dc.build_discrete(g, coup, reg)
+    verdicts = [cr.check_self_adjointness(dl).verdict, cr.check_discreteness(dl, g, reg).verdict,
+                cr.check_bounded_triplet_case(g).verdict, cr.check_mtilde_divergence(g, reg).verdict,
+                cr.check_semibounded(g, coup, reg, -1.0).verdict]
+    assert verdicts == [cr.HOLDS, cr.HOLDS, cr.HOLDS, cr.INCONCLUSIVE, cr.HOLDS]
+
+
 def test_semibounded_dirac_inconclusive():
     g = gr.interval(1.0, model=Dirac(1.0))
     coup = cp.delta_coupling(g, gr.alpha_map(g, 0.0))

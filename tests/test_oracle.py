@@ -3,8 +3,8 @@ reference assembly, its realness and its one evaluator, the grid candidate
 scan against a loop over the grid, the lockstep polish against the same
 coroutines driven one at a time, its RK4 transfer matrices against
 sequential stepping, the number of determinant and transfer calls it
-takes, its banded grid pass against LAPACK's determinants, and its roots
-on relabeled graphs, whose breadth-first layout differs, with Brent's steps
+takes, its leaf-to-root grid pass against LAPACK's determinants, and its
+roots on relabeled graphs, whose breadth-first layout differs, with Brent's steps
 on det and -det."""
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from graphspectra import graphs as gr
 from graphspectra import spectra as sp
 from graphspectra.edges import Dirac, Laplacian
 from graphspectra.graphs import Edge, MetricGraph
+from test_pairing import loop_and_double_edge
 
 
 def reference_matrix(g, coupling, transfers, index):
@@ -362,7 +363,7 @@ def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
         sp.oracle_eigenvalues(g, coupling, (-1.0, 1.0))
 
 
-# ------------------------------------------------------------ banded grid
+# ------------------------------------------------------------- tree pass
 
 def depth40_chain():
     g = gr.geometric_chain(0.5, 0.5, 40)
@@ -408,23 +409,47 @@ def dense_dets(oracle, lams, mesh):
                            for k in range(0, len(lams), step)])
 
 
+def custom_star_window():
+    g, coupling, lams = dirac_star_custom_centre()
+    return g, coupling, (min(lams), max(lams))
+
+
+def interval_window():
+    g = gr.interval(1.3)
+    return g, delta(g, 0.3), (-1.0, 60.0)
+
+
+def two_intervals():
+    """A forest: two intervals, one root each."""
+    g = MetricGraph(("a", "b", "c", "d"), (Edge("e1", "a", "b", 1.0), Edge("e2", "d", "c", 0.7)))
+    return g, cp.delta_coupling(g, {"a": 0.3, "b": -0.5, "c": 0.0, "d": 1.2}), (-1.0, 60.0)
+
+
+def random_tree_window():
+    g, coupling, lams = random_tree()
+    return g, coupling, (min(lams), max(lams))
+
+
 @pytest.mark.parametrize("make", [depth40_chain, depth40_dirac_chain, twisted_chain,
-                                  shuffled_chain])
-def test_banded_grid_matches_lapack(make):
+                                  shuffled_chain, custom_star_window, interval_window,
+                                  two_intervals, random_tree_window])
+def test_tree_grid_matches_lapack(make):
     g, coupling, window = make()
     oracle = sp._CompiledOracle(g, coupling)
-    assert oracle.band == (2, 1) and oracle._band_pays(600)
+    assert oracle._plan is not None
     grid = np.linspace(*window, 600)
     got, want = oracle.grid(grid, 2000), dense_dets(oracle, grid, 2000)
     assert np.iscomplexobj(got) == (not oracle.real)
-    # Relative agreement wherever |det| stands above rounding.
+    # Relative agreement, with equal signs, wherever |det| stands above rounding.
     clear = np.abs(want) >= 1e-8 * np.max(np.abs(want))
     assert np.all(np.abs(got - want)[clear] <= 1e-10 * np.abs(want)[clear])
+    if oracle.real:
+        np.testing.assert_array_equal(np.sign(got[clear]), np.sign(want[clear]))
     assert sp._grid_candidates(grid, got, oracle.real) == \
         sp._grid_candidates(grid, want, oracle.real)
     # A lambda's value does not depend on the others in its chunk.
     for i in (0, 311, 599):
-        assert oracle._band_dets(sp._transfer_stack(g.model, oracle.lengths, grid[i:i + 1],
+        assert oracle._tree_dets(sp._transfer_stack(g.model, oracle.lengths, grid[i:i + 1],
                                                     2000))[0] == got[i]
 
 
@@ -437,7 +462,7 @@ def test_band_order_ignores_ids():
                                   np.abs(ordered))
 
 
-def test_band_kernel_zero_column_gives_zero():
+def test_tree_pass_zero_column_gives_zero():
     # With alpha = 0 at its leaf source, column 0 of A is U[:, 0] T_0[0, 0] +
     # V[:, 0] T_0[1, 0]: zero where the crafted stack zeroes T_0[:, 0].
     g = gr.chain([0.5, 0.3, 0.2])
@@ -446,27 +471,31 @@ def test_band_kernel_zero_column_gives_zero():
     t = sp._transfer_stack(g.model, oracle.lengths, lams, 2000)
     t[0, 1:3, :, 0] = 0.0
     assert not np.any(oracle._assemble(t)[1:3, :, 0])
-    got = oracle._band_dets(t)
+    got = oracle._tree_dets(t)
     assert got[1] == 0.0 and got[2] == 0.0
     want = np.linalg.det(oracle._assemble(t)[[0, 3]])
     np.testing.assert_allclose(got[[0, 3]], want, rtol=1e-12, atol=0)
 
 
-def test_band_kernel_scales_its_running_product():
+def test_tree_pass_scales_its_running_product(monkeypatch):
     # Rows scaled by 1e150 at one end of the path and 1e-150 at the other
-    # leave det A as it was, but the running product of the pivots passes
-    # 1e450 on the way.
+    # leave det A as it was, but the product of the pivots passes 1e450 on
+    # the way.  The fronts are compiled from the scaled rows.
     g = gr.chain([0.5, 0.3, 0.2, 0.4, 0.6, 0.1, 0.3, 0.5])
+    scale = np.ones(2 * len(g.edges))
+    scale[:4], scale[-4:] = 1e150, 1e-150
+    plan = sp._CompiledOracle._plan_fronts
+
+    def scaled(self, g, first_row, edge, base, u, v):
+        rows = scale[:, None]
+        return plan(self, g, first_row, edge, base * rows[:, None], u * rows, v * rows)
+
+    monkeypatch.setattr(sp._CompiledOracle, "_plan_fronts", scaled)
     oracle = sp._CompiledOracle(g, delta(g, 0.3))
     lams = np.array([-1.0, 2.0, 9.0, 30.0])
     t = sp._transfer_stack(g.model, oracle.lengths, lams, 2000)
     want = np.linalg.det(oracle._assemble(t))
-    scale = np.ones(len(oracle.base))
-    scale[:4], scale[-4:] = 1e150, 1e-150
-    oracle.base *= scale[:, None]
-    oracle._u *= scale[oracle._pos[0] // len(scale)]
-    oracle._v *= scale[oracle._pos[0] // len(scale)]
-    np.testing.assert_allclose(oracle._band_dets(t), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(oracle._tree_dets(t), want, rtol=1e-12, atol=0)
 
 
 def count_dets(monkeypatch):
@@ -481,7 +510,19 @@ def count_dets(monkeypatch):
     return calls
 
 
-def test_grid_goes_banded_only_where_it_pays(monkeypatch):
+def three_cycle():
+    g = MetricGraph(("a", "b", "c"), (Edge("e1", "a", "b", 1.0), Edge("e2", "b", "c", 0.7),
+                                      Edge("e3", "c", "a", 1.3)))
+    return g, cp.delta_coupling(g, {"a": 0.2, "b": -0.3, "c": 0.5})
+
+
+def forty_edge_ring():
+    g = gr.chain([0.5 + 0.01 * k for k in range(39)])
+    g = MetricGraph(g.vertices, g.edges + (Edge("ring", g.vertices[-1], g.vertices[0], 0.7),))
+    return g, delta(g, 0.3)
+
+
+def test_grid_takes_lapack_only_off_forests(monkeypatch):
     calls = count_dets(monkeypatch)
     g, coupling, window = depth40_chain()
     grid = np.linspace(*window, 600)
@@ -490,23 +531,29 @@ def test_grid_goes_banded_only_where_it_pays(monkeypatch):
     # The polish stays on LAPACK.
     assert len(sp.oracle_eigenvalues(g, coupling, window).roots) > 0
     assert calls != []
+    # Stars and bushy trees take the tree pass too, right to LAPACK's rounding.
     for make in (laplacian_star, random_tree):
         g, coupling, lams = make()
         oracle = sp._CompiledOracle(g, coupling)
-        assert not oracle._band_pays(600)
         del calls[:]
         grid = np.linspace(min(lams), max(lams), 600)
-        want = oracle.grid(grid, 2000)
-        assert sum(shape[0] for shape in calls) == 600
-        # The banded pass is right on a wide band too, only slower.
-        got = oracle._band_dets(sp._transfer_stack(g.model, oracle.lengths, grid, 2000))
+        got = oracle.grid(grid, 2000)
+        assert calls == []
+        want = dense_dets(oracle, grid, 2000)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+    # A graph with a cycle puts every sample through LAPACK.
+    for g, coupling in (three_cycle(), loop_and_double_edge()[:2], forty_edge_ring()):
+        oracle = sp._CompiledOracle(g, coupling)
+        assert oracle._plan is None
+        del calls[:]
+        oracle.grid(np.linspace(-1.0, 20.0, 600), 2000)
+        assert sum(shape[0] for shape in calls) == 600
 
 
 def test_oracle_matches_the_scan_on_a_150_edge_path():
     g = gr.geometric_chain(0.5, 0.97, 150)
     coupling = delta(g, 0.3)
-    assert sp._CompiledOracle(g, coupling).band == (2, 1)
+    assert sp._CompiledOracle(g, coupling)._plan is not None
     scan = sp.scan_spectrum(g, coupling, (-1.0, 20.0))
     oracle = sp.oracle_eigenvalues(g, coupling, (-1.0, 20.0))
     pairs, only_scan, only_oracle = sp.match_spectra(scan.values, oracle.values, scan.excluded)
