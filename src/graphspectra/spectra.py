@@ -36,16 +36,15 @@ coupling data are real, so that LU runs in real arithmetic), its rows and
 columns in one order, breadth-first along the graph.  Both edge systems
 have zero diagonal, so each RK4 transfer matrix is a pair (x, y) of
 x I + y A, powered elementwise over all edges and one chunk of lambda
-values at a time.  On a forest the sample grid's determinants come from
-one leaf-to-root elimination, vectorized over the chunk and over the
-vertices of one height and front shape, O(sum of deg^3) per lambda with
-no n x n matrix formed; otherwise, and in every polish round, each block
-of matrices is a copy of the constant part and an O(nnz) scatter of the
-transfer entries, factorized by LAPACK.  Sign changes of the determinant
-are polished by the same Brent zeroin as route 1.  The zeroin is a
-coroutine, and the oracle polishes all its candidates in lockstep rounds
-on the scan's driver (``_lockstep``), with one stacked determinant or
-singular-value call per round, kind, mesh and block.
+values at a time.  On a forest the grid's determinants come from one
+leaf-to-root elimination, vectorized over the chunk and the vertices of
+one height and front shape, with no n x n matrix; otherwise, and in
+every polish round, each block of matrices is a copy of the constant part
+and an O(nnz) scatter of the transfer entries, factorized by LAPACK.
+Sign changes of the determinant are polished by the same Brent zeroin as
+route 1, a coroutine: the oracle polishes all its candidates in lockstep
+rounds on the scan's driver (``_lockstep``), with one stacked determinant
+or singular-value call per round, kind, mesh and block.
 """
 
 from __future__ import annotations
@@ -484,7 +483,7 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     y = h * (1 + hw / 6)
     for _ in range(doublings):
         x, y = x * x + w * y * y, 2 * x * y
-    t = np.empty((2, len(x), 2, x.shape[1])).transpose(1, 3, 0, 2)  # rows (a, e, j) in memory
+    t = np.empty((2, len(x), 2, x.shape[1])).transpose(1, 3, 0, 2)  # the tree pass's rows (a, e, j)
     t[..., 0, 0] = t[..., 1, 1] = x
     t[..., 0, 1] = y * a01
     t[..., 1, 0] = y * a10
@@ -540,8 +539,8 @@ def _product(x: np.ndarray) -> tuple:
         x = pairs
 
 
-# Bytes of fronts, transfers, fold weights and pivots per chunk of the tree pass.
-_GRID_BYTES = 1 << 20
+# Bytes of the tree pass's working set per chunk of grid samples.
+_GRID_BYTES = 7 << 17
 
 
 class _CompiledOracle:
@@ -637,7 +636,7 @@ class _CompiledOracle:
         """The tree pass's ``_plan``, by the leaf-to-root ``peeling`` (``edge``
         maps its edges to columns): the groups of vertices of one height (1 +
         the highest child's), child count c and rootness, lowest first, as
-        (c, root, size, child edges (c, size), parent edges, front).  A front
+        (c, root, size s, child edges (c, s), parent edges, front).  A front
         has c + 1 rows (c at a root) on the child edges', then the parent
         edge's columns: per entry (row, edge, j, vertex) its coefficients of
         1, T_e[0, j] and T_e[1, j], and per (edge, j, vertex) the row 2e + j
@@ -655,7 +654,7 @@ class _CompiledOracle:
         for w in range(count):
             groups.setdefault((height[w], len(children[w]), parent[w] is None), []).append(w)
         reference, j = np.empty(len(base), dtype=np.intp), np.arange(2)[:, None]
-        self._plan, entries = [], 0
+        self._plan, largest = [], 0
         for (_, c, root), same in sorted(groups.items()):
             rows = np.arange(c + 1 - root)[:, None] + [first_row[index.vertices[w]] for w in same]
             kids = np.array([children[w] for w in same], dtype=np.intp).reshape(len(same), c).T
@@ -663,16 +662,18 @@ class _CompiledOracle:
             r, e = rows[:, None, None], (kids if root else np.vstack([kids, up]))[:, None]
             front = (base[r, e, j][..., None], u[r, e][..., None], v[r, e][..., None], 2 * e + j)
             self._plan.append((c, root, len(same), kids, up, front))
-            entries += front[0].size
+            largest = max(largest, front[0].size)
             reference[rows[:c]] = 2 * kids + 1
             if not root:
                 reference[rows[c]] = 2 * up
         self._sign, reference = 1.0, reference.tolist()
-        for i in range(len(reference)):  # sort by transpositions
+        for i in range(len(reference)):  # one transposition, one sign change
             while reference[i] != i:
                 k = reference[i]
                 reference[i], reference[k], self._sign = reference[k], k, -self._sign
-        self._grid_chunk = max(1, _GRID_BYTES // (64 * len(edge) + base.itemsize * entries))
+        # Per lambda: transfers, fold weights, pivots, the largest front and its temporaries.
+        per_lambda = 32 * len(edge) + base.itemsize * (4 * len(edge) + 4 * largest)
+        self._grid_chunk = max(1, _GRID_BYTES // per_lambda)
 
     def _assemble(self, t: np.ndarray) -> np.ndarray:
         """A(lambda) in the shared buffer, from the transfer stack ``t`` of at
@@ -707,18 +708,17 @@ class _CompiledOracle:
         for c, root, group, kids, up, (coef, cu, cv, at) in self._plan:
             d = len(coef)
             front = (coef + (cu * rows[0, at] + cv * rows[1, at])).reshape(d, -1, 2, group * m)
-            out = pivots[done:done + d * group].reshape(d, -1)
-            done += d * group
-            weight = fold[:, kids].reshape(2, c, group * m)
-            # Child k's folded column (out of place: numpy then rounds alike for any m).
-            front[:, :c, 0] = front[:, :c, 0] * weight[0] + front[:, :c, 1] * weight[1]
+            out, done = pivots[done:done + d * group].reshape(d, -1), done + d * group
+            if c:  # child k's folded column (out of place: numpy then rounds alike for any m)
+                terms = front[:, :c] * fold[:, kids].reshape(2, c, group * m).transpose(1, 0, 2)
+                front[:, :c, 0] = terms[:, :, 0] + terms[:, :, 1]
             work = front.reshape(d, -1, group * m)
             for k in range(c):
                 rest = work[k:]
-                largest = size(rest[:, 2 * k])
+                mags = size(rest[:, 2 * k])
                 for i in range(1, len(rest)):
-                    swap = largest[i] > largest[0]
-                    np.maximum(largest[0], largest[i], out=largest[0])
+                    swap = mags[i] > mags[0]
+                    np.maximum(mags[0], mags[i], out=mags[0])
                     moved = -rest[0]
                     np.copyto(rest[0], rest[i], where=swap)
                     np.copyto(rest[i], moved, where=swap)
@@ -729,7 +729,7 @@ class _CompiledOracle:
                 a, b = work[c, 2 * c], work[c, 2 * c + 1]
                 pivot = out[c] = np.where(size(b) > size(a), b, a)
                 pivot = pivot + (pivot == 0)
-                fold[:, up] = np.stack([-b / pivot, a / pivot]).reshape(2, group, m)
+                fold[:, up] = (np.stack([-b, a]) / pivot).reshape(2, group, m)
         mant, expo = _product(pivots)
         return self._sign * (np.ldexp(mant, expo) if self.real else mant * np.ldexp(1.0, expo))
 
@@ -738,7 +738,7 @@ class _CompiledOracle:
         ``_tree_dets`` in chunks of ``_GRID_BYTES``, else by ``evaluate``."""
         if self._plan is None:
             return np.array(self.evaluate("det", lams, mesh))
-        step = self._grid_chunk
+        step = -(-len(lams) // -(-len(lams) // self._grid_chunk))  # chunks of equal size
         return np.concatenate([
             self._tree_dets(_transfer_stack(self.model, self.lengths, lams[first:first + step], mesh))
             for first in range(0, len(lams), step)])
