@@ -498,6 +498,15 @@ def test_tree_pass_scales_its_running_product(monkeypatch):
     np.testing.assert_allclose(oracle._tree_dets(t), want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("factor", [0.6, -1.7, 1.3 - 0.9j])
+def test_pivot_product_stays_in_range(factor):
+    # 2001 equal factors, whose plain product under- or overflows.
+    mant, expo = sp._product(np.full((2001, 2), factor))
+    np.testing.assert_allclose(np.log2(np.abs(mant)) + expo, 2001 * np.log2(abs(factor)),
+                               rtol=1e-12)
+    np.testing.assert_allclose(mant / np.abs(mant), (factor / abs(factor)) ** 2001, rtol=1e-9)
+
+
 def count_dets(monkeypatch):
     calls = []
     det = np.linalg.det
