@@ -427,7 +427,8 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
 
     Raises ValueError unless the window bounds are finite with a < b and
     ``tol`` is finite and positive, and EdgeModelError, before any
-    evaluation, when an edge has more than 10**6 pole indices in the window.
+    evaluation, when the window spans more than 10**6 pole indices on all
+    edges together.
     """
     a, b = _checked_request(window, tol)
     if g.has_half_line and b > -_POLE_GUARD:
@@ -443,9 +444,9 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     cells = [(left + left_pad, right - right_pad)
              for left, right, left_pad, right_pad in zip(cuts, cuts[1:], pads, pads[1:])]
     cells = [(lo, hi) for lo, hi in cells if lo < hi]
-    inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
     if not cells:
         raise ValueError("window consists of pole neighborhoods only")
+    inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
     brackets = _isolated(inertia, cells, tol)
     found = _lockstep([_bracket_root(*bracket) for bracket in brackets], inertia.many)
     roots = tuple(Root(r, float(np.prod(np.abs(inertia.eigenvalues(r)))), fhi[0] - flo[0], "krein")
@@ -895,8 +896,8 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
 
     Raises ValueError unless the window bounds are finite with a < b,
     ``tol`` is finite and positive and ``samples`` is at least 2, and
-    EdgeModelError, before any evaluation, when an edge has more than 10**6
-    pole indices in the window.
+    EdgeModelError, before any evaluation, when the window spans more than
+    10**6 pole indices on all edges together.
     """
     a, b = _checked_request(window, tol)
     if samples < 2:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,110 @@ def test_discreteness_geometric_chain_closed_form():
     assert abs(summ["m_total"] - 1.0) < 1e-12
     assert abs(summ["inv_b_total"] - 1.0) < 1e-12
     assert math.isfinite(res.witness["trace_class_decoupled"]["family_length_sq_tail"])
+
+
+# The Dirichlet resolvent trace sum_n 1/((n pi / l)^2 - lambda0) of an edge
+# of each length in TRACE_LENGTHS, per lambda0: l^2 (y coth y - 1) / (2 y^2),
+# y = l sqrt(-lambda0) (l^2 / 6 at 0), from the doubles l and lambda0 with
+# mpmath at 60 digits, printed to 40.  y runs from 0 to 1e7 and crosses
+# 0.1 (where the check switches from the series to the closed form) at
+# lambda0 = -99, -100, -101 on l = 1e-2, among others.
+TRACE_LENGTHS = [1e-12, 1e-6, 1e-5, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3]
+TRACES = {
+    0.0: """
+        1.666666666666666599622158764185385231754e-25 1.666666666666666515827039419620865698269e-13
+        1.66666666666666693934351304677104297244e-11 1.666666666666666736055605705738951165367e-7
+        1.666666666666666736055605705738951165367e-5 1.666666666666666851703837437526095206418e-3
+        1.666666666666666666666666666666666666667e-1 1.666666666666666666666666666666666666667e+1
+        1.666666666666666666666666666666666666667e+5""".split(),
+    -1e-06: """
+        1.666666666666666599622158764185399323881e-25 1.666666666666666515715928308509754612308e-13
+        1.666666666666666928232401935659928834257e-11 1.666666666666555624944494605205626765302e-7
+        1.666666666655555624944600414311272005515e-5 1.66666666555555574165092718712148955045e-3
+        1.666666555555566137565084393172871254072e-1 1.666655555661374603185794755142359933063e+1
+        1.56517642749665652237757341731500259743e+5""".split(),
+    -1.0: """
+        1.666666666666666599622158653074274120746e-25 1.666666666666555404715928319111877119467e-13
+        1.666666666655555828232507752130059623932e-11 1.666666555555566206954009152401321713951e-7
+        1.666655555661374672573305832397040063068e-5 1.665556612699480692054331168150716162328e-3
+        1.56517642749665651818080623465423916456e-1 4.500000020611536266869120920140401562301
+        4.995e+2""".split(),
+    -99.0: """
+        1.666666666666666599622147764185385231757e-25 1.666666666655666515827143135897662036844e-13
+        1.666666665566666940380655542953691975064e-11 1.66665566677037999500781453892493059392e-7
+        1.665567702783778193546067882049321563265e-5 1.566104647370416698411240789515176391897e-3
+        4.520138594145336574662949427530588197844e-2 4.974684025791009872396362732329323258475e-1
+        5.024684025791009872396362732329323258475e+1""".split(),
+    -100.0: """
+        1.666666666666666599622147653074274120641e-25 1.666666666655555404716034130626768664709e-13
+        1.666666665555555829290602629233661017834e-11 1.666655555661374672573305832397040063068e-7
+        1.665556612699480576560077089665865072416e-5 1.565176427496656681653825948027166475838e-3
+        4.500000020611536266869120920140401562301e-2 4.95e-1
+        4.9995e+1""".split(),
+    -101.0: """
+        1.666666666666666599622147541963163009532e-25 1.666666666655444293604925146519896455959e-13
+        1.666666665544444718200761355724635351715e-11 1.66665544455239051352505333879200243481e-7
+        1.665545522826189531107476523172356031119e-5 1.564249798606572802669046579098207623648e-3
+        4.48013646466159994148847695774891822113e-2 4.925681000554896173375873719187909003438e-1
+        4.974690901544995183276863818197809993537e+1""".split(),
+    -10000.0: """
+        1.666666666666666599621047653074274120733e-25 1.666666665555555405774129566772114439831e-13
+        1.666666555555566410241889388382973533509e-11 1.665556612699480576560077089665865072416e-7
+        1.565176427496656579483188627169086087804e-5 4.500000020611536544424855337197459946197e-4
+        4.95e-3 4.995e-2
+        4.99995""".split(),
+    -100000000.0: """
+        1.66666666666666658851104765307427512039e-25 1.666655555661374452347675885215030467073e-13
+        1.665556612699480779577320587002520040651e-11 4.500000020611536370952521326536798456259e-8
+        4.950000000000000104083408558608425664715e-7 4.995000000000000277555756156289135105908e-6
+        4.9995e-5 4.99995e-4
+        4.9999995e-2""".split(),
+}
+
+
+@pytest.mark.parametrize("lam0", list(TRACES))
+def test_dirichlet_traces_match_40_digit_values(lam0):
+    g = gr.star(len(TRACE_LENGTHS), lengths=TRACE_LENGTHS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        coup, reg, dl = build(g, lam0=lam0)
+        entry = cr.check_discreteness(dl, g, reg).witness["trace_class_decoupled"]
+    got = [entry["per_edge"][e.id] for e in g.edges]
+    assert entry["verdict"] == cr.HOLDS and len(entry["per_edge"]) == len(got)
+    assert all(abs(x - float(w)) <= 1e-13 * float(w) for x, w in zip(got, TRACES[lam0]))
+    assert entry["sum"] == pytest.approx(math.fsum(got), rel=4 * _EPS)
+    if lam0 == 0.0:
+        assert got == pytest.approx([ell ** 2 / 6 for ell in TRACE_LENGTHS], rel=2 * _EPS)
+
+
+def test_half_line_graph_fails_trace_class():
+    g = MetricGraph(("a", "b"), (Edge("h", "a", None, math.inf), Edge("e", "a", "b", 0.7)))
+    coup, reg, dl = build(g, alpha=0.3, lam0=-2.5)
+    entry = cr.check_discreteness(dl, g, reg).witness["trace_class_decoupled"]
+    assert entry == {"verdict": cr.FAILS,
+                     "reason": "half-line edges have continuous decoupled spectrum"}
+
+
+def test_growing_chain_fails_trace_class_and_bounded_lengths():
+    # Lengths 1, 2, 4, ...: the squared lengths do not sum, and the lengths
+    # are unbounded.
+    g = gr.geometric_chain(1.0, 2.0, 5)
+    coup, reg, dl = build(g)
+    res = cr.check_discreteness(dl, g, reg)
+    entry = res.witness["trace_class_decoupled"]
+    assert res.verdict == cr.FAILS and entry["verdict"] == cr.FAILS
+    assert entry["reason"] == "sum of squared lengths diverges"
+    assert entry["family_length_sq_tail"] == math.inf
+    res = cr.check_bounded_triplet_case(g)
+    assert res.verdict == cr.FAILS
+    assert res.witness == {"inf_length": 1.0, "sup_length": math.inf}
+
+
+def test_chain_off_its_canonical_point_is_an_unknown_family():
+    g = gr.geometric_chain(0.5, 0.5, 6)
+    _, _, dl = build(g, lam0=-1.0)
+    res = cr.check_self_adjointness(dl)
+    assert (res.verdict, res.ref, res.truncation_depth) == (cr.INCONCLUSIVE, "sa.unknown-family", 6)
 
 
 def test_semibounded_laplacian_interval():

@@ -225,6 +225,18 @@ def test_lower_bound_certificates():
     gd = gr.interval(1.0, model=Dirac(1.0))
     assert sp.lower_bound_certificate(gd, delta_problem(gd, 0.0)) is None
 
+    # A delta well of strength -1e4 binds a state at -1e8, below the
+    # certificate's descending grid (it stops 1e7 under the decoupled
+    # ground state): no point of it is positive semi-definite.
+    coup3 = cp.delta_coupling(g, {"a": -1e4, "b": 0.0})
+    (bound,) = sp.scan_spectrum(g, coup3, (-1.1e8, -0.9e8)).roots
+    assert bound.lam == pytest.approx(-1e8)
+    assert sp.lower_bound_certificate(g, coup3) is None
+
+
+def test_match_spectra_keeps_unpaired_roots():
+    assert sp.match_spectra([1.0, 2.0], [1.0]) == ([(1.0, 1.0)], [2.0], [])
+
 
 def test_certificate_sound_against_oracle():
     fixtures = [
@@ -337,12 +349,59 @@ def test_oracle_rejects_fewer_than_two_samples(samples):
         sp.oracle_eigenvalues(g, delta_problem(g, 0.0), (1.0, 12.0), samples=samples)
 
 
-def test_scan_rejects_pole_only_window():
+def test_scan_rejects_pole_only_window(monkeypatch):
+    # The window is refused before K is compiled.
     g = gr.interval(1.0)
     coup = delta_problem(g, 0.0)
     p = math.pi ** 2
-    with pytest.raises(ValueError):
+
+    def compile_refused(*args):
+        raise AssertionError("a pole-only window was compiled")
+
+    monkeypatch.setattr(sp, "_CompiledPairing", compile_refused)
+    with pytest.raises(ValueError, match="pole neighborhoods only"):
         sp.scan_spectrum(g, coup, (p - 1e-9, p + 1e-9))
+
+
+def test_even_count_jump_stops_where_the_roots_part():
+    # Counts 0 below 0.4, 1 up to 0.6 and 2 above: the first midpoint, 0.5,
+    # parts the two roots, and the bracket returns its center.
+    def counts(lams):
+        return [(0 if x < 0.4 else 1 if x < 0.6 else 2, 1.0, 0.0) for x in lams]
+
+    task = sp._bracket_root(0.0, 1.0, (0, 1.0, 0.0), (2, 1.0, 0.0))
+    assert sp._lockstep([task], counts) == [0.5]
+
+
+def test_oracle_drops_a_min_candidate_without_a_kernel():
+    # The smallest singular-value ratio bottoms out at 1e-3 near 0.5, far
+    # above a numerical kernel: the |det| dip is spurious.
+    def sigma(requests):
+        assert {kind for kind, _, _ in requests} == {"sigma"}
+        return [(1e-3 + (lam - 0.5) ** 2, None) for _, lam, _ in requests]
+
+    task = sp._oracle_root(0.0, 1.0, "min", (0.0, 1.0), 2000, 1e-8)
+    assert sp._lockstep([task], sigma) == [None]
+
+
+def test_oracle_merges_candidates_that_reach_one_root(monkeypatch):
+    # Two candidates polished to one root within the merge radius give one
+    # root, the one of lower residual.
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3])
+    coup = delta_problem(g, 1.0)
+    window = (0.5, 6.0)
+    grid = np.linspace(*window, 600)
+    i = int(np.searchsorted(grid, 5.6608)) - 1  # the sign change at 5.66078
+    bracket, wider = (grid[i], grid[i + 1], "sign"), (grid[i - 1], grid[i + 1], "sign")
+
+    def roots(*candidates):
+        monkeypatch.setattr(sp, "_grid_candidates", lambda grid, dets, real: list(candidates))
+        return sp.oracle_eigenvalues(g, coup, window).roots
+
+    (alone,), (widened,) = roots(bracket), roots(wider)
+    assert abs(alone.lam - 5.66078) < 1e-5
+    assert roots(bracket, bracket) == (alone,)
+    assert roots(bracket, wider) == (min(alone, widened, key=lambda r: r.residual),)
 
 
 def test_oracle_rejects_halflines():
