@@ -224,6 +224,8 @@ def _cmd_weyl(args) -> int:
     g = problem.graph
     parts = args.lam.split(",")
     try:
+        if len(parts) > 2:
+            raise ValueError(args.lam)
         lam = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
     except ValueError:
         sys.stderr.write(f"error: bad --lambda value {args.lam!r}\n")

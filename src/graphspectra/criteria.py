@@ -330,22 +330,22 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
     """
     crit = "renormalized-divergence"
     lams = [-10.0 ** k for k in range(1, 7)]
-    rows = [None] * len(g.edges)  # (max eigenvalues, samples on poles) per edge
+    tops = np.empty((len(g.edges), len(lams)))  # max eigenvalue per edge and sample
+    on = np.empty(tops.shape, dtype=bool)  # sample on a pole of its edge
     for model, at, lengths in _by_model(g):
         norm = np.array([reg.norm_prime[g.edges[i].id] for i in at])[:, None, None]
-        hits, tops = [], []
-        for lam in lams:
+        for k, lam in enumerate(lams):
             _, _, hit, change, _ = em._responses(model, lengths, lam, since=reg.lambda0)
-            hits.append(hit)
-            tops.append(np.linalg.eigvalsh(np.where(hit[:, None, None], 0.0, change) / norm)[:, -1])
-        for i, on, top in zip(at, np.transpose(hits).tolist(), np.transpose(tops).tolist()):
-            rows[i] = ([t for t, o in zip(top, on) if not o], [x for x, o in zip(lams, on) if o])
-    per_edge, supports = {}, True
-    for e, (tops, on_poles) in zip(g.edges, rows):
-        decreasing = not on_poles and all(b < a for a, b in zip(tops, tops[1:]))
-        per_edge[e.id] = {"max_eigenvalues": tops, "strictly_decreasing": decreasing}
-        if on_poles:
-            per_edge[e.id]["samples_on_poles"] = on_poles
-        supports = supports and decreasing and tops[-1] < 0
+            on[at, k] = hit
+            change = np.where(hit[:, None, None], 0.0, change) / norm
+            tops[at, k] = np.linalg.eigvalsh(change)[:, -1]
+    poled = on.any(axis=1)
+    decreasing = ~poled & (np.diff(tops, axis=1) < 0).all(axis=1)
+    supports = bool((decreasing & (tops[:, -1] < 0)).all())
+    per_edge = {e.id: {"max_eigenvalues": top, "strictly_decreasing": dec}
+                for e, top, dec in zip(g.edges, tops.tolist(), decreasing.tolist())}
+    for i in np.flatnonzero(poled):
+        per_edge[g.edges[i].id].update(max_eigenvalues=tops[i, ~on[i]].tolist(),
+                                       samples_on_poles=np.array(lams)[on[i]].tolist())
     return CriterionResult(crit, INCONCLUSIVE, "sb.mtilde-scan",
                            {"evidence_supports": supports, "per_edge": per_edge})

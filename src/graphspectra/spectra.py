@@ -32,10 +32,10 @@ route is algorithmically independent of route 1 and is also valid at
 points embedded in the decoupled spectra, where the matching criterion
 is silent.  The vertex conditions are compiled once per call into a fixed
 linear map from the transfer matrices to the global matrix (real when the
-coupling data are real, so that LU runs in real arithmetic), its rows and
-columns in one order, breadth-first along the graph.  Both edge systems
-have zero diagonal, so each RK4 transfer matrix is a pair (x, y) of
-x I + y A, powered elementwise over all edges and one chunk of lambda
+coupling data are real, so that LU runs in real arithmetic), its rows by
+vertex in sorted order and its columns by edge in graph order.  Both edge
+systems have zero diagonal, so each RK4 transfer matrix is a pair (x, y)
+of x I + y A, powered elementwise over all edges and one chunk of lambda
 values at a time.  On a forest the grid's determinants come from one
 leaf-to-root elimination, vectorized over the chunk and the vertices of
 one height and front shape, with no n x n matrix; otherwise, and in
@@ -491,32 +491,6 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     return t
 
 
-def _band_order(blocks) -> tuple:
-    """The vertex blocks in breadth-first order along the graph, and each
-    edge id's position in the order in which those blocks first reach the
-    edges.  Each component starts at its vertex of least degree (the first
-    in sorted order on a tie)."""
-    ends = {}
-    for p, block in enumerate(blocks):
-        for eid, _ in block.coords:
-            ends.setdefault(eid, []).append(p)
-    seen, order, position = [False] * len(blocks), [], {}
-    for start in sorted(range(len(blocks)), key=lambda p: len(blocks[p].coords)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        for p in queue:  # grows while it is read
-            for eid, _ in blocks[p].coords:
-                position.setdefault(eid, len(position))
-                for q in ends[eid]:
-                    if not seen[q]:
-                        seen[q] = True
-                        queue.append(q)
-        order += queue
-    return [blocks[p] for p in order], position
-
-
 def _product(x: np.ndarray) -> tuple:
     """The product over the first axis of ``x`` as (mantissa, exponent):
     neighbouring rows multiply in pairs (an odd last row joins the last
@@ -548,14 +522,13 @@ class _CompiledOracle:
     """The oracle matrix A(lambda) of one problem as a fixed linear map of the
     edge transfer matrices T_e(lambda), compiled once per oracle call.
 
-    Rows and columns are in breadth-first order along the graph
-    (``_band_order``): the vertices' rows in that order, and the unknowns,
-    the states u_e(0) at the edge sources, in columns 2e, 2e+1 for the
-    edge at position e (``lengths`` follows it).  Each incidence
-    coordinate is rotated by conj(phase), with the model's trace phases
-    ``_phases`` (the delta couplings), which makes the delta-type
-    conditions real: traces become psi1 values and fluxes _flux * sign *
-    u_2 values.  Per vertex, the rows say that Gamma0 lies in the rotated
+    Rows go by vertex in the graph index's sorted order, each vertex's in
+    its block's order, and the unknowns, the states u_e(0) at the edge
+    sources, are columns 2e, 2e+1 for the edge at position e of ``g.edges``
+    (``lengths``).  Each incidence coordinate is rotated by conj(phase),
+    with the model's trace phases ``_phases`` (the delta couplings), which
+    makes the delta-type conditions real: traces become psi1 values and
+    fluxes _flux * sign * u_2 values.  Per vertex, the rows say that Gamma0 lies in the rotated
     coupling subspace (comp^H Gamma0 = 0) and that the block condition
     holds (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint has the
     constant traces (u_1, s u_2), a target endpoint (T[0] u, s T[1] u),
@@ -563,10 +536,13 @@ class _CompiledOracle:
 
         A[:, 2e+j] = base[:, 2e+j] + U[:, e] T_e[0, j] + V[:, e] T_e[1, j].
 
-    The constant part ``base`` is stored once as an n x n matrix, and U and V
-    only at their nonzeros (row, e), with the flat positions row n + 2e + j
-    of the entries they reach: A(lambda) is a copy of ``base`` and an O(nnz)
-    scatter.  Whether A(lambda) is real is decided here, once (``real``).
+    The compile lists one entry per row and incidence of each vertex, its
+    end t and its coefficients c0 and c1 of Gamma0 and s Gamma1, sorted by
+    row E + e, and reads the rest from that list.  The constant part
+    ``base`` is stored once as an n x n matrix, and U and V only at their
+    nonzeros (row, e), with the flat positions row n + 2e + j of the entries
+    they reach: A(lambda) is a copy of ``base`` and an O(nnz) scatter.
+    Whether A(lambda) is real is decided here, once (``real``).
     On a forest, a vertex's rows touch only its edges' columns, and A
     eliminates leaf to root without fill outside these vertex fronts
     (Parter 1961; Liu 1992), which the compile lays out (``_plan_fronts``).
@@ -575,16 +551,12 @@ class _CompiledOracle:
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
         if g.has_half_line:
             raise ValueError("oracle handles finite lengths only")
-        blocks, column = _band_order(_vertex_blocks(g, coupling)[1])
-        self.model = g.model
-        length = {e.id: e.length for e in g.edges}
-        self.lengths = np.array([length[eid] for eid in column])
+        blocks = _vertex_blocks(g, coupling)[1]
+        self.model, self.lengths = g.model, g._index.lengths
+        column = {e.id: k for k, e in enumerate(g.edges)}
         n, ne = 2 * len(column), len(column)
-        base = np.zeros((n, ne, 2), dtype=complex)
-        u = np.zeros((n, ne), dtype=complex)
-        v = np.zeros((n, ne), dtype=complex)
         first_row = np.cumsum([0] + [len(block.coords) for block in blocks])
-        shapes = {}
+        shapes, entries = {}, []
         for p, block in enumerate(blocks):
             shapes.setdefault(block.basis.shape, []).append(p)
         for (deg, dim), same in shapes.items():  # one stacked pass per basis shape
@@ -604,64 +576,70 @@ class _CompiledOracle:
             # Coefficients of each incidence's Gamma0 and Gamma1 in the vertex rows.
             gamma0 = np.concatenate([comp.conj().transpose(0, 2, 1), -matrix @ unit_h], axis=1)
             gamma1 = np.concatenate([np.zeros((len(same), deg - dim, deg)), unit_h], axis=1)
-            rows = first_row[same][:, None] + np.arange(deg)
             flux = g.model._flux * (1 - 2 * ends)  # sign +1 at t = 0, -1 at t = 1
-            q, i = np.nonzero(ends == 0)
-            r, k = rows[q], cols[q, i][:, None]
-            base[r, k, 0] += gamma0[q, :, i]
-            base[r, k, 1] += flux[q, i][:, None] * gamma1[q, :, i]
-            q, i = np.nonzero(ends == 1)
-            r, k = rows[q], cols[q, i][:, None]
-            u[r, k] = gamma0[q, :, i]
-            v[r, k] = flux[q, i][:, None] * gamma1[q, :, i]
+            # One entry per row and incidence of each vertex: row, edge, end, c0, c1.
+            rows = first_row[same][:, None, None] + np.arange(deg)[:, None]
+            entries.append([x.ravel() for x in np.broadcast_arrays(
+                rows, cols[:, None], ends[:, None], gamma0, flux[:, None] * gamma1)])
+        row, edge, end, c0, c1 = map(np.concatenate, zip(*entries))
+        order = np.argsort(row * ne + edge, kind="stable")
+        row, edge, end, coef = row[order], edge[order], end[order], np.stack([c0, c1])[:, order]
         # Real couplings give a real A(lambda) at real lambda: factorize it in
         # real arithmetic, with twice the matrices per block.
-        self.real = not any(x.imag.any() for x in (base, u, v))
+        self.real = not coef.imag.any()
         if self.real:
-            base, u, v = (x.real.copy() for x in (base, u, v))
+            coef = coef.real
+        j = np.arange(2)[:, None]
+        source = end == 0
+        base = np.zeros((n, n), dtype=coef.dtype)
+        base[row[source], 2 * edge[source] + j] = 0 + coef[:, source]  # +0.0 for -0.0
         self._plan = None
         if g._index.peeling is not None:
-            self._plan_fronts(g, dict(zip((block.vertex for block in blocks), first_row)),
-                              [column[e.id] for e in g.edges], base, u, v)
-        self.base = base.reshape(n, n)
-        nz_row, self._edge = np.nonzero((u != 0) | (v != 0))
-        self._u, self._v = u[nz_row, self._edge], v[nz_row, self._edge]
-        self._pos = nz_row * n + 2 * self._edge + np.arange(2)[:, None]
-        block_len = max(1, _ORACLE_BLOCK_BYTES // (u.dtype.itemsize * n * n))
-        self._out = np.empty((block_len, n, n), dtype=u.dtype)
+            self._plan_fronts(g, first_row, row * ne + edge, end, coef, base)
+        self.base = base
+        target = (end == 1) & (coef != 0).any(axis=0)
+        self._edge, (self._u, self._v) = edge[target], coef[:, target]
+        self._pos = row[target] * n + 2 * self._edge + j
+        block_len = max(1, _ORACLE_BLOCK_BYTES // (coef.itemsize * n * n))
+        self._out = np.empty((block_len, n, n), dtype=coef.dtype)
         # Transfers (32 bytes per edge and lambda) are computed per chunk of
         # whole blocks, within the same budget.
         self._chunk = block_len * max(1, _ORACLE_BLOCK_BYTES // (32 * ne * block_len))
 
-    def _plan_fronts(self, g, first_row: dict, edge: list, base, u, v):
-        """The tree pass's ``_plan``, by the leaf-to-root ``peeling`` (``edge``
-        maps its edges to columns): the groups of vertices of one height (1 +
-        the highest child's), child count c and rootness, lowest first, as
-        (c, root, size s, child edges (c, s), parent edges, front).  A front
-        has c + 1 rows (c at a root) on the child edges', then the parent
-        edge's columns: per entry (row, edge, j, vertex) its coefficients of
-        1, T_e[0, j] and T_e[1, j], and per (edge, j, vertex) the row 2e + j
-        of a transfer stack (a, e, j).  ``_sign`` is that of the order without
-        swaps: row k takes child edge k's column 2e + 1, the last row 2e."""
+    def _plan_fronts(self, g, first_row, key, end, coef, base):
+        """The tree pass's ``_plan``, by the leaf-to-root ``peeling``: the
+        groups of vertices of one height (1 + the highest child's), child
+        count c and rootness, lowest first, as (c, root, size s, child edges
+        (c, s), parent edges, front).  A front has c + 1 rows (c at a root)
+        on the child edges', then the parent edge's columns: per entry (row,
+        edge, j, vertex) its coefficients of 1 (from ``base``), T_e[0, j] and
+        T_e[1, j] (the compile's entries, by ``key`` = row E + edge, sorted,
+        with their ``end`` t and coefficients ``coef``), and per (edge, j,
+        vertex) the row 2e + j of a transfer stack (a, e, j).  ``_sign`` is
+        that of the order without swaps: row k takes child edge k's column
+        2e + 1, the last row 2e."""
         index = g._index
-        count = len(index.vertices)
+        count, ne = len(index.vertices), len(index.lengths)
         children, parent, height = [[] for _ in range(count)], [None] * count, [0] * count
         for w, p, k in index.peeling:
             if p < count:
-                children[p].append(edge[k])
-                parent[w] = edge[k]
+                children[p].append(k)
+                parent[w] = k
                 height[p] = max(height[p], height[w] + 1)
         groups = {}
         for w in range(count):
             groups.setdefault((height[w], len(children[w]), parent[w] is None), []).append(w)
-        reference, j = np.empty(len(base), dtype=np.intp), np.arange(2)[:, None]
+        reference, j = np.empty(2 * ne, dtype=np.intp), np.arange(2)[:, None]
         self._plan, largest = [], 0
         for (_, c, root), same in sorted(groups.items()):
-            rows = np.arange(c + 1 - root)[:, None] + [first_row[index.vertices[w]] for w in same]
+            rows = np.arange(c + 1 - root)[:, None] + [first_row[w] for w in same]
             kids = np.array([children[w] for w in same], dtype=np.intp).reshape(len(same), c).T
             up = None if root else np.array([parent[w] for w in same])
-            r, e = rows[:, None, None], (kids if root else np.vstack([kids, up]))[:, None]
-            front = (base[r, e, j][..., None], u[r, e][..., None], v[r, e][..., None], 2 * e + j)
+            e = kids if root else np.vstack([kids, up])
+            entry = np.searchsorted(key, rows[:, None] * ne + e)  # (row, edge, vertex)
+            cu, cv = np.where(end[entry] == 1, coef[:, entry], 0)[:, :, :, None, :, None]
+            at = 2 * e[:, None] + j
+            front = (base[rows[:, None, None], at][..., None], cu, cv, at)
             self._plan.append((c, root, len(same), kids, up, front))
             largest = max(largest, front[0].size)
             reference[rows[:c]] = 2 * kids + 1
@@ -673,7 +651,7 @@ class _CompiledOracle:
                 k = reference[i]
                 reference[i], reference[k], self._sign = reference[k], k, -self._sign
         # Per lambda: transfers, fold weights, pivots, the largest front and its temporaries.
-        per_lambda = 32 * len(edge) + base.itemsize * (4 * len(edge) + 4 * largest)
+        per_lambda = 32 * ne + coef.itemsize * (4 * ne + 4 * largest)
         self._grid_chunk = max(1, _GRID_BYTES // per_lambda)
 
     def _assemble(self, t: np.ndarray) -> np.ndarray:

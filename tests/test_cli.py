@@ -272,6 +272,8 @@ def test_weyl_command(tmp_path, capsys):
     expected = -kappa / math.tanh(kappa)
     assert payload["matrix"][0][0][0] == pytest.approx(expected)
     assert main(["weyl", path, "--edge", "e00", "--lambda", "zzz"]) == 64
+    assert main(["weyl", path, "--edge", "e00", "--lambda", "1,2,3"]) == 64
+    assert "bad --lambda value '1,2,3'" in capsys.readouterr().err
 
 
 def test_missing_file_exit(tmp_path):

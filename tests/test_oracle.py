@@ -4,12 +4,13 @@ scan against a loop over the grid, the lockstep polish against the same
 coroutines driven one at a time, its RK4 transfer matrices against
 sequential stepping, the number of determinant and transfer calls it
 takes, its leaf-to-root grid pass against LAPACK's determinants, and its
-roots on relabeled graphs, whose breadth-first layout differs, with Brent's steps
-on det and -det."""
+roots on relabeled graphs, whose layout differs, with Brent's steps on det
+and -det."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,15 +27,14 @@ def reference_matrix(g, coupling, transfers, index):
     """Vertex-condition rows written out per incidence, in phase-rotated
     coordinates: comp^H Gamma0 = 0 and unit^H Gamma1 - mat unit^H Gamma0 = 0,
     with each basis column rotated by the conjugate phase of its first
-    nonzero entry and mat conjugated to match.  Vertices and edges are laid
-    out in the compile's breadth-first order (``_band_order``)."""
-    blocks, position = sp._band_order(cp._vertex_blocks(g, coupling)[1])
-    col_of = {eid: 2 * k for eid, k in position.items()}
-    n = 2 * len(position)
+    nonzero entry and mat conjugated to match.  Vertices are laid out in
+    sorted order and edges in graph order, as the compile lays them out."""
+    col_of = {e.id: 2 * k for k, e in enumerate(g.edges)}
+    n = 2 * len(g.edges)
     dirac = isinstance(g.model, Dirac)
     inc = gr.incidence_sets(g)
     rows = []
-    for v in [block.vertex for block in blocks]:
+    for v in sorted(g.vertices):
         entries = inc[v]
         phases = np.array([1.0 if (not dirac or e.endpoint == 0) else 1.0j
                            for e in entries])
@@ -453,7 +453,7 @@ def test_tree_grid_matches_lapack(make):
                                                     2000))[0] == got[i]
 
 
-def test_band_order_ignores_ids():
+def test_tree_grid_ignores_ids():
     g, coupling, window = depth40_chain()
     h, shuffled, _ = shuffled_chain()
     grid = np.linspace(*window, 600)
@@ -486,9 +486,9 @@ def test_tree_pass_scales_its_running_product(monkeypatch):
     scale[:4], scale[-4:] = 1e150, 1e-150
     plan = sp._CompiledOracle._plan_fronts
 
-    def scaled(self, g, first_row, edge, base, u, v):
-        rows = scale[:, None]
-        return plan(self, g, first_row, edge, base * rows[:, None], u * rows, v * rows)
+    def scaled(self, g, first_row, key, end, coef, base):
+        rows = scale[key // len(g.edges)]
+        return plan(self, g, first_row, key, end, coef * rows, base * scale[:, None])
 
     monkeypatch.setattr(sp._CompiledOracle, "_plan_fronts", scaled)
     oracle = sp._CompiledOracle(g, delta(g, 0.3))
@@ -496,6 +496,20 @@ def test_tree_pass_scales_its_running_product(monkeypatch):
     t = sp._transfer_stack(g.model, oracle.lengths, lams, 2000)
     want = np.linalg.det(oracle._assemble(t))
     np.testing.assert_allclose(oracle._tree_dets(t), want, rtol=1e-12, atol=0)
+
+
+def test_compile_memory_follows_what_it_keeps():
+    # The compile keeps base and one block of matrices, each n x n (n = 1,020
+    # here); its staging adds at most a quarter of that.
+    g = gr.binary_tree(8)
+    coupling = delta(g, 1.0)
+    tracemalloc.start()
+    try:
+        oracle = sp._CompiledOracle(g, coupling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (oracle.base.nbytes + oracle._out.nbytes)
 
 
 @pytest.mark.parametrize("factor", [0.6, -1.7, 1.3 - 0.9j])
@@ -588,13 +602,13 @@ def dirac_random_tree_strengths():
 @pytest.mark.parametrize("make", [random_tree_strengths, dirac_star_strengths,
                                   dirac_random_tree_strengths])
 def test_oracle_roots_do_not_depend_on_ids(make):
-    # Other ids give another breadth-first order, so LAPACK factorizes
-    # another permutation of A; the roots stay within rounding.
+    # Other ids and another edge list lay A out in another order, so LAPACK
+    # factorizes another permutation of it; the roots stay within rounding.
     g, alpha, window = make()
     h, shuffled = relabeled(g, alpha, np.random.default_rng(11))
     coupling = cp.delta_coupling(g, alpha)
-    assert not np.array_equal(sp._CompiledOracle(g, coupling).lengths,
-                              sp._CompiledOracle(h, shuffled).lengths)
+    assert not np.array_equal(sp._CompiledOracle(g, coupling).matrices([0.5], 2000),
+                              sp._CompiledOracle(h, shuffled).matrices([0.5], 2000))
     want = sp.oracle_eigenvalues(g, coupling, window).roots
     got = sp.oracle_eigenvalues(h, shuffled, window).roots
     assert len(want) > 0
