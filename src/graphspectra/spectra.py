@@ -528,11 +528,11 @@ class _CompiledOracle:
     (``lengths``).  Each incidence coordinate is rotated by conj(phase),
     with the model's trace phases ``_phases`` (the delta couplings), which
     makes the delta-type conditions real: traces become psi1 values and
-    fluxes _flux * sign * u_2 values.  Per vertex, the rows say that Gamma0 lies in the rotated
-    coupling subspace (comp^H Gamma0 = 0) and that the block condition
-    holds (unit^H Gamma1 = mat unit^H Gamma0).  A source endpoint has the
-    constant traces (u_1, s u_2), a target endpoint (T[0] u, s T[1] u),
-    with s = sign times ``_flux``, so
+    fluxes _flux * sign * u_2 values.  Per vertex, the rows say that Gamma0
+    lies in the rotated coupling subspace (comp^H Gamma0 = 0) and that the
+    block condition holds (unit^H Gamma1 = mat unit^H Gamma0).  A source
+    endpoint has the constant traces (u_1, s u_2), a target endpoint
+    (T[0] u, s T[1] u), with s = sign times ``_flux``, so
 
         A[:, 2e+j] = base[:, 2e+j] + U[:, e] T_e[0, j] + V[:, e] T_e[1, j].
 
