@@ -85,6 +85,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _negative_values_joined(argv) -> list:
+    """``argv`` with each negative number (or ``re,im`` pair) that follows a
+    long option joined to it, ``--min -1e4`` read as ``--min=-1e4``: argparse
+    takes a token that starts with '-' for a value only in the forms -1 and
+    -1.5, and for an unknown option otherwise."""
+    out = []
+    for token in argv:
+        try:
+            numeric = token.startswith("-") and [float(x) for x in token.split(",")]
+        except ValueError:
+            numeric = False
+        option = out[-1] if out else ""
+        if numeric and option.startswith("--") and len(option) > 2 and "=" not in option:
+            out[-1] = f"{option}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _write(text: str, out):
     if out is None:
         sys.stdout.write(text)
@@ -255,7 +274,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -27,6 +27,7 @@ __all__ = [
     "VertexBlock",
     "VertexCoupling",
     "GlobalBasis",
+    "PatternMatrix",
     "delta_coupling",
     "custom_coupling",
     "global_basis",
@@ -186,6 +187,31 @@ class GlobalBasis:
         return len(self.coords)
 
 
+@dataclass(frozen=True, eq=False)
+class PatternMatrix:
+    """The n x n matrix with ``values`` at (``rows``, ``cols``), once each, and
+    zeros elsewhere; ``@`` costs O(nnz), ``toarray()`` or ``np.asarray`` is dense."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    n: int
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.n * self.n, dtype=self.values.dtype)
+        out[self.rows * self.n + self.cols] = self.values
+        return out.reshape(self.n, self.n)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.toarray() if dtype is None else self.toarray().astype(dtype)
+
+    def __matmul__(self, x) -> np.ndarray:
+        terms = (np.asarray(x)[self.cols].T * self.values).T
+        out = np.zeros((self.n,) + terms.shape[1:], dtype=terms.dtype)
+        np.add.at(out, self.rows, terms)
+        return out
+
+
 def _by_shape(blocks):
     """[(first element of each block, blocks)], one entry per basis shape
     (degree, dimension), so that each group is handled by one batched
@@ -288,9 +314,7 @@ class _CompiledPairing:
 
     def dense(self, values: np.ndarray) -> np.ndarray:
         """The n x n matrix with ``values`` on the pattern and zeros elsewhere."""
-        out = np.zeros(self.n * self.n, dtype=values.dtype)
-        out[self.rows * self.n + self.cols] = values
-        return out.reshape(self.n, self.n)
+        return PatternMatrix(self.rows, self.cols, values, self.n).toarray()
 
 
 def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:

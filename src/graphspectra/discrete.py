@@ -23,8 +23,8 @@ pattern, the boundary pairing P[v, w] = <(L - M0) b_w, b_v> of
 b(v, w) = -Re P[v, w] above the diagonal, c(v) = Re P[v, v] - sum_w
 b(v, w), and Lmin = R^-1 P R^-1 with R = diag(||R b_v||).  P couples only
 basis vectors of one vertex or of the two ends of an edge, so no n x n
-array is formed but the dense Lmin of a small index set.  The dict b is
-read as arrays (i, j, w) through ``_weights``.
+array is formed: Lmin is returned on P's pattern (``coupling.PatternMatrix``).
+The dict b is read as arrays (i, j, w) through ``_weights``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .coupling import VertexCoupling, _CompiledPairing
+from .coupling import PatternMatrix, VertexCoupling, _CompiledPairing
 from .edges import EdgeModel
 from .graphs import MetricGraph
 from .regularize import Regularization
@@ -50,7 +50,6 @@ __all__ = [
     "discrete_to_json_dict",
 ]
 
-_DENSE_LIMIT = 64
 _REAL_TOL = 1e-12
 _HERM_TOL = 1e-10
 
@@ -143,20 +142,13 @@ def weighted_degree(dl: DiscreteLaplacian) -> np.ndarray:
     return (np.bincount(i, w, dl.size) + np.bincount(j, w, dl.size)) / dl.m
 
 
-def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization):
+def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization) -> PatternMatrix:
     """Hermitian matrix <(L - M0) b_v, b_w> / (||R b_v|| ||R b_w||) over the
-    global basis.
-
-    Dense ndarray below 64 indices, sparse CSR beyond.
-    """
+    global basis, on the pairing's pattern (``np.asarray`` gives it dense)."""
     compiled, vals, m = _regularized_pairing(g, coupling, reg)
     rnorm = np.sqrt(m)
     rows, cols = compiled.rows, compiled.cols
-    vals = vals / (rnorm[rows] * rnorm[cols])
-    if len(m) < _DENSE_LIMIT:
-        return compiled.dense(vals)
-    import scipy.sparse  # imported here: it is most of the package's import time
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(m), len(m)))
+    return PatternMatrix(rows, cols, vals / (rnorm[rows] * rnorm[cols]), compiled.n)
 
 
 def apply_discrete(dl: DiscreteLaplacian, f: np.ndarray) -> np.ndarray:

@@ -548,7 +548,8 @@ def _delta_weights(model, ell, lam, derivative=False):
     count = len(lam) if getattr(lam, "ndim", 0) else 0  # lambda values in a batch
     if count:
         ell = ell[:, None]
-    w = ell * ell * k2
+    with np.errstate(over="ignore"):  # an overflow raises EdgeModelError below
+        w = ell * ell * k2
     size = np.abs(w)
     if not math.isfinite(size.max(initial=0.0)):
         bad = lam[np.argmin(np.isfinite(size).all(axis=0))] if count else lam

@@ -131,6 +131,9 @@ def parse_problem(data: dict) -> LoadedProblem:
         for key in ("id", "from", "length"):
             if key not in eobj:
                 raise GraphFormatError(f"edges[{i}] needs {key!r}")
+        for key in ("id", "from"):
+            if not isinstance(eobj[key], str):
+                raise GraphFormatError(f"edges[{i}].{key} must be a string")
         length = eobj["length"]
         if length == "inf":
             length = math.inf
@@ -139,7 +142,7 @@ def parse_problem(data: dict) -> LoadedProblem:
         target = eobj.get("to")
         if target is not None and not isinstance(target, str):
             raise GraphFormatError(f'edges[{i}].to must be a string or null')
-        edges.append(Edge(str(eobj["id"]), str(eobj["from"]), target, length))
+        edges.append(Edge(eobj["id"], eobj["from"], target, length))
 
     coupling_spec = data.get("coupling", {"type": "delta"})
     if not isinstance(coupling_spec, dict) or "type" not in coupling_spec:

@@ -916,50 +916,35 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     L - P M(lambda0) P is positive semi-definite; None when no point
     qualifies.  Models ``bounded_below`` only (the decoupled operator is the
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
-    lower bound for the whole spectrum.  A point is PSD when the matrix has
-    no negative eigenvalue, counted by ``_Inertia`` (O(V) pivots on a delta
-    tree, an exact 0 counting as positive).  The first PSD point of a fixed
-    descending grid is tightened by bisection against the last non-PSD one.
-    """
+    lower bound for the whole spectrum.  PSD means that ``_Inertia`` counts
+    no negative eigenvalue (an exact 0 counting as positive).  A count
+    bisection down to ground - 1e7 keeps a PSD lower end (moved up by
+    halving where the edges overflow), stepping to the geometric mean of
+    the distances below the top while they differ by more than 4x."""
     if not g.model.bounded_below:
         return None
     ground = decoupled_ground_state(g)
     inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
     top = ground - max(1e-6, 1e-9 * abs(ground))
-    grid = [top - (2.0 ** k - 1.0) * 1e-3 for k in range(40)]
-    grid = [x for x in grid if x > ground - 1e7]
 
-    def psd_at(lam0):
+    def psd(lam0):
         try:
             return inertia(lam0)[0] == 0
         except em.EdgeModelError:
             return None
 
-    best = None
-    prev_non_psd = None
-    for lam0 in grid:
-        verdict = psd_at(lam0)
-        if verdict is None:
-            continue
-        if verdict:
-            best = float(lam0)
-            break
-        prev_non_psd = float(lam0)
-    if best is None:
+    lo, hi = ground - 1e7, top
+    if (verdict := psd(hi)) is not False:
+        return hi if verdict else None
+    while (verdict := psd(lo)) is None and hi - lo > 1e-9 * max(1.0, abs(hi)):
+        lo = 0.5 * (lo + hi)
+    if not verdict:
         return None
-    if prev_non_psd is not None:
-        # Tighten upward by bisection; keep only PSD-verified points.
-        lo, hi = best, prev_non_psd
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < 1e-9 * max(1.0, abs(mid)):
-                break
-            if psd_at(mid):
-                lo = mid
-            else:
-                hi = mid
-        best = lo
-    return best
+    while hi - lo >= 1e-9 * max(1.0, abs(0.5 * (lo + hi))):
+        far, near = top - lo, max(top - hi, 1e-3)
+        mid = top - math.sqrt(far * near) if far > 4.0 * near else 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if psd(mid) else (lo, mid)
+    return lo
 
 
 def match_spectra(a_vals, b_vals, exclude=(), rtol: float = 1e-6):

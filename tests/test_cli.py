@@ -396,3 +396,69 @@ def test_window_over_the_graph_wide_pole_budget_exits_3(tmp_path, capsys):
     assert main(["spectrum", path, "--min", "0", "--max", "3.6e12"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "graph-wide pole index cap" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--min", "-1e1", "--max", "1"], 0),
+    (["spectrum", "--min", "-15.0", "--max", "1"], 0),
+    (["spectrum", "--min", "-inf", "--max", "1"], 3),
+    (["discrete", "--lambda0", "-1e-1"], 0),
+    (["weyl", "--edge", "e00", "--lambda", "-2e1"], 0),
+    (["weyl", "--edge", "e00", "--lambda", "-2,3"], 0),
+    (["weyl", "--edge", "e00", "--lambda", "-2,3,4"], 64),
+    (["criteria", "--depth", "-3"], 64),
+])
+def test_negative_values_read_as_their_equals_forms(tmp_path, capsys, argv, code):
+    # argparse takes -1 and -1.5 for values but -1e1 or -2,3 for options.
+    path = write(tmp_path, "star.json", star3())
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    results = []
+    for form in (argv, joined):
+        results.append((main(form[:1] + [path] + form[1:]), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == code
+
+
+@pytest.mark.parametrize("argv", [["discrete"], ["criteria"],
+                                  ["spectrum", "--min", "0", "--max", "5"],
+                                  ["weyl", "--edge", "e00", "--lambda", "1"]])
+def test_invalid_graph_exits_2_on_every_command(tmp_path, capsys, argv):
+    bad = star3()
+    bad["edges"][1]["length"] = 0.0
+    path = write(tmp_path, "bad.json", bad)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "violation: nonpositive length: edge e01 has length 0.0\n"
+
+
+def test_weyl_unknown_edge_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "star.json", star3())
+    assert main(["weyl", path, "--edge", "nosuch", "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no edge 'nosuch'" in captured.err
+
+
+def test_edge_id_and_source_must_be_strings_in_files(tmp_path, capsys):
+    bad = star3()
+    bad["edges"][0]["from"] = None
+    path = write(tmp_path, "bad.json", bad)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == "invalid input: edges[0].from must be a string\n"
+
+
+@pytest.mark.parametrize("ends", [
+    [("a", "b"), ("c", "d"), ("b", "c")],  # the path a-b-c-d, out of order
+    [("a", "b"), ("b", "c"), ("a", "d")],  # the path d-a-b-c, out of order
+])
+def test_criteria_depth_path_out_of_order_is_unknown_family(tmp_path, capsys, ends):
+    data = {
+        "model": {"type": "laplacian"},
+        "vertices": [{"id": v} for v in "abcd"],
+        "edges": [{"id": f"e{i}", "from": s, "to": t, "length": 0.5 ** i}
+                  for i, (s, t) in enumerate(ends)],
+    }
+    path = write(tmp_path, "path.json", data)
+    assert main(["criteria", path, "--depth", "3"]) == 0
+    by_name = {entry["criterion"]: entry for entry in json.loads(capsys.readouterr().out)}
+    assert by_name["self-adjointness"]["criterion_ref"] == "sa.unknown-family"

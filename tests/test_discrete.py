@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from graphspectra import graphs as gr
 from graphspectra import regularize as rg
 from graphspectra.edges import Dirac, Laplacian
 from graphspectra.graphs import Edge, MetricGraph
+from test_cli import package_env
 
 
 def dirac_star(alphas=(2.0, -1.0, 1.0, 0.0), lengths=(1.0, 1.0, 1.0), c=1.0):
@@ -93,7 +96,7 @@ def test_weighted_degree_bounded_by_c_squared():
 def test_lmin_matrix_entries():
     g, coup, reg = dirac_star(lengths=(1.0, 0.5, 2.0))
     dl = dc.build_discrete(g, coup, reg)
-    lm = dc.lmin_matrix(g, coup, reg)
+    lm = np.asarray(dc.lmin_matrix(g, coup, reg))
     assert np.linalg.norm(lm - lm.conj().T) < 1e-12
     idx = {lab: i for i, lab in enumerate(dl.labels)}
     i, j = idx["center"], idx["leaf00"]
@@ -197,8 +200,6 @@ def test_json_export_shape():
 def test_discrete_pipeline_memory_grows_with_the_edges_not_their_square():
     # binary_tree(10) has 2,047 indices: one dense n x n complex matrix
     # would take 64 MiB; the sparse pairing needs O(E).
-    import scipy.sparse  # noqa: F401  (imported before tracing, not counted)
-
     g = gr.binary_tree(10)
     coup = cp.delta_coupling(g, gr.alpha_map(g, 0.5))
     reg = rg.build_regularization(g)
@@ -215,7 +216,7 @@ def test_discrete_pipeline_memory_grows_with_the_edges_not_their_square():
 def test_array_operations_match_the_loops():
     # The loops over the weights dict are the reference; the array forms
     # sum in another order, so allow 1e-14 of the largest entry.
-    g = gr.binary_tree(6)  # 127 indices: lmin_matrix returns CSR
+    g = gr.binary_tree(6)  # 127 indices
     coup = cp.delta_coupling(g, gr.alpha_map(g, 0.5))
     reg = rg.build_regularization(g)
     dl = dc.build_discrete(g, coup, reg)
@@ -234,11 +235,26 @@ def test_array_operations_match_the_loops():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
     assert abs(dc.quadratic_form(dl, f) - energy) <= 1e-14 * abs(energy)
 
-    import scipy.sparse
-
     lm = dc.lmin_matrix(g, coup, reg)
-    assert scipy.sparse.issparse(lm)
+    assert isinstance(lm, cp.PatternMatrix)
     assert dc.unitary_equivalence_residual(dl, lm) < 1e-12
+
+
+def test_discrete_pipeline_needs_numpy_alone():
+    # L_min stays on the pairing's pattern at every size, so no sparse
+    # library is imported for it.
+    script = ("import sys\n"
+              "import graphspectra as gs\n"
+              "g = gs.binary_tree(7)\n"
+              "coup = gs.delta_coupling(g, gs.alpha_map(g, 0.5))\n"
+              "reg = gs.build_regularization(g)\n"
+              "dl = gs.build_discrete(g, coup, reg)\n"
+              "lm = gs.lmin_matrix(g, coup, reg)\n"
+              "assert gs.unitary_equivalence_residual(dl, lm) < 1e-12\n"
+              "assert 'scipy' not in sys.modules\n")
+    result = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("model", [Laplacian(), Dirac(1.7)])

@@ -79,6 +79,19 @@ def test_bad_values_rejected():
         fio.parse_problem({"model": {"type": "laplacian"}, "vertices": [], "edges": []})
 
 
+@pytest.mark.parametrize("edge, key", [
+    ({"id": "e", "from": None, "to": "b", "length": 1.0}, "from"),
+    ({"id": 7, "from": 1, "to": "b", "length": 1.0}, "id"),
+    ({"id": "e", "from": 1, "to": "b", "length": 1.0}, "from"),
+], ids=["null-from", "number-id", "number-from"])
+def test_edge_id_and_source_must_be_strings(edge, key):
+    # Once read through str(), "from": null named a vertex "None" and
+    # {"id": 7, "from": 1} loaded an edge "7" from vertex "1".
+    data = minimal(vertices=[{"id": "1"}, {"id": "b"}], edges=[edge])
+    with pytest.raises(fio.GraphFormatError, match=rf"edges\[0\]\.{key} must be a string"):
+        fio.parse_problem(data)
+
+
 NUMBER_FIELDS = {
     "alpha": lambda data, x: data["vertices"][0].update(alpha=x),
     "c": lambda data, x: data.update(model={"type": "dirac", "c": x}),

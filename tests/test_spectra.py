@@ -234,6 +234,30 @@ def test_lower_bound_certificates():
     assert sp.lower_bound_certificate(g, coup3) is None
 
 
+def test_an_overflowing_long_edge_raises_without_a_warning():
+    # (l k)^2 overflows on a 1e153 edge below lambda = -180; tier-1 raises
+    # a numpy overflow warning as an error, so it must not come first.
+    g = gr.interval(1e153)
+    coup = cp.delta_coupling(g, {"a": -100.0, "b": 0.0})
+    with pytest.raises(em.EdgeModelError, match="overflows the edge evaluation"):
+        sp.scan_spectrum(g, coup, (-1e4, -1.0))
+
+
+@pytest.mark.parametrize("length, alpha, want", [
+    (1e153, -100.0, None),    # bound at -1e4, where the edge overflows
+    (1e153, -10.0, -100.0),   # bound at -100
+    (1e160, -1.0, None),      # l^2 overflows at every lambda
+    (1e120, -1e4, None),      # bound at -1e8, below the bisection's floor
+])
+def test_certificate_on_long_edges(length, alpha, want):
+    g = gr.interval(length)
+    cert = sp.lower_bound_certificate(g, cp.delta_coupling(g, {"a": alpha, "b": 0.0}))
+    if want is None:
+        assert cert is None
+    else:
+        assert want - 1e-6 <= cert <= want
+
+
 def test_match_spectra_keeps_unpaired_roots():
     assert sp.match_spectra([1.0, 2.0], [1.0]) == ([(1.0, 1.0)], [2.0], [])
 
