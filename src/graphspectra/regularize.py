@@ -69,7 +69,13 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
 
 def _by_model(g: MetricGraph):
     """The edges of ``g`` grouped by edge model: [(model, positions in
-    g.edges, lengths)], in the order of each model's first edge."""
+    g.edges, lengths)], in the order of each model's first edge.  Without
+    half-lines every edge has the graph's model: one group, read off the
+    graph index."""
+    index = g._index
+    if not index.half.size:
+        count = len(index.lengths)
+        return [(g.model, list(range(count)), index.lengths)] if count else []
     groups = {}
     for i, e in enumerate(g.edges):
         groups.setdefault(edge_model_for(g.model, e), []).append(i)

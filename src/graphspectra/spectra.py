@@ -41,10 +41,12 @@ leaf-to-root elimination, vectorized over the chunk and the vertices of
 one height and front shape, with no n x n matrix; otherwise, and in
 every polish round, each block of matrices is a copy of the constant part
 and an O(nnz) scatter of the transfer entries, factorized by LAPACK.
-Sign changes of the determinant are polished by the same Brent zeroin as
-route 1, a coroutine: the oracle polishes all its candidates in lockstep
-rounds on the scan's driver (``_lockstep``), with one stacked determinant
-or singular-value call per round, kind, mesh and block.
+Sign changes of the determinant, on the grid or on the finer sub-grid
+that each local minimum of a real |det| is resampled on, are polished by
+the same Brent zeroin as route 1, a coroutine: the oracle polishes all
+its candidates in lockstep rounds on the scan's driver (``_lockstep``),
+with one stacked determinant or singular-value call per round, kind, mesh
+and block.
 """
 
 from __future__ import annotations
@@ -460,6 +462,9 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
 _ORACLE_BLOCK_BYTES = 1 << 18
 # RK4 steps per edge on the grid and in the first polish; roots are checked at twice it.
 _ORACLE_MESH = 2000
+# Interior points of a |det| dip's two grid cells when it is resampled (odd,
+# so that the dip's own sample is one of them).
+_DIP_POINTS = 17
 
 
 def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
@@ -744,19 +749,31 @@ class _CompiledOracle:
         """Run the coroutines ``tasks`` in lockstep (``_lockstep``); returns
         their results.
 
-        A task yields requests ``(kind, lambda, mesh)`` and is sent the
-        ``evaluate`` value of that kind at lambda; only sign brackets, which
-        exist when A is real, ask for "det".  Each round answers all pending
-        requests with one ``evaluate`` call per kind and mesh.
+        A task yields requests ``(kind, lambdas, mesh)``, ``lambdas`` an
+        array of lambda values, and is sent the ``evaluate`` values of that
+        kind there: an array of det A for "det" (only sign brackets, which
+        exist when A is real, ask for it), the arrays (ratios, singular
+        values) for "sigma".  Each round answers all pending requests with
+        one ``evaluate`` call per kind and mesh.
         """
         def answer(requests):
             groups = {}
-            for j, (kind, lam, mesh) in enumerate(requests):
-                groups.setdefault((kind, mesh), []).append((j, lam))
+            for j, (kind, lams, mesh) in enumerate(requests):
+                groups.setdefault((kind, mesh), []).append((j, lams))
             values = [None] * len(requests)
             for (kind, mesh), group in groups.items():
-                for (j, _), v in zip(group, self.evaluate(kind, [lam for _, lam in group], mesh)):
-                    values[j] = v
+                found = self.evaluate(kind, np.concatenate([lams for _, lams in group], axis=None),
+                                      mesh)
+                if kind == "det":
+                    dets = np.array(found)
+                else:
+                    ratios, sv = map(np.array, zip(*found))
+                first = 0
+                for j, lams in group:
+                    end = first + np.size(lams)
+                    part = slice(first, end)
+                    values[j] = dets[part] if kind == "det" else (ratios[part], sv[part])
+                    first = end
             return values
         return _lockstep(tasks, answer)
 
@@ -786,47 +803,73 @@ def _grid_candidates(grid: np.ndarray, dets: np.ndarray, real: bool) -> list:
             + [(grid[i - 1], grid[i + 1], "min") for i in minima[~covered]])
 
 
+def _dip_candidates(grid: np.ndarray, dets: np.ndarray, real: bool, det) -> list:
+    """``_grid_candidates``, with each "min" cell [grid[i - 1], grid[i + 1]]
+    of a real A resampled at ``_DIP_POINTS`` interior points and replaced by
+    the candidates of that sub-grid: a sign change there becomes a "sign"
+    candidate, a dip without one a narrower "min" candidate.  The odd count
+    keeps grid[i], so the cell's three grid dets are reused, and ``det``
+    (a function of an array of lambda values) is called once for the new
+    points of all cells.  A complex A keeps the grid's candidates."""
+    found = _grid_candidates(grid, dets, real)
+    if not real:
+        return found
+    signs = [c for c in found if c[2] == "sign"]
+    dips = np.searchsorted(grid, [lo for lo, _, kind in found if kind == "min"]) + 1
+    if not dips.size:
+        return signs
+    mid = (_DIP_POINTS + 1) // 2
+    known = [0, mid, _DIP_POINTS + 1]
+    sub = np.linspace(grid[dips - 1], grid[dips + 1], _DIP_POINTS + 2, axis=1)
+    sub[:, mid] = grid[dips]
+    vals = np.empty(sub.shape)
+    vals[:, known] = dets.real[dips[:, None] + [-1, 0, 1]]
+    new = np.delete(np.arange(_DIP_POINTS + 2), known)
+    vals[:, new] = np.reshape(det(sub[:, new].ravel()), (len(dips), -1))
+    return signs + [c for at, v in zip(sub, vals) for c in _grid_candidates(at, v, True)]
+
+
 def _oracle_refine(lo, hi, kind, window, mesh, tol):
     """Coroutine: one polish of the candidate bracket [lo, hi] at ``mesh``.
 
-    A sign bracket is widened (at most five times, inside the window) until
-    det changes sign, then polished by Brent to a bracket width of
-    max(1e-3 tol, 4e-16 max(1, |lambda|)); a "min" bracket, or a sign bracket
-    that cannot be restored, is refined by golden-section search on the
-    singular-value ratio.
+    A sign bracket asks for det at both ends in one request and is widened
+    (at most five times, inside the window, both new ends in one request)
+    until det changes sign, then polished by Brent to a bracket width of
+    max(1e-3 tol, 4e-16 max(1, |lambda|)), one lambda per request; a "min"
+    bracket, or a sign bracket that cannot be restored, is refined by
+    golden-section search on the singular-value ratio, its two first
+    points in one request.
     """
     a, b = window
     if kind == "sign":
-        fa = yield "det", lo, mesh
-        fb = yield "det", hi, mesh
+        fa, fb = yield "det", np.array([lo, hi]), mesh
         attempts = 0
         while np.sign(fa) == np.sign(fb) and attempts < 5:
             span = hi - lo
             lo, hi = max(a, lo - span), min(b, hi + span)
-            fa = yield "det", lo, mesh
-            fb = yield "det", hi, mesh
+            fa, fb = yield "det", np.array([lo, hi]), mesh
             attempts += 1
         if np.sign(fa) != np.sign(fb):
             steps = _brent_steps(lo, hi, fa, fb, atol=0.5e-3 * tol)
-            return (yield from _relay(steps, lambda lam: ("det", lam, mesh), lambda v: v))
+            return (yield from _relay(steps, lambda lam: ("det", np.array([lam]), mesh),
+                                      lambda v: v[0]))
         # degenerate bracket: fall through to minimization
     # golden-section minimization of the smallest singular-value ratio
     phi = (math.sqrt(5) - 1) / 2
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
-    f1 = (yield "sigma", x1, mesh)[0]
-    f2 = (yield "sigma", x2, mesh)[0]
+    (f1, f2), _ = yield "sigma", np.array([x1, x2]), mesh
     for _ in range(120):
         if hi - lo < max(tol * 1e-3, 4e-16 * max(1.0, abs(lo))):
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - phi * (hi - lo)
-            f1 = (yield "sigma", x1, mesh)[0]
+            (f1,), _ = yield "sigma", np.array([x1]), mesh
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + phi * (hi - lo)
-            f2 = (yield "sigma", x2, mesh)[0]
+            (f2,), _ = yield "sigma", np.array([x2]), mesh
     return 0.5 * (lo + hi)
 
 
@@ -836,7 +879,7 @@ def _oracle_root(lo, hi, kind, window, mesh, tol):
     the mesh, and returned as a Root (None for a spurious |det| dip)."""
     a, b = window
     r = yield from _oracle_refine(lo, hi, kind, window, mesh, tol)
-    ratio, _ = yield "sigma", r, mesh
+    (ratio,), _ = yield "sigma", np.array([r]), mesh
     if ratio > 1e-5:
         return None  # spurious |det| dip, matrix not numerically singular
     width = 10 * max(tol, 1e-9 * max(1.0, abs(r)))
@@ -846,7 +889,7 @@ def _oracle_root(lo, hi, kind, window, mesh, tol):
         raise OracleConvergenceError(
             f"root at {r} moved by {abs(r2 - r):.3e} under mesh doubling"
         )
-    ratio2, sv2 = yield "sigma", r2, 2 * mesh
+    (ratio2,), (sv2,) = yield "sigma", np.array([r2]), 2 * mesh
     mult = int(np.sum(sv2 < max(_KERNEL_CUTOFF, 10 * ratio2) * max(sv2[0], 1e-300)))
     return Root(float(r2), float(ratio2), max(1, mult), "oracle")
 
@@ -864,13 +907,18 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     Sign changes of the (real) determinant on the
     ``samples``-point grid, at ``_ORACLE_MESH`` RK4 steps per edge, are
     polished by Brent's method to a bracket width of
-    max(1e-3 tol, 4e-16 max(1, |lambda|)); local minima of |det| that
-    dip to a numerical kernel (even-multiplicity roots) are refined by
-    golden-section search on the smallest singular value.  Each root is
+    max(1e-3 tol, 4e-16 max(1, |lambda|)).  A local minimum of the real
+    |det| is first resampled across its two grid cells (``_dip_candidates``,
+    one batched ``evaluate`` for all of them), so that two simple roots in
+    one cell become two sign changes; a dip without a sign change there, as
+    every local minimum of a complex |det|, is refined by golden-section
+    search on the smallest singular value and kept if it reaches a
+    numerical kernel (even-multiplicity roots).  Each root is
     re-polished at twice the mesh; movement beyond 10 * tol raises
     OracleConvergenceError.  All candidates are polished in lockstep: each
-    round evaluates the next lambda of every candidate with one stacked
-    determinant or singular-value call per block.
+    round evaluates the next lambda values of every candidate (both ends of
+    a sign bracket at once) with one stacked determinant or singular-value
+    call per block.
 
     Raises ValueError unless the window bounds are finite with a < b,
     ``tol`` is finite and positive and ``samples`` is at least 2, and
@@ -884,8 +932,9 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     oracle = _CompiledOracle(g, coupling)
     grid = np.linspace(a, b, samples)
     dets = oracle.grid(grid, _ORACLE_MESH)
-    tasks = [_oracle_root(lo, hi, kind, (a, b), _ORACLE_MESH, tol)
-             for lo, hi, kind in _grid_candidates(grid, dets, oracle.real)]
+    candidates = _dip_candidates(grid, dets, oracle.real,
+                                 lambda lams: oracle.evaluate("det", lams, _ORACLE_MESH))
+    tasks = [_oracle_root(lo, hi, kind, (a, b), _ORACLE_MESH, tol) for lo, hi, kind in candidates]
     roots = [r for r in oracle.drive(tasks) if r is not None]
 
     merged = []
@@ -918,9 +967,10 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
     lower bound for the whole spectrum.  PSD means that ``_Inertia`` counts
     no negative eigenvalue (an exact 0 counting as positive).  A count
-    bisection down to ground - 1e7 keeps a PSD lower end (moved up by
-    halving where the edges overflow), stepping to the geometric mean of
-    the distances below the top while they differ by more than 4x."""
+    bisection down to ground - 1e7, or to just above the point where the
+    longest edge overflows, keeps a PSD lower end (moved up by halving
+    where the edges still overflow), stepping to the geometric mean of the
+    distances below the top while they differ by more than 4x."""
     if not g.model.bounded_below:
         return None
     ground = decoupled_ground_state(g)
@@ -933,7 +983,12 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
         except em.EdgeModelError:
             return None
 
-    lo, hi = ground - 1e7, top
+    # (l k)^2, k^2 = |lambda|, overflows on the longest edge l below
+    # -(largest float) / l^2: the lower end starts 1% above that point, or
+    # at ground - 1e7 if that is higher.
+    longest = max(g.finite_lengths, default=0.0)
+    floor = -0.99 * (float(np.finfo(float).max) / longest) / longest if longest else -math.inf
+    lo, hi = max(ground - 1e7, floor), top
     if (verdict := psd(hi)) is not False:
         return hi if verdict else None
     while (verdict := psd(lo)) is None and hi - lo > 1e-9 * max(1.0, abs(hi)):

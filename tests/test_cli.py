@@ -126,6 +126,19 @@ def test_spectrum_csv_output(tmp_path, capsys):
     assert any("undetermined-by-matching" in line for line in lines)
 
 
+def test_spectrum_tags_both_roots_of_a_close_pair_as_agreeing(tmp_path, capsys):
+    # The Dirac star's grid cell next to -10.56 holds two simple roots; the
+    # oracle resamples the |det| dip there and finds the lower one too.
+    data = star3((0.5,) * 4, {"type": "dirac", "c": 1.0})
+    for edge, length in zip(data["edges"], (1.0, 0.7, 1.3)):
+        edge["length"] = length
+    path = write(tmp_path, "star.json", data)
+    assert main(["spectrum", path, "--min", "-15", "--max", "15", "--oracle"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    (row,) = [r for r in rows if r[0] == "krein" and abs(float(r[1]) + 10.578810968922271) < 1e-9]
+    assert row[-1] == "agrees-oracle"
+
+
 def test_spectrum_tags_a_root_on_a_rounding_tie_as_agreeing(tmp_path, capsys, monkeypatch):
     # 5.4914233729525 lies on a tie in its 13th decimal: numpy's round of the
     # matched value gives 5.491423372952, Python's round of the root's

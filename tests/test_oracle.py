@@ -341,13 +341,14 @@ def test_drive_raises_the_error_of_the_first_failing_task():
 
 def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
     # A bracket without a sign change is widened (each side by its width,
-    # inside the window) until the sign changes, then polished.
+    # inside the window) until the sign changes, then polished.  Each
+    # request lists its lambda values: a bracket's two ends come together.
     refine = sp._oracle_refine(0.4, 0.5, "sign", (0.0, 1.0), 2000, 1e-8)
     lams = []
     try:
         request = next(refine)
         while True:
-            lams.append(request[1])
+            lams.extend(request[1])
             request = refine.send(request[1] - 0.25)
     except StopIteration as stop:
         root = stop.value
@@ -361,6 +362,71 @@ def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
     with pytest.raises(sp.OracleConvergenceError,
                        match=r"root at 0\.41477023296384 moved by 1\.013e-07"):
         sp.oracle_eigenvalues(g, coupling, (-1.0, 1.0))
+
+
+# ------------------------------------------------------------ dip resample
+
+CLOSE_PAIR = (-10.578810968922271, -10.550849871331991)
+
+
+def close_pair_star():
+    """A Dirac star whose grid cell next to -10.56 holds two simple roots
+    (``CLOSE_PAIR``, the scan's): |det| dips there without a sign change."""
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3], model=Dirac(1.0))
+    return g, delta(g, 0.5), (-15.0, 15.0)
+
+
+def test_a_dip_holding_two_roots_gives_both():
+    g, coupling, window = close_pair_star()
+    oracle = sp.oracle_eigenvalues(g, coupling, window)
+    for root in CLOSE_PAIR:
+        assert np.min(np.abs(oracle.values - root)) <= 1e-9 * abs(root)
+    scan = sp.scan_spectrum(g, coupling, window)
+    pairs, only_scan, _ = sp.match_spectra(scan.values, oracle.values, scan.excluded)
+    assert not only_scan
+    mult = {r.lam: r.multiplicity for r in scan.roots + oracle.roots}
+    assert all(mult[x] == mult[y] for x, y in pairs)
+
+
+def test_dip_resample_bounds_the_evaluate_calls(monkeypatch):
+    calls = []
+    evaluate = sp._CompiledOracle.evaluate
+
+    def counted(self, kind, lams, mesh):
+        calls.append(kind)
+        return evaluate(self, kind, lams, mesh)
+
+    monkeypatch.setattr(sp._CompiledOracle, "evaluate", counted)
+    sp.oracle_eigenvalues(*close_pair_star())
+    assert len(calls) <= 25  # 90 when the dip was a golden section, one lambda a round
+
+
+def test_dip_candidates_on_synthetic_dets():
+    grid = np.linspace(0.0, 1.0, 11)  # |det| dips at grid[5] = 0.5 in each case
+    asked = []
+
+    def candidates(f, real=True):
+        def det(lams):
+            asked.append(lams)
+            return f(lams)
+        return sp._dip_candidates(grid, f(grid), real, det)
+
+    # Two simple roots in one cell: two sign changes on the cell's sub-grid,
+    # whose new points (all but grid[4:7]) are asked for in one call.
+    two = candidates(lambda x: (x - 0.52) * (x - 0.56))
+    assert [kind for _, _, kind in two] == ["sign", "sign"]
+    assert [lo < root < hi for (lo, hi, _), root in zip(two, (0.52, 0.56))] == [True, True]
+    (lams,) = asked
+    assert len(lams) == sp._DIP_POINTS - 1 and not np.isin(grid[4:7], lams).any()
+    # A double root: one narrower "min" candidate around it.
+    ((lo, hi, kind),) = candidates(lambda x: (x - 0.53) ** 2)
+    assert kind == "min" and lo < 0.53 < hi and hi - lo < 0.5 * (grid[6] - grid[4])
+    # A complex A keeps the grid's candidates, without a resample.
+    asked.clear()
+    dets = (grid - 0.52) * (grid - 0.56) + 0.01j
+    assert candidates(lambda x: (x - 0.52) * (x - 0.56) + 0.01j, real=False) == \
+        sp._grid_candidates(grid, dets, False) == [(grid[4], grid[6], "min")]
+    assert not asked
 
 
 # ------------------------------------------------------------- tree pass

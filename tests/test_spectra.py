@@ -258,6 +258,23 @@ def test_certificate_on_long_edges(length, alpha, want):
         assert want - 1e-6 <= cert <= want
 
 
+def test_certificate_starts_above_the_overflow_point(monkeypatch):
+    # (l k)^2 overflows on a 1e153 edge below lambda = -179.8: the lower end
+    # starts just above that, not at ground - 1e7 with one count per halving.
+    counts = []
+    many = sp._Inertia.many
+
+    def counted(self, lams):
+        counts.append(lams)
+        return many(self, lams)
+
+    monkeypatch.setattr(sp._Inertia, "many", counted)
+    g = gr.interval(1e153)
+    cert = sp.lower_bound_certificate(g, cp.delta_coupling(g, {"a": -10.0, "b": 0.0}))
+    assert cert == pytest.approx(-100.00000003027935, rel=1e-9)
+    assert len(counts) <= 37  # 52 when halving up from ground - 1e7
+
+
 def test_match_spectra_keeps_unpaired_roots():
     assert sp.match_spectra([1.0, 2.0], [1.0]) == ([(1.0, 1.0)], [2.0], [])
 
