@@ -749,12 +749,13 @@ class _CompiledOracle:
         """Run the coroutines ``tasks`` in lockstep (``_lockstep``); returns
         their results.
 
-        A task yields requests ``(kind, lambdas, mesh)``, ``lambdas`` an
-        array of lambda values, and is sent the ``evaluate`` values of that
-        kind there: an array of det A for "det" (only sign brackets, which
-        exist when A is real, ask for it), the arrays (ratios, singular
-        values) for "sigma".  Each round answers all pending requests with
-        one ``evaluate`` call per kind and mesh.
+        A task yields requests ``(kind, lambdas, mesh)`` and is sent the
+        ``evaluate`` values of that kind there.  ``lambdas`` is one lambda as
+        a float, answered with det A (real; only sign brackets, which exist
+        when A is real, ask for it) or the pair (ratio, singular values) for
+        "sigma", or an array of lambda values, answered with the array of
+        det A or the arrays (ratios, singular values).  Each round answers
+        all pending requests with one ``evaluate`` call per kind and mesh.
         """
         def answer(requests):
             groups = {}
@@ -762,18 +763,23 @@ class _CompiledOracle:
                 groups.setdefault((kind, mesh), []).append((j, lams))
             values = [None] * len(requests)
             for (kind, mesh), group in groups.items():
-                found = self.evaluate(kind, np.concatenate([lams for _, lams in group], axis=None),
-                                      mesh)
-                if kind == "det":
-                    dets = np.array(found)
-                else:
-                    ratios, sv = map(np.array, zip(*found))
+                flat = []
+                for _, lams in group:
+                    if isinstance(lams, float):
+                        flat.append(lams)
+                    else:
+                        flat.extend(lams)
+                found = self.evaluate(kind, flat, mesh)
                 first = 0
                 for j, lams in group:
-                    end = first + np.size(lams)
-                    part = slice(first, end)
-                    values[j] = dets[part] if kind == "det" else (ratios[part], sv[part])
-                    first = end
+                    if isinstance(lams, float):
+                        values[j] = found[first]
+                        first += 1
+                    else:
+                        part = found[first:first + len(lams)]
+                        values[j] = (np.array(part) if kind == "det"
+                                     else tuple(map(np.array, zip(*part))))
+                        first += len(lams)
             return values
         return _lockstep(tasks, answer)
 
@@ -830,15 +836,16 @@ def _dip_candidates(grid: np.ndarray, dets: np.ndarray, real: bool, det) -> list
 
 
 def _oracle_refine(lo, hi, kind, window, mesh, tol):
-    """Coroutine: one polish of the candidate bracket [lo, hi] at ``mesh``.
+    """Coroutine: one polish of the candidate bracket [lo, hi] at ``mesh``;
+    returns (lambda, closed), closed when Brent polished a sign change.
 
     A sign bracket asks for det at both ends in one request and is widened
     (at most five times, inside the window, both new ends in one request)
     until det changes sign, then polished by Brent to a bracket width of
-    max(1e-3 tol, 4e-16 max(1, |lambda|)), one lambda per request; a "min"
-    bracket, or a sign bracket that cannot be restored, is refined by
-    golden-section search on the singular-value ratio, its two first
-    points in one request.
+    max(1e-3 tol, 4e-16 max(1, |lambda|)), one lambda (a float) per
+    request; a "min" bracket, or a sign bracket that cannot be restored, is
+    refined by golden-section search on the singular-value ratio, its two
+    first points in one request and one float per request after them.
     """
     a, b = window
     if kind == "sign":
@@ -851,8 +858,7 @@ def _oracle_refine(lo, hi, kind, window, mesh, tol):
             attempts += 1
         if np.sign(fa) != np.sign(fb):
             steps = _brent_steps(lo, hi, fa, fb, atol=0.5e-3 * tol)
-            return (yield from _relay(steps, lambda lam: ("det", np.array([lam]), mesh),
-                                      lambda v: v[0]))
+            return (yield from _relay(steps, lambda lam: ("det", lam, mesh), float)), True
         # degenerate bracket: fall through to minimization
     # golden-section minimization of the smallest singular-value ratio
     phi = (math.sqrt(5) - 1) / 2
@@ -865,31 +871,37 @@ def _oracle_refine(lo, hi, kind, window, mesh, tol):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - phi * (hi - lo)
-            (f1,), _ = yield "sigma", np.array([x1]), mesh
+            f1, _ = yield "sigma", x1, mesh
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + phi * (hi - lo)
-            (f2,), _ = yield "sigma", np.array([x2]), mesh
-    return 0.5 * (lo + hi)
+            f2, _ = yield "sigma", x2, mesh
+    return 0.5 * (lo + hi), False
 
 
 def _oracle_root(lo, hi, kind, window, mesh, tol):
     """Coroutine for ``_CompiledOracle.drive``: one grid candidate polished
-    at ``mesh``, checked for a numerical kernel, polished again at twice
-    the mesh, and returned as a Root (None for a spurious |det| dip)."""
+    at ``mesh``, polished again at twice the mesh, and returned as a Root.
+
+    det A(lambda) is a polynomial in lambda for both edge models, so a sign
+    bracket that Brent closed holds an exact zero and goes straight to the
+    second polish.  A golden-section result is first checked for a
+    numerical kernel at ``mesh``, and the candidate gives None (a spurious
+    |det| dip) when its singular-value ratio stays above 1e-5."""
     a, b = window
-    r = yield from _oracle_refine(lo, hi, kind, window, mesh, tol)
-    (ratio,), _ = yield "sigma", np.array([r]), mesh
-    if ratio > 1e-5:
-        return None  # spurious |det| dip, matrix not numerically singular
+    r, closed = yield from _oracle_refine(lo, hi, kind, window, mesh, tol)
+    if not closed:
+        ratio, _ = yield "sigma", r, mesh
+        if ratio > 1e-5:
+            return None  # spurious |det| dip, matrix not numerically singular
     width = 10 * max(tol, 1e-9 * max(1.0, abs(r)))
-    r2 = yield from _oracle_refine(max(a, r - width), min(b, r + width),
-                                   kind, window, 2 * mesh, tol)
+    r2, _ = yield from _oracle_refine(max(a, r - width), min(b, r + width),
+                                      kind, window, 2 * mesh, tol)
     if abs(r2 - r) > 10 * max(tol, tol * abs(r)):
         raise OracleConvergenceError(
             f"root at {r} moved by {abs(r2 - r):.3e} under mesh doubling"
         )
-    (ratio2,), (sv2,) = yield "sigma", np.array([r2]), 2 * mesh
+    ratio2, sv2 = yield "sigma", r2, 2 * mesh
     mult = int(np.sum(sv2 < max(_KERNEL_CUTOFF, 10 * ratio2) * max(sv2[0], 1e-300)))
     return Root(float(r2), float(ratio2), max(1, mult), "oracle")
 
@@ -913,12 +925,14 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     one cell become two sign changes; a dip without a sign change there, as
     every local minimum of a complex |det|, is refined by golden-section
     search on the smallest singular value and kept if it reaches a
-    numerical kernel (even-multiplicity roots).  Each root is
-    re-polished at twice the mesh; movement beyond 10 * tol raises
-    OracleConvergenceError.  All candidates are polished in lockstep: each
-    round evaluates the next lambda values of every candidate (both ends of
-    a sign bracket at once) with one stacked determinant or singular-value
-    call per block.
+    numerical kernel (even-multiplicity roots); a sign change that Brent
+    closed holds an exact zero of the polynomial det A and skips that
+    check.  Each root is re-polished at twice the mesh, where its singular
+    values give its residual and multiplicity; movement beyond 10 * tol
+    raises OracleConvergenceError.  All candidates are polished in
+    lockstep: each round evaluates the next lambda values of every
+    candidate (both ends of a sign bracket at once) with one stacked
+    determinant or singular-value call per kind, mesh and block.
 
     Raises ValueError unless the window bounds are finite with a < b,
     ``tol`` is finite and positive and ``samples`` is at least 2, and

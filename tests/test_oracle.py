@@ -1,7 +1,9 @@
 """The compiled RK4 oracle: its matrix A(lambda) against a per-incidence
 reference assembly, its realness and its one evaluator, the grid candidate
 scan against a loop over the grid, the lockstep polish against the same
-coroutines driven one at a time, its RK4 transfer matrices against
+coroutines driven one at a time, its sign roots against the sequence that
+checked every candidate for a kernel at both meshes, where it asks for
+singular values, its RK4 transfer matrices against
 sequential stepping, the number of determinant and transfer calls it
 takes, its leaf-to-root grid pass against LAPACK's determinants, and its
 roots on relabeled graphs, whose layout differs, with Brent's steps on det
@@ -299,15 +301,23 @@ def random_tree():
     return g, delta(g, 0.0), (-1.0, 20.0)
 
 
-@pytest.mark.parametrize("make", [laplacian_star, dirac_star, dirac_star_custom_centre,
-                                  short_edge_chain, random_tree])
-def test_lockstep_matches_one_at_a_time(make):
+def lockstep_problem(make):
+    """The compiled oracle, window, mesh, tol and grid candidates of ``make``."""
     g, coupling, lams = make()
-    window, mesh, tol = (min(lams), max(lams)), 2000, 1e-8
+    window, mesh = (min(lams), max(lams)), 2000
     oracle = sp._CompiledOracle(g, coupling)
     grid = np.linspace(*window, 600)
     dets = np.array(oracle.evaluate("det", grid, mesh))
-    candidates = sp._grid_candidates(grid, dets, oracle.real)
+    return oracle, window, mesh, 1e-8, sp._grid_candidates(grid, dets, oracle.real)
+
+
+LOCKSTEP_PROBLEMS = [laplacian_star, dirac_star, dirac_star_custom_centre,
+                     short_edge_chain, random_tree]
+
+
+@pytest.mark.parametrize("make", LOCKSTEP_PROBLEMS)
+def test_lockstep_matches_one_at_a_time(make):
+    oracle, window, mesh, tol, candidates = lockstep_problem(make)
 
     def tasks():
         return [sp._oracle_root(lo, hi, kind, window, mesh, tol)
@@ -316,6 +326,97 @@ def test_lockstep_matches_one_at_a_time(make):
     together = oracle.drive(tasks())
     assert any(root is not None for root in together)
     assert together == [oracle.drive([task])[0] for task in tasks()]
+
+
+def by_hand(oracle, task):
+    """The result of the coroutine ``task``, each request answered by its
+    own ``evaluate`` call: a float with one value, an array with an array."""
+    value = None
+    while True:
+        try:
+            kind, lams, mesh = task.send(value)
+        except StopIteration as stop:
+            return stop.value
+        found = oracle.evaluate(kind, np.atleast_1d(lams), mesh)
+        if np.ndim(lams) == 0:
+            value = found[0]
+        else:
+            value = np.array(found) if kind == "det" else tuple(map(np.array, zip(*found)))
+
+
+def checked_at_both_meshes(oracle, lo, hi, kind, window, mesh, tol):
+    """A candidate's Root by the sequence that checked every candidate for
+    a numerical kernel: refine at ``mesh``, sigma there (None above 1e-5),
+    refine at twice the mesh, sigma there."""
+    a, b = window
+    r, _ = by_hand(oracle, sp._oracle_refine(lo, hi, kind, window, mesh, tol))
+    ratio, _ = oracle.evaluate("sigma", [r], mesh)[0]
+    if ratio > 1e-5:
+        return None
+    width = 10 * max(tol, 1e-9 * max(1.0, abs(r)))
+    r2, _ = by_hand(oracle, sp._oracle_refine(max(a, r - width), min(b, r + width),
+                                              kind, window, 2 * mesh, tol))
+    ratio2, sv2 = oracle.evaluate("sigma", [r2], 2 * mesh)[0]
+    mult = int(np.sum(sv2 < max(sp._KERNEL_CUTOFF, 10 * ratio2) * max(sv2[0], 1e-300)))
+    return sp.Root(float(r2), float(ratio2), max(1, mult), "oracle")
+
+
+@pytest.mark.parametrize("make", LOCKSTEP_PROBLEMS)
+def test_sign_roots_match_the_check_at_both_meshes(make):
+    # A closed sign bracket holds an exact zero of the polynomial det A, so
+    # skipping its coarse kernel check changes no root.
+    oracle, window, mesh, tol, candidates = lockstep_problem(make)
+    signs = [c for c in candidates if c[2] == "sign"]
+    assert bool(signs) == oracle.real
+    roots = oracle.drive([sp._oracle_root(lo, hi, kind, window, mesh, tol)
+                          for lo, hi, kind in signs])
+    assert roots == [checked_at_both_meshes(oracle, *c, window, mesh, tol) for c in signs]
+    assert None not in roots
+
+
+def counted_evaluate(monkeypatch):
+    """Record (kind, mesh, lambda values) of each ``evaluate`` call."""
+    calls = []
+    evaluate = sp._CompiledOracle.evaluate
+
+    def counted(self, kind, lams, mesh):
+        calls.append((kind, mesh, list(lams)))
+        return evaluate(self, kind, lams, mesh)
+
+    monkeypatch.setattr(sp._CompiledOracle, "evaluate", counted)
+    return calls
+
+
+def test_sign_brackets_skip_the_coarse_sigma_check(monkeypatch):
+    calls = counted_evaluate(monkeypatch)
+    g, coupling, window = random_tree()
+    roots = sp.oracle_eigenvalues(g, coupling, window).roots
+    assert len(roots) == 26
+    assert {kind for kind, mesh, _ in calls} == {"det", "sigma"}
+    assert not [c for c in calls if c[:2] == ("sigma", 2000)]  # every candidate is a sign
+    assert sum(len(lams) for kind, mesh, lams in calls if (kind, mesh) == ("sigma", 4000)) == 26
+
+
+def test_a_golden_section_candidate_is_checked_at_the_coarse_mesh(monkeypatch):
+    g, coupling, _ = laplacian_star()
+    oracle, window, mesh, tol = sp._CompiledOracle(g, coupling), (1.0, 6.0), 2000, 1e-8
+    grid = np.linspace(*window, 600)
+    (i, *_), = np.nonzero(np.diff(np.sign(oracle.evaluate("det", grid, mesh))))
+    lo, hi = grid[i - 1], grid[i + 2]  # a root's cells as a "min" bracket
+    r, closed = by_hand(oracle, sp._oracle_refine(lo, hi, "min", window, mesh, tol))
+    assert not closed
+    calls = counted_evaluate(monkeypatch)
+    (root,) = oracle.drive([sp._oracle_root(lo, hi, "min", window, mesh, tol)])
+    coarse = [c for c in calls if c[:2] == ("sigma", mesh)]
+    first_fine = [c[1] for c in calls].index(2 * mesh)
+    assert calls[first_fine - 1] == ("sigma", mesh, [r]) == coarse[-1]
+    assert abs(root.lam - r) < 1e-7 and root.residual < 1e-5
+    # Where A has no numerical kernel, the dip is refused at the coarse
+    # check and nothing is asked at twice the mesh.
+    calls.clear()
+    lo, hi = grid[i - 40], grid[i - 30]
+    assert oracle.drive([sp._oracle_root(lo, hi, "min", window, mesh, tol)]) == [None]
+    assert calls and {mesh_ for _, mesh_, _ in calls} == {mesh}
 
 
 def test_drive_raises_the_error_of_the_first_failing_task():
@@ -334,6 +435,8 @@ def test_drive_raises_the_error_of_the_first_failing_task():
     assert [r[0] for r in results] == ["a", "b", "c"]
     assert results[0][1] == np.linalg.det(oracle.matrices([2.0], 2000)[0]).real
     assert results[1][1] is None and len(results[2][1]) == 2  # (ratio, sv)
+    # A float request is answered with a float: det, or the ratio of (ratio, sv).
+    assert isinstance(results[0][1], float) and isinstance(results[2][1][0], float)
     # The second task fails in round 5, the third in round 1: the second wins.
     with pytest.raises(sp.OracleConvergenceError, match="second"):
         oracle.drive([task("first", 2), task("second", 5, True), task("third", 1, True)])
@@ -341,19 +444,21 @@ def test_drive_raises_the_error_of_the_first_failing_task():
 
 def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
     # A bracket without a sign change is widened (each side by its width,
-    # inside the window) until the sign changes, then polished.  Each
-    # request lists its lambda values: a bracket's two ends come together.
+    # inside the window) until the sign changes, then polished.  A bracket's
+    # two ends come together as an array; each Brent step is one float.
     refine = sp._oracle_refine(0.4, 0.5, "sign", (0.0, 1.0), 2000, 1e-8)
-    lams = []
+    lams, shapes = [], []
     try:
         request = next(refine)
         while True:
-            lams.extend(request[1])
+            shapes.append(np.shape(request[1]))
+            lams.extend(np.atleast_1d(request[1]))
             request = refine.send(request[1] - 0.25)
     except StopIteration as stop:
-        root = stop.value
+        root, closed = stop.value
     assert lams[:6] == pytest.approx([0.4, 0.5, 0.3, 0.6, 0.0, 0.9], abs=1e-12)
-    assert root == pytest.approx(0.25, abs=1e-11)
+    assert shapes[:3] == [(2,)] * 3 and set(shapes[3:]) == {()}
+    assert root == pytest.approx(0.25, abs=1e-11) and closed
     # On a 200-long interval the root near 0.41477 moves by 1.013e-7 under
     # mesh doubling, past the 1e-7 bracket of the second polish: that
     # bracket is widened, and the move is refused.
@@ -389,14 +494,7 @@ def test_a_dip_holding_two_roots_gives_both():
 
 
 def test_dip_resample_bounds_the_evaluate_calls(monkeypatch):
-    calls = []
-    evaluate = sp._CompiledOracle.evaluate
-
-    def counted(self, kind, lams, mesh):
-        calls.append(kind)
-        return evaluate(self, kind, lams, mesh)
-
-    monkeypatch.setattr(sp._CompiledOracle, "evaluate", counted)
+    calls = counted_evaluate(monkeypatch)
     sp.oracle_eigenvalues(*close_pair_star())
     assert len(calls) <= 25  # 90 when the dip was a golden section, one lambda a round
 
