@@ -12,10 +12,12 @@ Basis vectors are stored unnormalized: the weighted measures downstream
 depend on the raw vectors, so normalization happens only inside matrix
 assembly.  ``_CompiledPairing`` is that assembly, over the sparse matrix B
 of ``global_basis``: the one place where <(L - M) b_j, b_i> is evaluated.
+Both read the blocks in one array pass (``_block_pass``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Optional
 
@@ -78,14 +80,45 @@ def _delta_phases(t, model) -> np.ndarray:
     return np.array(model._phases, dtype=complex)[t]
 
 
-def _vertex_blocks(g: MetricGraph, coupling: VertexCoupling):
-    """``g``'s boundary coordinates and its vertices' blocks in sorted order;
-    raises unless ``g`` is valid and the blocks claim each coordinate once."""
+def _block_pass(g: MetricGraph, coupling: VertexCoupling):
+    """One pass over the blocks of ``g``'s vertices in sorted order: the
+    blocks, the first row of each, per basis shape (deg, dim) the places of
+    its blocks, their rows' positions in ``g._index.coords`` (count, deg),
+    elements of B (count, dim) and stacked bases (count, deg, dim), and a
+    function building B; one concatenation of the bases feeds all.  Raises
+    unless ``g`` is valid and the blocks claim each coordinate once."""
     index = g._index
     blocks = [coupling.block(v) for v in index.vertices]
-    if sorted(c for block in blocks for c in block.coords) != list(index.coords):
+    size, position = len(index.coords), index.position
+    rows = np.array([position.get(c, size) for b in blocks for c in b.coords], dtype=np.intp)
+    if rows.size != size or (np.bincount(rows, minlength=size)[:size] != 1).any():
         raise ValueError("coupling size mismatch: blocks and boundary coordinates differ")
-    return index.coords, blocks
+    shapes = [b.basis.shape for b in blocks]
+    deg, dim = np.fromiter(itertools.chain(*shapes), np.intp, 2 * len(shapes)).reshape(-1, 2).T
+    flat = np.concatenate([b.basis.ravel() for b in blocks])
+    first_row, first, first_entry = (np.cumsum(x) - x for x in (deg, dim, deg * dim))
+    groups = []
+    for d, e in dict.fromkeys(shapes):
+        same = np.flatnonzero((deg == d) & (dim == e))
+        groups.append((same, rows[first_row[same][:, None] + np.arange(d)],
+                       first[same][:, None] + np.arange(e),
+                       flat[first_entry[same][:, None] + np.arange(d * e)].reshape(-1, d, e)))
+
+    def build_basis() -> GlobalBasis:
+        at = np.flatnonzero(flat)  # B's entries, one per nonzero of a basis
+        block = np.repeat(np.arange(len(blocks)), deg * dim)[at]
+        row, col = np.divmod(at - first_entry[block], dim[block])
+        coord, element = rows[first_row[block] + row], first[block] + col
+        order = np.lexsort((element, coord))  # by coordinate, then element
+        coord, element, value = coord[order], element[order], flat[at[order]]
+        vertices = np.repeat(np.array([b.vertex for b in blocks], dtype=object), dim).tolist()
+        column = (np.arange(len(vertices)) - np.repeat(first, dim)).tolist()
+        labels = [v if n == 1 else f"{v}:{k}"
+                  for v, n, k in zip(vertices, np.repeat(dim, dim).tolist(), column)]
+        norms = np.sqrt(np.bincount(element, value.real ** 2 + value.imag ** 2, len(labels)))
+        return GlobalBasis(index.coords, tuple(labels), tuple(vertices), norms,
+                           coord, element, value)
+    return blocks, first_row, groups, build_basis
 
 
 def delta_coupling(g: MetricGraph, alpha: Mapping[str, float]) -> VertexCoupling:
@@ -212,19 +245,6 @@ class PatternMatrix:
         return out
 
 
-def _by_shape(blocks):
-    """[(first element of each block, blocks)], one entry per basis shape
-    (degree, dimension), so that each group is handled by one batched
-    operation; elements are numbered over ``blocks`` in order."""
-    shapes, start = {}, 0
-    for block in blocks:
-        shape = block.basis.shape
-        shapes.setdefault(shape, []).append((start, block))
-        start += shape[1]
-    return [(np.array([i for i, _ in same]), [block for _, block in same])
-            for same in shapes.values()]
-
-
 class _CompiledPairing:
     """The boundary pairing P[i, j] = <(L - M) b_j, b_i> over the raw global
     basis B = ``global_basis(g, coupling)``, kept as ``basis``; compiled once
@@ -247,15 +267,14 @@ class _CompiledPairing:
     """
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
-        self.basis = gb = global_basis(g, coupling)
+        blocks, _, groups, build_basis = _block_pass(g, coupling)
+        self.basis = gb = build_basis()
         # (edge id, edge model, length) in graph order: what M(lambda) needs.
         self.edges = [(e.id, edge_model_for(g.model, e), e.length) for e in g.edges]
         n = len(gb.labels)
         p0_at, p0 = [], []
-        for starts, same in _by_shape(coupling.block(v) for v in dict.fromkeys(gb.vertices)):
-            basis = np.array([block.basis for block in same])
-            ops = np.array([block.operator() for block in same])
-            idx = starts[:, None] + np.arange(basis.shape[2])
+        for same, _, idx, basis in groups:
+            ops = np.array([blocks[p].operator() for p in same.tolist()])
             p0_at.append((idx[:, :, None] * n + idx[:, None, :]).ravel())
             p0.append((basis.conj().transpose(0, 2, 1) @ ops @ basis).ravel())
 
@@ -265,19 +284,17 @@ class _CompiledPairing:
         # Coordinate pairs (p, q) of each edge and the position of M[p, q]; an
         # edge's coordinates are consecutive, (id, 0) first.  Edges with as
         # many coordinates are one group, in order of first appearance.
-        firsts = np.flatnonzero(np.array([t for _, t in gb.coords]) == 0)
+        index = g._index
+        firsts = np.flatnonzero(index.end == 0)
         sizes = np.diff(firsts, append=gb.size)
-        self.edge_ids, pa, pb, src = [], [], [], []
-        offset = 0
+        self.edge_ids, pa, pb = [], [], []
         for d in dict.fromkeys(sizes.tolist()):
             at = firsts[sizes == d]
             pos = at[:, None] + np.arange(d)
-            self.edge_ids.extend(gb.coords[p][0] for p in at.tolist())
+            self.edge_ids.extend(self.edges[k][0] for k in index.edge[at].tolist())
             pa.append(np.repeat(pos, d, axis=1).ravel())
             pb.append(np.tile(pos, d).ravel())
-            src.append(offset + np.arange(at.size * d * d))
-            offset += at.size * d * d
-        pa, pb, src = (np.concatenate(x) for x in (pa, pb, src))
+        pa, pb = np.concatenate(pa), np.concatenate(pb)  # M[pa[k], pb[k]] is entry k of the stack
 
         # One triplet per pair of nonzero entries in rows p and q of B.
         nb = per_coord[pb]
@@ -289,7 +306,7 @@ class _CompiledPairing:
         target = gb.element[ea] * n + gb.element[eb]
         order = np.argsort(target, kind="stable")
         target = target[order]
-        self.src = src[pair][order]
+        self.src = pair[order]
         self.weights = (gb.value[ea].conj() * gb.value[eb])[order]
         self.starts = np.flatnonzero(np.diff(target, prepend=-1))
 
@@ -323,31 +340,7 @@ def global_basis(g: MetricGraph, coupling: VertexCoupling) -> GlobalBasis:
 
     Ordering is deterministic: vertices lexicographically, then basis column
     index; labels are the vertex id, suffixed ":k" when dim > 1.  The blocks
-    must claim each boundary coordinate once (``_vertex_blocks``).  The
-    blocks of one basis shape give their entries in one stacked pass.
+    must claim each boundary coordinate once (one ``bincount``); B's entries
+    are the nonzeros of the blocks' bases, concatenated once (``_block_pass``).
     """
-    coords, blocks = _vertex_blocks(g, coupling)
-    pos = {coord: i for i, coord in enumerate(coords)}
-    labels, vertices = [], []
-    by_dim = {}  # basis dimension -> (coordinate positions, first elements, degrees, bases)
-    for block in blocks:
-        v, (deg, dim) = block.vertex, block.basis.shape
-        rows, firsts, degrees, bases = by_dim.setdefault(dim, ([], [], [], []))
-        rows.extend([pos[c] for c in block.coords])
-        firsts.append(len(labels))
-        degrees.append(deg)
-        bases.append(block.basis)
-        labels.extend([v] if dim == 1 else [f"{v}:{k}" for k in range(dim)])
-        vertices.extend([v] * dim)
-    coord, element, value = [], [], []
-    for rows, firsts, degrees, bases in by_dim.values():
-        basis = np.concatenate(bases)  # one row per coordinate
-        row, k = np.nonzero(basis)
-        coord.append(np.array(rows)[row])
-        element.append(np.repeat(firsts, degrees)[row] + k)
-        value.append(basis[row, k])
-    coord, element, value = (np.concatenate(x) for x in (coord, element, value))
-    order = np.lexsort((element, coord))  # by coordinate, then element
-    coord, element, value = coord[order], element[order], value[order]
-    norms = np.sqrt(np.bincount(element, value.real ** 2 + value.imag ** 2, len(labels)))
-    return GlobalBasis(coords, tuple(labels), tuple(vertices), norms, coord, element, value)
+    return _block_pass(g, coupling)[3]()

@@ -324,21 +324,21 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
     diverging to -infinity: max eigenvalue of each edge's renormalized
     matrix at lambda = -10**k, k = 1, ..., 6, must be strictly decreasing,
     and no sample may sit on a pole of its edge (``samples_on_poles``).
+    Each edge model takes all six samples in one kernel call and one eigensolve.
 
     The hypothesis is about a limit, so the verdict is capped at
     INCONCLUSIVE; the witness says whether the sampled evidence supports it.
     """
     crit = "renormalized-divergence"
-    lams = [-10.0 ** k for k in range(1, 7)]
+    lams = np.array([-10.0 ** k for k in range(1, 7)])
     tops = np.empty((len(g.edges), len(lams)))  # max eigenvalue per edge and sample
     on = np.empty(tops.shape, dtype=bool)  # sample on a pole of its edge
+    norms = np.array([reg.norm_prime[e.id] for e in g.edges])[:, None, None, None]
     for model, at, lengths in _by_model(g):
-        norm = np.array([reg.norm_prime[g.edges[i].id] for i in at])[:, None, None]
-        for k, lam in enumerate(lams):
-            _, _, hit, change, _ = em._responses(model, lengths, lam, since=reg.lambda0)
-            on[at, k] = hit
-            change = np.where(hit[:, None, None], 0.0, change) / norm
-            tops[at, k] = np.linalg.eigvalsh(change)[:, -1]
+        _, _, hit, change, _ = em._responses(model, lengths, lams, since=reg.lambda0)
+        on[at] = hit
+        change = np.where(hit[:, :, None, None], 0.0, change) / norms[at]
+        tops[at] = np.linalg.eigvalsh(change)[..., -1]
     poled = on.any(axis=1)
     decreasing = ~poled & (np.diff(tops, axis=1) < 0).all(axis=1)
     supports = bool((decreasing & (tops[:, -1] < 0)).all())
@@ -346,6 +346,6 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
                 for e, top, dec in zip(g.edges, tops.tolist(), decreasing.tolist())}
     for i in np.flatnonzero(poled):
         per_edge[g.edges[i].id].update(max_eigenvalues=tops[i, ~on[i]].tolist(),
-                                       samples_on_poles=np.array(lams)[on[i]].tolist())
+                                       samples_on_poles=lams[on[i]].tolist())
     return CriterionResult(crit, INCONCLUSIVE, "sb.mtilde-scan",
                            {"evidence_supports": supports, "per_edge": per_edge})

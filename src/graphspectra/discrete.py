@@ -91,7 +91,7 @@ def _regularized_pairing(g: MetricGraph, coupling: VertexCoupling,
     """Compiled pairing, the values of P at M0 and m = ||R b||^2."""
     compiled = _CompiledPairing(g, coupling)
     gb = compiled.basis
-    r2 = np.array([reg.norm_prime[eid] for eid, _ in gb.coords])
+    r2 = np.array([reg.norm_prime[eid] for eid, _, _ in compiled.edges])[g._index.edge]
     m = np.bincount(gb.element, r2[gb.coord] * (gb.value.real ** 2 + gb.value.imag ** 2),
                     len(gb.labels))
     return compiled, compiled(reg.m_at_lambda0), m

@@ -71,6 +71,7 @@ one array pass, and ``decoupled_eigenvalues`` is its one-edge case.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import numbers
@@ -436,55 +437,58 @@ def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False)
 
 def _responses(model, ell, lam, derivative=False, since=None):
     """``_response`` of the graph trace maps over the 1-d array ``ell`` of
-    lengths at one real ``lam``: (dist, pole, on_pole, M, M' or None), the
-    distance and nearest pole exactly as ``_guard`` gives them (one
-    ``_pole`` call for both candidate indices of every edge), M and M'
-    assembled from ``_delta_weights`` (undefined where on_pole).  With a
-    real ``since``, M(lam) - M(since) (``_change``) takes the place of M.
-    The first invalid length, or an invalid lam, raises the error of
-    ``_guard``."""
-    ell, lam = np.asarray(ell, dtype=float), np.float64(lam)  # rho's pole gives inf
-    half_line = model.dim == 1
+    lengths at a real ``lam``, or at each of a 1-d array of them (a second
+    axis, each column the bytes of its lambda alone): (dist, pole, on_pole,
+    M, M' or None), the distance and nearest pole exactly as ``_guard``
+    gives them (one ``_pole`` call for all), M and M' from ``_delta_weights``
+    (undefined where on_pole).  With a real ``since``, M(lam) - M(since)
+    (``_change``) replaces M.  The first invalid length at the first lambda
+    with one, or an invalid lam, raises the error of ``_guard``."""
+    ell, lams = np.asarray(ell, dtype=float), np.asarray(lam, dtype=float).reshape(-1)
+    grid, half_line = ell[:, None], model.dim == 1  # lengths down, lambda values across
     with np.errstate(all="ignore"):
-        lk = 0.0 if half_line else ell * model._wavenumber(abs(lam))
-        bad = ~(np.isfinite(lam) & np.isfinite(lk * lk)
-                & (np.isinf(ell) if half_line else (ell > 0) & np.isfinite(ell)))
+        lk = 0.0 if half_line else grid * [model._wavenumber(abs(x)) for x in lams.tolist()]
+        bad = ~(np.isfinite(lams) & np.isfinite(lk * lk)
+                & (np.isinf(grid) if half_line else (grid > 0) & np.isfinite(grid)))
         if bad.any():  # _guard raises the error of the first
-            _guard(model, float(ell[np.argmax(bad)]), lam)
+            col = np.argmax(bad.any(axis=0))
+            _guard(model, float(ell[np.argmax(bad[:, col])]), lams[col])
         if half_line:  # every length is inf
-            dist, pole = (np.full(ell.shape, x) for x in pole_distance(model, math.inf, lam))
-        else:  # extra poles, then those of the indices max(first, n0) ... n0 + 1
-            first, offset, extra = model._poles["graph"]
-            n = np.floor(ell * model._wavenumber(lam) / math.pi - offset)[:, None] + [0.0, 1.0]
-            poles = np.stack(model._pole((n + offset) * math.pi / ell[:, None]), -1)
-            cands = np.concatenate([np.broadcast_to(extra, ell.shape + (len(extra),)),
-                                    np.where((n >= first)[:, :, None], poles, np.inf)
-                                    .reshape(len(ell), -1)], axis=-1)
-            gaps = np.abs(lam - cands)
-            j = np.argmin(gaps, axis=-1)[:, None]  # the first of equally near poles
-            dist, pole = (np.take_along_axis(a, j, -1)[:, 0] for a in (gaps, cands))
-        on_pole = dist < _POLE_TOL * np.maximum(1.0, np.abs(pole))
-        if half_line:
-            z = _halfline_root(lam)
-            m, dm = (np.full(ell.shape + (1, 1), x) for x in (1j * z, 1j / (2 * z)))
+            near = np.array([pole_distance(model, math.inf, x) for x in lams.tolist()])
+            dist, pole = np.tile(near.T[:, None], (1, len(ell), 1))
+            z = np.array([_halfline_root(x) for x in lams.tolist()])[:, None, None]
+            m, dm = (np.tile(v, (len(ell), 1, 1, 1)) for v in (1j * z, 1j / (2 * z)))
             if since is not None:
                 m = m - 1j * _halfline_root(since)
-            return dist, pole, on_pole, m, dm if derivative else None
-        # M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) = l [[d, e], [e, d]].
-        r, q, d, e = _delta_weights(model, ell, lam, derivative=True)
-        m, dm = _pair(-q / ell, r / ell), _pair(ell * d, ell * e)
-        _, dk2, rho, drho = model._reduce(lam)
-        if rho is not None:
-            dm = _DIRAC_PHASE * (drho * m + (rho * dk2) * dm)
-            m = rho * _DIRAC_PHASE * m
-        if since is not None:
-            m = _change(model, ell, lam, float(since), r, q)
-    return dist, pole, on_pole, m, dm if derivative else None
+        else:  # extra poles, then those of the indices max(first, n0) ... n0 + 1
+            first, offset, extra = model._poles["graph"]
+            # The candidates depend on lambda through its wavenumber alone.
+            k, inv = np.unique([model._wavenumber(x) for x in lams.tolist()], return_inverse=True)
+            n = np.floor(grid * k / math.pi - offset)[:, :, None] + [0.0, 1.0]
+            poles = np.stack(model._pole((n + offset) * math.pi / grid[:, :, None]), -1)
+            cands = np.concatenate([np.broadcast_to(extra, n.shape[:2] + (len(extra),)),
+                                    np.where((n >= first)[..., None], poles, np.inf)
+                                    .reshape(n.shape[:2] + (-1,))], axis=-1)[:, inv]
+            gaps = np.abs(lams[:, None] - cands)
+            j = np.argmin(gaps, axis=-1)[..., None]  # the first of equally near poles
+            dist, pole = (np.take_along_axis(a, j, -1)[..., 0] for a in (gaps, cands))
+            # M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) = l [[d, e], [e, d]].
+            r, q, d, e = _delta_weights(model, ell, lams, derivative=True)
+            m, dm = _pair(-q / grid, r / grid), _pair(grid * d, grid * e)
+            _, dk2, rho, drho = model._reduce(lams[:, None, None])
+            if rho is not None:
+                dm = _DIRAC_PHASE * (drho * m + (rho * dk2) * dm)
+                m = rho * _DIRAC_PHASE * m
+            if since is not None:
+                m = _change(model, grid, lams, float(since), r, q)
+        on_pole = dist < _POLE_TOL * np.maximum(1.0, np.abs(pole))
+    out = dist, pole, on_pole, m, dm if derivative else None
+    return out if np.ndim(lam) else tuple(x if x is None else x[:, 0] for x in out)
 
 
 def _pair(a, b):
     """The complex matrices [[a, b], [b, a]] over the arrays a and b."""
-    return np.stack([a, b], -1).astype(complex)[:, [[0, 1], [1, 0]]]
+    return np.stack([a, b], -1).astype(complex)[..., [[0, 1], [1, 0]]]
 
 
 def _divided(dcoef, w, w0):
@@ -498,26 +502,27 @@ def _divided(dcoef, w, w0):
 
 
 def _change(model, ell, lam, lam0, r, q):
-    """M(lam) - M(lam0) of the graph trace maps over the array ``ell`` of
-    interval lengths, given r and q at lam, without subtracting two
-    matrices of size 1/l: where |w| and |w0| are in the series, r and q
-    change by w - w0 = l^2 (lam - lam0) (dk^2(lam) + dk^2(lam0)) / 2 (exact
-    for k^2, a quadratic in lambda) times their divided differences (E1
-    and -D1 integrated), elsewhere by r(w) - r(w0) and q(w) - q(w0); a
-    Dirac M changes by rho (M_L - M_L0) + (rho - rho0) M_L0."""
-    r0, q0 = _delta_weights(model, ell, lam0, derivative=True)[:2]
+    """M(lam) - M(lam0) of the graph trace maps over the column ``ell`` of
+    interval lengths and the 1-d array ``lam`` (M(lam0) formed once), given
+    r and q at lam, without subtracting two matrices of size 1/l: where |w|
+    and |w0| are in the series, r and q change by w - w0 = l^2 (lam - lam0)
+    (dk^2(lam) + dk^2(lam0)) / 2 (exact for k^2, a quadratic in lambda) times
+    their divided differences (E1, -D1 integrated), elsewhere by r(w) - r(w0)
+    and q(w) - q(w0); a Dirac M changes by rho (M_L - M_L0) + (rho - rho0) M_L0."""
+    r0, q0 = _delta_weights(model, ell[:, 0], np.array([lam0]), derivative=True)[:2]
     (k2, dk2, rho, _), (k20, dk20, rho0, _) = model._reduce(lam), model._reduce(lam0)
     w, w0 = ell * ell * k2, ell * ell * k20
     dr, dq = r - r0, q - q0
     series = (np.abs(w) < _SERIES_CUTOFF) & (np.abs(w0) < _SERIES_CUTOFF)
     if series.any():
         dw = (ell * ell * ((lam - lam0) * (dk2 + dk20) / 2))[series]
-        ws, w0s = w[series], w0[series]
+        ws, w0s = w[series], np.broadcast_to(w0, w.shape)[series]
         dr[series] = dw * _divided(_E1_COEF, ws, w0s)
         dq[series] = -dw * _divided(_D1_COEF, ws, w0s)
     m = _pair(-dq / ell, dr / ell)
     if rho is None:
         return m
+    rho = rho[:, None, None]  # per lambda, against the (length, lambda, 2, 2) stack
     return _DIRAC_PHASE * (rho * m + (rho - rho0) * _pair(-q0 / ell, r0 / ell))
 
 
@@ -533,31 +538,28 @@ def _below(x):
 
 def _delta_weights(model, ell, lam, derivative=False):
     """(b, t) = (rho k csc(k l), rho k tan(k l / 2)) over the array ``ell`` of
-    interval lengths at a real lam: a delta coupling's secular matrix has
-    -b off its diagonal and b - t on it (r = z csc z, q = r - z tan(z/2)).
-    _trig's real regimes as ufuncs, without overflow (y / sinh y =
+    interval lengths and the 1-d array ``lam`` of real values, of shape
+    (len(ell), len(lam)): a delta coupling's secular matrix has -b off its
+    diagonal and b - t on it (r = z csc z, q = r - z tan(z/2)).  _trig's
+    real regimes as ufuncs, without overflow (y / sinh y =
     -2y e^-y / expm1(-2y)) or pole guard.  With ``derivative``, (r, q, d, e)
     instead, for M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) =
     l [[d, e], [e, d]]: d = (r^2 - q) / 2w and e = -r (q - 1) / 2w by
-    r^2 = q^2 + w, or the series D1(w) and E1(w).
-
-    A 1-d array lam gives arrays of shape (len(ell), len(lam)), each column
-    the bytes of its lambda alone: a batch of one sign of k^2 takes that
-    sign's ufuncs, a mixed one each on its own columns."""
+    r^2 = q^2 + w, or the series D1(w) and E1(w).  Each column holds the
+    bytes of its lambda alone: a batch of one sign of k^2 takes that sign's
+    ufuncs, a mixed one each on its own columns."""
     k2, _, rho, _ = model._reduce(lam)
-    count = len(lam) if getattr(lam, "ndim", 0) else 0  # lambda values in a batch
-    if count:
-        ell = ell[:, None]
+    ell = ell[:, None]
     with np.errstate(over="ignore"):  # an overflow raises EdgeModelError below
         w = ell * ell * k2
     size = np.abs(w)
     if not math.isfinite(size.max(initial=0.0)):
-        bad = lam[np.argmin(np.isfinite(size).all(axis=0))] if count else lam
+        bad = lam[np.argmin(np.isfinite(size).all(axis=0))]
         raise EdgeModelError(f"lambda={float(bad)} overflows the edge evaluation")
     series = size < _SERIES_CUTOFF
     near = np.count_nonzero(series)
     x = np.sqrt(np.where(series, 1.0, size) if near else size)  # |z|
-    ks = k2.tolist() if count else [k2]
+    ks = k2.tolist()
     if min(ks) > 0.0:
         r, u = _above(x)
     elif max(ks) <= 0.0:
@@ -722,7 +724,10 @@ def defect_element(model: EdgeModel, ell: float, lam, gamma0,
     return DefectElement(model, ell, lam, tuple(gamma0), (gamma0[0], far), triplet)
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
+@functools.cache
+def _gauss_rule():
+    """The 24-point Gauss-Legendre rule; numpy.polynomial is imported on first use."""
+    return np.polynomial.legendre.leggauss(24)
 
 
 def green_identity_residual(f: DefectElement, g: DefectElement) -> complex:
@@ -736,8 +741,9 @@ def green_identity_residual(f: DefectElement, g: DefectElement) -> complex:
         raise EdgeModelError("defect elements must live on the same edge")
     if f.model.dim == 1:
         raise EdgeModelError("Green identity check is for finite edges")
-    x = 0.5 * f.ell * (_GAUSS_NODES + 1.0)
-    wq = 0.5 * f.ell * _GAUSS_WEIGHTS
+    nodes, weights = _gauss_rule()
+    x = 0.5 * f.ell * (nodes + 1.0)
+    wq = 0.5 * f.ell * weights
     fv, gv = f.values(x), g.values(x)
     if fv.ndim == 1:
         inner = np.sum(wq * fv * np.conj(gv))

@@ -206,14 +206,15 @@ def validate_graph(g: MetricGraph) -> ValidationReport:
 
 
 def _coordinates(edges):
-    """[(edge id, t), ...] of ``edges`` sorted by (edge id, t), and the
-    vertex at each."""
-    coords, owners = [], []
-    for e in sorted(edges, key=lambda e: e.id):
+    """[(edge id, t), ...] of ``edges`` sorted by (edge id, t), the vertex
+    at each and the position of its edge in ``edges``."""
+    coords, owners, at = [], [], []
+    for k, e in sorted(enumerate(edges), key=lambda ke: ke[1].id):
         for t, v in e.endpoints():
             coords.append((e.id, t))
             owners.append(v)
-    return tuple(coords), owners
+            at.append(k)
+    return tuple(coords), owners, at
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +224,17 @@ class _GraphIndex:
     next to its validation report ``_report``).
 
     Vertex positions refer to ``vertices``, the ids in sorted order (the
-    order of the global basis).  ``source``, ``target`` and ``lengths``
-    list the finite edges in graph order, ``half`` the source of each
-    half-line."""
+    order of the global basis).  ``edge`` and ``end`` give each coordinate's
+    edge (its place in g.edges) and t.  ``source``, ``target`` and
+    ``lengths`` list the finite edges in graph order, ``half`` the source
+    of each half-line."""
 
     vertices: tuple             # vertex ids, sorted
     coords: tuple               # boundary coordinates (edge id, t), sorted
     incidence: dict             # vertex id -> its coordinates, sorted; in g.vertices order
+    position: dict              # coordinate -> its position in coords
+    edge: np.ndarray
+    end: np.ndarray
     source: np.ndarray
     target: np.ndarray
     lengths: np.ndarray
@@ -237,7 +242,7 @@ class _GraphIndex:
 
     @classmethod
     def of(cls, g: MetricGraph) -> _GraphIndex:
-        coords, owners = _coordinates(g.edges)
+        coords, owners, edge = _coordinates(g.edges)
         incidence = {v: [] for v in g.vertices}
         for c, v in zip(coords, owners):
             incidence[v].append(c)
@@ -245,6 +250,8 @@ class _GraphIndex:
         at = {v: i for i, v in enumerate(vertices)}
         finite = [e for e in g.edges if e.target is not None]
         return cls(vertices, coords, {v: tuple(c) for v, c in incidence.items()},
+                   {c: p for p, c in enumerate(coords)},
+                   np.array(edge, dtype=np.intp), np.array([t for _, t in coords], dtype=np.intp),
                    np.array([at[e.source] for e in finite], dtype=np.intp),
                    np.array([at[e.target] for e in finite], dtype=np.intp),
                    np.array([e.length for e in finite], dtype=float),

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import edges as em
-from .coupling import VertexCoupling, _CompiledPairing, _delta_phases, _vertex_blocks
+from .coupling import VertexCoupling, _block_pass, _CompiledPairing, _delta_phases
 from .graphs import MetricGraph
 
 __all__ = [
@@ -556,24 +556,18 @@ class _CompiledOracle:
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
         if g.has_half_line:
             raise ValueError("oracle handles finite lengths only")
-        blocks = _vertex_blocks(g, coupling)[1]
+        blocks, first_row, groups, _ = _block_pass(g, coupling)
         self.model, self.lengths = g.model, g._index.lengths
-        column = {e.id: k for k, e in enumerate(g.edges)}
-        n, ne = 2 * len(column), len(column)
-        first_row = np.cumsum([0] + [len(block.coords) for block in blocks])
-        shapes, entries = {}, []
-        for p, block in enumerate(blocks):
-            shapes.setdefault(block.basis.shape, []).append(p)
-        for (deg, dim), same in shapes.items():  # one stacked pass per basis shape
-            ends = np.array([[t for _, t in blocks[p].coords] for p in same])
-            cols = np.array([[column[eid] for eid, _ in blocks[p].coords] for p in same])
-            basis = (_delta_phases(ends, g.model).conj()[:, :, None]
-                     * np.array([blocks[p].basis for p in same]))
+        n, ne = 2 * len(g.edges), len(g.edges)
+        entries = []
+        for same, at, _, basis in groups:  # one stacked pass per basis shape
+            (_, deg, dim), ends, cols = basis.shape, g._index.end[at], g._index.edge[at]
+            basis = _delta_phases(ends, g.model).conj()[:, :, None] * basis
             # Rotate out each column's leading phase, the matrix to match (the
             # operator stays): a coupling real up to column phases gives a real A.
             phase = np.take_along_axis(basis, np.argmax(basis != 0, axis=1)[:, None], 1)
             phase = phase / np.abs(phase)
-            matrix = np.array([blocks[p].matrix for p in same])
+            matrix = np.array([blocks[p].matrix for p in same.tolist()])
             basis, matrix = basis * phase.conj(), phase.transpose(0, 2, 1) * matrix * phase.conj()
             unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
             unit_h = unit.conj().transpose(0, 2, 1)

@@ -178,6 +178,21 @@ def test_oracle_spectrum_does_not_import_scipy_optimize(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_package_loads_no_numpy_polynomial():
+    # The quadrature rule is built on first use; numpy 1.25 imports
+    # numpy.polynomial itself, so the test counts only what the package adds.
+    script = ("import sys\n"
+              "import numpy\n"
+              "def loaded():\n"
+              "    return {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+              "before = loaded()\n"
+              "import graphspectra, graphspectra.cli\n"
+              "assert loaded() == before, sorted(loaded() - before)\n")
+    result = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 def test_spectrum_rejects_infinite_window(tmp_path):
     # In a subprocess with a timeout: an unchecked infinite window hangs in
     # the pole search with a growing pole list.

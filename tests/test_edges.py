@@ -722,10 +722,34 @@ def test_array_kernel_raises_the_errors_of_the_scalar_guard(model, ell, lam):
         em.weyl(model, ell, lam)
     assert type(want.value) is em.EdgeModelError
     good = math.inf if model.dim == 1 else 1.0
-    for ells in ([ell], [good, ell, math.nan]):
+    # A lambda array raises at the first lambda that has an error.
+    for ells, lams in (([ell], lam), ([good, ell, math.nan], lam), ([ell], np.array([-1.0, lam]))):
         with pytest.raises(em.EdgeModelError) as got:
-            em._responses(model, np.array(ells), lam)
+            em._responses(model, np.array(ells), lams)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize("model,ells", [
+    (LAP, [0.02, 0.3, 1.0, 1.7, 11.0]), (em.Dirac(1.0), [0.05, 0.7, 1.3, 4.0]),
+    (em.Dirac(137.0), [0.001, 0.05, 2.0]), (HALF, [math.inf, math.inf]),
+])
+def test_a_lambda_array_gives_each_column_the_bytes_of_its_lambda(model, ells):
+    # One call over lambda values that mix k^2 < 0, the series, k^2 > 0,
+    # poles and Dirac's rho pole -c^2/2 equals the one-lambda calls column
+    # by column, byte for byte, with M' and with M(lam) - M(since).
+    ell = np.array(ells)
+    lams = np.array([-1e6, -37.0, -0.5, -1e-5, 0.0, 1e-7, 0.3, 2.0, math.pi ** 2, 40.37, 9000.0])
+    since = -1.0 if model._lambda0 is None else model._lambda0
+    for kw in ({}, {"derivative": True}, {"since": since, "derivative": True}):
+        batch = em._responses(model, ell, lams, **kw)
+        assert batch[0].shape == (len(ell), len(lams))
+        for k, lam in enumerate(lams.tolist()):
+            for got, want in zip(batch, em._responses(model, ell, lam, **kw)):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    got = np.ascontiguousarray(got[:, k])
+                    assert (got.dtype, got.shape, got.tobytes()) == \
+                        (want.dtype, want.shape, want.tobytes()), (kw, lam)
 
 
 def test_array_kernel_reports_the_scalar_nearest_pole_on_poles():

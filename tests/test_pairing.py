@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ def delta_random_tree():
     rng = np.random.default_rng(3)
     alpha = {v: float(rng.normal()) for v in g.vertices}
     return g, cp.delta_coupling(g, alpha), None
+
+
+def dirac_delta_tree():
+    # Complex phases at every target end, and many one-vector blocks of
+    # each basis shape (degree, 1).
+    g = gr.random_graph(4, 12, model=Dirac(1.3))
+    rng = np.random.default_rng(9)
+    return g, cp.delta_coupling(g, {v: float(rng.normal()) for v in g.vertices}), None
 
 
 def dirac_star_custom_centre():
@@ -52,7 +61,7 @@ def loop_and_double_edge():
     return g, cp.custom_coupling(g, {"b": (vectors, matrix)}), None
 
 
-PROBLEMS = [delta_random_tree, dirac_star_custom_centre, halfline_graph,
+PROBLEMS = [delta_random_tree, dirac_delta_tree, dirac_star_custom_centre, halfline_graph,
             loop_and_double_edge]
 
 
@@ -143,6 +152,35 @@ def test_compiled_krein_matches_one_shot_pairing(make):
         want = fresh.dense(fresh(blocks)) / np.outer(norms, norms)
         assert np.array_equal(sp.krein_matrix(g, coup, lam), want)
         assert np.array_equal(sp.krein_matrix(g, coup, lam, _pairing=compiled), want)
+
+
+@pytest.mark.parametrize("make", PROBLEMS)
+def test_blocks_may_list_their_coordinates_in_any_order(make):
+    # Each block of degree >= 2 lists its coordinates in reverse, its basis
+    # rows reversed to match: B has the same entries, and P, K and the
+    # discrete data agree to rounding (the products sum in another order).
+    g, coup, lam0 = make()
+    turned = cp.VertexCoupling(coup.flavor, {
+        v: replace(b, coords=b.coords[::-1], basis=b.basis[::-1]) for v, b in coup.blocks.items()})
+    assert any(turned.block(v).coords != coup.block(v).coords for v in g.vertices)
+    want, got = cp.global_basis(g, coup), cp.global_basis(g, turned)
+    for field in ("coords", "labels", "vertices", "norms", "coord", "element", "value"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(b))))
+
+    rng = np.random.default_rng(2)
+    blocks = {e.id: rng.normal(size=(len(e.endpoints()),) * 2) for e in g.edges}
+    blocks = {eid: a + a.T for eid, a in blocks.items()}
+    fresh, compiled = cp._CompiledPairing(g, turned), cp._CompiledPairing(g, coup)
+    close(fresh.dense(fresh(blocks)), compiled.dense(compiled(blocks)))
+    close(sp.krein_matrix(g, turned, -0.7), sp.krein_matrix(g, coup, -0.7))
+    reg = rg.build_regularization(g, lam0)
+    dl, dl0 = dc.build_discrete(g, turned, reg), dc.build_discrete(g, coup, reg)
+    assert np.array_equal(dl.m, dl0.m) and dl.b.keys() == dl0.b.keys()
+    close(dl.c, dl0.c)
+    close(np.array(list(dl.b.values())), np.array(list(dl0.b.values())))
 
 
 def test_basis_layout_and_measure():

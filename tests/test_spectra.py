@@ -602,15 +602,16 @@ def test_array_poles_are_the_bytes_of_scalar_poles(model):
 
 
 def test_pole_guard_calls_the_pole_once_per_sample(monkeypatch):
-    # One array _pole call per sample lambda covers both candidate indices
-    # of every edge; the distances and nearest poles keep the scalar bytes.
+    # One array _pole call covers both candidate indices of every edge at
+    # all six samples, which lie below 0 and so share the wavenumber 0; the
+    # distances and nearest poles keep the scalar bytes.
     g = gr.binary_tree(7)
     reg = build_regularization(g)
     calls = []
     pole = em.Laplacian._pole
     monkeypatch.setattr(em.Laplacian, "_pole", staticmethod(lambda k: calls.append(k) or pole(k)))
     cr.check_mtilde_divergence(g, reg)
-    assert len(calls) == 6 and all(k.shape == (len(g.edges), 2) for k in calls)
+    assert len(calls) == 1 and calls[0].shape == (len(g.edges), 1, 2)
     lengths = np.array([e.length for e in g.edges])
     for lam in (-10.0, 3.0, 50.0):
         dist, near, _, _, _ = em._responses(g.model, lengths, lam)
