@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import edges as em
-from .graphs import MetricGraph, edge_model_for
+from .graphs import MetricGraph
 
 __all__ = ["Regularization", "build_regularization", "regularized_weyl"]
 
@@ -69,18 +69,15 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
 
 def _by_model(g: MetricGraph):
     """The edges of ``g`` grouped by edge model: [(model, positions in
-    g.edges, lengths)], in the order of each model's first edge.  Without
-    half-lines every edge has the graph's model: one group, read off the
-    graph index."""
+    g.edges, lengths)], read off the graph index: the finite edges with the
+    graph's model, then the half-lines with its half-line model; empty
+    groups are left out."""
     index = g._index
-    if not index.half.size:
-        count = len(index.lengths)
-        return [(g.model, list(range(count)), index.lengths)] if count else []
-    groups = {}
-    for i, e in enumerate(g.edges):
-        groups.setdefault(edge_model_for(g.model, e), []).append(i)
-    return [(model, at, np.array([g.edges[i].length for i in at]))
-            for model, at in groups.items()]
+    finite = np.sort(index.edge[index.end == 1])
+    half = np.delete(np.arange(len(g.edges)), finite)
+    return [group for group in ((g.model, finite, index.lengths),
+                                (g.model._half_line, half, np.full(len(half), math.inf)))
+            if len(group[1])]
 
 
 def regularized_weyl(model, ell: float, lam, reg: Regularization,

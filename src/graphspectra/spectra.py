@@ -441,8 +441,11 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
 
     near = _decoupled_in_window(g, (a - pad(a), b + pad(b)))  # with the poles next to it
     poles = near[(a <= near) & (near <= b)]
-    cuts = [a] + [p for p in poles.tolist() if a < p < b] + [b]
-    pads = [pad(x) if near.size and np.min(np.abs(near - x)) <= pad(x) else 0.0 for x in cuts]
+    inner = [p for p in poles.tolist() if a < p < b]
+    cuts = [a] + inner + [b]
+    # An inner cut is a pole; an end is padded when a pole lies within its pad.
+    ends = [pad(x) if near.size and np.min(np.abs(near - x)) <= pad(x) else 0.0 for x in (a, b)]
+    pads = ends[:1] + [pad(p) for p in inner] + ends[1:]
     cells = [(left + left_pad, right - right_pad)
              for left, right, left_pad, right_pad in zip(cuts, cuts[1:], pads, pads[1:])]
     cells = [(lo, hi) for lo, hi in cells if lo < hi]
@@ -743,13 +746,12 @@ class _CompiledOracle:
         """Run the coroutines ``tasks`` in lockstep (``_lockstep``); returns
         their results.
 
-        A task yields requests ``(kind, lambdas, mesh)`` and is sent the
-        ``evaluate`` values of that kind there.  ``lambdas`` is one lambda as
-        a float, answered with det A (real; only sign brackets, which exist
-        when A is real, ask for it) or the pair (ratio, singular values) for
-        "sigma", or an array of lambda values, answered with the array of
-        det A or the arrays (ratios, singular values).  Each round answers
-        all pending requests with one ``evaluate`` call per kind and mesh.
+        A task yields requests ``(kind, lambdas, mesh)``, ``lambdas`` a list
+        of floats, and is sent the list of ``evaluate`` values of that kind
+        there: det A per lambda for "det" (real; only sign brackets, which
+        exist when A is real, ask for it), the pair (ratio, singular values)
+        per lambda for "sigma".  Each round answers all pending requests
+        with one ``evaluate`` call per kind and mesh.
         """
         def answer(requests):
             groups = {}
@@ -757,23 +759,9 @@ class _CompiledOracle:
                 groups.setdefault((kind, mesh), []).append((j, lams))
             values = [None] * len(requests)
             for (kind, mesh), group in groups.items():
-                flat = []
-                for _, lams in group:
-                    if isinstance(lams, float):
-                        flat.append(lams)
-                    else:
-                        flat.extend(lams)
-                found = self.evaluate(kind, flat, mesh)
-                first = 0
+                found = iter(self.evaluate(kind, [lam for _, lams in group for lam in lams], mesh))
                 for j, lams in group:
-                    if isinstance(lams, float):
-                        values[j] = found[first]
-                        first += 1
-                    else:
-                        part = found[first:first + len(lams)]
-                        values[j] = (np.array(part) if kind == "det"
-                                     else tuple(map(np.array, zip(*part))))
-                        first += len(lams)
+                    values[j] = [next(found) for _ in lams]
             return values
         return _lockstep(tasks, answer)
 
@@ -833,43 +821,46 @@ def _oracle_refine(lo, hi, kind, window, mesh, tol):
     """Coroutine: one polish of the candidate bracket [lo, hi] at ``mesh``;
     returns (lambda, closed), closed when Brent polished a sign change.
 
-    A sign bracket asks for det at both ends in one request and is widened
-    (at most five times, inside the window, both new ends in one request)
-    until det changes sign, then polished by Brent to a bracket width of
-    max(1e-3 tol, 4e-16 max(1, |lambda|)), one lambda (a float) per
-    request; a "min" bracket, or a sign bracket that cannot be restored, is
-    refined by golden-section search on the singular-value ratio, its two
-    first points in one request and one float per request after them.
+    Each request is (kind, list of lambda values, mesh), as
+    ``_CompiledOracle.drive`` answers it.  A sign bracket asks for det at
+    both ends in one request and is widened (at most five times, inside the
+    window, both new ends in one request) until det changes sign, then
+    polished by Brent to a bracket width of max(1e-3 tol, 4e-16 max(1,
+    |lambda|)), one lambda per request; a "min" bracket, or a sign bracket
+    that cannot be restored, is refined by golden-section search on the
+    singular-value ratio, its two first points in one request and one
+    lambda per request after them.
     """
     a, b = window
     if kind == "sign":
-        fa, fb = yield "det", np.array([lo, hi]), mesh
+        fa, fb = yield "det", [lo, hi], mesh
         attempts = 0
         while np.sign(fa) == np.sign(fb) and attempts < 5:
             span = hi - lo
             lo, hi = max(a, lo - span), min(b, hi + span)
-            fa, fb = yield "det", np.array([lo, hi]), mesh
+            fa, fb = yield "det", [lo, hi], mesh
             attempts += 1
         if np.sign(fa) != np.sign(fb):
             steps = _brent_steps(lo, hi, fa, fb, atol=0.5e-3 * tol)
-            return (yield from _relay(steps, lambda lam: ("det", lam, mesh), float)), True
+            return (yield from _relay(steps, lambda lam: ("det", [lam], mesh),
+                                      lambda v: float(v[0]))), True
         # degenerate bracket: fall through to minimization
     # golden-section minimization of the smallest singular-value ratio
     phi = (math.sqrt(5) - 1) / 2
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
-    (f1, f2), _ = yield "sigma", np.array([x1, x2]), mesh
+    (f1, _), (f2, _) = yield "sigma", [x1, x2], mesh
     for _ in range(120):
         if hi - lo < max(tol * 1e-3, 4e-16 * max(1.0, abs(lo))):
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - phi * (hi - lo)
-            f1, _ = yield "sigma", x1, mesh
+            ((f1, _),) = yield "sigma", [x1], mesh
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + phi * (hi - lo)
-            f2, _ = yield "sigma", x2, mesh
+            ((f2, _),) = yield "sigma", [x2], mesh
     return 0.5 * (lo + hi), False
 
 
@@ -885,7 +876,7 @@ def _oracle_root(lo, hi, kind, window, mesh, tol):
     a, b = window
     r, closed = yield from _oracle_refine(lo, hi, kind, window, mesh, tol)
     if not closed:
-        ratio, _ = yield "sigma", r, mesh
+        ((ratio, _),) = yield "sigma", [r], mesh
         if ratio > 1e-5:
             return None  # spurious |det| dip, matrix not numerically singular
     width = 10 * max(tol, 1e-9 * max(1.0, abs(r)))
@@ -895,7 +886,7 @@ def _oracle_root(lo, hi, kind, window, mesh, tol):
         raise OracleConvergenceError(
             f"root at {r} moved by {abs(r2 - r):.3e} under mesh doubling"
         )
-    ratio2, sv2 = yield "sigma", r2, 2 * mesh
+    ((ratio2, sv2),) = yield "sigma", [r2], 2 * mesh
     mult = int(np.sum(sv2 < max(_KERNEL_CUTOFF, 10 * ratio2) * max(sv2[0], 1e-300)))
     return Root(float(r2), float(ratio2), max(1, mult), "oracle")
 
@@ -974,16 +965,17 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     qualifies.  Models ``bounded_below`` only (the decoupled operator is the
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
     lower bound for the whole spectrum.  PSD means that ``_Inertia`` counts
-    no negative eigenvalue (an exact 0 counting as positive).  A count
-    bisection down to ground - 1e7, or to just above the point where the
-    longest edge overflows, keeps a PSD lower end (moved up by halving
-    where the edges still overflow), stepping to the geometric mean of the
+    no negative eigenvalue (an exact 0 counting as positive).  The top
+    candidate, max(1e-6, 2e-8 |ground|) below the ground state, lies
+    outside the pole guard of ``krein_matrix``.  A count bisection down to
+    ground - 1e7, or to just above the point where the longest edge
+    overflows, keeps a PSD lower end, stepping to the geometric mean of the
     distances below the top while they differ by more than 4x."""
     if not g.model.bounded_below:
         return None
     ground = decoupled_ground_state(g)
     inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
-    top = ground - max(1e-6, 1e-9 * abs(ground))
+    top = ground - max(1e-6, 2 * _POLE_GUARD * abs(ground))
 
     def psd(lam0):
         try:
@@ -993,15 +985,14 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
 
     # (l k)^2, k^2 = |lambda|, overflows on the longest edge l below
     # -(largest float) / l^2: the lower end starts 1% above that point, or
-    # at ground - 1e7 if that is higher.
+    # at ground - 1e7 if that is higher.  No pole lies below the ground
+    # state, so its count raises nothing.
     longest = max(g.finite_lengths, default=0.0)
     floor = -0.99 * (float(np.finfo(float).max) / longest) / longest if longest else -math.inf
     lo, hi = max(ground - 1e7, floor), top
     if (verdict := psd(hi)) is not False:
         return hi if verdict else None
-    while (verdict := psd(lo)) is None and hi - lo > 1e-9 * max(1.0, abs(hi)):
-        lo = 0.5 * (lo + hi)
-    if not verdict:
+    if not psd(lo):
         return None
     while hi - lo >= 1e-9 * max(1.0, abs(0.5 * (lo + hi))):
         far, near = top - lo, max(top - hi, 1e-3)

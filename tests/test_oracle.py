@@ -330,18 +330,14 @@ def test_lockstep_matches_one_at_a_time(make):
 
 def by_hand(oracle, task):
     """The result of the coroutine ``task``, each request answered by its
-    own ``evaluate`` call: a float with one value, an array with an array."""
+    own ``evaluate`` call."""
     value = None
     while True:
         try:
             kind, lams, mesh = task.send(value)
         except StopIteration as stop:
             return stop.value
-        found = oracle.evaluate(kind, np.atleast_1d(lams), mesh)
-        if np.ndim(lams) == 0:
-            value = found[0]
-        else:
-            value = np.array(found) if kind == "det" else tuple(map(np.array, zip(*found)))
+        value = oracle.evaluate(kind, lams, mesh)
 
 
 def checked_at_both_meshes(oracle, lo, hi, kind, window, mesh, tol):
@@ -371,6 +367,21 @@ def test_sign_roots_match_the_check_at_both_meshes(make):
     roots = oracle.drive([sp._oracle_root(lo, hi, kind, window, mesh, tol)
                           for lo, hi, kind in signs])
     assert roots == [checked_at_both_meshes(oracle, *c, window, mesh, tol) for c in signs]
+    assert None not in roots
+
+
+@pytest.mark.parametrize("make", LOCKSTEP_PROBLEMS)
+def test_min_roots_match_the_check_at_both_meshes(make):
+    # Golden-section candidates driven together give what each gives by
+    # hand, one evaluate call per request, so the (ratio, sv) pairs unpack
+    # alike.  A complex A has only "min" candidates; on a real A its sign
+    # brackets are polished as "min" candidates here.
+    oracle, window, mesh, tol, candidates = lockstep_problem(make)
+    assert all(kind == "min" for _, _, kind in candidates) != oracle.real
+    mins = [(lo, hi, "min") for lo, hi, _ in candidates]
+    roots = oracle.drive([sp._oracle_root(lo, hi, kind, window, mesh, tol)
+                          for lo, hi, kind in mins])
+    assert roots == [checked_at_both_meshes(oracle, *c, window, mesh, tol) for c in mins]
     assert None not in roots
 
 
@@ -426,17 +437,19 @@ def test_drive_raises_the_error_of_the_first_failing_task():
     def task(result, rounds, fail=False):
         value = None
         for k in range(rounds):
-            value = yield ("det" if k % 2 else "sigma"), 1.0 + k, 2000
+            value = yield ("det" if k % 2 else "sigma"), [1.0 + k], 2000
         if fail:
             raise sp.OracleConvergenceError(result)
         return result, value
 
     results = oracle.drive([task("a", 2), task("b", 0), task("c", 1)])
     assert [r[0] for r in results] == ["a", "b", "c"]
-    assert results[0][1] == np.linalg.det(oracle.matrices([2.0], 2000)[0]).real
-    assert results[1][1] is None and len(results[2][1]) == 2  # (ratio, sv)
-    # A float request is answered with a float: det, or the ratio of (ratio, sv).
-    assert isinstance(results[0][1], float) and isinstance(results[2][1][0], float)
+    # Each request is answered with the list of its evaluate values.
+    assert results[0][1] == oracle.evaluate("det", [2.0], 2000)
+    assert results[0][1] == [np.linalg.det(oracle.matrices([2.0], 2000)[0]).real]
+    assert results[1][1] is None
+    ((ratio, sv),), ((want_ratio, want_sv),) = results[2][1], oracle.evaluate("sigma", [1.0], 2000)
+    assert ratio == want_ratio and np.array_equal(sv, want_sv)
     # The second task fails in round 5, the third in round 1: the second wins.
     with pytest.raises(sp.OracleConvergenceError, match="second"):
         oracle.drive([task("first", 2), task("second", 5, True), task("third", 1, True)])
@@ -445,19 +458,20 @@ def test_drive_raises_the_error_of_the_first_failing_task():
 def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
     # A bracket without a sign change is widened (each side by its width,
     # inside the window) until the sign changes, then polished.  A bracket's
-    # two ends come together as an array; each Brent step is one float.
+    # two ends come together as a 2-list; each Brent step is a 1-list.
     refine = sp._oracle_refine(0.4, 0.5, "sign", (0.0, 1.0), 2000, 1e-8)
-    lams, shapes = [], []
+    lams, sizes = [], []
     try:
         request = next(refine)
         while True:
-            shapes.append(np.shape(request[1]))
-            lams.extend(np.atleast_1d(request[1]))
-            request = refine.send(request[1] - 0.25)
+            assert isinstance(request[1], list)
+            sizes.append(len(request[1]))
+            lams.extend(request[1])
+            request = refine.send([lam - 0.25 for lam in request[1]])
     except StopIteration as stop:
         root, closed = stop.value
     assert lams[:6] == pytest.approx([0.4, 0.5, 0.3, 0.6, 0.0, 0.9], abs=1e-12)
-    assert shapes[:3] == [(2,)] * 3 and set(shapes[3:]) == {()}
+    assert sizes[:3] == [2] * 3 and set(sizes[3:]) == {1}
     assert root == pytest.approx(0.25, abs=1e-11) and closed
     # On a 200-long interval the root near 0.41477 moves by 1.013e-7 under
     # mesh doubling, past the 1e-7 bracket of the second polish: that

@@ -258,6 +258,36 @@ def test_certificate_on_long_edges(length, alpha, want):
         assert want - 1e-6 <= cert <= want
 
 
+def lowest_root(g, coupling, cert):
+    return sp.scan_spectrum(g, coupling, (cert - 1.0, 0.99 * sp.decoupled_ground_state(g))).values[0]
+
+
+@pytest.mark.parametrize("length", [0.3, 0.1, 0.01])
+def test_certificate_on_short_cycles(length):
+    # The ground state (pi / length)^2 lies above 100, where a top candidate
+    # 1e-9 |ground| below it fell inside the pole guard of krein_matrix and
+    # the certificate was None; a cycle takes the dense eigensolve.
+    g = MetricGraph(("a", "b", "c"), (Edge("e0", "a", "b", length), Edge("e1", "b", "c", length),
+                                      Edge("e2", "c", "a", length)))
+    coup = delta_problem(g, 1.0)
+    cert = sp.lower_bound_certificate(g, coup)
+    assert cert is not None
+    lowest = lowest_root(g, coup, cert)
+    assert lowest - 1e-8 * lowest <= cert <= lowest + 1e-9 * lowest
+
+
+def test_certificate_of_a_custom_coupling_equals_the_delta_one():
+    # The same delta data through custom_coupling take the dense eigensolve
+    # instead of the tree pivots, and give the same certificate.
+    g = gr.star(3, [0.2, 0.25, 0.3])
+    coup = delta_problem(g, 1.0)
+    custom = cp.custom_coupling(g, {v: (b.basis.T, b.matrix) for v, b in coup.blocks.items()})
+    cert = sp.lower_bound_certificate(g, coup)
+    assert sp.lower_bound_certificate(g, custom) == cert
+    lowest = lowest_root(g, coup, cert)
+    assert lowest - 1e-8 * lowest <= cert <= lowest + 1e-9 * lowest
+
+
 def test_certificate_starts_above_the_overflow_point(monkeypatch):
     # (l k)^2 overflows on a 1e153 edge below lambda = -179.8: the lower end
     # starts just above that, not at ground - 1e7 with one count per halving.
@@ -419,7 +449,7 @@ def test_oracle_drops_a_min_candidate_without_a_kernel():
     # above a numerical kernel: the |det| dip is spurious.
     def sigma(requests):
         assert {kind for kind, _, _ in requests} == {"sigma"}
-        return [(1e-3 + (lam - 0.5) ** 2, None) for _, lam, _ in requests]
+        return [[(1e-3 + (lam - 0.5) ** 2, None) for lam in lams] for _, lams, _ in requests]
 
     task = sp._oracle_root(0.0, 1.0, "min", (0.0, 1.0), 2000, 1e-8)
     assert sp._lockstep([task], sigma) == [None]
