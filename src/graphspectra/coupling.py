@@ -223,7 +223,9 @@ class GlobalBasis:
 @dataclass(frozen=True, eq=False)
 class PatternMatrix:
     """The n x n matrix with ``values`` at (``rows``, ``cols``), once each, and
-    zeros elsewhere; ``@`` costs O(nnz), ``toarray()`` or ``np.asarray`` is dense."""
+    zeros elsewhere; ``@`` costs O(nnz), ``toarray()`` or ``np.asarray`` is dense
+    (a stack of matrices when ``values`` has leading axes, as the secular
+    matrix's values at m lambda values do)."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -231,9 +233,10 @@ class PatternMatrix:
     n: int
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros(self.n * self.n, dtype=self.values.dtype)
-        out[self.rows * self.n + self.cols] = self.values
-        return out.reshape(self.n, self.n)
+        lead = self.values.shape[:-1]  # a stack of values gives a stack of matrices
+        out = np.zeros(lead + (self.n * self.n,), dtype=self.values.dtype)
+        out[..., self.rows * self.n + self.cols] = self.values
+        return out.reshape(lead + (self.n, self.n))
 
     def __array__(self, dtype=None, copy=None):
         return self.toarray() if dtype is None else self.toarray().astype(dtype)
@@ -260,10 +263,13 @@ class _CompiledPairing:
     order, ``mirror`` the position of each entry's transpose.  The vertex
     term P0 = B^H L B is stored there; the edge term B^H M B is one triplet
     per pair of nonzero entries B[p, i], B[q, j] with coordinates (p, q) on
-    one edge: the weight conj(b_i[p]) b_j[q], the position of M[p, q] in
-    the blocks stacked in ``edge_ids`` order, sorted by pattern entry.  So
-    each M costs a gather, a product and one segment sum: O(nnz) work, with
-    nnz = 4E for delta couplings.
+    one edge: the weight conj(b_i[p]) b_j[q], the position ``src`` of
+    M[p, q] in the flat blocks, sorted by pattern entry, the triplets of one
+    entry in the order of their edges in ``edge_groups``.  The blocks of the
+    edges of one group (of one block size d) lie side by side, d rows of
+    them, and the groups follow each other.  So each M costs a gather, a
+    product and one segment sum: O(nnz) work, with nnz = 4E for delta
+    couplings, and a stack of M at m values of lambda the same calls.
     """
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
@@ -287,14 +293,19 @@ class _CompiledPairing:
         index = g._index
         firsts = np.flatnonzero(index.end == 0)
         sizes = np.diff(firsts, append=gb.size)
-        self.edge_ids, pa, pb = [], [], []
+        self.edge_groups, pa, pb, place, done = [], [], [], [], 0
         for d in dict.fromkeys(sizes.tolist()):
             at = firsts[sizes == d]
             pos = at[:, None] + np.arange(d)
-            self.edge_ids.extend(self.edges[k][0] for k in index.edge[at].tolist())
+            self.edge_groups.append([self.edges[k][0] for k in index.edge[at].tolist()])
             pa.append(np.repeat(pos, d, axis=1).ravel())
             pb.append(np.tile(pos, d).ravel())
-        pa, pb = np.concatenate(pa), np.concatenate(pb)  # M[pa[k], pb[k]] is entry k of the stack
+            # Entry (edge j, row r, column c) sits at row r, column j d + c of the group.
+            side = np.arange(pos.size * d).reshape(d, len(at), d)
+            place.append(done + side.transpose(1, 0, 2).ravel())
+            done += side.size
+        # M[pa[k], pb[k]] is entry k of the edges' blocks in group order, at place[k].
+        pa, pb, place = map(np.concatenate, (pa, pb, place))
 
         # One triplet per pair of nonzero entries in rows p and q of B.
         nb = per_coord[pb]
@@ -306,7 +317,7 @@ class _CompiledPairing:
         target = gb.element[ea] * n + gb.element[eb]
         order = np.argsort(target, kind="stable")
         target = target[order]
-        self.src = pair[order]
+        self.src = place[pair[order]]
         self.weights = (gb.value[ea].conj() * gb.value[eb])[order]
         self.starts = np.flatnonzero(np.diff(target, prepend=-1))
 
@@ -323,14 +334,21 @@ class _CompiledPairing:
 
     def __call__(self, edge_blocks) -> np.ndarray:
         """The values of P on the pattern for M = ``edge_blocks``: P0 minus
-        the segment sums of the weighted M entries."""
-        m = np.concatenate([edge_blocks[eid] for eid in self.edge_ids], axis=None)
-        out = self.p0.copy()
-        out[self.segments] -= np.add.reduceat(m[self.src] * self.weights, self.starts)
+        the segment sums of the weighted M entries.  Blocks with leading
+        axes, such as (m, d, d) at m values of lambda, give the values at
+        each, (m, nnz), in the same calls as d x d blocks give (nnz,)."""
+        sides = [np.concatenate([edge_blocks[eid] for eid in ids], axis=-1)
+                 for ids in self.edge_groups]
+        m = np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in sides], axis=-1)
+        out = np.empty(m.shape[:-1] + self.p0.shape, dtype=complex)
+        out[...] = self.p0
+        out[..., self.segments] -= np.add.reduceat(m[..., self.src] * self.weights,
+                                                   self.starts, axis=-1)
         return out
 
     def dense(self, values: np.ndarray) -> np.ndarray:
-        """The n x n matrix with ``values`` on the pattern and zeros elsewhere."""
+        """The n x n matrix with ``values`` on the pattern and zeros elsewhere,
+        or the (m, n, n) stack of them for (m, nnz) values: one flat scatter."""
         return PatternMatrix(self.rows, self.cols, values, self.n).toarray()
 
 

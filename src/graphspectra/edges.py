@@ -62,10 +62,12 @@ lambda values at a time, and so does ``_responses``, the
 pole guard plus the graph-map M and M' (or M(lambda) - M(lambda0),
 ``_change``) over an array of lengths, called by ``build_regularization``
 and ``check_mtilde_divergence``.  The two paths agree
-to rounding, and exactly in the series at w = 0.  ``krein_matrix`` makes
-one scalar call per edge.  ``_pole`` takes a float or an array, with the
-same bytes; ``_window_poles`` lists the poles of all edges in a window in
-one array pass, and ``decoupled_eigenvalues`` is its one-edge case.
+to rounding, and exactly in the series at w = 0.  ``weyl`` on a list of
+lambda values stacks its scalar calls: ``krein_matrix`` makes one such
+call per edge for all the lambda values it is asked for.
+``_pole`` takes a float or an array, with the same bytes;
+``_window_poles`` lists the poles of all edges in a window in one array
+pass, and ``decoupled_eigenvalues`` is its one-edge case.
 """
 
 from __future__ import annotations
@@ -597,8 +599,13 @@ def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph",
     psi2 is constant and ic psi2 = (psi1(l) - psi1(0))/l, so
     M(lambda0) = (1/l)[[-1, -i], [i, -1]]; the hat value there is
     [[0, 1], [1, l]].
+
+    A list of m values gives the (m, d, d) stack of their scalar calls,
+    the first bad lambda raising its error.
     """
-    return _response(model, ell, lam, triplet, _pole_tol)[2]
+    if type(lam) is not list:
+        return _response(model, ell, lam, triplet, _pole_tol)[2]
+    return np.array([_response(model, ell, x, triplet, _pole_tol)[2] for x in lam])
 
 
 def weyl_derivative(model: EdgeModel, ell: float, lam, triplet: str = "graph") -> np.ndarray:

@@ -19,9 +19,10 @@ cells, then one step of every bracket's polish.  Under a delta coupling
 on a tree the counts are O(V) pivots of the unnormalized K, a weighted
 Laplacian plus a potential eliminated leaf to root, with one array pass
 of edge weights per round; elsewhere a scan compiles all of K but its
-edge term once, and each lambda costs one edge response per edge, an
-O(nnz) scatter-add and one eigensolve, in real arithmetic when K is real
-(delta couplings in both edge models).
+edge term once, and each round's lambda values cost, per block of
+matrices, one edge response call per edge, an O(nnz) scatter-add and one
+stacked eigensolve, in real arithmetic when K is real (delta couplings in
+both edge models).  The residuals of all roots come from K the same way.
 
 Route 2 (oracle): per edge, the raw first-order ODE system is integrated
 by classical RK4 to build transfer matrices; the vertex conditions
@@ -79,6 +80,9 @@ _POLE_GUARD = 1e-8
 _TINY = float(np.finfo(float).tiny)
 _KERNEL_CUTOFF = 1e-7
 _EXCLUSION_RADIUS = 1e-3   # match_spectra skips roots this close to an excluded point
+# Bytes of complex secular matrices assembled and eigensolved per block of
+# lambda values: the dense count rounds and the residuals of a scan call.
+_SECULAR_BLOCK_BYTES = 1 << 20
 
 
 class OracleConvergenceError(RuntimeError):
@@ -150,14 +154,19 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
     This is the boundary pairing P of ``coupling._CompiledPairing`` at
     M = M(lambda), with the raw basis vectors b normalized to bhat =
     b / ||b||.  Hermitian for real lambda; raises PoleOfWeylError within
-    1e-8 of a decoupled edge eigenvalue.
+    1e-8 of a decoupled edge eigenvalue.  A list of m values of lambda gives
+    the (m, n, n) stack of their matrices, each with the bytes of its
+    scalar call (an error is that of the first edge, at its first bad
+    lambda).
 
     The pairing has a compile step (independent of lambda) and a
     per-lambda step (gather the entries of M(lambda), weight them and
     subtract their segment sums: O(nnz) work), whose values on the sparse
     pattern of P are divided by ||b_i|| ||b_j||; the dense K is formed once,
-    for the eigensolve.  Callers that evaluate many lambda hand their compiled
-    pairing in ``_pairing``; otherwise the call compiles its own.
+    for the eigensolve.  Each edge makes one ``weyl`` call for all lambda
+    values, and the pairing one pass over the stack.  Callers that evaluate
+    many lambda hand their compiled pairing in ``_pairing``; otherwise the
+    call compiles its own.
     """
     compiled = _pairing or _CompiledPairing(g, coupling)
     blocks = {eid: em.weyl(model, ell, lam, _pole_tol=_POLE_GUARD)
@@ -166,8 +175,9 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
 
 
 def _eigvalsh(k: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix k, in real arithmetic
-    when k has no imaginary part (delta couplings in both edge models)."""
+    """Ascending eigenvalues of the Hermitian matrix k, or of each of a stack
+    of them, in real arithmetic when k has no imaginary part (delta
+    couplings in both edge models, at real lambda)."""
     return np.linalg.eigvalsh(k if k.imag.any() else k.real)
 
 
@@ -325,25 +335,33 @@ class _Inertia:
     if any, else from K's eigenvalues, an exact 0 counting as positive.  K
     decreases between poles: n_minus(hi) - n_minus(lo) roots lie in [lo, hi).
     ``many`` counts a list of lambda values together, and a call counts one.
-    ``eigenvalues`` at a root give its residual: those at hand on the dense
-    path (``seen``, kept for the object's life: one scan call), one
-    ``krein_matrix`` on the tree path."""
+    ``eigenvalues`` gives K's eigenvalues at each of a list of lambda values,
+    for the counts on the dense path and for the residuals of the roots:
+    those not yet ``seen`` (kept for the object's life: one scan call) in
+    one ``krein_matrix`` call and one stacked eigensolve per block of
+    ``_SECULAR_BLOCK_BYTES`` of K, a block of one lambda as a scalar call."""
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPairing):
         self.problem = g, coupling, compiled
         self.tree = _tree_pivots(g, coupling, compiled)
         self.seen = {}
+        self.block = max(1, _SECULAR_BLOCK_BYTES // (16 * compiled.n * compiled.n))
 
-    def eigenvalues(self, lam: float) -> np.ndarray:
-        if lam in self.seen:
-            return self.seen[lam]
+    def eigenvalues(self, lams: list) -> list:
         g, coupling, compiled = self.problem
-        return _eigvalsh(krein_matrix(g, coupling, lam, _pairing=compiled))
+        new = [lam for lam in dict.fromkeys(lams) if lam not in self.seen]
+        for first in range(0, len(new), self.block):
+            part = new[first:first + self.block]
+            # A block of one lambda asks as a float: the scalar call, without a list's
+            # cost.  No name holds a block's K into the next block's assembly.
+            mu = _eigvalsh(krein_matrix(g, coupling, part if len(part) > 1 else part[0],
+                                        _pairing=compiled))
+            self.seen.update(zip(part, mu.reshape(len(part), -1)))
+        return [self.seen[lam] for lam in lams]
 
     def many(self, lams: list) -> list:
         if self.tree is None:
-            mu = np.array([self.eigenvalues(lam) for lam in lams])
-            self.seen.update(zip(lams, mu))
+            mu = np.array(self.eigenvalues(lams))
             pivots = np.where(mu == 0.0, _TINY, mu)
         else:
             pivots = self.tree(lams)
@@ -421,11 +439,13 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     and polished together, in lockstep rounds that count every lambda the
     round needs in one ``_Inertia.many`` call; each bracket takes the steps
     it would take alone.  On a delta coupling whose finite edges form a
-    tree the counts are O(V) pivots, and each root costs one
-    ``krein_matrix`` and eigensolve for its residual |det K| = |prod mu|;
-    elsewhere every count is an eigensolve of K, in real arithmetic when K
-    is real, and the residual is read off the eigenvalues at hand, kept
-    for the call.
+    tree the counts are O(V) pivots; elsewhere every count is an
+    eigensolve of K, in real arithmetic when K is real, and the eigenvalues
+    are kept for the call.  The residual |det K| = |prod mu| of each root
+    is read off K's eigenvalues: those at hand, and for the other roots of
+    the call one ``krein_matrix`` call and one stacked eigensolve per block
+    of ``_SECULAR_BLOCK_BYTES`` (``_Inertia.eigenvalues``), as a dense count
+    round gets its own.
 
     Raises ValueError unless the window bounds are finite with a < b and
     ``tol`` is finite and positive, and EdgeModelError, before any
@@ -454,8 +474,8 @@ def scan_spectrum(g: MetricGraph, coupling: VertexCoupling, window,
     inertia = _Inertia(g, coupling, _CompiledPairing(g, coupling))
     brackets = _isolated(inertia, cells, tol)
     found = _lockstep([_bracket_root(*bracket) for bracket in brackets], inertia.many)
-    roots = tuple(Root(r, float(np.prod(np.abs(inertia.eigenvalues(r)))), fhi[0] - flo[0], "krein")
-                  for r, (_, _, flo, fhi) in zip(found, brackets))
+    roots = tuple(Root(r, float(np.prod(np.abs(mu))), fhi[0] - flo[0], "krein")
+                  for r, mu, (_, _, flo, fhi) in zip(found, inertia.eigenvalues(found), brackets))
     return SpectrumResult(roots, tuple(poles.tolist()), "krein", (a, b))
 
 
@@ -481,7 +501,8 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     x I + y A, elementwise over edges and lambda.  The step count is a power
     of two, so the step matrix is composed by repeated squaring,
     (x, y) -> (x^2 + w y^2, 2 x y), which reproduces sequential stepping;
-    no closed-form trigonometry enters.
+    no closed-form trigonometry enters.  The squarings run in place, as
+    x x + (w y) y and (2 x) y.
     """
     a01, a10 = model._system(np.asarray(lams, dtype=float))
     w = a01 * a10
@@ -490,8 +511,15 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     hw = h * h * w
     x = 1 + hw / 2 + hw * hw / 24
     y = h * (1 + hw / 6)
+    wyy, xy = np.empty_like(x), np.empty_like(x)
     for _ in range(doublings):
-        x, y = x * x + w * y * y, 2 * x * y
+        np.multiply(w, y, out=wyy)
+        wyy *= y
+        np.multiply(2, x, out=xy)
+        xy *= y
+        x *= x
+        x += wyy
+        y, xy = xy, y
     t = np.empty((2, len(x), 2, x.shape[1])).transpose(1, 3, 0, 2)  # the tree pass's rows (a, e, j)
     t[..., 0, 0] = t[..., 1, 1] = x
     t[..., 0, 1] = y * a01
@@ -872,7 +900,10 @@ def _oracle_root(lo, hi, kind, window, mesh, tol):
     bracket that Brent closed holds an exact zero and goes straight to the
     second polish.  A golden-section result is first checked for a
     numerical kernel at ``mesh``, and the candidate gives None (a spurious
-    |det| dip) when its singular-value ratio stays above 1e-5."""
+    |det| dip) when its singular-value ratio stays above 1e-5.  The second
+    polish may move the root by at most 10 max(tol, tol |r|), and by no
+    more than the candidate's own width hi - lo: a root that leaves its
+    candidate is another candidate's, and raises OracleConvergenceError."""
     a, b = window
     r, closed = yield from _oracle_refine(lo, hi, kind, window, mesh, tol)
     if not closed:
@@ -882,7 +913,7 @@ def _oracle_root(lo, hi, kind, window, mesh, tol):
     width = 10 * max(tol, 1e-9 * max(1.0, abs(r)))
     r2, _ = yield from _oracle_refine(max(a, r - width), min(b, r + width),
                                       kind, window, 2 * mesh, tol)
-    if abs(r2 - r) > 10 * max(tol, tol * abs(r)):
+    if abs(r2 - r) > min(10 * max(tol, tol * abs(r)), hi - lo):
         raise OracleConvergenceError(
             f"root at {r} moved by {abs(r2 - r):.3e} under mesh doubling"
         )
@@ -913,8 +944,9 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
     numerical kernel (even-multiplicity roots); a sign change that Brent
     closed holds an exact zero of the polynomial det A and skips that
     check.  Each root is re-polished at twice the mesh, where its singular
-    values give its residual and multiplicity; movement beyond 10 * tol
-    raises OracleConvergenceError.  All candidates are polished in
+    values give its residual and multiplicity; movement beyond 10 tol
+    max(1, |lambda|), or beyond the width of the root's candidate, raises
+    OracleConvergenceError.  All candidates are polished in
     lockstep: each round evaluates the next lambda values of every
     candidate (both ends of a sign bracket at once) with one stacked
     determinant or singular-value call per kind, mesh and block.

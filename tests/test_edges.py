@@ -803,3 +803,37 @@ def test_a_numpy_float_length_gives_the_bytes_of_a_float_length(model, triplet):
             for f in (em.weyl, em.weyl_derivative):
                 want = _outcome(f, model, ell, lam, triplet)
                 assert _outcome(f, model, np.float64(ell), lam, triplet) == want, (ell, lam)
+
+
+@pytest.mark.parametrize("model,ell,triplet", [
+    (LAP, 1.3, "graph"), (LAP, 0.02, "graph"), (em.Dirac(1.0), 0.7, "graph"),
+    (em.Dirac(1.0), 0.7, "hat"), (em.Dirac(137.0), 0.05, "graph"), (HALF, math.inf, "graph"),
+])
+def test_a_lambda_list_gives_the_bytes_of_the_scalar_calls_stacked(model, ell, triplet):
+    # One list call over lambda values in every regime of w (k^2 < 0, the
+    # series, k^2 > 0, Dirac's gap and lower branch), real and complex mixed,
+    # np.float64 and int entries among them, equals the scalar calls stacked,
+    # byte for byte; so does a list of one lambda.
+    values = [-1e6, -37.0, -3, -0.5, -1e-5, 0.0, -0.0, 1e-7, 0.3, 2, 40.37, 9000.0,
+              np.float64(5.5), 2.0 + 0.5j, -3.0 - 1j, 40.0 + 1e-3j, 0.3 + 0j, -2.0 + 0j]
+    lams = [lam for lam in values
+            if _outcome(em.weyl, model, ell, lam, triplet)[0] is np.dtype(complex)]
+    assert len(lams) >= 9  # the half-line keeps k^2 < 0 and the complex values
+    stacked = np.array([em.weyl(model, ell, lam, triplet) for lam in lams])
+    assert _outcome(em.weyl, model, ell, lams, triplet) == _outcome(lambda *a: stacked)
+    for lam, want in zip(lams, stacked):
+        assert _outcome(em.weyl, model, ell, [lam], triplet) == _outcome(lambda *a: want[None])
+
+
+@pytest.mark.parametrize("model,ell,good,bad", [
+    (LAP, 1.0, [0.3, -2.0], [math.pi ** 2, (2 * math.pi) ** 2]),
+    (LAP, 1.5, [0.3], [math.nan, math.inf]),
+    (LAP, 50.0, [-1.0], [1e308]),
+    (em.Dirac(1.0), 1.0, [0.2, 3.0 + 1j], [-0.5, math.pi]),
+    (HALF, math.inf, [-0.3, 2.0 + 1j], [4.0, 0.0]),
+])
+def test_a_lambda_list_raises_the_scalar_error_of_its_first_bad_lambda(model, ell, good, bad):
+    want = _outcome(em.weyl, model, ell, bad[0])
+    assert want[0] in (em.EdgeModelError, em.PoleOfWeylError)
+    for lams in (good + bad, bad + good, good[:1] + bad[:1] + good[1:] + bad[1:]):
+        assert _outcome(em.weyl, model, ell, lams) == want

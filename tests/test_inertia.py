@@ -282,7 +282,8 @@ def test_a_window_end_next_to_a_pole_keeps_its_pad():
 def sequential_scan(g, coupling, window, tol=1e-8):
     """The scan one lambda at a time: per cell, recursive count bisection,
     then per bracket Brent (odd count jumps) or count bisection (even ones),
-    the dense path's eigenvalues kept per bracket."""
+    the dense path's eigenvalues kept per bracket, and each root's residual
+    from a one-lambda request (the scan asks for all of them at once)."""
     a, b = window
     inertia = sp._Inertia(g, coupling, cp._CompiledPairing(g, coupling))
 
@@ -325,7 +326,7 @@ def sequential_scan(g, coupling, window, tol=1e-8):
         for bracket in list(brackets(lo, hi, inertia(lo), inertia(hi))):
             inertia.seen.clear()
             r = polish(*bracket)
-            residual = float(np.prod(np.abs(inertia.eigenvalues(r))))
+            residual = float(np.prod(np.abs(inertia.eigenvalues([r])[0])))
             roots.append(sp.Root(r, residual, bracket[3][0] - bracket[2][0], "krein"))
     return tuple(roots)
 

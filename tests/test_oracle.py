@@ -483,6 +483,32 @@ def test_sign_bracket_is_widened_and_a_moved_root_is_refused():
         sp.oracle_eigenvalues(g, coupling, (-1.0, 1.0))
 
 
+def test_a_repolish_that_leaves_its_candidate_is_refused():
+    # The Dirac star at large c, window c^2/2 + (-5, 40): its six roots lie
+    # 2 to 8 apart in E = lam - c^2/2, and the grid gives each its own sign
+    # bracket.  At c = 1e5 the re-polish bracket, 10 * 1e-9 |lam| = 50 to each
+    # side, spans the window, and the move bound 10 tol |lam| is 500, so all
+    # six would land on one root (E = 10.96).  A move is bounded by the
+    # candidate's own width too, which refuses it.  At c = 1e4 the bracket is
+    # 0.5 wide and every root stays in its candidate.
+    def star(c):
+        g = gr.star(3, lengths=[1.0, 0.7, 1.3], model=Dirac(c))
+        return g, delta(g, 0.5), (c * c / 2 - 5.0, c * c / 2 + 40.0)
+
+    g, coupling, window = star(1e5)
+    with pytest.raises(sp.OracleConvergenceError,
+                       match=r"root at 5000000000\.602334 moved by 1\.036e\+01"):
+        sp.oracle_eigenvalues(g, coupling, window)
+    g, coupling, window = star(1e4)
+    energies = [r.lam - 5e7 for r in sp.oracle_eigenvalues(g, coupling, window).roots]
+    # The Laplacian star's roots with the same strengths, to the 6 decimals
+    # given; the nonrelativistic limit is off by about E^2 / c^2.
+    laplacian = [0.602334, 2.588586, 4.687427, 10.962964, 18.152812, 29.525282]
+    assert len(energies) == 6
+    for e, want in zip(energies, laplacian):
+        assert abs(e - want) <= 5e-7 + 2 * want ** 2 / 1e8
+
+
 # ------------------------------------------------------------ dip resample
 
 CLOSE_PAIR = (-10.578810968922271, -10.550849871331991)

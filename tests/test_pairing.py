@@ -154,6 +154,32 @@ def test_compiled_krein_matches_one_shot_pairing(make):
         assert np.array_equal(sp.krein_matrix(g, coup, lam, _pairing=compiled), want)
 
 
+def wide_star():
+    # Twelve terms in the centre's diagonal entry: numpy sums more than eight
+    # pairwise, which the stacked segment sums must do alike.
+    g = gr.star(12, lengths=np.linspace(0.5, 1.6, 12).tolist())
+    return g, cp.delta_coupling(g, gr.alpha_map(g, -0.3)), None
+
+
+@pytest.mark.parametrize("make", PROBLEMS + [wide_star])
+def test_krein_matrix_on_a_lambda_list_stacks_the_scalar_calls(make):
+    # One call over real and complex lambda values (below 0 only on the
+    # half-line graph, whose edge spectrum is the ray) gives the scalar
+    # calls' matrices stacked, byte for byte, with and without a compiled
+    # pairing; the pairing's values stack as well.
+    g, coup, _ = make()
+    compiled = cp._CompiledPairing(g, coup)
+    lams = [-0.7, -2.3, 0.4 + 0.3j, -1.1 - 0.2j] + ([] if g.has_half_line else [0.9, 3.1])
+    want = np.array([sp.krein_matrix(g, coup, lam) for lam in lams])
+    for got in (sp.krein_matrix(g, coup, lams), sp.krein_matrix(g, coup, lams, _pairing=compiled)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    models = [(e.id, gr.edge_model_for(g.model, e), e.length) for e in g.edges]
+    single = [compiled({eid: em.weyl(model, ell, lam) for eid, model, ell in models})
+              for lam in lams]
+    stack = compiled({eid: em.weyl(model, ell, lams) for eid, model, ell in models})
+    assert stack.tobytes() == np.array(single).tobytes()
+
+
 @pytest.mark.parametrize("make", PROBLEMS)
 def test_blocks_may_list_their_coordinates_in_any_order(make):
     # Each block of degree >= 2 lists its coordinates in reverse, its basis

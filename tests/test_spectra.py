@@ -121,11 +121,12 @@ def test_neumann_leaf_star_roots():
 
 
 def test_scan_evaluations_per_root(monkeypatch):
+    # Each lambda of a list request is one evaluation of K.
     calls = []
     krein = sp.krein_matrix
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.extend(args[2] if isinstance(args[2], list) else [args[2]])
         return krein(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
@@ -146,6 +147,63 @@ def test_scan_evaluations_per_root(monkeypatch):
     scan = sp.scan_spectrum(equal, delta_problem(equal, 0.0), (-5.0, 60.0))
     assert [r.multiplicity for r in scan.roots] == [1, 2, 2]
     assert len(calls) == len(set(calls))
+
+
+def recorded_krein_calls(monkeypatch):
+    """The lambda argument of every krein_matrix call the scan makes."""
+    calls = []
+    krein = sp.krein_matrix
+
+    def recorded(g, coupling, lam, **kwargs):
+        calls.append(lam)
+        return krein(g, coupling, lam, **kwargs)
+
+    monkeypatch.setattr(sp, "krein_matrix", recorded)
+    return calls
+
+
+def test_a_delta_tree_scan_asks_for_all_residuals_in_one_call(monkeypatch):
+    # The counts are tree pivots, so the one secular-matrix call is the
+    # residuals', at the roots in order; a one-root scan asks with a float.
+    calls = recorded_krein_calls(monkeypatch)
+    g = gr.star(3, lengths=[1.0, 0.7, 1.3])
+    scan = sp.scan_spectrum(g, delta_problem(g, 0.0), (0.5, 30.0))
+    assert len(scan.roots) == 4 and calls == [[r.lam for r in scan.roots]]
+    calls.clear()
+    scan = sp.scan_spectrum(g, delta_problem(g, 0.0), (0.5, 3.0))
+    assert len(scan.roots) == 1 and calls == [scan.roots[0].lam]
+
+
+def test_a_dense_scan_asks_for_each_round_in_blocks(monkeypatch):
+    # A custom coupling on a graph with cycles counts with the eigenvalues of
+    # the dense K: each round's new lambda values go to krein_matrix in
+    # blocks of the byte budget, here set to three matrices, and so do the
+    # residuals of the roots not counted on the way; the roots keep the bytes
+    # of the default budget.
+    from test_pairing import loop_and_double_edge
+
+    g, coupling, _ = loop_and_double_edge()
+    window = (-2.0, 8.0)
+    want = sp.scan_spectrum(g, coupling, window).roots
+    n = cp._CompiledPairing(g, coupling).n
+    monkeypatch.setattr(sp, "_SECULAR_BLOCK_BYTES", 3 * 16 * n * n)
+    rounds, many = [], sp._Inertia.many
+
+    def recorded(self, lams):
+        rounds.append(lams)
+        return many(self, lams)
+
+    monkeypatch.setattr(sp._Inertia, "many", recorded)
+    calls = recorded_krein_calls(monkeypatch)
+    roots = sp.scan_spectrum(g, coupling, window).roots
+    assert roots == want and len(roots) > 2
+    seen, blocks = set(), []
+    for lams in rounds + [[r.lam for r in roots]]:
+        new = [lam for lam in dict.fromkeys(lams) if lam not in seen]
+        seen.update(new)
+        blocks += [new[i:i + 3] for i in range(0, len(new), 3)]
+    assert calls == [block if len(block) > 1 else block[0] for block in blocks]
+    assert max(len(lams) for lams in rounds) > 3 and any(len(b) == 1 for b in blocks)
 
 
 def test_scan_eigensolves_real_secular_matrices_in_real_arithmetic(monkeypatch):
@@ -647,3 +705,60 @@ def test_pole_guard_calls_the_pole_once_per_sample(monkeypatch):
         dist, near, _, _, _ = em._responses(g.model, lengths, lam)
         want = [em.pole_distance(g.model, e.length, lam) for e in g.edges]
         assert (dist.tolist(), near.tolist()) == tuple(map(list, zip(*want)))
+
+
+def dirac_delta_tree(c, seed):
+    g = gr.random_graph(seed, 8, model=Dirac(c))
+    rng = np.random.default_rng(seed)
+    return g, {v: float(rng.uniform(-2.0, 2.0)) for v in g.vertices}
+
+
+def laplacian_jump(g, alpha, lam, eps):
+    """Roots in [k^2 - eps, k^2 + eps) of the Laplacian delta problem on the
+    edges of the Dirac graph ``g`` at k^2 = (lam - c^2/2)(lam + c^2/2)/c^2,
+    with strengths alpha_v (lam + c^2/2)/c^2: the jump of its n_minus."""
+    c2 = g.model.c ** 2
+    k2, scale = (lam - c2 / 2) * (lam + c2 / 2) / c2, (lam + c2 / 2) / c2
+    lap = MetricGraph(g.vertices, g.edges, em.Laplacian())
+    coupling = cp.delta_coupling(lap, {v: a * scale for v, a in alpha.items()})
+    inertia = sp._Inertia(lap, coupling, cp._CompiledPairing(lap, coupling))
+    eps = eps * max(1.0, abs(k2))
+    lo, hi = inertia.many([k2 - eps, k2 + eps])
+    return hi[0] - lo[0]
+
+
+@pytest.mark.parametrize("c,seed", [(1.0, 3), (1.0, 5), (3.0, 3), (3.0, 5)])
+def test_dirac_delta_roots_are_laplacian_delta_roots(c, seed):
+    # The paper's Dirac application reduced exactly: psi1 solves
+    # -psi'' = k^2 psi on every edge, and the Dirac delta condition at v is
+    # the Laplacian one with strength alpha_v (lam + c^2/2)/c^2 (M(lam) =
+    # rho D^H M_L D, rho = c^2/(lam + c^2/2)).  Both sides of the window
+    # hold roots, below -c^2/2 with the strengths' signs turned.
+    g, alpha = dirac_delta_tree(c, seed)
+    coupling = cp.delta_coupling(g, alpha)
+    window = (-c * c / 2 - 30.0, c * c / 2 + 30.0)
+    scan = sp.scan_spectrum(g, coupling, window)
+    below, above = (sum(r.lam < -c * c / 2 for r in scan.roots),
+                    sum(r.lam > c * c / 2 for r in scan.roots))
+    assert below > 5 and above > 5
+    # The scan polishes to about two ulps of lambda, and k^2 and the strengths
+    # are smooth in lambda (slopes 2 lam / c^2 and alpha_v / c^2), so each root
+    # maps to within a few ulps of max(1, |k^2|) (measured: 1e-14 here, 1.9e-14
+    # on other trees): 1e-12 of it holds the root and no second one, while a
+    # root moved by 1e-10 relative leaves it.
+    for r in scan.roots:
+        assert laplacian_jump(g, alpha, r.lam, 1e-12) == r.multiplicity, r
+    if c == 1.0:
+        # The oracle integrates the Dirac system by RK4, without _reduce.  It
+        # accepts a root that mesh doubling moves by at most 10 tol max(1,
+        # |lam|) = 1e-7 max(1, |lam|).  With c = 1 that moves k^2 = lam^2 -
+        # 1/4 by at most 2.5e-7 max(1, |k^2|), and each strength by 2e-7
+        # max(1, |lam|), which moves a Laplacian root by at most
+        # sum_v |psi(v)|^2 / ||psi||^2 (a few tens on these edges, 0.5 to 2
+        # long, at |k| <= 31) times it: 1e-5 of max(1, |k^2|) holds every
+        # root (measured: 1e-9).
+        oracle = sp.oracle_eigenvalues(g, coupling, window)
+        assert len(oracle.roots) > 10
+        for r in oracle.roots:
+            if r.flag == "ok":
+                assert laplacian_jump(g, alpha, r.lam, 1e-5) == r.multiplicity, r
