@@ -28,7 +28,7 @@ from . import edges as em
 from .discrete import DiscreteLaplacian, _weights, weighted_degree
 from .graphs import MetricGraph
 from .regularize import Regularization, _by_model
-from .spectra import _eigvalsh, decoupled_ground_state, krein_matrix
+from .spectra import decoupled_ground_state, krein_matrix
 
 __all__ = [
     "CriterionResult",
@@ -287,7 +287,7 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
         raise ValueError(
             f"lam0_cert={lam0_cert} is not below the decoupled ground state {ground}"
         )
-    evs = _eigvalsh(krein_matrix(g, coupling, lam0_cert))
+    evs = np.linalg.eigvalsh(krein_matrix(g, coupling, lam0_cert))
     bound = len(evs) * np.finfo(float).eps * float(np.max(np.abs(evs)))
     verdict = HOLDS if evs[0] > bound else FAILS if evs[0] < -bound else INCONCLUSIVE
     witness = {"lambda0_cert": lam0_cert, "min_eigenvalue": float(evs[0]),

@@ -108,13 +108,16 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
     compiled, vals, m = _regularized_pairing(g, coupling, reg)
     n = len(compiled.basis.labels)
     rows, cols = compiled.rows, compiled.cols
-    herm_err = np.linalg.norm(vals - vals[compiled.mirror].conj())
-    if herm_err > _HERM_TOL * max(1.0, np.linalg.norm(vals)):
-        raise AssertionError(f"pairing matrix not Hermitian: error {herm_err:.2e}")
+    # Both norms read vals / peak: a short edge's ~1/l squares past the float range.
+    peak = float(np.max(np.abs(vals), initial=0.0)) or 1.0
+    unit = vals / peak
+    herm_err = np.linalg.norm(unit - unit[compiled.mirror].conj())
+    if herm_err > _HERM_TOL * max(1.0 / peak, np.linalg.norm(unit)):
+        raise AssertionError(f"pairing matrix not Hermitian: error {herm_err * peak:.2e}")
 
     # Every diagonal entry is on the pattern (in its vertex block), in order.
     diagonal = vals[rows == cols].real
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
+    scale = max(1.0, peak)
     upper = (cols > rows) & (np.abs(vals) >= 1e-14 * scale)
     rows, cols, vals = rows[upper], cols[upper], -vals[upper]
     applicable = not (np.any(np.abs(vals.imag) > _REAL_TOL * np.maximum(1.0, np.abs(vals)))
@@ -139,7 +142,8 @@ def build_discrete(g: MetricGraph, coupling: VertexCoupling,
 def weighted_degree(dl: DiscreteLaplacian) -> np.ndarray:
     """Deg(v) = sum_w b(v, w) / m(v), per index."""
     i, j, w = _weights(dl)
-    return (np.bincount(i, w, dl.size) + np.bincount(j, w, dl.size)) / dl.m
+    with np.errstate(over="ignore"):  # b ~ 1/l over m ~ l on a short edge: inf
+        return (np.bincount(i, w, dl.size) + np.bincount(j, w, dl.size)) / dl.m
 
 
 def lmin_matrix(g: MetricGraph, coupling: VertexCoupling, reg: Regularization) -> PatternMatrix:

@@ -65,7 +65,9 @@ and ``check_mtilde_divergence``.  The two paths agree
 to rounding, and exactly in the series at w = 0.  ``weyl`` on a list of
 lambda values stacks its scalar calls: ``krein_matrix`` makes one such
 call per edge for all the lambda values it is asked for.
-``_pole`` takes a float or an array, with the same bytes;
+``_pole`` squares a wavenumber with one multiply, written once for a
+float and an array: the product is correctly rounded, so array poles are
+the bytes of scalar ones, and a pole past the float range is inf;
 ``_window_poles`` lists the poles of all edges in a window in one array
 pass, and ``decoupled_eigenvalues`` is its one-edge case.
 """
@@ -74,7 +76,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -153,7 +154,7 @@ class Laplacian:
     def _pole(k):
         """Spectral points at which the wavenumber is the real number k (or
         each element of the array k)."""
-        return (_squares(k) if isinstance(k, np.ndarray) else k ** 2,)
+        return (k * k,)
 
     @staticmethod
     def _wavenumber(x):
@@ -202,10 +203,9 @@ class Dirac:
         return (lam * lam - (c2 / 2) ** 2) / c2, 2 * lam / c2, rho, -rho / shift
 
     def _pole(self, k):
-        if isinstance(k, np.ndarray):
-            root = np.sqrt(_squares(self.c * k) + self.c ** 4 / 4)
-        else:
-            root = math.sqrt((self.c * k) ** 2 + self.c ** 4 / 4)
+        ck = self.c * k
+        v = ck * ck + self.c ** 4 / 4
+        root = np.sqrt(v) if isinstance(k, np.ndarray) else math.sqrt(v)
         return root, -root
 
     def _wavenumber(self, x):
@@ -219,14 +219,6 @@ class Dirac:
 
 
 EdgeModel = Union[Laplacian, Dirac, HalfLineLaplacian]
-
-
-def _squares(k: np.ndarray) -> np.ndarray:
-    """Each element of the array k squared as Python squares a float, by C's
-    pow, which can differ from k * k (numpy's k ** 2) in the last bit: the
-    array poles are the bytes of the scalar ones."""
-    return np.fromiter(map(pow, k.ravel().tolist(), itertools.repeat(2)),
-                       float, k.size).reshape(k.shape)
 
 
 #: Unitary turning the Dirac "hat" trace maps into the graph trace maps
@@ -786,7 +778,9 @@ def _listed_poles(model: EdgeModel, ell, start, count, triplet: str = "graph"):
     n = np.repeat(start, count) + (np.arange(ends[-1] if ends.size else 0)
                                    - np.repeat(ends - count, count))
     k = (n + offset) * math.pi / np.repeat(ell, count)
-    return np.concatenate([np.array(extra if ell.size else (), dtype=float), *model._pole(k)])
+    with np.errstate(over="ignore"):  # a pole past the float range is inf: in no window
+        poles = model._pole(k)
+    return np.concatenate([np.array(extra if ell.size else (), dtype=float), *poles])
 
 
 def _window_poles(model: EdgeModel, ell, window, triplet: str = "graph") -> np.ndarray:

@@ -163,22 +163,18 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
     per-lambda step (gather the entries of M(lambda), weight them and
     subtract their segment sums: O(nnz) work), whose values on the sparse
     pattern of P are divided by ||b_i|| ||b_j||; the dense K is formed once,
-    for the eigensolve.  Each edge makes one ``weyl`` call for all lambda
-    values, and the pairing one pass over the stack.  Callers that evaluate
-    many lambda hand their compiled pairing in ``_pairing``; otherwise the
-    call compiles its own.
+    for the eigensolve, real (float64) when none of those values has an
+    imaginary part (delta couplings at real lambda, both edge models), else
+    complex.  Each edge makes one ``weyl`` call for all lambda values, and
+    the pairing one pass over the stack.  Callers that evaluate many lambda
+    hand their compiled pairing in ``_pairing``; otherwise the call
+    compiles its own.
     """
     compiled = _pairing or _CompiledPairing(g, coupling)
     blocks = {eid: em.weyl(model, ell, lam, _pole_tol=_POLE_GUARD)
               for eid, model, ell in compiled.edges}
-    return compiled.dense(compiled(blocks) / compiled.norm_products)
-
-
-def _eigvalsh(k: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix k, or of each of a stack
-    of them, in real arithmetic when k has no imaginary part (delta
-    couplings in both edge models, at real lambda)."""
-    return np.linalg.eigvalsh(k if k.imag.any() else k.real)
+    values = compiled(blocks) / compiled.norm_products
+    return compiled.dense(values if values.imag.any() else values.real)
 
 
 def _brent_steps(a, b, fa, fb, *, atol=0.0):
@@ -322,7 +318,8 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
                 bv, sv = weight[k], s[v]
                 d = bv + sv
                 if d == 0.0:
-                    d = _TINY * max(1.0, max(map(abs, weight))) ** 2
+                    top = max(1.0, max(map(abs, weight)))
+                    d = _TINY * top * top
                 append(d)
                 s[p] += bv * sv / d
             out.append(row)
@@ -354,8 +351,8 @@ class _Inertia:
             part = new[first:first + self.block]
             # A block of one lambda asks as a float: the scalar call, without a list's
             # cost.  No name holds a block's K into the next block's assembly.
-            mu = _eigvalsh(krein_matrix(g, coupling, part if len(part) > 1 else part[0],
-                                        _pairing=compiled))
+            lam = part if len(part) > 1 else part[0]
+            mu = np.linalg.eigvalsh(krein_matrix(g, coupling, lam, _pairing=compiled))
             self.seen.update(zip(part, mu.reshape(len(part), -1)))
         return [self.seen[lam] for lam in lams]
 
@@ -987,7 +984,7 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
 def decoupled_ground_state(g: MetricGraph) -> float:
     """Bottom of the decoupled (Dirichlet) Laplacian spectrum: min (pi/length)^2
     over finite edges, capped at 0 when half-lines are present."""
-    ground = min([(math.pi / l) ** 2 for l in g.finite_lengths], default=math.inf)
+    ground = min([(math.pi / l) * (math.pi / l) for l in g.finite_lengths], default=math.inf)
     return min(ground, 0.0) if g.has_half_line else ground
 
 
@@ -999,10 +996,12 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     lower bound for the whole spectrum.  PSD means that ``_Inertia`` counts
     no negative eigenvalue (an exact 0 counting as positive).  The top
     candidate, max(1e-6, 2e-8 |ground|) below the ground state, lies
-    outside the pole guard of ``krein_matrix``.  A count bisection down to
-    ground - 1e7, or to just above the point where the longest edge
-    overflows, keeps a PSD lower end, stepping to the geometric mean of the
-    distances below the top while they differ by more than 4x."""
+    outside the pole guard of ``krein_matrix``.  Below a top that is not
+    PSD, top - 16^j max(1, |top|), j = 0, 1, ..., steps down to the first
+    PSD point, at any depth of the spectrum's bottom, or to just above the
+    point where the longest edge overflows.  A count bisection between the
+    last two points keeps a PSD lower end, stepping to the geometric mean
+    of the distances below the top while they differ by more than 4x."""
     if not g.model.bounded_below:
         return None
     ground = decoupled_ground_state(g)
@@ -1016,15 +1015,15 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
             return None
 
     # (l k)^2, k^2 = |lambda|, overflows on the longest edge l below
-    # -(largest float) / l^2: the lower end starts 1% above that point, or
-    # at ground - 1e7 if that is higher.  No pole lies below the ground
-    # state, so its count raises nothing.
-    longest = max(g.finite_lengths, default=0.0)
-    floor = -0.99 * (float(np.finfo(float).max) / longest) / longest if longest else -math.inf
-    lo, hi = max(ground - 1e7, floor), top
-    if (verdict := psd(hi)) is not False:
-        return hi if verdict else None
-    if not psd(lo):
+    # -(largest float) / l^2: the search stops 1% above that point (l >= 1
+    # here).  No pole lies below the ground state, so its counts raise nothing.
+    longest = max(1.0, max(g.finite_lengths, default=0.0))
+    floor = -0.99 * float(np.finfo(float).max) / longest / longest
+    lo, hi, step, verdict = top, top, max(1.0, abs(top)), psd(top)
+    while verdict is False and lo > floor:
+        hi, lo = lo, max(top - step, floor)
+        step, verdict = 16.0 * step, psd(lo)
+    if not verdict:
         return None
     while hi - lo >= 1e-9 * max(1.0, abs(0.5 * (lo + hi))):
         far, near = top - lo, max(top - hi, 1e-3)

@@ -115,6 +115,27 @@ def test_repeated_calls_in_one_process_match_lone_runs(tmp_path, capsys):
         assert (code, out.out, out.err) == alone[name], name
 
 
+def test_a_short_edge_runs_every_command_without_a_warning(tmp_path):
+    # (pi / 1e-160)^2 lies past the float range: no command may stop with an
+    # OverflowError or print a numpy overflow warning, here raised as errors.
+    data = {"model": {"type": "laplacian"},
+            "vertices": [{"id": v, "alpha": 0.3} for v in ("v00", "v01", "v02")],
+            "edges": [{"id": "e00", "from": "v00", "to": "v01", "length": 1.0},
+                      {"id": "e01", "from": "v01", "to": "v02", "length": 1e-160}]}
+    path = write(tmp_path, "chain.json", data)
+    outputs = {}
+    for argv in (["validate", path], ["discrete", path], ["criteria", path],
+                 ["spectrum", path, "--min", "-5", "--max", "30", "--oracle"],
+                 ["weyl", path, "--edge", "e01", "--lambda", "-1"]):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "graphspectra.cli", *argv],
+                              capture_output=True, text=True, env=package_env())
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        outputs[argv[0]] = proc.stdout
+    krein = [line for line in outputs["spectrum"].splitlines() if line.startswith("krein,")
+             and not line.endswith("undetermined-by-matching")]
+    assert len(krein) == 2 and all(line.endswith(",agrees-oracle") for line in krein)
+
+
 def test_spectrum_csv_output(tmp_path, capsys):
     path = write(tmp_path, "star.json", star3())
     assert main(["spectrum", path, "--min", "-1", "--max", "25", "--oracle"]) == 0

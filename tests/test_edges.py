@@ -533,6 +533,20 @@ def test_decoupled_count_zero_keeps_the_extra_pole():
     assert em.decoupled_eigenvalues(LAP, 1.0, count=np.int64(1)).size == 1
 
 
+def test_a_short_edge_has_its_poles_past_the_float_range_at_inf():
+    # (pi / 1e-160)^2 overflows: each pole is one multiply, inf, and lies in
+    # no window; the response M ~ 1/l stays finite.
+    assert em.decoupled_eigenvalues(LAP, 1e-160, count=2).tolist() == [math.inf] * 2
+    assert em.decoupled_eigenvalues(em.Dirac(1.0), 1e-160, count=2).tolist() == [
+        -math.inf, -math.inf, -0.5, math.inf, math.inf]
+    assert em.decoupled_eigenvalues(LAP, 1e-160, window=(-5.0, 30.0)).size == 0
+    for lam in (0.5, [0.5, -2.0]):
+        m = em.weyl(LAP, 1e-160, lam)
+        assert m == pytest.approx(np.broadcast_to([[-1e160, 1e160], [1e160, -1e160]], m.shape),
+                                  rel=1e-12)
+    assert em.pole_distance(LAP, 1e-160, 0.5) == (math.inf, math.inf)
+
+
 @pytest.mark.parametrize("model,lam", [
     (LAP, math.inf), (LAP, -math.inf), (LAP, math.nan), (LAP, complex(1.0, math.inf)),
     (LAP, complex(1.0, math.nan)), (em.Dirac(1.0), math.inf), (em.Dirac(1.0), 1e300),

@@ -33,7 +33,7 @@ def dense_count(g, coupling, compiled, lam):
         k = sp.krein_matrix(g, coupling, lam, _pairing=compiled)
     except em.PoleOfWeylError:
         return None
-    return int(np.count_nonzero(sp._eigvalsh(k) < 0))
+    return int(np.count_nonzero(np.linalg.eigvalsh(k) < 0))
 
 
 def dirac_tree(c, seed):
@@ -120,7 +120,7 @@ def test_tree_log_det_is_the_dense_one_rescaled():
     inertia = sp._Inertia(g, coupling, compiled)
     shift = float(np.sum(np.log(np.array(list(gr.degree(g).values()), dtype=float))))
     for lam in (-2.5, 0.3, 7.7, 19.1):
-        mu = sp._eigvalsh(sp.krein_matrix(g, coupling, lam, _pairing=compiled))
+        mu = np.linalg.eigvalsh(sp.krein_matrix(g, coupling, lam, _pairing=compiled))
         want = float(np.sum(np.log(np.abs(mu)))) + shift
         assert abs(inertia(lam)[2] - want) <= 1e-9 * max(1.0, abs(want))
 

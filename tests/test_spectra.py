@@ -283,13 +283,13 @@ def test_lower_bound_certificates():
     gd = gr.interval(1.0, model=Dirac(1.0))
     assert sp.lower_bound_certificate(gd, delta_problem(gd, 0.0)) is None
 
-    # A delta well of strength -1e4 binds a state at -1e8, below the
-    # certificate's descending grid (it stops 1e7 under the decoupled
-    # ground state): no point of it is positive semi-definite.
+    # A delta well of strength -1e4 binds a state at -1e8, 10^8 under the
+    # decoupled ground state: the certificate's downward search reaches
+    # it, and its bisection ends within 1e-9 relative below it.
     coup3 = cp.delta_coupling(g, {"a": -1e4, "b": 0.0})
     (bound,) = sp.scan_spectrum(g, coup3, (-1.1e8, -0.9e8)).roots
     assert bound.lam == pytest.approx(-1e8)
-    assert sp.lower_bound_certificate(g, coup3) is None
+    assert bound.lam * (1 + 1e-9) <= sp.lower_bound_certificate(g, coup3) <= bound.lam
 
 
 def test_an_overflowing_long_edge_raises_without_a_warning():
@@ -305,7 +305,7 @@ def test_an_overflowing_long_edge_raises_without_a_warning():
     (1e153, -100.0, None),    # bound at -1e4, where the edge overflows
     (1e153, -10.0, -100.0),   # bound at -100
     (1e160, -1.0, None),      # l^2 overflows at every lambda
-    (1e120, -1e4, None),      # bound at -1e8, below the bisection's floor
+    (1e120, -1e4, -1e8),      # bound at -1e8, 10^8 under the ground state
 ])
 def test_certificate_on_long_edges(length, alpha, want):
     g = gr.interval(length)
@@ -313,7 +313,7 @@ def test_certificate_on_long_edges(length, alpha, want):
     if want is None:
         assert cert is None
     else:
-        assert want - 1e-6 <= cert <= want
+        assert want - max(1e-6, 1e-9 * abs(want)) <= cert <= want
 
 
 def lowest_root(g, coupling, cert):
@@ -361,6 +361,56 @@ def test_certificate_starts_above_the_overflow_point(monkeypatch):
     cert = sp.lower_bound_certificate(g, cp.delta_coupling(g, {"a": -10.0, "b": 0.0}))
     assert cert == pytest.approx(-100.00000003027935, rel=1e-9)
     assert len(counts) <= 37  # 52 when halving up from ground - 1e7
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e-4, 1e-6])
+def test_both_routes_and_the_certificate_are_scale_covariant(scale):
+    # Lengths l s, strengths alpha / s and lambda / s^2 give the operator of
+    # s = 1 times 1 / s^2: the roots of both routes and the certificate,
+    # times s^2, are those of s = 1.  Each of the certificate's two
+    # bisections (at s and at 1) stops within 1e-9 relative.
+    def solve(s):
+        g = gr.star(3, lengths=[1.0 * s, 0.7 * s, 1.3 * s])
+        coup = delta_problem(g, 0.5 / s)
+        window = (-5.0 / s / s, 40.0 / s / s)
+        return (sp.scan_spectrum(g, coup, window).values * s * s,
+                sp.oracle_eigenvalues(g, coup, window).values * s * s,
+                sp.lower_bound_certificate(g, coup) * s * s)
+
+    scan, oracle, cert = solve(scale)
+    want_scan, want_oracle, want_cert = solve(1.0)
+    assert len(want_scan) == len(want_oracle) == 6
+    np.testing.assert_allclose(scan, want_scan, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(oracle, want_oracle, rtol=1e-12, atol=0.0)
+    assert cert == pytest.approx(want_cert, rel=2e-9, abs=0.0)
+    assert cert <= want_scan[0]
+
+
+def test_a_short_edge_chain_keeps_both_routes_and_its_ground_state():
+    # The 1e-160 edge's poles, (n pi / 1e-160)^2, lie past the float range:
+    # both routes and the ground state see the unit edge's alone.
+    g = gr.chain([1.0, 1e-160])
+    coup = delta_problem(g, 0.3)
+    assert sp.decoupled_ground_state(g) == math.pi * math.pi
+    scan = sp.scan_spectrum(g, coup, (-5.0, 30.0))
+    oracle = sp.oracle_eigenvalues(g, coup, (-5.0, 30.0))
+    assert scan.values == pytest.approx([0.81955716, 11.587015], rel=1e-7)
+    np.testing.assert_allclose(scan.values, oracle.values, rtol=1e-9, atol=0.0)
+
+
+def test_krein_matrix_is_real_where_its_values_are():
+    # Delta couplings at real lambda give K in float64, in both edge models;
+    # a complex lambda or complex coupling data give complex128.
+    from test_pairing import dirac_star_custom_centre
+
+    for model in (em.Laplacian(), Dirac(1.0)):
+        g = gr.star(3, lengths=[1.0, 0.7, 1.3], model=model)
+        coup = delta_problem(g, 0.5)
+        assert sp.krein_matrix(g, coup, 0.3).dtype == np.float64
+        assert sp.krein_matrix(g, coup, [0.3, -1.7]).dtype == np.float64
+        assert sp.krein_matrix(g, coup, 0.3 + 0.1j).dtype == np.complex128
+    custom, coup, _ = dirac_star_custom_centre()
+    assert sp.krein_matrix(custom, coup, 0.3).dtype == np.complex128
 
 
 def test_match_spectra_keeps_unpaired_roots():
