@@ -28,7 +28,7 @@ from . import edges as em
 from .discrete import DiscreteLaplacian, _weights, weighted_degree
 from .graphs import MetricGraph
 from .regularize import Regularization, _by_model
-from .spectra import decoupled_ground_state, krein_matrix
+from .spectra import _rounding_bound, decoupled_ground_state, krein_matrix
 
 __all__ = [
     "CriterionResult",
@@ -269,8 +269,8 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
                       lam0_cert: float) -> CriterionResult:
     """Lower bound lam0_cert for the coupled operator: positive
     semi-definiteness of L - P M(lam0_cert) P below the decoupled ground state,
-    by an eigensolve: HOLDS when the least eigenvalue exceeds the rounding
-    bound len(evs) eps max |evs| (~ 1 / l_min), FAILS below minus it, else INCONCLUSIVE.
+    by an eigensolve: HOLDS when the least eigenvalue exceeds the certificate's
+    rounding bound len(evs) eps max |evs| (~ 1 / l_min), FAILS below minus it, else INCONCLUSIVE.
 
     Only meaningful when the decoupled edge operators form the semi-bounded
     soft-minimum extension, which holds for the Laplacian with its
@@ -288,7 +288,7 @@ def check_semibounded(g: MetricGraph, coupling, reg: Regularization,
             f"lam0_cert={lam0_cert} is not below the decoupled ground state {ground}"
         )
     evs = np.linalg.eigvalsh(krein_matrix(g, coupling, lam0_cert))
-    bound = len(evs) * np.finfo(float).eps * float(np.max(np.abs(evs)))
+    bound = _rounding_bound(evs)
     verdict = HOLDS if evs[0] > bound else FAILS if evs[0] < -bound else INCONCLUSIVE
     witness = {"lambda0_cert": lam0_cert, "min_eigenvalue": float(evs[0]),
                "rounding_bound": bound, "decoupled_ground_state": ground}

@@ -3,73 +3,56 @@
 Three edge operators are supported: the free Laplacian -d^2/dx^2 on a
 finite interval, the free Dirac operator with mass term c^2/2 on a finite
 interval, and the Laplacian on a half-line.  For each one this module
-evaluates the boundary response matrix M(lambda) (the matrix that maps
-prescribed trace data to the complementary trace data of the solution of
-the edge eigenvalue equation), its derivative, the defect solutions
-themselves, and the spectrum of the decoupled (trace-zero) edge operator.
+evaluates the boundary response matrix M(lambda) (the map from prescribed
+trace data to the complementary trace data of the solution of the edge
+eigenvalue equation), its derivative, the defect solutions themselves,
+and the spectrum of the decoupled (trace-zero) edge operator.
 
-Both interval models reduce to one kernel, the Laplacian response
-M_L(l; k^2) of -psi'' = k^2 psi on [0, l].  The first component of a
-Dirac spinor solves that equation at the wavenumber
+Both interval models share one kernel, the Laplacian response
+M_L(l; k^2) = [[-q, r], [r, -q]] / l of -psi'' = k^2 psi on [0, l].  Each
+model reduces lambda to k^2 and a scale rho (``_reduce``): k^2 = lambda,
+rho = 1 for the Laplacian; k^2 = (lambda^2 - c^4/4) / c^2 (which the first
+spinor component sees) and rho = c^2 / (lambda + c^2/2) for Dirac.  Every
+graph-map response is then the block, with t = p0 conj(p1) of the trace
+phases ``_phases`` (1 for the Laplacian, -i for Dirac),
 
-    k^2(lambda) = (lambda^2 - c^4/4) / c^2,
+    M = rho [[-q, t r], [conj(t) r, -q]] / l,   M' = rho' M_L + rho (k^2)' M_L'
 
-and the Dirac graph trace maps are the Laplacian ones rescaled by
-rho(lambda) = c^2 / (lambda + c^2/2) and rephased by D = diag(1, -i):
-
-    M(lambda)  = rho D^H M_L(l; k^2) D,
-    M'(lambda) = rho' D^H M_L D + rho (k^2)' D^H (dM_L/dk^2) D.
-
-The Laplacian is the identity reduction k^2 = lambda, rho = 1, D = I.
-The poles of M are the k^2-preimages of the Dirichlet values (n pi/l)^2,
-n >= 1, plus, for Dirac, the pole of rho at -c^2/2.  Each model class
-states its conventions once, and the whole package reads them from there
-instead of testing the class: the boundary dimension ``dim`` (2, or 1 on
-a half-line), the mapping ``_poles`` from each trace map it admits to that
-map's pole family (first index, index offset and extra poles: the poles
-sit where the wavenumber is (n + offset) pi / l, n >= first; None on the
-half-line, whose decoupled spectrum is the ray), the model ``_half_line``
-of a half-line edge on its graphs (or None), the default point
-``_lambda0`` (None on the half-line) and, on the interval models (the only
-graph models), ``_reduce`` (k^2, rho and their derivatives), ``_pole``
-(the preimages of a wavenumber), ``_wavenumber`` (where to look for the
-nearest poles), the phases ``_phases`` of psi1 in the trace at t = 0 and
-1 (1 and i for Dirac: the delta-coupling vector), the scale ``_flux`` of
-the flux trace (c for Dirac), the raw first-order system ``_system`` and
-``bounded_below``.
+blockwise, so ||M'|| = |M'_00| + |M'_01|.  The poles of M are the
+k^2-preimages of the Dirichlet values (n pi/l)^2, n >= 1, plus, for Dirac,
+the pole of rho at -c^2/2.  Each model class states its conventions once,
+and the package reads them from there instead of testing the class: the
+boundary dimension ``dim`` (2, or 1 on a half-line), the pole family
+``_poles`` of each trace map it admits (first index, index offset and
+extra poles: the wavenumber is (n + offset) pi / l, n >= first; None on
+the half-line, whose decoupled spectrum is the ray), ``_half_line``,
+``_lambda0`` and, on the interval models, ``_reduce``, ``_pole`` (the
+preimages of a wavenumber), ``_wavenumber``, ``_phases`` (the
+delta-coupling vector), the flux scale ``_flux`` (c for Dirac), whether a
+solution is a ``_spinor``, the first-order ``_system`` and ``bounded_below``.
 
 Every interval evaluation is written with ratios of the entire functions
+S(w) = sin(sqrt(w)) / sqrt(w) and C(w) = cos(sqrt(w)) at w = l^2 k^2, valid
+above threshold, inside spectral gaps and at complex lambda alike.
+``_trig`` returns C and S times a common scale e with |e| <= 1, and log e
+(series near w = 0, exp(-sqrt(-w)) for real w < 0, exp(i sqrt(w)) for
+Im sqrt(w) > 20): the kernel (q = C/S, r = 1/S = e/(S e)), the Dirac "hat"
+trace maps (S/C and 1/C, poles at cos(l k) = 0) and the defect solutions
+are ratios of its output, so none of them overflows.  The half-line has
+the Herglotz branch of i sqrt(lambda) as its response (``_halfline``).
 
-    S(w) = sin(sqrt(w)) / sqrt(w),    C(w) = cos(sqrt(w)),
-
-at w = l^2 k^2.  This removes every branch-cut and removable-singularity
-issue: the same expression is valid above threshold, inside spectral
-gaps and at complex spectral parameters.  One helper, ``_trig``, returns
-C and S times a common scale e with |e| <= 1, and log e: series near
-w = 0, exp(-sqrt(-w)) for real w < 0 and exp(i sqrt(w)) for
-Im sqrt(w) > 20, where sin and cos overflow.  The kernel (q = C/S and
-1/S = e/(S e)), the Dirac "hat" trace maps (S/C and 1/C, poles at
-cos(l k) = 0) and the defect solutions (ratios at two points, which
-bring in e(l)/e(x), of modulus at most 1) are all ratios of its output,
-so none of them overflows.  The half-line (boundary dimension d = 1)
-has the Herglotz branch of i sqrt(lambda) as its response.
-
-Every scalar entry point reads ``_response``, which takes the length and a
-real lambda as Python floats.  ``_delta_weights`` is the one array form of
-``_trig``'s real regimes, numpy's ufuncs over all edges at one real lambda
-or a batch of them: the scan's counts on delta trees read it a round of
-lambda values at a time, and so does ``_responses``, the
-pole guard plus the graph-map M and M' (or M(lambda) - M(lambda0),
-``_change``) over an array of lengths, called by ``build_regularization``
-and ``check_mtilde_divergence``.  The two paths agree
-to rounding, and exactly in the series at w = 0.  ``weyl`` on a list of
-lambda values stacks its scalar calls: ``krein_matrix`` makes one such
-call per edge for all the lambda values it is asked for.
-``_pole`` squares a wavenumber with one multiply, written once for a
-float and an array: the product is correctly rounded, so array poles are
-the bytes of scalar ones, and a pole past the float range is inf;
-``_window_poles`` lists the poles of all edges in a window in one array
-pass, and ``decoupled_eigenvalues`` is its one-edge case.
+Every scalar entry point reads ``_response`` (``_block``), which takes the
+length and a real lambda as Python floats; ``weyl`` on a list of lambda
+values stacks its calls.  ``_delta_weights`` is the one array form of
+``_trig``'s real regimes over all edges and a batch of lambda values: the
+scan's counts on delta trees read it, and so does ``_responses`` (the pole
+guard plus M and M', or M(lambda) - M(lambda0) from ``_change``, in
+``_pair``'s blocks), called by ``build_regularization`` and
+``check_mtilde_divergence``.  The two paths agree to rounding, and
+exactly in the series at w = 0.  ``_pole`` squares a wavenumber with one
+multiply, for a float and an array alike (a pole past the float range is
+inf); ``_window_poles`` lists the poles of all edges in a window in one
+array pass, and ``decoupled_eigenvalues`` is its one-edge case.
 """
 
 from __future__ import annotations
@@ -143,12 +126,13 @@ class Laplacian:
     _lambda0 = 0.0
     _phases = (1 + 0j, 1 + 0j)
     _flux = 1.0
+    _spinor = False
     bounded_below = True
 
     @staticmethod
     def _reduce(lam):
-        """(k^2, dk^2/dlambda, rho, drho/dlambda); rho None: no rescaling."""
-        return lam, 1.0, None, None
+        """(k^2, dk^2/dlambda, rho, drho/dlambda): the identity reduction."""
+        return lam, 1.0, 1.0, 0.0
 
     @staticmethod
     def _pole(k):
@@ -176,7 +160,8 @@ class Dirac:
     kind = "dirac"
     dim = 2
     _half_line = None
-    _phases = (1.0, 1j)
+    _phases = (1 + 0j, 1j)
+    _spinor = True
     bounded_below = False
 
     def __post_init__(self):
@@ -199,8 +184,12 @@ class Dirac:
     def _reduce(self, lam):
         c2 = self.c * self.c
         shift = lam + c2 / 2
-        rho = c2 / shift
-        return (lam * lam - (c2 / 2) ** 2) / c2, 2 * lam / c2, rho, -rho / shift
+        k2, dk2 = (lam * lam - (c2 / 2) ** 2) / c2, 2 * lam / c2
+        try:
+            rho = c2 / shift
+            return k2, dk2, rho, -rho / shift
+        except ZeroDivisionError:  # the pole of rho, a pole of the graph maps only
+            return k2, dk2, math.inf, -math.inf
 
     def _pole(self, k):
         ck = self.c * k
@@ -238,9 +227,6 @@ DIRAC_GRAPH_FROM_HAT = np.array(
     ],
     dtype=complex,
 )
-
-# Entrywise form of D^H X D for D = diag(1, -i).
-_DIRAC_PHASE = np.array([[1, -1j], [1j, 1]])
 
 _SERIES_CUTOFF = 1e-3
 
@@ -353,79 +339,95 @@ def pole_distance(model: EdgeModel, ell: float, lam, triplet: str = "graph"):
     return _guard(model, ell, lam, triplet, tol=0.0)[:2]
 
 
-def _halfline_root(lam):
-    # sqrt(lambda) on the branch Im >= 0: i*sqrt(lambda) is the Herglotz function
-    # continuing -sqrt(-lambda) from lambda < 0, with m(conj(lam)) = conj(m(lam)).
-    z = np.sqrt(complex(lam))
-    return -z if z.imag < 0 else z
+def _halfline(lam):
+    """The half-line's (M, M') = (i z, i / 2z) over the array (or number) lam,
+    z = sqrt(lam) on the branch Im z >= 0: M continues -sqrt(-lam) from lam < 0."""
+    z = np.sqrt(np.asarray(lam, dtype=complex))
+    z = np.where(z.imag < 0, -z, z)
+    return 1j * z, 1j / (2 * z)
 
 
-def _matrix(a, b, d):
-    """The complex 2x2 matrix [[a, b], [b, d]]; a float entry x is x + 0j."""
+def _phase(model):
+    """The graph maps' off-diagonal phase t = p0 conj(p1) of the model's trace
+    phases ``_phases`` (p0, p1): 1 for the Laplacian, -i for Dirac."""
+    p0, p1 = model._phases
+    return p0 * p1.conjugate()
+
+
+def _block(scale, a, b, t):
+    """The 2x2 matrix scale [[a, t b], [conj(t) b, a]], each entry (scale p) x
+    for its phase p, every operand complex (x + 0j) so that Python's mixed
+    float/complex rules play no part: ``_pair``'s bytes at real lambda."""
+    scale, a, b = scale + 0j, a + 0j, b + 0j
     m = np.empty((2, 2), complex)
-    m[0, 0], m[1, 1] = a, d
-    m[0, 1] = m[1, 0] = b
+    m[0, 0] = m[1, 1] = scale * a
+    m[0, 1], m[1, 0] = scale * t * b, scale * t.conjugate() * b
     return m
 
 
-def _weyl_hat(c, ell, lam, derivative):
+def _pair(scale, a, b, t):
+    """``_block`` over the (length, lambda) arrays a and b and a scale per
+    lambda (or one): the (length, lambda, 2, 2) stack."""
+    phase = np.multiply.outer(scale, np.array([1, t, t.conjugate()]))
+    return (phase * np.stack([a, b, b], -1))[..., [[0, 1], [2, 0]]]
+
+
+def _weyl_hat(model, ell, lam, derivative):
     """Dirac response and derivative under the hat trace maps.
 
     Written in t = S/C = tan(z)/z and sec = 1/C, z = sqrt(w), with
     dt/dw = (sec^2 - t)/(2w) by 1 + w t^2 = sec^2, or t^2 D1(w) near w = 0.
     """
-    half_gap = c * c / 2
-    w = ell * ell * (lam * lam - half_gap ** 2) / (c * c)
+    c2 = model.c * model.c
+    half_gap = c2 / 2
+    k2, dk2, _, _ = model._reduce(lam)
+    w = ell * ell * k2
     cw, s, log_e = _trig(w)
     t, sec = s / cw, cmath.exp(log_e) / cw
-    m = _matrix((lam - half_gap) * ell * t, sec, (lam + half_gap) * ell * t / (c * c))
+    m = np.array([[(lam - half_gap) * ell * t, sec], [sec, (lam + half_gap) * ell * t / c2]],
+                 complex)
     if not derivative:
         return m, None
-    wp = 2 * ell * ell * lam / (c * c)
+    wp = ell * ell * dk2
     if abs(w) < _SERIES_CUTOFF:
         dt = t * t * _poly(_D1_COEF, w) * wp
     else:
         dt = (sec * sec - t) / (2 * w) * wp
     d11 = ell * (t + (lam - half_gap) * dt)
     d12 = sec * t * wp / 2
-    d22 = (ell / (c * c)) * (t + (lam + half_gap) * dt)
-    return m, _matrix(d11, d12, d22)
+    d22 = (ell / c2) * (t + (lam + half_gap) * dt)
+    return m, np.array([[d11, d12], [d12, d22]], complex)
 
 
 def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False):
     """(distance, pole, M(lam), M'(lam) or None): the one scalar evaluation.
 
-    The graph maps rescale M_L(l; k^2) = [[-q, r], [r, -q]] / l, q = C/S =
-    z cot z, r = 1/S = z csc z; r^2 = q^2 + w makes dM_L/d(k^2) l (r^2 - q)/2w
-    and -l r (q - 1)/2w.  At real w, r is the float e/S: Python's complex e/S
-    only adds an imaginary zero that M drops, but whose sign M' keeps.
+    The graph maps are ``_block``s of M_L(l; k^2) = [[-q, r], [r, -q]] / l,
+    q = C/S = z cot z, r = 1/S = z csc z; r^2 = q^2 + w makes dM_L/d(k^2)
+    l (r^2 - q)/2w and -l r (q - 1)/2w.  At real w, r is the float e/S: Python's
+    complex e/S only adds an imaginary zero that M drops, but whose sign M' keeps.
     """
     if type(ell) is not float:  # an np.float64 length would round M' the numpy way
         ell = float(ell)
     dist, pole, lam = _guard(model, ell, lam, triplet, tol)
     if model.dim == 1:
-        z = _halfline_root(lam)
-        return dist, pole, np.array([[1j * z]]), np.array([[1j / (2 * z)]])
+        return (dist, pole) + tuple(x.reshape(1, 1) for x in _halfline(lam))
     if triplet == "hat":
-        return (dist, pole) + _weyl_hat(model.c, ell, lam, derivative)
+        return (dist, pole) + _weyl_hat(model, ell, lam, derivative)
     k2, dk2, rho, drho = model._reduce(lam)
     w = ell * ell * k2
     c, s, log_e = _trig(w)
     q = c / s
     r = (math.exp(log_e) if type(log_e) is float else cmath.exp(log_e)) / s
-    m = _matrix(-q / ell, r / ell, -q / ell)
-    dm = None
+    a, b, t = -q / ell, r / ell, _phase(model)
+    m, dm = _block(rho, a, b, t), None
     if derivative:
         if abs(w) < _SERIES_CUTOFF:
             d11, d12 = ell * _poly(_D1_COEF, w), ell * _poly(_E1_COEF, w)
         else:
             r = cmath.exp(log_e) / s
             d11, d12 = ell * (r * r - q) / (2 * w), -ell * r * (q - 1) / (2 * w)
-        dm = _matrix(d11, d12, d11)
-        if rho is not None:
-            dm = _DIRAC_PHASE * (drho * m + (rho * dk2) * dm)
-    if rho is not None:
-        m = rho * _DIRAC_PHASE * m
+        dm = _block(drho, a, b, t) + _block(rho * dk2, d11, d12, t)
     return dist, pole, m, dm
 
 
@@ -435,9 +437,10 @@ def _responses(model, ell, lam, derivative=False, since=None):
     axis, each column the bytes of its lambda alone): (dist, pole, on_pole,
     M, M' or None), the distance and nearest pole exactly as ``_guard``
     gives them (one ``_pole`` call for all), M and M' from ``_delta_weights``
-    (undefined where on_pole).  With a real ``since``, M(lam) - M(since)
-    (``_change``) replaces M.  The first invalid length at the first lambda
-    with one, or an invalid lam, raises the error of ``_guard``."""
+    in ``_pair``'s blocks, or from ``_halfline`` (undefined where on_pole).
+    With a real ``since``, M(lam) - M(since) (``_change``) replaces M.  The
+    first invalid length at the first lambda with one, or an invalid lam,
+    raises the error of ``_guard``."""
     ell, lams = np.asarray(ell, dtype=float), np.asarray(lam, dtype=float).reshape(-1)
     grid, half_line = ell[:, None], model.dim == 1  # lengths down, lambda values across
     with np.errstate(all="ignore"):
@@ -447,13 +450,12 @@ def _responses(model, ell, lam, derivative=False, since=None):
         if bad.any():  # _guard raises the error of the first
             col = np.argmax(bad.any(axis=0))
             _guard(model, float(ell[np.argmax(bad[:, col])]), lams[col])
-        if half_line:  # every length is inf
-            near = np.array([pole_distance(model, math.inf, x) for x in lams.tolist()])
-            dist, pole = np.tile(near.T[:, None], (1, len(ell), 1))
-            z = np.array([_halfline_root(x) for x in lams.tolist()])[:, None, None]
-            m, dm = (np.tile(v, (len(ell), 1, 1, 1)) for v in (1j * z, 1j / (2 * z)))
+        if half_line:  # every length is inf; the decoupled spectrum is the ray [0, inf)
+            x = np.broadcast_to(lams, (len(ell), len(lams)))
+            dist, pole = np.where(x <= 0, np.abs(x), 0.0), np.where(x <= 0, 0.0, x)
+            m, dm = (v[..., None, None] for v in _halfline(x))
             if since is not None:
-                m = m - 1j * _halfline_root(since)
+                m = m - _halfline(since)[0]
         else:  # extra poles, then those of the indices max(first, n0) ... n0 + 1
             first, offset, extra = model._poles["graph"]
             # The candidates depend on lambda through its wavenumber alone.
@@ -468,21 +470,15 @@ def _responses(model, ell, lam, derivative=False, since=None):
             dist, pole = (np.take_along_axis(a, j, -1)[..., 0] for a in (gaps, cands))
             # M_L = [[-q, r], [r, -q]] / l and dM_L/d(k^2) = l [[d, e], [e, d]].
             r, q, d, e = _delta_weights(model, ell, lams, derivative=True)
-            m, dm = _pair(-q / grid, r / grid), _pair(grid * d, grid * e)
-            _, dk2, rho, drho = model._reduce(lams[:, None, None])
-            if rho is not None:
-                dm = _DIRAC_PHASE * (drho * m + (rho * dk2) * dm)
-                m = rho * _DIRAC_PHASE * m
+            _, dk2, rho, drho = model._reduce(lams)
+            a, b, t = -q / grid, r / grid, _phase(model)
+            m = _pair(rho, a, b, t)
+            dm = _pair(drho, a, b, t) + _pair(rho * dk2, grid * d, grid * e, t)
             if since is not None:
                 m = _change(model, grid, lams, float(since), r, q)
         on_pole = dist < _POLE_TOL * np.maximum(1.0, np.abs(pole))
     out = dist, pole, on_pole, m, dm if derivative else None
     return out if np.ndim(lam) else tuple(x if x is None else x[:, 0] for x in out)
-
-
-def _pair(a, b):
-    """The complex matrices [[a, b], [b, a]] over the arrays a and b."""
-    return np.stack([a, b], -1).astype(complex)[..., [[0, 1], [1, 0]]]
 
 
 def _divided(dcoef, w, w0):
@@ -502,7 +498,7 @@ def _change(model, ell, lam, lam0, r, q):
     and |w0| are in the series, r and q change by w - w0 = l^2 (lam - lam0)
     (dk^2(lam) + dk^2(lam0)) / 2 (exact for k^2, a quadratic in lambda) times
     their divided differences (E1, -D1 integrated), elsewhere by r(w) - r(w0)
-    and q(w) - q(w0); a Dirac M changes by rho (M_L - M_L0) + (rho - rho0) M_L0."""
+    and q(w) - q(w0); M changes by rho (M_L - M_L0) + (rho - rho0) M_L0 blockwise."""
     r0, q0 = _delta_weights(model, ell[:, 0], np.array([lam0]), derivative=True)[:2]
     (k2, dk2, rho, _), (k20, dk20, rho0, _) = model._reduce(lam), model._reduce(lam0)
     w, w0 = ell * ell * k2, ell * ell * k20
@@ -513,11 +509,8 @@ def _change(model, ell, lam, lam0, r, q):
         ws, w0s = w[series], np.broadcast_to(w0, w.shape)[series]
         dr[series] = dw * _divided(_E1_COEF, ws, w0s)
         dq[series] = -dw * _divided(_D1_COEF, ws, w0s)
-    m = _pair(-dq / ell, dr / ell)
-    if rho is None:
-        return m
-    rho = rho[:, None, None]  # per lambda, against the (length, lambda, 2, 2) stack
-    return _DIRAC_PHASE * (rho * m + (rho - rho0) * _pair(-q0 / ell, r0 / ell))
+    t = _phase(model)
+    return _pair(rho, -dq / ell, dr / ell, t) + _pair(rho - rho0, -q0 / ell, r0 / ell, t)
 
 
 def _above(x):
@@ -566,7 +559,7 @@ def _delta_weights(model, ell, lam, derivative=False):
         ws = w[series]
         r[series], u[series] = 1 / _poly(_S_COEF, ws), ws * _poly(_T_COEF, ws)
     if not derivative:
-        return (r / ell, u / ell) if rho is None else (rho * r / ell, rho * u / ell)
+        return rho * r / ell, rho * u / ell
     q = r - u
     two_w = 2 * np.where(series, 1.0, w)
     d, e = (r * r - q) / two_w, -r * (q - 1) / two_w
@@ -606,11 +599,13 @@ def weyl_derivative(model: EdgeModel, ell: float, lam, triplet: str = "graph") -
 
 
 def _special_values(model: EdgeModel, ell: float, lam0):
-    """(distance to the nearest pole, M(lambda0), ||M'(lambda0)||) at real lambda0."""
+    """(distance to the nearest pole, M(lambda0), ||M'(lambda0)||) at real lambda0:
+    M' = [[a, t x], [conj(t) x, a]] (a, x real, |t| = 1) has the eigenvalues
+    a +- |x|, so the norm is its first row's |a| + |t x| (|a| on a half-line)."""
     if lam0.imag != 0.0:
         raise EdgeModelError(f"lambda0 must be real, got {lam0}")
     dist, _, m, dm = _response(model, ell, lam0, derivative=True)
-    return dist, m, float(np.max(np.abs(np.linalg.eigvalsh(dm))))
+    return dist, m, float(np.abs(dm[0]).sum())
 
 
 def weyl_norm_prime(model: EdgeModel, ell: float, lam0=None) -> float:
@@ -670,14 +665,10 @@ class DefectElement:
         """Solution values at points ``x``: shape (n,) scalar or (2, n) spinor."""
         x = np.asarray(x, dtype=float)
         if self.model.dim == 1:
-            return self.ends[0] * np.exp(1j * _halfline_root(self.lam) * x)
+            return self.ends[0] * np.exp(_halfline(self.lam)[0] * x)
         near, far = self.ends
         ell, lam = self.ell, complex(self.lam)
-        if self.triplet == "hat":
-            c2 = self.model.c * self.model.c
-            k2 = (lam * lam - (c2 / 2) ** 2) / c2
-        else:
-            k2, _, rho, _ = self.model._reduce(lam)
+        k2, _, rho, _ = self.model._reduce(lam)
         c_l, s_l, log_l = _trig(k2 * ell * ell)
 
         def cs(y):
@@ -690,14 +681,13 @@ class DefectElement:
         cr, sr = np.array([cs(y) for y in ell - x], dtype=complex).reshape(-1, 2).T
         if self.triplet == "hat":
             # far = ic psi2(l) = rho psi1'(l); flux = ic psi2 = rho psi1'.
+            c2 = self.model.c * self.model.c
             psi1 = (near * cr + far * ((lam + c2 / 2) / c2) * sx) / c_l
             flux = (near * (lam - c2 / 2) * sr + far * cx) / c_l
         else:
             psi1 = (near * sr + far * sx) / (ell * s_l)
-            if rho is None:
-                return psi1
             flux = rho * ((far * cx - near * cr) / (ell * s_l))
-        return np.vstack([psi1, flux / (1j * self.model.c)])
+        return np.vstack([psi1, flux / (1j * self.model._flux)]) if self.model._spinor else psi1
 
     def boundary_data(self):
         """Return (Gamma0, Gamma1 = M(lam) Gamma0) under the element's trace

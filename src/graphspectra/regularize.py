@@ -61,7 +61,7 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
     ids = [e.id for e in g.edges]
     special, norms = dict.fromkeys(ids), dict.fromkeys(ids)  # in graph order
     for at, (_, _, _, m, dm) in groups:
-        for i, mi, norm in zip(at, m, np.abs(np.linalg.eigvalsh(dm)).max(axis=-1).tolist()):
+        for i, mi, norm in zip(at, m, np.abs(dm[:, 0]).sum(axis=-1).tolist()):  # as _special_values
             special[ids[i]], norms[ids[i]] = mi, norm
     eps = min([math.inf] + [float(out[0].min()) for _, out in groups])
     return Regularization(lam0, special, norms, eps, eps > _CERT_TOL)

@@ -272,7 +272,7 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
     """The pivots at real lambda of a delta coupling's P = N K N (N the basis
     norms) if the finite edges form a tree (or forest), else None.  P is the
     Laplacian of the weights b_e of ``edges._delta_weights`` plus the
-    potential c_v = alpha_v - sum_e t_e (+ sqrt(-lambda), -M, per half-line);
+    potential c_v = alpha_v - sum_e t_e (- Re ``edges._halfline`` per half-line);
     leaf-to-root elimination gives d_v = b_parent + s_v, with s_v = c_v +
     sum over children of b s / (b + s) (Grassmann-Taksar-Heyman 1985): O(V),
     without K's cancellation of entries of order 1/l_min.  An exact 0 pivot
@@ -293,7 +293,7 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
     half = np.bincount(index.half, minlength=n)[:, None]
     alpha = compiled.p0[compiled.rows == compiled.cols].real[:, None]  # P's vertex term
     if not index.half.size:
-        alpha = alpha + 0.0  # the half-line term, 0 * sqrt(max(0, -lambda)), added
+        alpha = alpha + 0.0  # -0.0 to 0.0, as the half-line term does below 0
 
     @functools.lru_cache(maxsize=None)
     def flat(m):  # the (vertex, lambda) positions of each edge end's (edge, lambda)
@@ -304,7 +304,7 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
         b, t = em._delta_weights(g.model, lengths, np.array(lams, dtype=float))
         c = alpha
         if index.half.size:
-            c = c + half * np.array([math.sqrt(max(0.0, -lam)) for lam in lams])
+            c = c - half * em._halfline(np.array(lams, dtype=float))[0].real
         at_src, at_dst = flat(m)
         t = t.ravel()
         c = c - (np.bincount(at_src, t, n * m) + np.bincount(at_dst, t, n * m)).reshape(n, m)
@@ -325,6 +325,11 @@ def _tree_pivots(g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPa
             out.append(row)
         return np.array(out)
     return pivots
+
+
+def _rounding_bound(mu) -> float:
+    """len(mu) eps max |mu|: how far rounding may move K's eigenvalues mu."""
+    return len(mu) * np.finfo(float).eps * float(np.max(np.abs(mu)))
 
 
 class _Inertia:
@@ -993,8 +998,9 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     L - P M(lambda0) P is positive semi-definite; None when no point
     qualifies.  Models ``bounded_below`` only (the decoupled operator is the
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
-    lower bound for the whole spectrum.  PSD means that ``_Inertia`` counts
-    no negative eigenvalue (an exact 0 counting as positive).  The top
+    lower bound for the whole spectrum.  PSD means no negative tree pivot,
+    or on the dense path K's least eigenvalue above ``_rounding_bound``: a
+    point in doubt is not certified.  The top
     candidate, max(1e-6, 2e-8 |ground|) below the ground state, lies
     outside the pole guard of ``krein_matrix``.  Below a top that is not
     PSD, top - 16^j max(1, |top|), j = 0, 1, ..., steps down to the first
@@ -1010,6 +1016,9 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
 
     def psd(lam0):
         try:
+            if inertia.tree is None:
+                mu = inertia.eigenvalues([lam0])[0]
+                return bool(mu[0] > _rounding_bound(mu))
             return inertia(lam0)[0] == 0
         except em.EdgeModelError:
             return None

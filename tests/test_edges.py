@@ -851,3 +851,27 @@ def test_a_lambda_list_raises_the_scalar_error_of_its_first_bad_lambda(model, el
     assert want[0] in (em.EdgeModelError, em.PoleOfWeylError)
     for lams in (good + bad, bad + good, good[:1] + bad[:1] + good[1:] + bad[1:]):
         assert _outcome(em.weyl, model, ell, lams) == want
+
+
+@pytest.mark.parametrize("name", list(_TABLE_MODELS))
+def test_graph_maps_are_blocks_whose_norm_is_the_first_row_sum(name):
+    # At the table's real points off the poles, M and M' are the blocks
+    # [[a, t x], [conj(t) x, a]] of the model's phase t with x real, so the
+    # first row's |a| + |t x| (|a| alone on the half-line) is the norm of
+    # M' that eigvalsh gives, bit for bit.
+    model, _ = _TABLE_MODELS[name]
+    t = em._phase(model) if model.dim == 2 else None
+    checked = 0
+    for ell, lam, _, _ in _reference(name):
+        try:
+            m, dm = em.weyl(model, ell, lam), em.weyl_derivative(model, ell, lam)
+            norm = em._special_values(model, ell, lam)[2]
+        except em.PoleOfWeylError:
+            continue
+        assert norm == np.max(np.abs(np.linalg.eigvalsh(dm))), (ell, lam)
+        checked += 1
+        for got in (m, dm) if model.dim == 2 else ():
+            x = (got[0, 1] * t.conjugate()).real
+            assert got[0, 0] == got[1, 1] and got[0, 0].imag == 0, (ell, lam)
+            assert got[0, 1] == t * x and got[1, 0] == t.conjugate() * x, (ell, lam)
+    assert checked >= 30

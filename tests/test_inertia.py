@@ -349,3 +349,75 @@ def lockstep_cases():
 def test_lockstep_scan_is_the_sequential_scan(g, coupling, window):
     roots = sp.scan_spectrum(g, coupling, window).roots
     assert len(roots) > 2 and roots == sequential_scan(g, coupling, window)
+
+
+def _cycle_closed_chain(depth):
+    """geometric_chain(0.5, 0.5, depth) with a chord of length 1 that closes
+    the cycle v00 - v01 - v02, so that every count takes the dense path."""
+    chain = gr.geometric_chain(0.5, 0.5, depth)
+    return MetricGraph(chain.vertices, chain.edges + (Edge("x", "v00", "v02", 1.0),),
+                       chain.model)
+
+
+#: The least eigenvalue of the cycle-closed chain with alpha = -0.2 at every
+#: vertex, computed at 60 digits (``_mpmath_bottom``) and shown to 20.
+_CYCLE_CHAIN_BOTTOMS = {25: "-15.405852328430773402", 30: "-24.706318371202110868",
+                        35: "-36.074899449067384638", 40: "-49.38508827017814092"}
+
+
+def _mpmath_bottom(depth, alpha="-0.2"):
+    """The least root of det V(lambda), V the vertex matrix of the delta
+    coupling at lambda = -kappa^2 < 0 (-sum kappa coth(kappa l) - alpha on the
+    diagonal, kappa / sinh(kappa l) off it), at 60 digits: bisection on
+    V's definiteness (-V is Cholesky-factorable below the bottom), then
+    the Anderson root finder on det V; shown to 20 digits."""
+    import mpmath as mp
+
+    g = _cycle_closed_chain(depth)
+    at = {v: i for i, v in enumerate(g.vertices)}
+
+    def vertex_matrix(lam):
+        kappa = mp.sqrt(-lam)
+        v = mp.diag([-mp.mpf(alpha)] * len(at))
+        for e in g.edges:
+            i, j = at[e.source], at[e.target]
+            diag, off = kappa * mp.coth(kappa * e.length), kappa / mp.sinh(kappa * e.length)
+            v[i, i], v[j, j] = v[i, i] - diag, v[j, j] - diag
+            v[i, j], v[j, i] = v[i, j] + off, v[j, i] + off
+        return v
+
+    def below(lam):
+        try:
+            mp.cholesky(-vertex_matrix(lam))
+        except ValueError:
+            return False
+        return True
+
+    with mp.workdps(60):
+        lo, hi = mp.mpf(-200), mp.mpf(-1)
+        assert below(lo) and not below(hi)
+        for _ in range(30):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        root = mp.findroot(lambda lam: mp.det(vertex_matrix(lam)), (lo, hi), solver="anderson")
+        assert lo <= root <= hi
+        return mp.nstr(root, 20)
+
+
+@pytest.mark.parametrize("depth", sorted(_CYCLE_CHAIN_BOTTOMS))
+def test_the_dense_certificate_lies_below_the_bottom(depth):
+    # The cycle sends every count through the eigensolve of K, whose entries
+    # grow as 1/l_min = 2^(depth + 1).  Counting a least eigenvalue within
+    # its rounding bound as PSD certified -49.3139 at depth 40, above the
+    # bottom; within the bound a point now counts as not PSD.
+    g = _cycle_closed_chain(depth)
+    coupling = delta_problem(g, -0.2)
+    assert sp._tree_pivots(g, coupling, sp._CompiledPairing(g, coupling)) is None
+    bottom = float(_CYCLE_CHAIN_BOTTOMS[depth])
+    assert 2 * bottom <= sp.lower_bound_certificate(g, coupling) <= bottom
+
+
+def test_the_cycle_chain_bottoms_match_their_generator():
+    # Regenerates the shallowest bottom at 60 digits; CI installs no mpmath.
+    pytest.importorskip("mpmath")
+    assert _mpmath_bottom(25) == _CYCLE_CHAIN_BOTTOMS[25]
