@@ -165,8 +165,13 @@ class Dirac:
     bounded_below = False
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise EdgeModelError(f"Dirac speed of light must be positive, got {self.c}")
+        try:  # _pole forms c^4
+            valid = self.c > 0 and math.isfinite(self.c ** 4)
+        except OverflowError:
+            valid = False
+        if not valid:
+            raise EdgeModelError("Dirac speed of light must be positive with a finite c^4, "
+                                 f"got {self.c}")
         # Not a field: repr, == and hash see c only.  The graph maps have
         # their poles at sin(l k) = 0 and at rho's pole -c^2/2, the hat maps
         # at cos(l k) = 0.
@@ -399,7 +404,7 @@ def _weyl_hat(model, ell, lam, derivative):
     return m, np.array([[d11, d12], [d12, d22]], complex)
 
 
-def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False):
+def _response(model, ell, lam, triplet="graph", derivative=False):
     """(distance, pole, M(lam), M'(lam) or None): the one scalar evaluation.
 
     The graph maps are ``_block``s of M_L(l; k^2) = [[-q, r], [r, -q]] / l,
@@ -409,7 +414,7 @@ def _response(model, ell, lam, triplet="graph", tol=_POLE_TOL, derivative=False)
     """
     if type(ell) is not float:  # an np.float64 length would round M' the numpy way
         ell = float(ell)
-    dist, pole, lam = _guard(model, ell, lam, triplet, tol)
+    dist, pole, lam = _guard(model, ell, lam, triplet)
     if model.dim == 1:
         return (dist, pole) + tuple(x.reshape(1, 1) for x in _halfline(lam))
     if triplet == "hat":
@@ -568,16 +573,14 @@ def _delta_weights(model, ell, lam, derivative=False):
     return r, q, d, e
 
 
-def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph",
-         *, _pole_tol: float = _POLE_TOL) -> np.ndarray:
+def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph") -> np.ndarray:
     """Boundary response matrix M(lambda) of one edge.
 
     ``triplet="hat"`` selects the alternative Dirac trace maps (first
     component at the left endpoint paired with the scaled second component
     at the right endpoint); ``"graph"`` is the convention used for vertex
     couplings throughout the package.  Raises PoleOfWeylError within 1e-9
-    (relative) of a decoupled eigenvalue; ``_pole_tol`` lets the secular
-    matrix apply its own guard within the same pole computation.
+    (relative) of a decoupled eigenvalue, the guard of every edge evaluation.
 
     The Dirac graph trace maps are Gamma0 = (psi1(0), i psi1(l)) and
     Gamma1 = (ic psi2(0), c psi2(l)).  At the gap center lambda0 = c^2/2,
@@ -589,8 +592,8 @@ def weyl(model: EdgeModel, ell: float, lam, triplet: str = "graph",
     the first bad lambda raising its error.
     """
     if type(lam) is not list:
-        return _response(model, ell, lam, triplet, _pole_tol)[2]
-    return np.array([_response(model, ell, x, triplet, _pole_tol)[2] for x in lam])
+        return _response(model, ell, lam, triplet)[2]
+    return np.array([_response(model, ell, x, triplet)[2] for x in lam])
 
 
 def weyl_derivative(model: EdgeModel, ell: float, lam, triplet: str = "graph") -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coupling import VertexCoupling, custom_coupling, delta_coupling
-from .edges import Dirac, Laplacian
+from .edges import Dirac, EdgeModelError, Laplacian
 from .graphs import Edge, MetricGraph
 
 __all__ = ["GraphFormatError", "LoadedProblem", "load_problem", "parse_problem"]
@@ -102,10 +102,10 @@ def parse_problem(data: dict) -> LoadedProblem:
         _reject_unknown(model_obj, {"type", "c"}, "model")
         if "c" not in model_obj:
             raise GraphFormatError('dirac model needs "c"')
-        c = _number(model_obj["c"], "model.c")
-        if not c > 0:
-            raise GraphFormatError(f"model.c must be positive, got {c}")
-        model = Dirac(c)
+        try:
+            model = Dirac(_number(model_obj["c"], "model.c"))
+        except EdgeModelError as exc:
+            raise GraphFormatError(f"model.c: {exc}") from exc
     else:
         raise GraphFormatError(f"unknown model type {mtype!r}")
 

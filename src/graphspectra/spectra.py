@@ -76,7 +76,7 @@ __all__ = [
     "spectrum_csv",
 ]
 
-_POLE_GUARD = 1e-8
+_POLE_GUARD = 1e-8  # unit of the scan's pads, the half-line bound, the certificate's offset
 _TINY = float(np.finfo(float).tiny)
 _KERNEL_CUTOFF = 1e-7
 _EXCLUSION_RADIUS = 1e-3   # match_spectra skips roots this close to an excluded point
@@ -86,7 +86,8 @@ _SECULAR_BLOCK_BYTES = 1 << 20
 
 
 class OracleConvergenceError(RuntimeError):
-    """Mesh refinement moved an oracle root by more than the allowed budget."""
+    """Mesh refinement moved an oracle root by more than the allowed budget,
+    or an RK4 transfer matrix overflows (a long edge deep in a gap)."""
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,9 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
 
     This is the boundary pairing P of ``coupling._CompiledPairing`` at
     M = M(lambda), with the raw basis vectors b normalized to bhat =
-    b / ||b||.  Hermitian for real lambda; raises PoleOfWeylError within
-    1e-8 of a decoupled edge eigenvalue.  A list of m values of lambda gives
+    b / ||b||.  Hermitian for real lambda; raises PoleOfWeylError where
+    ``weyl`` does, within 1e-9 max(1, |p|) of a decoupled edge eigenvalue
+    p.  A list of m values of lambda gives
     the (m, n, n) stack of their matrices, each with the bytes of its
     scalar call (an error is that of the first edge, at its first bad
     lambda).
@@ -171,8 +173,7 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
     compiles its own.
     """
     compiled = _pairing or _CompiledPairing(g, coupling)
-    blocks = {eid: em.weyl(model, ell, lam, _pole_tol=_POLE_GUARD)
-              for eid, model, ell in compiled.edges}
+    blocks = {eid: em.weyl(model, ell, lam) for eid, model, ell in compiled.edges}
     values = compiled(blocks) / compiled.norm_products
     return compiled.dense(values if values.imag.any() else values.real)
 
@@ -340,8 +341,8 @@ class _Inertia:
     ``eigenvalues`` gives K's eigenvalues at each of a list of lambda values,
     for the counts on the dense path and for the residuals of the roots:
     those not yet ``seen`` (kept for the object's life: one scan call) in
-    one ``krein_matrix`` call and one stacked eigensolve per block of
-    ``_SECULAR_BLOCK_BYTES`` of K, a block of one lambda as a scalar call."""
+    one ``krein_matrix`` call with a list of lambda and one stacked
+    eigensolve per block of ``_SECULAR_BLOCK_BYTES`` of K."""
 
     def __init__(self, g: MetricGraph, coupling: VertexCoupling, compiled: _CompiledPairing):
         self.problem = g, coupling, compiled
@@ -354,10 +355,8 @@ class _Inertia:
         new = [lam for lam in dict.fromkeys(lams) if lam not in self.seen]
         for first in range(0, len(new), self.block):
             part = new[first:first + self.block]
-            # A block of one lambda asks as a float: the scalar call, without a list's
-            # cost.  No name holds a block's K into the next block's assembly.
-            lam = part if len(part) > 1 else part[0]
-            mu = np.linalg.eigvalsh(krein_matrix(g, coupling, lam, _pairing=compiled))
+            # No name holds a block's K into the next block's assembly.
+            mu = np.linalg.eigvalsh(krein_matrix(g, coupling, part, _pairing=compiled))
             self.seen.update(zip(part, mu.reshape(len(part), -1)))
         return [self.seen[lam] for lam in lams]
 
@@ -504,24 +503,34 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     of two, so the step matrix is composed by repeated squaring,
     (x, y) -> (x^2 + w y^2, 2 x y), which reproduces sequential stepping;
     no closed-form trigonometry enters.  The squarings run in place, as
-    x x + (w y) y and (2 x) y.
+    x x + (w y) y and (2 x) y.  They grow as exp(kappa length) in a gap
+    (kappa = sqrt(-lambda) for the Laplacian): where x or y overflows,
+    OracleConvergenceError names the first such lambda and its first edge.
     """
     a01, a10 = model._system(np.asarray(lams, dtype=float))
     w = a01 * a10
     doublings = max(1, int(math.ceil(math.log2(mesh))))
     h = lengths[:, None] / (1 << doublings)
-    hw = h * h * w
-    x = 1 + hw / 2 + hw * hw / 24
-    y = h * (1 + hw / 6)
-    wyy, xy = np.empty_like(x), np.empty_like(x)
-    for _ in range(doublings):
-        np.multiply(w, y, out=wyy)
-        wyy *= y
-        np.multiply(2, x, out=xy)
-        xy *= y
-        x *= x
-        x += wyy
-        y, xy = xy, y
+    with np.errstate(over="ignore", invalid="ignore"):
+        hw = h * h * w
+        x = 1 + hw / 2 + hw * hw / 24
+        y = h * (1 + hw / 6)
+        wyy, xy = np.empty_like(x), np.empty_like(x)
+        for _ in range(doublings):
+            np.multiply(w, y, out=wyy)
+            wyy *= y
+            np.multiply(2, x, out=xy)
+            xy *= y
+            x *= x
+            x += wyy
+            y, xy = xy, y
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        col = np.argmax(bad.any(axis=0))
+        edge = np.argmax(bad[:, col])
+        raise OracleConvergenceError(
+            f"the transfer matrix of edge {edge} (length {float(lengths[edge])!r}) "
+            f"overflows at lambda={float(np.asarray(lams)[col])!r}")
     t = np.empty((2, len(x), 2, x.shape[1])).transpose(1, 3, 0, 2)  # the tree pass's rows (a, e, j)
     t[..., 0, 0] = t[..., 1, 1] = x
     t[..., 0, 1] = y * a01
@@ -1000,10 +1009,10 @@ def lower_bound_certificate(g: MetricGraph, coupling: VertexCoupling) -> Optiona
     semi-bounded soft-minimum extension there); such a lambda0 is a sound
     lower bound for the whole spectrum.  PSD means no negative tree pivot,
     or on the dense path K's least eigenvalue above ``_rounding_bound``: a
-    point in doubt is not certified.  The top
-    candidate, max(1e-6, 2e-8 |ground|) below the ground state, lies
-    outside the pole guard of ``krein_matrix``.  Below a top that is not
-    PSD, top - 16^j max(1, |top|), j = 0, 1, ..., steps down to the first
+    point in doubt is not certified.  The top candidate, max(1e-6, 2e-8
+    |ground|) below the ground state, lies outside the edge kernel's pole
+    guard, 1e-9 max(1, |ground|).  Below a top that is not PSD,
+    top - 16^j max(1, |top|), j = 0, 1, ..., steps down to the first
     PSD point, at any depth of the spectrum's bottom, or to just above the
     point where the longest edge overflows.  A count bisection between the
     last two points keeps a PSD lower end, stepping to the geometric mean

@@ -136,6 +136,42 @@ def test_a_short_edge_runs_every_command_without_a_warning(tmp_path):
     assert len(krein) == 2 and all(line.endswith(",agrees-oracle") for line in krein)
 
 
+def dirac_interval(c):
+    return {"model": {"type": "dirac", "c": c},
+            "vertices": [{"id": "a", "alpha": 0.5}, {"id": "b", "alpha": 0.5}],
+            "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0}]}
+
+
+def long_star():
+    data = star3(alpha=(-8.0,) * 4)
+    for edge, length in zip(data["edges"], (100.0, 70.0, 130.0)):
+        edge["length"] = length
+    return data
+
+
+@pytest.mark.parametrize("data, argv, code, err", [
+    # c^4 overflows: refused as input, not by an OverflowError later.
+    (dirac_interval(1e78), ["validate"], 2,
+     "invalid input: model.c: Dirac speed of light must be positive with a finite c^4, "
+     "got 1e+78\n"),
+    # kappa length passes 709 (kappa = sqrt(c^4/4 - lambda^2)/c, sqrt(-lambda)):
+    # the oracle's transfer matrices overflow; it once listed 599 nan roots on
+    # the first and stopped in its SVD on the second.
+    (dirac_interval(1500.0), ["spectrum", "--min", "-1", "--max", "1", "--oracle"], 3,
+     "numeric failure: the transfer matrix of edge 0 (length 1.0) overflows at "
+     "lambda=-1.0\n"),
+    (long_star(), ["spectrum", "--min", "-100", "--max", "-60", "--oracle"], 3,
+     "numeric failure: the transfer matrix of edge 0 (length 100.0) overflows at "
+     "lambda=-100.0\n"),
+], ids=["dirac-c-1e78", "dirac-c-1500", "long-star"])
+def test_unrepresentable_problems_keep_the_exit_code_contract(tmp_path, data, argv, code, err):
+    path = write(tmp_path, "problem.json", data)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "graphspectra.cli",
+                           argv[0], path, *argv[1:]],
+                          capture_output=True, text=True, env=package_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
 def test_spectrum_csv_output(tmp_path, capsys):
     path = write(tmp_path, "star.json", star3())
     assert main(["spectrum", path, "--min", "-1", "--max", "25", "--oracle"]) == 0

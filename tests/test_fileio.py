@@ -34,6 +34,8 @@ def test_dirac_model_and_lambda0():
     p = fio.parse_problem(minimal(model={"type": "dirac", "c": 2.0}, lambda0=1.5))
     assert p.graph.model == Dirac(2.0)
     assert p.lambda0 == 1.5
+    # c^4, which the Dirac poles use, is finite up to c of about 1.158e77.
+    assert fio.parse_problem(minimal(model={"type": "dirac", "c": 1e76})).graph.model == Dirac(1e76)
 
 
 def test_infinite_edge_requires_null_target():
@@ -77,13 +79,30 @@ def test_bad_values_rejected():
         fio.parse_problem(data)
     with pytest.raises(fio.GraphFormatError):
         fio.parse_problem({"model": {"type": "laplacian"}, "vertices": [], "edges": []})
+    for data, message in [
+        ([], "top level must be an object"),
+        ({"model": {"type": "laplacian"}, "vertices": [{"id": "a"}]},
+         "missing required key 'edges'"),
+        (minimal(model={"c": 1.0}), '"model" must be an object with a "type"'),
+        (minimal(model={"type": "dirac", "c": 1e78}), r"model\.c: .* finite c\^4, got 1e\+78"),
+        (minimal(vertices=["a", "b"]), r"vertices\[0\] must be an object"),
+        (minimal(vertices=[{"id": 1}, {"id": "b"}]), r'vertices\[0\] needs a string "id"'),
+        (minimal(edges=[]), '"edges" must be a non-empty array'),
+        (minimal(edges=[["e", "a", "b", 1.0]]), r"edges\[0\] must be an object"),
+        (minimal(edges=[{"id": "e", "from": "a", "to": "b"}]), r"edges\[0\] needs 'length'"),
+        (minimal(coupling={"vertices": {}}), '"coupling" must be an object with a "type"'),
+        (minimal(coupling={"type": "robin"}), "unknown coupling type 'robin'"),
+    ]:
+        with pytest.raises(fio.GraphFormatError, match=message):
+            fio.parse_problem(data)
 
 
 @pytest.mark.parametrize("edge, key", [
     ({"id": "e", "from": None, "to": "b", "length": 1.0}, "from"),
     ({"id": 7, "from": 1, "to": "b", "length": 1.0}, "id"),
     ({"id": "e", "from": 1, "to": "b", "length": 1.0}, "from"),
-], ids=["null-from", "number-id", "number-from"])
+    ({"id": "e", "from": "1", "to": 2, "length": 1.0}, "to"),
+], ids=["null-from", "number-id", "number-from", "number-to"])
 def test_edge_id_and_source_must_be_strings(edge, key):
     # Once read through str(), "from": null named a vertex "None" and
     # {"id": 7, "from": 1} loaded an edge "7" from vertex "1".
@@ -146,8 +165,11 @@ def test_custom_coupling_rejects_malformed_complex():
     ({"a": {"basis": [[1.0], 2.0], "matrix": [[0.0]]}}, r"basis\[1\] must be an array"),
     ({"a": {"basis": [[1.0], [1.0, 2.0]], "matrix": [[0.0]]}}, "basis rows must have equal"),
     ({"a": {"basis": [[1.0]], "matrix": [[0.0, 1.0], [0.0]]}}, "matrix rows must have equal"),
+    ({"a": {"basis": [], "matrix": [[0.0]]}}, "basis must be a non-empty array of rows"),
+    ({"a": [[1.0]]}, r"coupling\.vertices\[a\] must be an object"),
+    ({"a": {"basis": [[1.0]]}}, r'coupling\.vertices\[a\] needs "basis" and "matrix"'),
 ], ids=["null", "list", "basis-row", "matrix-row", "second-row", "ragged-basis",
-        "ragged-matrix"])
+        "ragged-matrix", "empty-basis", "vertex-list", "no-matrix"])
 def test_custom_coupling_rejects_malformed_vertex_data(vertices, message):
     data = minimal(coupling={"type": "custom", "vertices": vertices})
     with pytest.raises(fio.GraphFormatError, match=message):

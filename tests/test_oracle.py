@@ -162,6 +162,17 @@ def test_transfer_stack_matches_sequential_rk4(model, lams, mesh):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+def test_an_overflowing_transfer_matrix_is_refused():
+    # In a gap the transfers grow as exp(kappa length), kappa = sqrt(-lambda)
+    # for the Laplacian: past kappa length of about 709 they are inf or nan.
+    # The error names the first lambda with one and, there, its first edge.
+    lengths = np.array([1.0, 800.0, 900.0])
+    assert np.isfinite(sp._transfer_stack(Laplacian(), lengths, [-0.5], 1024)).all()
+    with pytest.raises(sp.OracleConvergenceError, match=r"edge 1 \(length 800\.0\) "
+                       r"overflows at lambda=-1\.0$"):
+        sp._transfer_stack(Laplacian(), lengths, [-0.5, -1.0, -4.0], 1024)
+
+
 def test_grid_computes_transfers_once_per_chunk(monkeypatch):
     # The depth-40 chain's 80 x 80 matrices fill a block every 5 samples; the
     # transfers of a 600-point grid are computed in a few chunks, not once

@@ -54,6 +54,24 @@ def test_krein_pole_guard():
     with pytest.raises(em.PoleOfWeylError):
         sp.krein_matrix(g, coup, math.pi ** 2 + 1e-10)
 
+    def raises(f, *args):
+        try:
+            f(*args)
+        except em.PoleOfWeylError:
+            return True
+        return False
+
+    # The secular matrix applies the edge kernel's one guard, 1e-9 max(1, |p|):
+    # it raises exactly where weyl does, on both sides of the guard.
+    for model in (em.Laplacian(), Dirac(1.0)):
+        g = gr.interval(1.0, model)
+        coup = delta_problem(g, 0.0)
+        for pole in em.decoupled_eigenvalues(model, 1.0, count=1).tolist():
+            for offset in (5e-10, 5e-9):
+                lam = pole + offset * max(1.0, abs(pole))
+                assert (raises(sp.krein_matrix, g, coup, lam) == raises(em.weyl, model, 1.0, lam)
+                        == (offset < 1e-9))
+
 
 def test_krein_conjugate_symmetry():
     g = gr.star(3, lengths=[1.0, 0.5, 2.0])
@@ -164,14 +182,14 @@ def recorded_krein_calls(monkeypatch):
 
 def test_a_delta_tree_scan_asks_for_all_residuals_in_one_call(monkeypatch):
     # The counts are tree pivots, so the one secular-matrix call is the
-    # residuals', at the roots in order; a one-root scan asks with a float.
+    # residuals', at the roots in order, a one-root scan's as a list too.
     calls = recorded_krein_calls(monkeypatch)
     g = gr.star(3, lengths=[1.0, 0.7, 1.3])
     scan = sp.scan_spectrum(g, delta_problem(g, 0.0), (0.5, 30.0))
     assert len(scan.roots) == 4 and calls == [[r.lam for r in scan.roots]]
     calls.clear()
     scan = sp.scan_spectrum(g, delta_problem(g, 0.0), (0.5, 3.0))
-    assert len(scan.roots) == 1 and calls == [scan.roots[0].lam]
+    assert len(scan.roots) == 1 and calls == [[scan.roots[0].lam]]
 
 
 def test_a_dense_scan_asks_for_each_round_in_blocks(monkeypatch):
@@ -202,7 +220,7 @@ def test_a_dense_scan_asks_for_each_round_in_blocks(monkeypatch):
         new = [lam for lam in dict.fromkeys(lams) if lam not in seen]
         seen.update(new)
         blocks += [new[i:i + 3] for i in range(0, len(new), 3)]
-    assert calls == [block if len(block) > 1 else block[0] for block in blocks]
+    assert calls == blocks
     assert max(len(lams) for lams in rounds) > 3 and any(len(b) == 1 for b in blocks)
 
 
