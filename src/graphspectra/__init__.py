@@ -30,7 +30,6 @@ from .graphs import (
     alpha_map,
     binary_tree,
     chain,
-    generate,
     geometric_chain,
     incidence_sets,
     interval,

@@ -70,15 +70,6 @@ class DiscreteLaplacian:
     def size(self) -> int:
         return len(self.labels)
 
-    def weight(self, i: int, j: int):
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        return self.b.get(key, 0.0)
-
-    def row_sum(self, i: int):
-        return sum(val for key, val in self.b.items() if i in key)
-
 
 def _weights(dl: DiscreteLaplacian):
     """The weights b as arrays (i, j, w), in the key order of ``dl.b``."""

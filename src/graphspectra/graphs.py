@@ -24,16 +24,13 @@ from .edges import EdgeModel, Laplacian
 
 __all__ = [
     "Edge",
-    "IncidenceEntry",
     "TruncationInfo",
     "MetricGraph",
     "ValidationReport",
     "validate_graph",
     "incidence_sets",
     "boundary_coordinates",
-    "degree",
     "edge_model_for",
-    "generate",
     "star",
     "chain",
     "geometric_chain",
@@ -70,17 +67,6 @@ class Edge:
         if self.is_half_line:
             return ((0, self.source),)
         return ((0, self.source), (1, self.target))
-
-
-@dataclass(frozen=True)
-class IncidenceEntry:
-    edge: str
-    endpoint: int  # 0 = source, 1 = target
-    sign: int      # +1 at endpoint 0, -1 at endpoint 1
-
-    @property
-    def coordinate(self):
-        return (self.edge, self.endpoint)
 
 
 @dataclass(frozen=True)
@@ -281,18 +267,14 @@ class _GraphIndex:
 
 
 def incidence_sets(g: MetricGraph) -> dict:
-    """Ordered incidence set per vertex; raises on invalid graphs."""
-    return {v: tuple(IncidenceEntry(eid, t, 1 if t == 0 else -1) for eid, t in coords)
-            for v, coords in g._index.incidence.items()}
+    """Vertex id -> its boundary coordinates (edge id, t), sorted; the sign
+    of (edge id, t) is 1 - 2t.  Raises on invalid graphs."""
+    return dict(g._index.incidence)
 
 
 def boundary_coordinates(g: MetricGraph):
     """Global coordinate list [(edge id, t), ...] sorted by (edge id, t)."""
     return _coordinates(g.edges)[0]
-
-
-def degree(g: MetricGraph) -> dict:
-    return {v: len(entries) for v, entries in incidence_sets(g).items()}
 
 
 def edge_model_for(model: EdgeModel, edge: Edge) -> EdgeModel:
@@ -389,26 +371,6 @@ def random_graph(seed: int, n_edges: int, model: EdgeModel = Laplacian(),
 def interval(length: float = 1.0, model: EdgeModel = Laplacian()) -> MetricGraph:
     """Single edge a -> b."""
     return MetricGraph(("a", "b"), (Edge("e", "a", "b", float(length)),), model)
-
-
-_FAMILIES = {
-    "star": star,
-    "chain": chain,
-    "geometric_chain": geometric_chain,
-    "binary_tree": binary_tree,
-    "random": random_graph,
-    "interval": interval,
-}
-
-
-def generate(family: str, **params) -> MetricGraph:
-    """Dispatch to the named generator (star, chain, geometric_chain,
-    binary_tree, random, interval)."""
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; options: {sorted(_FAMILIES)}")
-    return builder(**params)
 
 
 def alpha_map(g: MetricGraph, values) -> Mapping[str, float]:

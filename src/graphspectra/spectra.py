@@ -87,7 +87,7 @@ _SECULAR_BLOCK_BYTES = 1 << 20
 
 class OracleConvergenceError(RuntimeError):
     """Mesh refinement moved an oracle root by more than the allowed budget,
-    or an RK4 transfer matrix overflows (a long edge deep in a gap)."""
+    or an RK4 transfer matrix or det A overflows (a long edge deep in a gap)."""
 
 
 @dataclass(frozen=True)
@@ -538,6 +538,14 @@ def _transfer_stack(model, lengths: np.ndarray, lams, mesh: int) -> np.ndarray:
     return t
 
 
+def _finite_dets(dets: np.ndarray, lams, first: int = 0) -> np.ndarray:
+    """``dets`` at lams[first:]; OracleConvergenceError names the first that overflowed."""
+    if not np.isfinite(dets).all():
+        lam = lams[first + int(np.argmin(np.isfinite(dets)))]
+        raise OracleConvergenceError(f"det A overflows at lambda={float(lam)!r}")
+    return dets
+
+
 def _product(x: np.ndarray) -> tuple:
     """The product over the first axis of ``x`` as (mantissa, exponent):
     neighbouring rows multiply in pairs (an odd last row joins the last
@@ -710,6 +718,7 @@ class _CompiledOracle:
         """A(lambda) for at most one block of lambda values, in the shared buffer."""
         return self._assemble(_transfer_stack(self.model, self.lengths, lams, mesh))
 
+    @np.errstate(over="ignore", invalid="ignore")  # the caller refuses what overflows
     def _tree_dets(self, t: np.ndarray) -> np.ndarray:
         """det A(lambda) for every lambda of the transfer stack ``t``, by one
         leaf-to-root pass over the groups of ``_plan``, vectorized over lambda
@@ -759,9 +768,9 @@ class _CompiledOracle:
         if self._plan is None:
             return np.array(self.evaluate("det", lams, mesh))
         step = -(-len(lams) // -(-len(lams) // self._grid_chunk))  # chunks of equal size
-        return np.concatenate([
+        return _finite_dets(np.concatenate([
             self._tree_dets(_transfer_stack(self.model, self.lengths, lams[first:first + step], mesh))
-            for first in range(0, len(lams), step)])
+            for first in range(0, len(lams), step)]), lams)
 
     def evaluate(self, kind: str, lams, mesh: int) -> list:
         """For each lambda in ``lams``: det A(lambda) for kind "det" (real
@@ -775,7 +784,8 @@ class _CompiledOracle:
             for start in range(0, t.shape[1], step):
                 a = self._assemble(t[:, start:start + step])
                 if kind == "det":
-                    values.extend(np.linalg.det(a))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        values.extend(_finite_dets(np.linalg.det(a), lams, first + start))
                 else:
                     sv = np.linalg.svd(a, compute_uv=False)
                     values.extend(zip(sv[:, -1] / np.maximum(sv[:, 0], 1e-300), sv))
@@ -939,28 +949,28 @@ def oracle_eigenvalues(g: MetricGraph, coupling: VertexCoupling, window,
 
     The oracle matrix is compiled once per call (``_CompiledOracle``), so
     each (lambda, mesh) pair costs one x I + y A powering per edge, an
-    O(nnz) scatter onto the constant part of A and one LU; when the
-    coupling data are real, A is real and is factorized in real
-    arithmetic.  When the edges form a forest, the grid's determinants
-    come from one leaf-to-root elimination instead (``_CompiledOracle.grid``).
-    Sign changes of the (real) determinant on the
-    ``samples``-point grid, at ``_ORACLE_MESH`` RK4 steps per edge, are
-    polished by Brent's method to a bracket width of
+    O(nnz) scatter onto the constant part of A and one LU; when the coupling
+    data are real, A is real and is factorized in real arithmetic.  When the
+    edges form a forest, the grid's determinants come from one leaf-to-root
+    elimination instead (``_CompiledOracle.grid``).  Sign changes of the
+    (real) determinant on the ``samples``-point grid, at ``_ORACLE_MESH``
+    RK4 steps per edge, are polished by Brent's method to a bracket width of
     max(1e-3 tol, 4e-16 max(1, |lambda|)).  A local minimum of the real
     |det| is first resampled across its two grid cells (``_dip_candidates``,
     one batched ``evaluate`` for all of them), so that two simple roots in
     one cell become two sign changes; a dip without a sign change there, as
     every local minimum of a complex |det|, is refined by golden-section
-    search on the smallest singular value and kept if it reaches a
-    numerical kernel (even-multiplicity roots); a sign change that Brent
-    closed holds an exact zero of the polynomial det A and skips that
-    check.  Each root is re-polished at twice the mesh, where its singular
-    values give its residual and multiplicity; movement beyond 10 tol
-    max(1, |lambda|), or beyond the width of the root's candidate, raises
-    OracleConvergenceError.  All candidates are polished in
-    lockstep: each round evaluates the next lambda values of every
-    candidate (both ends of a sign bracket at once) with one stacked
-    determinant or singular-value call per kind, mesh and block.
+    search on the smallest singular value and kept if it reaches a numerical
+    kernel (even-multiplicity roots); a sign change that Brent closed holds
+    an exact zero of the polynomial det A and skips that check.  Each root
+    is re-polished at twice the mesh, where its singular values give its
+    residual and multiplicity; movement beyond 10 tol max(1, |lambda|), or
+    beyond the width of the root's candidate, raises OracleConvergenceError,
+    as does the first lambda at which an RK4 transfer matrix or det A
+    overflows.  All candidates are polished in lockstep: each round
+    evaluates the next lambda values of every candidate (both ends of a sign
+    bracket at once) with one stacked determinant or singular-value call per
+    kind, mesh and block.
 
     Raises ValueError unless the window bounds are finite with a < b,
     ``tol`` is finite and positive and ``samples`` is at least 2, and

@@ -142,6 +142,14 @@ def dirac_interval(c):
             "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0}]}
 
 
+def dirac_triangle(c):
+    return {"model": {"type": "dirac", "c": c},
+            "vertices": [{"id": v, "alpha": 0.5} for v in ("a", "b", "c")],
+            "edges": [{"id": "ab", "from": "a", "to": "b", "length": 1.0},
+                      {"id": "bc", "from": "b", "to": "c", "length": 1.0},
+                      {"id": "ca", "from": "c", "to": "a", "length": 1.0}]}
+
+
 def long_star():
     data = star3(alpha=(-8.0,) * 4)
     for edge, length in zip(data["edges"], (100.0, 70.0, 130.0)):
@@ -163,13 +171,30 @@ def long_star():
     (long_star(), ["spectrum", "--min", "-100", "--max", "-60", "--oracle"], 3,
      "numeric failure: the transfer matrix of edge 0 (length 100.0) overflows at "
      "lambda=-100.0\n"),
-], ids=["dirac-c-1e78", "dirac-c-1500", "long-star"])
+    # The transfers are finite, det A is not: on the interval in the tree
+    # pass, on the triangle (a cycle) in LAPACK's det.
+    (dirac_interval(1400.0), ["spectrum", "--min", "-1", "--max", "1", "--oracle"], 3,
+     "numeric failure: det A overflows at lambda=-1.0\n"),
+    (dirac_triangle(1100.0), ["spectrum", "--min", "-1", "--max", "1", "--oracle"], 3,
+     "numeric failure: det A overflows at lambda=-1.0\n"),
+], ids=["dirac-c-1e78", "dirac-c-1500", "long-star", "dirac-c-1400", "dirac-triangle-c-1100"])
 def test_unrepresentable_problems_keep_the_exit_code_contract(tmp_path, data, argv, code, err):
     path = write(tmp_path, "problem.json", data)
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "graphspectra.cli",
                            argv[0], path, *argv[1:]],
                           capture_output=True, text=True, env=package_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+@pytest.mark.parametrize("data", [dirac_interval(1400.0), dirac_triangle(1100.0)],
+                         ids=["tree-pass", "lapack"])
+def test_an_overflowing_determinant_is_a_numeric_failure(tmp_path, capsys, data):
+    # In-process, with RuntimeWarnings raised as errors: both det paths once
+    # warned of the overflow, and the triangle then blamed mesh doubling.
+    path = write(tmp_path, "problem.json", data)
+    assert main(["spectrum", path, "--min", "-1", "--max", "1", "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "numeric failure: det A overflows at lambda=-1.0\n")
 
 
 def test_spectrum_csv_output(tmp_path, capsys):

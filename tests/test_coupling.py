@@ -97,6 +97,12 @@ def test_custom_rejects_bad_sizes():
                                           np.zeros((2, 2)))})
 
 
+def test_custom_rejects_an_undeclared_vertex():
+    g = gr.star(2, lengths=1.0)
+    with pytest.raises(ValueError, match=r"^coupling given for undeclared vertices \['hub'\]$"):
+        cp.custom_coupling(g, {"hub": ([[1.0]], [[0.0]])})
+
+
 def test_global_basis_ordering_and_supports():
     g = gr.star(3, lengths=1.0)
     coup = cp.delta_coupling(g, gr.alpha_map(g, 0.0))
@@ -137,7 +143,7 @@ def test_blocks_carry_their_incidence_coordinates():
     ]
     for g, coup in couplings:
         for v, entries in gr.incidence_sets(g).items():
-            assert coup.block(v).coords == tuple(e.coordinate for e in entries)
+            assert coup.block(v).coords == entries
 
 
 def test_block_operator_is_built_once():

@@ -25,6 +25,11 @@ def dirac_star(alphas=(2.0, -1.0, 1.0, 0.0), lengths=(1.0, 1.0, 1.0), c=1.0):
     return g, coup, reg
 
 
+def weight(dl, i, j):
+    """b(i, j), 0 off the pattern; dl.b holds each pair once, as (min, max)."""
+    return dl.b.get((min(i, j), max(i, j)), 0.0)
+
+
 def test_non_hermitian_pairing_raises():
     g, coup, reg = dirac_star()
     blocks = dict(reg.m_at_lambda0)
@@ -39,10 +44,10 @@ def test_dirac_delta_weights_are_inverse_lengths():
     g, coup, reg = dirac_star(lengths=(1.0, 0.5, 2.0))
     dl = dc.build_discrete(g, coup, reg)
     idx = {lab: i for i, lab in enumerate(dl.labels)}
-    assert abs(dl.weight(idx["center"], idx["leaf00"]) - 1.0) < 1e-12
-    assert abs(dl.weight(idx["center"], idx["leaf01"]) - 2.0) < 1e-12
-    assert abs(dl.weight(idx["center"], idx["leaf02"]) - 0.5) < 1e-12
-    assert dl.weight(idx["leaf00"], idx["leaf01"]) == 0.0
+    assert abs(weight(dl, idx["center"], idx["leaf00"]) - 1.0) < 1e-12
+    assert abs(weight(dl, idx["center"], idx["leaf01"]) - 2.0) < 1e-12
+    assert abs(weight(dl, idx["center"], idx["leaf02"]) - 0.5) < 1e-12
+    assert weight(dl, idx["leaf00"], idx["leaf01"]) == 0.0
 
 
 def test_dirac_delta_potential_is_alpha():
@@ -68,8 +73,8 @@ def test_laplacian_delta_values():
     reg = rg.build_regularization(g)
     dl = dc.build_discrete(g, coup, reg)
     idx = {lab: i for i, lab in enumerate(dl.labels)}
-    assert abs(dl.weight(idx["center"], idx["leaf00"]) - 1.0) < 1e-12
-    assert abs(dl.weight(idx["center"], idx["leaf01"]) - 2.0) < 1e-12
+    assert abs(weight(dl, idx["center"], idx["leaf00"]) - 1.0) < 1e-12
+    assert abs(weight(dl, idx["center"], idx["leaf01"]) - 2.0) < 1e-12
     assert abs(dl.m[idx["center"]] - (1.0 + 0.5 + 2.0) / 2) < 1e-12
     assert np.allclose(dl.c, [3.0, 0.0, 1.0, -2.0], atol=1e-12)
 
@@ -102,7 +107,9 @@ def test_lmin_matrix_entries():
     i, j = idx["center"], idx["leaf00"]
     expected = -1.0 / math.sqrt(dl.m[i] * dl.m[j])  # -(1/l)/sqrt(m m)
     assert abs(lm[i, j] - expected) < 1e-12
-    diag = (dl.c[i] + dl.row_sum(i)) / dl.m[i]
+    pairs, b = np.array(list(dl.b)), np.array(list(dl.b.values()))
+    row_sums = np.bincount(pairs.ravel(), np.repeat(b, 2), dl.size)
+    diag = (dl.c[i] + row_sums[i]) / dl.m[i]
     assert abs(lm[i, i] - diag) < 1e-12
     k = idx["leaf01"]
     assert lm[j, k] == 0.0

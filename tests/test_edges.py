@@ -87,6 +87,11 @@ def test_norm_prime_examples():
     assert abs(em.weyl_norm_prime(em.Dirac(1.0), 1.0) - 13 / 6) < 1e-12
     assert abs(em.weyl_norm_prime(LAP, 1.0) - 0.5) < 1e-12
     assert abs(em.weyl_norm_prime(LAP, 2.0) - 1.0) < 1e-12
+    with pytest.raises(em.EdgeModelError, match=r"^lambda0 must be real, got \(1\+2j\)$"):
+        em.weyl_norm_prime(LAP, 1.0, 1 + 2j)
+    with pytest.raises(em.EdgeModelError,
+                       match="^half-line edges need an explicit lambda0 < 0$"):
+        em.weyl_norm_prime(HALF, math.inf)
 
 
 def test_norm_prime_dirac_closed_form():
@@ -119,8 +124,15 @@ def test_transform_identity_and_blockdiag():
 
 def test_transform_rejects_nonunitary():
     m = em.weyl(LAP, 1.0, -1.0)
-    with pytest.raises(em.EdgeModelError):
+    with pytest.raises(em.EdgeModelError, match="^trace-map transform must be unitary$"):
         em.transform_triplet(m, 2.0 * np.eye(4))
+    with pytest.raises(em.EdgeModelError, match=r"^block matrix must be 4x4, got \(2, 2\)$"):
+        em.transform_triplet(m, np.eye(2))
+    # W00 = 0 and W01 = I leave W00 + W01 M = M, here singular.
+    swap = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+    with pytest.raises(em.EdgeModelError,
+                       match=r"^singular W00 \+ W01\*M in trace-map transform$"):
+        em.transform_triplet(np.ones((2, 2)), swap)
 
 
 @pytest.mark.parametrize("model,lams", [
@@ -140,6 +152,10 @@ def test_defect_element_boundary_consistency(model, lams):
 
 def test_defect_element_halfline():
     el = em.defect_element(HALF, math.inf, -4.0, [2.0])
+    with pytest.raises(em.EdgeModelError, match=r"^gamma0 must have shape \(1,\), got \(2,\)$"):
+        em.defect_element(HALF, math.inf, -4.0, [2.0, 1.0])
+    with pytest.raises(em.EdgeModelError, match="^Green identity check is for finite edges$"):
+        em.green_identity_residual(el, el)
     b0, b1 = el.boundary_data()
     assert abs(b0[0] - 2.0) < 1e-14
     assert abs(b1[0] - (-2.0) * 2.0) < 1e-12
@@ -171,6 +187,8 @@ def test_green_identity_examples():
     f = em.defect_element(d, 1.0, 0.6, [1.0, 0.0])
     g = em.defect_element(d, 1.0, 0.4, [0.0, 1.0])
     assert abs(em.green_identity_residual(f, g)) < 1e-8
+    with pytest.raises(em.EdgeModelError, match="^defect elements must live on the same edge$"):
+        em.green_identity_residual(f, em.defect_element(d, 2.0, 0.4, [0.0, 1.0]))
 
 
 def test_green_identity_random_pairs():
@@ -526,6 +544,13 @@ def test_decoupled_window_is_count_filtered_to_the_window(model, triplet):
 def test_decoupled_count_must_be_a_nonnegative_integer(count):
     with pytest.raises(em.EdgeModelError, match="count must be an integer"):
         em.decoupled_eigenvalues(em.Dirac(1.0), 1.0, count=count)
+
+
+@pytest.mark.parametrize("window, count", [((0.0, 10.0), 3), (None, None)],
+                         ids=["both", "neither"])
+def test_decoupled_needs_exactly_one_of_window_or_count(window, count):
+    with pytest.raises(em.EdgeModelError, match="^specify exactly one of window or count$"):
+        em.decoupled_eigenvalues(LAP, 1.0, window=window, count=count)
 
 
 def test_decoupled_count_zero_keeps_the_extra_pole():

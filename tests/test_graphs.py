@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ def test_single_edge_incidences():
     g = MetricGraph(("a", "b"), (Edge("e", "a", "b", 1.0),))
     assert gr.validate_graph(g).ok
     inc = gr.incidence_sets(g)
-    assert [(i.edge, i.endpoint, i.sign) for i in inc["a"]] == [("e", 0, 1)]
-    assert [(i.edge, i.endpoint, i.sign) for i in inc["b"]] == [("e", 1, -1)]
+    assert [(edge, t, 1 - 2 * t) for edge, t in inc["a"]] == [("e", 0, 1)]
+    assert [(edge, t, 1 - 2 * t) for edge, t in inc["b"]] == [("e", 1, -1)]
+    assert str(gr.validate_graph(g)) == str(gr.ValidationReport(())) == "valid"
 
 
 def test_zero_length_rejected():
@@ -30,8 +32,7 @@ def test_three_star_enumeration():
     assert gr.validate_graph(g).ok
     inc = gr.incidence_sets(g)
     assert len(inc["center"]) == 3
-    assert all(i.sign == 1 for i in inc["center"])
-    assert gr.degree(g)["center"] == 3
+    assert all(1 - 2 * t == 1 for _, t in inc["center"])
     assert len(g.vertices) == 4 and len(g.edges) == 3
 
 
@@ -53,7 +54,7 @@ def test_isolated_vertex_flagged():
 def test_half_line_rules():
     ok = MetricGraph(("a",), (Edge("h", "a", None, math.inf),))
     assert gr.validate_graph(ok).ok
-    assert gr.incidence_sets(ok)["a"][0].endpoint == 0
+    assert gr.incidence_sets(ok)["a"] == (("h", 0),)
     bad = MetricGraph(("a", "b"), (Edge("h", "a", "b", math.inf),))
     codes = {c for c, _ in gr.validate_graph(bad).violations}
     assert "half-line edge with target" in codes
@@ -66,7 +67,8 @@ def test_partition_property_random_graphs():
     for seed in range(5):
         g = gr.random_graph(seed, 15)
         inc = gr.incidence_sets(g)
-        all_entries = [i.coordinate for entries in inc.values() for i in entries]
+        assert inc == dict(g._index.incidence) and inc is not g._index.incidence
+        all_entries = [c for entries in inc.values() for c in entries]
         assert len(all_entries) == len(set(all_entries))
         expected = {(e.id, t) for e in g.edges for t, _ in e.endpoints()}
         assert set(all_entries) == expected
@@ -77,7 +79,7 @@ def test_loop_edge_contributes_twice_to_one_vertex():
     assert gr.validate_graph(g).ok
     inc = gr.incidence_sets(g)
     assert len(inc["a"]) == 2
-    assert {i.endpoint for i in inc["a"]} == {0, 1}
+    assert {t for _, t in inc["a"]} == {0, 1}
 
 
 def test_star_combinatorics():
@@ -141,13 +143,19 @@ def test_binary_tree_counts():
     assert gr.validate_graph(g).ok
 
 
-def test_generate_dispatch_and_errors():
-    g = gr.generate("star", n=4, lengths=2.0)
-    assert len(g.edges) == 4
-    with pytest.raises(ValueError):
-        gr.generate("nonsense")
-    with pytest.raises(ValueError):
-        gr.chain([])
+def test_generators_and_their_errors():
+    g = gr.star(4, lengths=2.0)
+    assert [e.length for e in g.edges] == [2.0] * 4
+    for build, message in [
+        (lambda: gr.chain([]), "chain needs at least one edge"),
+        (lambda: gr.star(0), "star needs at least one edge"),
+        (lambda: gr.star(3, lengths=[1.0, 2.0]), "need one length per star edge"),
+        (lambda: gr.geometric_chain(1.0, 0.0, 3), "need first_length > 0, ratio > 0, depth >= 1"),
+        (lambda: gr.binary_tree(0), "tree depth must be >= 1"),
+        (lambda: gr.random_graph(1, 0), "need at least one edge"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_edge_model_for():
@@ -163,9 +171,10 @@ def test_alpha_map_forms():
     ordered = sorted(g.vertices)
     seq = gr.alpha_map(g, [1.0, 2.0, 3.0])
     assert seq == dict(zip(ordered, [1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
+    assert gr.alpha_map(g, {"leaf01": 3, "center": 1, "leaf00": 2}) == seq
+    with pytest.raises(ValueError, match="^need 3 alpha values, got 1$"):
         gr.alpha_map(g, [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha missing for vertices \['leaf00', 'leaf01'\]$"):
         gr.alpha_map(g, {"center": 1.0})
 
 

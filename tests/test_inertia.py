@@ -118,7 +118,8 @@ def test_tree_log_det_is_the_dense_one_rescaled():
     g, coupling = laplacian_tree(1)
     compiled = cp._CompiledPairing(g, coupling)
     inertia = sp._Inertia(g, coupling, compiled)
-    shift = float(np.sum(np.log(np.array(list(gr.degree(g).values()), dtype=float))))
+    degrees = [len(coords) for coords in gr.incidence_sets(g).values()]
+    shift = float(np.sum(np.log(np.array(degrees, dtype=float))))
     for lam in (-2.5, 0.3, 7.7, 19.1):
         mu = np.linalg.eigvalsh(sp.krein_matrix(g, coupling, lam, _pairing=compiled))
         want = float(np.sum(np.log(np.abs(mu)))) + shift

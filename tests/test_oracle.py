@@ -38,8 +38,8 @@ def reference_matrix(g, coupling, transfers, index):
     rows = []
     for v in sorted(g.vertices):
         entries = inc[v]
-        phases = np.array([1.0 if (not dirac or e.endpoint == 0) else 1.0j
-                           for e in entries])
+        phases = np.array([1.0 if (not dirac or t == 0) else 1.0j
+                           for _, t in entries])
         block = coupling.block(v)
         basis = phases.conj()[:, None] * block.basis
         lead = np.array([col[np.flatnonzero(col)[0]] for col in basis.T])
@@ -54,13 +54,13 @@ def reference_matrix(g, coupling, transfers, index):
         comp = q[:, basis.shape[1]:]
         g0 = np.zeros((len(entries), n), dtype=complex)
         g1 = np.zeros((len(entries), n), dtype=complex)
-        for i, entry in enumerate(entries):
-            col = col_of[entry.edge]
-            t_mat = transfers[entry.edge][index]
+        for i, (edge, t) in enumerate(entries):
+            col = col_of[edge]
+            t_mat = transfers[edge][index]
             first, second = ((np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-                             if entry.endpoint == 0 else (t_mat[0], t_mat[1]))
+                             if t == 0 else (t_mat[0], t_mat[1]))
             g0[i, col:col + 2] = first
-            g1[i, col:col + 2] = (g.model.c if dirac else 1.0) * entry.sign * second
+            g1[i, col:col + 2] = (g.model.c if dirac else 1.0) * (1 - 2 * t) * second
         for k in range(comp.shape[1]):
             rows.append(comp[:, k].conj() @ g0)
         proj0 = unit.conj().T @ g0
@@ -171,6 +171,34 @@ def test_an_overflowing_transfer_matrix_is_refused():
     with pytest.raises(sp.OracleConvergenceError, match=r"edge 1 \(length 800\.0\) "
                        r"overflows at lambda=-1\.0$"):
         sp._transfer_stack(Laplacian(), lengths, [-0.5, -1.0, -4.0], 1024)
+
+
+def unit_triangle(model):
+    return MetricGraph(("a", "b", "c"), (Edge("ab", "a", "b", 1.0), Edge("bc", "b", "c", 1.0),
+                                         Edge("ca", "c", "a", 1.0)), model)
+
+
+@pytest.mark.parametrize("g", [gr.interval(1.0, Dirac(1400.0)), unit_triangle(Dirac(1100.0))],
+                         ids=["tree-pass", "lapack"])
+def test_an_overflowing_determinant_is_refused(monkeypatch, g):
+    # Deep in the Dirac gap the transfers stay finite but det A passes the
+    # float range: on the interval in the tree pass's last ldexp, on the
+    # triangle (a cycle, so LAPACK) in det.  Both refuse, naming the first
+    # lambda with an overflow, and warn nothing (RuntimeWarnings are errors
+    # here).  Blocks of two matrices (chunks of six) put the triangle's
+    # overflow at chunk 1, block 1, matrix 1.
+    monkeypatch.setattr(sp, "_ORACLE_BLOCK_BYTES", 2 * 8 * (2 * len(g.edges)) ** 2)
+    oracle = sp._CompiledOracle(g, delta(g, 0.5))
+    assert oracle.real and (oracle._plan is None) == (len(g.edges) == 3)
+    lams = [2e6 + k for k in range(11)]
+    assert np.isfinite(oracle.grid(np.array(lams), sp._ORACLE_MESH)).all()
+    lams[9] = -1.0
+    for dets in (lambda: oracle.grid(np.array(lams), sp._ORACLE_MESH),
+                 lambda: oracle.evaluate("det", lams, sp._ORACLE_MESH)):
+        with pytest.raises(sp.OracleConvergenceError, match=r"^det A overflows at lambda=-1\.0$"):
+            dets()
+    with pytest.raises(sp.OracleConvergenceError, match=r"^det A overflows at lambda=-1\.0$"):
+        sp.oracle_eigenvalues(g, delta(g, 0.5), (-1.0, 1.0))
 
 
 def test_grid_computes_transfers_once_per_chunk(monkeypatch):

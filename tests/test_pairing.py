@@ -74,7 +74,7 @@ def dense_basis(g, coupling):
     columns = []
     for v in sorted(g.vertices):
         block = coupling.block(v)
-        idx = [pos[e.coordinate] for e in inc[v]]
+        idx = [pos[c] for c in inc[v]]
         lop[np.ix_(idx, idx)] = block.operator()
         for k in range(block.dim):
             col = np.zeros(len(pos), dtype=complex)
@@ -137,7 +137,7 @@ def test_krein_lmin_and_weights_share_one_pairing(make):
     tol = 1e-12 * np.max(np.abs(raw))
     for i in range(dl.size):
         for j in range(i + 1, dl.size):
-            assert abs(dl.weight(i, j) - raw[i, j]) <= tol
+            assert abs(dl.b.get((i, j), 0.0) - raw[i, j]) <= tol
 
 
 @pytest.mark.parametrize("make", PROBLEMS)
