@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .graphs import MetricGraph, edge_model_for
+from .graphs import MetricGraph
 
 __all__ = [
     "VertexBlock",
@@ -254,7 +254,7 @@ class _CompiledPairing:
     per (graph, coupling), and calling it with the edge blocks M gives P.
 
     L is the coupling operator (+)_v L_v, M the direct sum of the edge
-    blocks ``edge_blocks[edge id]`` at their boundary coordinates (1x1 on a
+    blocks (a list per group of edges of ``g._index.by_model``; 1x1 on a
     half-line).  The secular matrix, the discrete weights and L_min are P
     at M(lambda) or M(lambda0), rescaled by basis or measure norms.
 
@@ -265,8 +265,8 @@ class _CompiledPairing:
     per pair of nonzero entries B[p, i], B[q, j] with coordinates (p, q) on
     one edge: the weight conj(b_i[p]) b_j[q], the position ``src`` of
     M[p, q] in the flat blocks, sorted by pattern entry, the triplets of one
-    entry in the order of their edges in ``edge_groups``.  The blocks of the
-    edges of one group (of one block size d) lie side by side, d rows of
+    entry in the order of their edges in ``by_model``.  The blocks of the
+    edges of one group (one model, of ``dim`` d) lie side by side, d rows of
     them, and the groups follow each other.  So each M costs a gather, a
     product and one segment sum: O(nnz) work, with nnz = 4E for delta
     couplings, and a stack of M at m values of lambda the same calls.
@@ -275,8 +275,6 @@ class _CompiledPairing:
     def __init__(self, g: MetricGraph, coupling: VertexCoupling):
         blocks, _, groups, build_basis = _block_pass(g, coupling)
         self.basis = gb = build_basis()
-        # (edge id, edge model, length) in graph order: what M(lambda) needs.
-        self.edges = [(e.id, edge_model_for(g.model, e), e.length) for e in g.edges]
         n = len(gb.labels)
         p0_at, p0 = [], []
         for same, _, idx, basis in groups:
@@ -288,16 +286,14 @@ class _CompiledPairing:
         first = np.cumsum(per_coord) - per_coord
 
         # Coordinate pairs (p, q) of each edge and the position of M[p, q]; an
-        # edge's coordinates are consecutive, (id, 0) first.  Edges with as
-        # many coordinates are one group, in order of first appearance.
+        # edge's coordinates are consecutive from ``start``, (id, 0) first.
         index = g._index
         firsts = np.flatnonzero(index.end == 0)
-        sizes = np.diff(firsts, append=gb.size)
-        self.edge_groups, pa, pb, place, done = [], [], [], [], 0
-        for d in dict.fromkeys(sizes.tolist()):
-            at = firsts[sizes == d]
-            pos = at[:, None] + np.arange(d)
-            self.edge_groups.append([self.edges[k][0] for k in index.edge[at].tolist()])
+        start = firsts[np.argsort(index.edge[firsts])]  # by edge position
+        pa, pb, place, done = [], [], [], 0
+        for model, at, _ in index.by_model:
+            d = model.dim
+            pos = start[at][:, None] + np.arange(d)
             pa.append(np.repeat(pos, d, axis=1).ravel())
             pb.append(np.tile(pos, d).ravel())
             # Entry (edge j, row r, column c) sits at row r, column j d + c of the group.
@@ -333,12 +329,11 @@ class _CompiledPairing:
         self.n = n
 
     def __call__(self, edge_blocks) -> np.ndarray:
-        """The values of P on the pattern for M = ``edge_blocks``: P0 minus
-        the segment sums of the weighted M entries.  Blocks with leading
-        axes, such as (m, d, d) at m values of lambda, give the values at
-        each, (m, nnz), in the same calls as d x d blocks give (nnz,)."""
-        sides = [np.concatenate([edge_blocks[eid] for eid in ids], axis=-1)
-                 for ids in self.edge_groups]
+        """The values of P on the pattern for M = ``edge_blocks``, a list per
+        group of ``by_model``: P0 minus the segment sums of the weighted M
+        entries.  Blocks with leading axes, such as (m, d, d) at m values of
+        lambda, give (m, nnz) values in the same calls as d x d give (nnz,)."""
+        sides = [np.concatenate(group, axis=-1) for group in edge_blocks]
         m = np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in sides], axis=-1)
         out = np.empty(m.shape[:-1] + self.p0.shape, dtype=complex)
         out[...] = self.p0

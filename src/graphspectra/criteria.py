@@ -27,7 +27,7 @@ import numpy as np
 from . import edges as em
 from .discrete import DiscreteLaplacian, _weights, weighted_degree
 from .graphs import MetricGraph
-from .regularize import Regularization, _by_model
+from .regularize import Regularization
 from .spectra import _rounding_bound, decoupled_ground_state, krein_matrix
 
 __all__ = [
@@ -334,7 +334,7 @@ def check_mtilde_divergence(g: MetricGraph, reg: Regularization) -> CriterionRes
     tops = np.empty((len(g.edges), len(lams)))  # max eigenvalue per edge and sample
     on = np.empty(tops.shape, dtype=bool)  # sample on a pole of its edge
     norms = np.array([reg.norm_prime[e.id] for e in g.edges])[:, None, None, None]
-    for model, at, lengths in _by_model(g):
+    for model, at, lengths in g._index.by_model:
         _, _, hit, change, _ = em._responses(model, lengths, lams, since=reg.lambda0)
         on[at] = hit
         change = np.where(hit[:, :, None, None], 0.0, change) / norms[at]

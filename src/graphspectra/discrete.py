@@ -82,10 +82,12 @@ def _regularized_pairing(g: MetricGraph, coupling: VertexCoupling,
     """Compiled pairing, the values of P at M0 and m = ||R b||^2."""
     compiled = _CompiledPairing(g, coupling)
     gb = compiled.basis
-    r2 = np.array([reg.norm_prime[eid] for eid, _, _ in compiled.edges])[g._index.edge]
+    ids = [e.id for e in g.edges]
+    r2 = np.array([reg.norm_prime[eid] for eid in ids])[g._index.edge]
     m = np.bincount(gb.element, r2[gb.coord] * (gb.value.real ** 2 + gb.value.imag ** 2),
                     len(gb.labels))
-    return compiled, compiled(reg.m_at_lambda0), m
+    blocks = [[reg.m_at_lambda0[ids[k]] for k in at.tolist()] for _, at, _ in g._index.by_model]
+    return compiled, compiled(blocks), m
 
 
 def build_discrete(g: MetricGraph, coupling: VertexCoupling,

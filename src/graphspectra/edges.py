@@ -436,11 +436,11 @@ def _response(model, ell, lam, triplet="graph", derivative=False):
     return dist, pole, m, dm
 
 
-def _responses(model, ell, lam, derivative=False, since=None):
+def _responses(model, ell, lam, since=None):
     """``_response`` of the graph trace maps over the 1-d array ``ell`` of
     lengths at a real ``lam``, or at each of a 1-d array of them (a second
     axis, each column the bytes of its lambda alone): (dist, pole, on_pole,
-    M, M' or None), the distance and nearest pole exactly as ``_guard``
+    M, M'), the distance and nearest pole exactly as ``_guard``
     gives them (one ``_pole`` call for all), M and M' from ``_delta_weights``
     in ``_pair``'s blocks, or from ``_halfline`` (undefined where on_pole).
     With a real ``since``, M(lam) - M(since) (``_change``) replaces M.  The
@@ -482,8 +482,8 @@ def _responses(model, ell, lam, derivative=False, since=None):
             if since is not None:
                 m = _change(model, grid, lams, float(since), r, q)
         on_pole = dist < _POLE_TOL * np.maximum(1.0, np.abs(pole))
-    out = dist, pole, on_pole, m, dm if derivative else None
-    return out if np.ndim(lam) else tuple(x if x is None else x[:, 0] for x in out)
+    out = dist, pole, on_pole, m, dm
+    return out if np.ndim(lam) else tuple(x[:, 0] for x in out)
 
 
 def _divided(dcoef, w, w0):

@@ -205,9 +205,9 @@ def _coordinates(edges):
 
 @dataclass(frozen=True, eq=False)
 class _GraphIndex:
-    """What the coupling constructors, the compiles and the pole list read
-    of a valid graph, built once per graph object (``MetricGraph._index``,
-    next to its validation report ``_report``).
+    """What the coupling constructors, the compiles, the edge evaluations
+    and the pole list read of a valid graph, built once per graph object
+    (``MetricGraph._index``, next to its validation report ``_report``).
 
     Vertex positions refer to ``vertices``, the ids in sorted order (the
     order of the global basis).  ``edge`` and ``end`` give each coordinate's
@@ -215,6 +215,8 @@ class _GraphIndex:
     ``lengths`` list the finite edges in graph order, ``half`` the source
     of each half-line."""
 
+    model: EdgeModel            # g.model
+    edges: tuple                # g.edges
     vertices: tuple             # vertex ids, sorted
     coords: tuple               # boundary coordinates (edge id, t), sorted
     incidence: dict             # vertex id -> its coordinates, sorted; in g.vertices order
@@ -235,13 +237,24 @@ class _GraphIndex:
         vertices = tuple(sorted(g.vertices))
         at = {v: i for i, v in enumerate(vertices)}
         finite = [e for e in g.edges if e.target is not None]
-        return cls(vertices, coords, {v: tuple(c) for v, c in incidence.items()},
+        return cls(g.model, g.edges, vertices, coords, {v: tuple(c) for v, c in incidence.items()},
                    {c: p for p, c in enumerate(coords)},
                    np.array(edge, dtype=np.intp), np.array([t for _, t in coords], dtype=np.intp),
                    np.array([at[e.source] for e in finite], dtype=np.intp),
                    np.array([at[e.target] for e in finite], dtype=np.intp),
                    np.array([e.length for e in finite], dtype=float),
                    np.array([at[e.source] for e in g.edges if e.target is None], dtype=np.intp))
+
+    @functools.cached_property
+    def by_model(self):
+        """The edges grouped by their model (``edge_model_for``): ((model,
+        positions in g.edges, lengths), ...), the groups in order of first
+        appearance among ``coords`` and each in coordinate (edge id) order."""
+        groups = {}
+        for k in self.edge[self.end == 0].tolist():
+            groups.setdefault(edge_model_for(self.model, self.edges[k]), []).append(k)
+        return tuple((m, np.array(at, dtype=np.intp), np.array([self.edges[k].length for k in at]))
+                     for m, at in groups.items())
 
     @functools.cached_property
     def peeling(self):

@@ -53,8 +53,7 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
             )
         lam0 = g.model._lambda0
     lam0 = float(lam0)
-    groups = [(at, em._responses(model, lengths, lam0, derivative=True))
-              for model, at, lengths in _by_model(g)]
+    groups = [(at, em._responses(model, ell, lam0)) for model, at, ell in g._index.by_model]
     hits = [(at[j], pole[j]) for at, (_, pole, hit, _, _) in groups for j in np.flatnonzero(hit)]
     if hits:
         raise em.PoleOfWeylError(complex(lam0), float(min(hits)[1]))
@@ -65,19 +64,6 @@ def build_regularization(g: MetricGraph, lam0: Optional[float] = None) -> Regula
             special[ids[i]], norms[ids[i]] = mi, norm
     eps = min([math.inf] + [float(out[0].min()) for _, out in groups])
     return Regularization(lam0, special, norms, eps, eps > _CERT_TOL)
-
-
-def _by_model(g: MetricGraph):
-    """The edges of ``g`` grouped by edge model: [(model, positions in
-    g.edges, lengths)], read off the graph index: the finite edges with the
-    graph's model, then the half-lines with its half-line model; empty
-    groups are left out."""
-    index = g._index
-    finite = np.sort(index.edge[index.end == 1])
-    half = np.delete(np.arange(len(g.edges)), finite)
-    return [group for group in ((g.model, finite, index.lengths),
-                                (g.model._half_line, half, np.full(len(half), math.inf)))
-            if len(group[1])]
 
 
 def regularized_weyl(model, ell: float, lam, reg: Regularization,

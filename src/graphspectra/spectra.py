@@ -158,8 +158,8 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
     ``weyl`` does, within 1e-9 max(1, |p|) of a decoupled edge eigenvalue
     p.  A list of m values of lambda gives
     the (m, n, n) stack of their matrices, each with the bytes of its
-    scalar call (an error is that of the first edge, at its first bad
-    lambda).
+    scalar call (an error is that of the first edge of the graph index's
+    ``by_model``, at its first bad lambda).
 
     The pairing has a compile step (independent of lambda) and a
     per-lambda step (gather the entries of M(lambda), weight them and
@@ -173,7 +173,8 @@ def krein_matrix(g: MetricGraph, coupling: VertexCoupling, lam, *,
     compiles its own.
     """
     compiled = _pairing or _CompiledPairing(g, coupling)
-    blocks = {eid: em.weyl(model, ell, lam) for eid, model, ell in compiled.edges}
+    blocks = [[em.weyl(model, ell, lam) for ell in lengths.tolist()]
+              for model, _, lengths in g._index.by_model]
     values = compiled(blocks) / compiled.norm_products
     return compiled.dense(values if values.imag.any() else values.real)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -150,6 +151,16 @@ def dirac_triangle(c):
                       {"id": "ca", "from": "c", "to": "a", "length": 1.0}]}
 
 
+def half_lines():
+    # A unit edge with a half-line at each end.
+    return {"model": {"type": "laplacian"},
+            "vertices": [{"id": "a", "alpha": -1}, {"id": "b", "alpha": 0.5}],
+            "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0},
+                      {"id": "ha", "from": "a", "to": None, "length": "inf"},
+                      {"id": "hb", "from": "b", "to": None, "length": "inf"}],
+            "lambda0": -4}
+
+
 def long_star():
     data = star3(alpha=(-8.0,) * 4)
     for edge, length in zip(data["edges"], (100.0, 70.0, 130.0)):
@@ -177,13 +188,75 @@ def long_star():
      "numeric failure: det A overflows at lambda=-1.0\n"),
     (dirac_triangle(1100.0), ["spectrum", "--min", "-1", "--max", "1", "--oracle"], 3,
      "numeric failure: det A overflows at lambda=-1.0\n"),
-], ids=["dirac-c-1e78", "dirac-c-1500", "long-star", "dirac-c-1400", "dirac-triangle-c-1100"])
+    (half_lines(), ["spectrum", "--min", "-5", "--max", "-0.1", "--oracle"], 3,
+     "numeric failure: oracle handles finite lengths only\n"),
+], ids=["dirac-c-1e78", "dirac-c-1500", "long-star", "dirac-c-1400", "dirac-triangle-c-1100",
+        "half-lines"])
 def test_unrepresentable_problems_keep_the_exit_code_contract(tmp_path, data, argv, code, err):
     path = write(tmp_path, "problem.json", data)
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "graphspectra.cli",
                            argv[0], path, *argv[1:]],
                           capture_output=True, text=True, env=package_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def star_of_three(model=None):
+    # Lengths 1, 0.7 and 1.3, alpha 0.5 at every vertex.
+    data = star3((0.5,) * 4, model)
+    for edge, length in zip(data["edges"], (1.0, 0.7, 1.3)):
+        edge["length"] = length
+    return data
+
+
+def custom_triangle():
+    # The counts take the dense eigensolve, and the oracle's matrix is complex.
+    return {"model": {"type": "laplacian"},
+            "vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+            "edges": [{"id": "ab", "from": "a", "to": "b", "length": 1.0},
+                      {"id": "bc", "from": "b", "to": "c", "length": 0.7},
+                      {"id": "ca", "from": "c", "to": "a", "length": 1.3}],
+            "coupling": {"type": "custom",
+                         "vertices": {"a": {"basis": [[1, [0.6, 0.8]]], "matrix": [[0.4]]}}}}
+
+
+_DIRAC = {"type": "dirac", "c": 1.0}
+
+
+@pytest.mark.parametrize("data, argv", [
+    pytest.param(star_of_three(), ["validate"], id="star-validate"),
+    pytest.param(star_of_three(), ["criteria"], id="star-criteria"),
+    pytest.param(star_of_three(), ["spectrum", "--min", "-5", "--max", "30", "--oracle"],
+                 id="star-spectrum"),
+    # The Dirac runs reach the Dirac block of both edge kernels, at real and
+    # complex lambda.
+    pytest.param(star_of_three(_DIRAC), ["validate"], id="dirac-star-validate"),
+    pytest.param(star_of_three(_DIRAC), ["criteria"], id="dirac-star-criteria"),
+    pytest.param(star_of_three(_DIRAC), ["spectrum", "--min", "-15", "--max", "15", "--oracle"],
+                 id="dirac-star-spectrum"),
+    pytest.param(star_of_three(_DIRAC), ["weyl", "--edge", "e00", "--lambda", "0.3,1.0"],
+                 id="dirac-star-weyl-e00"),
+    pytest.param(star_of_three(_DIRAC), ["weyl", "--edge", "e01", "--lambda", "2.5"],
+                 id="dirac-star-weyl-e01"),
+    pytest.param(custom_triangle(), ["validate"], id="triangle-validate"),
+    pytest.param(custom_triangle(), ["criteria"], id="triangle-criteria"),
+    pytest.param(custom_triangle(), ["discrete"], id="triangle-discrete"),
+    pytest.param(custom_triangle(), ["spectrum", "--min", "-5", "--max", "30", "--oracle"],
+                 id="triangle-spectrum"),
+    pytest.param(half_lines(), ["validate"], id="half-lines-validate"),
+    pytest.param(half_lines(), ["criteria"], id="half-lines-criteria"),
+    pytest.param(half_lines(), ["discrete"], id="half-lines-discrete"),
+    pytest.param(half_lines(), ["spectrum", "--min", "-5", "--max", "-0.1"],
+                 id="half-lines-spectrum"),
+])
+def test_every_command_runs_without_a_warning(tmp_path, capsys, data, argv):
+    # Every warning is an error here, not only those the test settings raise.
+    path = write(tmp_path, "problem.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv[:1] + [path] + argv[1:])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out
 
 
 @pytest.mark.parametrize("data", [dirac_interval(1400.0), dirac_triangle(1100.0)],

@@ -656,6 +656,25 @@ def test_no_code_tests_the_class_of_an_edge_model():
     assert sites == []
 
 
+def test_only_the_graph_decides_the_model_of_an_edge():
+    # graphs.py chooses each edge's model (edge_model_for) and groups the
+    # edges by it once per graph (the index's by_model); the CLI's weyl
+    # command asks it for one edge.  edges.py defines the half-line model.
+    import ast
+
+    sites = []
+    for path in sorted(pathlib.Path(em.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_half_line"
+                    and path.name not in ("edges.py", "graphs.py")):
+                sites.append(f"{path.name}:{node.lineno} reads _half_line")
+            if (isinstance(node, ast.Call) and path.name not in ("graphs.py", "cli.py")
+                    and "edge_model_for" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))):
+                sites.append(f"{path.name}:{node.lineno} calls edge_model_for")
+    assert sites == []
+
+
 _TABLE = pathlib.Path(__file__).parent / "data" / "edge_reference.csv"
 _DIRAC_PHASE = np.array([[1, -1j], [1j, 1]])
 _TABLE_MODELS = {"laplacian": (LAP, 1.0), "dirac-1": (em.Dirac(1.0), _DIRAC_PHASE),
@@ -718,10 +737,8 @@ def test_both_edge_kernels_meet_the_reference_table_bound(name):
     hits = 0
     for ell, lam, m_ref, dm_ref in rows:
         i = int(np.searchsorted(lengths, ell))
-        dist, pole, on_pole, m, dm = em._responses(model, lengths, lam, derivative=True)
+        dist, pole, on_pole, m, dm = em._responses(model, lengths, lam)
         assert m.shape == dm.shape == (len(lengths), model.dim, model.dim)
-        without = em._responses(model, lengths, lam)
-        assert without[4] is None and without[3][i].tobytes() == m[i].tobytes()
         try:
             d, p, *scalar = em._response(model, ell, lam, derivative=True)
         except em.PoleOfWeylError as err:
@@ -775,20 +792,18 @@ def test_array_kernel_raises_the_errors_of_the_scalar_guard(model, ell, lam):
 def test_a_lambda_array_gives_each_column_the_bytes_of_its_lambda(model, ells):
     # One call over lambda values that mix k^2 < 0, the series, k^2 > 0,
     # poles and Dirac's rho pole -c^2/2 equals the one-lambda calls column
-    # by column, byte for byte, with M' and with M(lam) - M(since).
+    # by column, byte for byte, M' included, with M and with M(lam) - M(since).
     ell = np.array(ells)
     lams = np.array([-1e6, -37.0, -0.5, -1e-5, 0.0, 1e-7, 0.3, 2.0, math.pi ** 2, 40.37, 9000.0])
     since = -1.0 if model._lambda0 is None else model._lambda0
-    for kw in ({}, {"derivative": True}, {"since": since, "derivative": True}):
+    for kw in ({}, {"since": since}):
         batch = em._responses(model, ell, lams, **kw)
         assert batch[0].shape == (len(ell), len(lams))
         for k, lam in enumerate(lams.tolist()):
             for got, want in zip(batch, em._responses(model, ell, lam, **kw)):
-                assert (got is None) == (want is None)
-                if want is not None:
-                    got = np.ascontiguousarray(got[:, k])
-                    assert (got.dtype, got.shape, got.tobytes()) == \
-                        (want.dtype, want.shape, want.tobytes()), (kw, lam)
+                got = np.ascontiguousarray(got[:, k])
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes()), (kw, lam)
 
 
 def test_array_kernel_reports_the_scalar_nearest_pole_on_poles():

@@ -163,6 +163,17 @@ def test_edge_model_for():
     assert isinstance(gr.edge_model_for(g.model, g.edges[0]), HalfLineLaplacian)
     e = Edge("e", "a", "b", 1.0)
     assert isinstance(gr.edge_model_for(Laplacian(), e), Laplacian)
+    # The index groups the edges by that model once per graph: the groups in
+    # order of first appearance among the coordinates, which sort by edge id,
+    # and each group's edges in that order, not in graph order.
+    g = MetricGraph(("a", "b", "c"), (Edge("z", "a", "b", 1.0), Edge("h2", "a", None, math.inf),
+                                      Edge("m", "b", "c", 0.7), Edge("a1", "c", None, math.inf)))
+    assert [(m, at.tolist(), ell.tolist()) for m, at, ell in g._index.by_model] == [
+        (HalfLineLaplacian(), [3, 1], [math.inf, math.inf]), (Laplacian(), [2, 0], [0.7, 1.0])]
+    assert g._index.by_model is g._index.by_model
+    dirac = gr.star(3, lengths=[1.0, 0.7, 1.3], model=Dirac(2.0))
+    assert [(m, at.tolist(), ell.tolist()) for m, at, ell in dirac._index.by_model] == [
+        (Dirac(2.0), [0, 1, 2], [1.0, 0.7, 1.3])]
 
 
 def test_alpha_map_forms():

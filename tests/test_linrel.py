@@ -78,6 +78,11 @@ def test_parts_of_invertible_graph():
     assert parts.mul.shape[1] == 0
 
 
+def test_parts_of_the_zero_relation():
+    parts = lr.LinearRelation.from_span(2, np.zeros((4, 1))).parts()
+    assert all(x.shape == (2, 0) for x in (parts.dom, parts.ran, parts.ker, parts.mul))
+
+
 def test_parts_of_subspace_operator():
     op = lr.OperatorOnSubspace.build(2, np.array([[1.0], [0.0]]), [[0.0]])
     parts = lr.relation_from_operator(op).parts()
@@ -108,6 +113,10 @@ def test_resolvent_singular_at_eigenvalue():
     op = lr.OperatorOnSubspace.build(2, np.array([[1.0], [0.0]]), [[1.0]])
     rel = lr.relation_from_operator(op)
     assert rel.resolvent(1.0) is None
+    # A one-dimensional relation in C^2 (spanned by a 1-d vector) has no
+    # everywhere-defined resolvent at any lambda.
+    line = lr.LinearRelation.from_span(2, [1, 0, 0, 0])
+    assert line.dim == 1 and line.resolvent(0.5j) is None
 
 
 def test_resolvent_norm_at_i_bounded_by_one():
@@ -133,3 +142,7 @@ def test_mul_equals_orthocomplement_of_adjoint_domain():
 def test_operator_matrix_shape_validation():
     with pytest.raises(ValueError):
         lr.OperatorOnSubspace.build(3, np.eye(3)[:, :2], np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="spanning vectors must have 2n = 4 rows"):
+        lr.LinearRelation.from_span(2, np.ones((3, 1)))
+    with pytest.raises(ValueError, match="subspaces live in different ambient spaces"):
+        lr.subspace_distance(np.eye(2), np.eye(3))

@@ -94,6 +94,12 @@ def dense_pairing(g, coupling, edge_blocks):
     return basis.conj().T @ (lop - mop) @ basis
 
 
+def grouped(g, edge_blocks):
+    """An edge id -> block dict as the pairing takes it: one list per group
+    of the graph index's ``by_model``, in its order."""
+    return [[edge_blocks[g.edges[k].id] for k in at.tolist()] for _, at, _ in g._index.by_model]
+
+
 @pytest.mark.parametrize("make", PROBLEMS)
 def test_pairing_matches_dense_assembly(make):
     g, coup, _ = make()
@@ -104,7 +110,7 @@ def test_pairing_matches_dense_assembly(make):
         a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         blocks[e.id] = a + a.conj().T
     compiled = cp._CompiledPairing(g, coup)
-    got = compiled.dense(compiled(blocks))
+    got = compiled.dense(compiled(grouped(g, blocks)))
     want = dense_pairing(g, coup, blocks)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
     np.testing.assert_allclose(got, got.conj().T, rtol=0, atol=1e-13 * np.max(np.abs(want)))
@@ -149,7 +155,7 @@ def test_compiled_krein_matches_one_shot_pairing(make):
         blocks = {e.id: em.weyl(gr.edge_model_for(g.model, e), e.length, lam)
                   for e in g.edges}
         fresh = cp._CompiledPairing(g, coup)
-        want = fresh.dense(fresh(blocks)) / np.outer(norms, norms)
+        want = fresh.dense(fresh(grouped(g, blocks))) / np.outer(norms, norms)
         assert np.array_equal(sp.krein_matrix(g, coup, lam), want)
         assert np.array_equal(sp.krein_matrix(g, coup, lam, _pairing=compiled), want)
 
@@ -174,9 +180,9 @@ def test_krein_matrix_on_a_lambda_list_stacks_the_scalar_calls(make):
     for got in (sp.krein_matrix(g, coup, lams), sp.krein_matrix(g, coup, lams, _pairing=compiled)):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     models = [(e.id, gr.edge_model_for(g.model, e), e.length) for e in g.edges]
-    single = [compiled({eid: em.weyl(model, ell, lam) for eid, model, ell in models})
+    single = [compiled(grouped(g, {eid: em.weyl(model, ell, lam) for eid, model, ell in models}))
               for lam in lams]
-    stack = compiled({eid: em.weyl(model, ell, lams) for eid, model, ell in models})
+    stack = compiled(grouped(g, {eid: em.weyl(model, ell, lams) for eid, model, ell in models}))
     assert stack.tobytes() == np.array(single).tobytes()
 
 
@@ -200,7 +206,7 @@ def test_blocks_may_list_their_coordinates_in_any_order(make):
     blocks = {e.id: rng.normal(size=(len(e.endpoints()),) * 2) for e in g.edges}
     blocks = {eid: a + a.T for eid, a in blocks.items()}
     fresh, compiled = cp._CompiledPairing(g, turned), cp._CompiledPairing(g, coup)
-    close(fresh.dense(fresh(blocks)), compiled.dense(compiled(blocks)))
+    close(fresh.dense(fresh(grouped(g, blocks))), compiled.dense(compiled(grouped(g, blocks))))
     close(sp.krein_matrix(g, turned, -0.7), sp.krein_matrix(g, coup, -0.7))
     reg = rg.build_regularization(g, lam0)
     dl, dl0 = dc.build_discrete(g, turned, reg), dc.build_discrete(g, coup, reg)

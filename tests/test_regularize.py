@@ -139,7 +139,7 @@ def test_regularization_at_the_default_lambda0_has_the_scalar_bytes(model):
     # series gives the scalar path's M, M' and norms bit for bit.
     lengths = np.geomspace(1e-4, 50.0, 304)
     reg = rg.build_regularization(gr.star(304, lengths=lengths.tolist(), model=model))
-    _, _, _, m, dm = em._responses(model, lengths, model._lambda0, derivative=True)
+    _, _, _, m, dm = em._responses(model, lengths, model._lambda0)
     for i, e in enumerate(reg.m_at_lambda0):
         _, _, want_m, want_dm = em._response(model, lengths[i], model._lambda0, derivative=True)
         assert m[i].tobytes() == reg.m_at_lambda0[e].tobytes() == want_m.tobytes()
